@@ -10,8 +10,6 @@ from earlier ones and keeps the search tree close to the solution count.
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +18,11 @@ from .errors import CapExceededError
 from .groups import (
     Automorphism,
     FiniteGroup,
+    _completion_triples,
     are_isomorphic,
     automorphism_group,
     automorphism_index,
+    backtrack,
     generating_sequence,
     identify_group,
     is_homomorphism,
@@ -146,29 +146,16 @@ def enumerate_raw_systems(h: FiniteGroup, g: FiniteGroup, visit, *, cap: int = D
 
     full_domain = tuple(range(n))
 
-    def visit_actions_of(alpha_leaf) -> None:
-        if abelian_h:
-            comp = _aut_composition(h)
-            comp_at: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
-            for x in range(1, m):
-                for y in range(1, m):
-                    comp_at[max(x, y, gm[x][y])].append((x, y, gm[x][y]))
+    if abelian_h:
+        comp = _aut_composition(h)
+        g_triples = _completion_triples(gm)
 
-            def rec(gi: int) -> None:
-                if gi == m:
-                    alpha_leaf()
-                    return
-                for a in range(naut):
-                    alpha[gi] = a
-                    if all(comp[alpha[x]][alpha[y]] == alpha[xy] for (x, y, xy) in comp_at[gi]):
-                        rec(gi + 1)
-                alpha[gi] = 0
+        def accept_action(gi: int, al) -> bool:
+            return all(comp[al[x]][al[y]] == al[xy] for (x, y, xy) in g_triples[gi])
+    else:
 
-            rec(1)
-        else:
-            for combo in itertools.product(range(naut), repeat=m - 1):
-                alpha[1:] = combo
-                alpha_leaf()
+        def accept_action(gi: int, al) -> bool:
+            return True
 
     CHAIN, DERIVE, FREE = 0, 1, 2
 
@@ -311,7 +298,9 @@ def enumerate_raw_systems(h: FiniteGroup, g: FiniteGroup, visit, *, cap: int = D
                 fv[i] = 0
                 k -= 1
 
-    visit_actions_of(alpha_leaf)
+    for combo in backtrack([(0,)] + [range(naut)] * (m - 1), accept_action):
+        alpha[:] = combo
+        alpha_leaf()
 
 
 def system_from_raw(
@@ -506,13 +495,9 @@ def _t_witness_map(sysA, sysB, eta: Automorphism, gamma: Automorphism):
         if not cands:
             return None
         candidates.append(cands)
-    triples: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
-    for g1 in range(m):
-        for g2 in range(m):
-            triples[max(g1, g2, gm[g1][g2])].append((g1, g2, gm[g1][g2]))
-    t = [0] * m
+    triples = _completion_triples(gm)
 
-    def ok(k: int) -> bool:
+    def accept(k: int, t) -> bool:
         for (g1, g2, g12) in triples[k]:
             q1, q2 = ginv[g1], ginv[g2]
             inner = hm[hm[hm[t[g1]][actA[q1][t[g2]]]][fA[q1][q2]]][hinv[t[g12]]]
@@ -520,21 +505,7 @@ def _t_witness_map(sysA, sysB, eta: Automorphism, gamma: Automorphism):
                 return False
         return True
 
-    def search(k: int):
-        if k == m:
-            return tuple(t)
-        for val in candidates[k]:
-            t[k] = val
-            if ok(k):
-                got = search(k + 1)
-                if got is not None:
-                    return got
-        t[k] = 0
-        return None
-
-    if not ok(0):
-        return None
-    return search(1)
+    return next(backtrack(candidates, accept), None)
 
 
 def equivalence2_map(sysA, sysB, w: Equivalence2Witness) -> tuple[int, ...]:
@@ -659,9 +630,10 @@ def classify(
     """Partition Crossed(H, G) under eq1, eq2, or product isomorphism.
 
     Uses representative-first comparison: each system is matched against the
-    current class representatives in order, so the first member of each class
-    is its lexicographically minimal element.  Worker counts change only the
-    scheduling of independent witness searches, never the result.
+    current class representatives in order, stopping at the first match, so
+    the first member of each class is its lexicographically minimal element.
+    `workers` is accepted for compatibility and ignored: the witness searches
+    are pure Python, so threads only slow them down under the GIL.
     """
     if relation not in RELATIONS:
         raise ValueError(f"relation must be one of {RELATIONS}")
@@ -684,27 +656,13 @@ def classify(
 
     reps: list[int] = []
     members: list[list[int]] = []
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for idx in range(len(systems)):
-            if pool is not None and reps:
-                flags = list(pool.map(lambda rj: matches(rj, idx), reps))
-            else:
-                flags = None
-            hit = None
-            for pos, rj in enumerate(reps):
-                found = flags[pos] if flags is not None else matches(rj, idx)
-                if found:
-                    hit = pos
-                    break
-            if hit is None:
-                reps.append(idx)
-                members.append([idx])
-            else:
-                members[hit].append(idx)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for idx in range(len(systems)):
+        hit = next((pos for pos, rj in enumerate(reps) if matches(rj, idx)), None)
+        if hit is None:
+            reps.append(idx)
+            members.append([idx])
+        else:
+            members[hit].append(idx)
     types = [identify_group(build_product(systems[r]).group) for r in reps]
     return ClassificationReport(
         relation=relation,
@@ -725,12 +683,12 @@ def _refines(fine: ClassificationReport, coarse: ClassificationReport) -> bool:
 
 
 def functor_check(
-    h: FiniteGroup, g: FiniteGroup, *, workers: int = 1, max_pair_order: int = DEFAULT_PAIR_CAP
+    h: FiniteGroup, g: FiniteGroup, *, max_pair_order: int = DEFAULT_PAIR_CAP
 ) -> dict:
     """Verify the refinement chain eq1 -> eq2 -> iso on one pair."""
-    rep1 = classify(h, g, "eq1", workers=workers, max_pair_order=max_pair_order)
-    rep2 = classify(h, g, "eq2", workers=workers, max_pair_order=max_pair_order)
-    rep3 = classify(h, g, "iso", workers=workers, max_pair_order=max_pair_order)
+    rep1 = classify(h, g, "eq1", max_pair_order=max_pair_order)
+    rep2 = classify(h, g, "eq2", max_pair_order=max_pair_order)
+    rep3 = classify(h, g, "iso", max_pair_order=max_pair_order)
     out = {
         "system_count": len(rep1.systems),
         "eq1_classes": rep1.class_count(),

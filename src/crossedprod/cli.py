@@ -65,6 +65,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text) if text.strip().isdigit() else 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _emit(doc: dict, cfg: RunConfig, render_text) -> None:
     if cfg.output_format == "json":
         sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
@@ -153,7 +160,7 @@ def cmd_classify(args, cfg: RunConfig) -> int:
         "class_count": len(report.classes),
         "classes": classes,
     }
-    print(f"classify: {elapsed:.3f}s workers={cfg.workers}", file=sys.stderr)
+    print(f"classify: {elapsed:.3f}s", file=sys.stderr)
 
     def text(d):
         lines = [
@@ -342,10 +349,11 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", choices=("json", "text"), default="json")
-    common.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-    common.add_argument("--max-order", type=int, default=DEFAULT_PAIR_CAP,
+    common.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                        help="accepted for compatibility; has no effect")
+    common.add_argument("--max-order", type=_positive_int, default=DEFAULT_PAIR_CAP,
                         help="cap on |H|*|G| for enumeration-driven commands")
-    common.add_argument("--max-group-order", type=int, default=DEFAULT_MAX_GROUP_ORDER)
+    common.add_argument("--max-group-order", type=_positive_int, default=DEFAULT_MAX_GROUP_ORDER)
     common.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -374,13 +382,13 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_morphisms)
 
     p = sub.add_parser("holder", parents=[common], help="cyclic-by-cyclic presentation enumeration")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--dedupe", action="store_true")
     p.set_defaults(func=cmd_holder)
 
     p = sub.add_parser("selfcheck", parents=[common], help="random associativity cross-check")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_positive_int, default=1000)
     p.set_defaults(func=cmd_selfcheck)
 
     return parser

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, NotAbelianError, SectionInvalidError
+from .errors import CapExceededError, InvalidDescriptorError, NotAbelianError, SectionInvalidError
 from .groups import (
     FiniteGroup,
     Homomorphism,
@@ -242,7 +242,7 @@ def holder_enumerate(
     is kept.
     """
     if n < 1 or m < 1:
-        raise CapExceededError("orders must be positive")
+        raise InvalidDescriptorError("orders must be positive")
     if n * m > cap:
         raise CapExceededError(f"n*m = {n * m} exceeds cap {cap}")
     out: list[tuple[int, int, FiniteGroup]] = []

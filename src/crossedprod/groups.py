@@ -425,6 +425,47 @@ def generating_sequence(g: FiniteGroup) -> list[int]:
     return gens
 
 
+def backtrack(domains, accept):
+    """Yield every tuple `vals` with vals[k] in domains[k] and accept(k, vals) for all k.
+
+    Tuples come in lexicographic order of the domains.  `accept(k, vals)` is
+    called once per candidate for position k and may read only vals[0..k];
+    later entries hold stale values.  With no positions, one empty tuple is
+    yielded.
+    """
+    n = len(domains)
+    if n == 0:
+        yield ()
+        return
+    vals = [None] * n
+    iters = [iter(domains[0])] + [None] * (n - 1)
+    k = 0
+    while k >= 0:
+        for val in iters[k]:
+            vals[k] = val
+            if accept(k, vals):
+                break
+        else:
+            k -= 1
+            continue
+        if k == n - 1:
+            yield tuple(vals)
+        else:
+            k += 1
+            iters[k] = iter(domains[k])
+
+
+def _completion_triples(table) -> list[list[tuple[int, int, int]]]:
+    """For each index k: the pairs (a, b, ab) whose largest index is k."""
+    n = len(table)
+    out: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            ab = table[a][b]
+            out[max(a, b, ab)].append((a, b, ab))
+    return out
+
+
 def _extend_map(src: FiniteGroup, dst: FiniteGroup, base: dict, x: int, y: int):
     """Extend a partial multiplicative map with x -> y; None on conflict.
 
@@ -456,71 +497,58 @@ def _extend_map(src: FiniteGroup, dst: FiniteGroup, base: dict, x: int, y: int):
     return mapping
 
 
+def _generator_images(src: FiniteGroup, dst: FiniteGroup, images_of):
+    """Yield the value tables of the homomorphisms src -> dst, in search order.
+
+    `images_of(gen)` lists the candidate images of one generator; each choice
+    extends the partial map of the previous generators via _extend_map.
+    """
+    gens = generating_sequence(src)
+    maps: list[dict] = [{0: 0}] * (len(gens) + 1)
+
+    def accept(k: int, imgs) -> bool:
+        maps[k + 1] = _extend_map(src, dst, maps[k], gens[k], imgs[k])
+        return maps[k + 1] is not None
+
+    for _ in backtrack([images_of(x) for x in gens], accept):
+        yield tuple(maps[-1][x] for x in src.elements())
+
+
 def enumerate_homomorphisms(src: FiniteGroup, dst: FiniteGroup) -> list[Homomorphism]:
     """All homomorphisms src -> dst, by generator-image backtracking."""
-    gens = generating_sequence(src)
-    results: list[tuple[int, ...]] = []
-
-    def extend(k: int, partial: dict) -> None:
-        if k == len(gens):
-            if len(partial) == src.order:
-                results.append(tuple(partial[x] for x in src.elements()))
-            return
-        gen = gens[k]
+    def images_of(gen: int) -> list[int]:
         gorder = src.element_order(gen)
-        for img in dst.elements():
-            if gorder % dst.element_order(img) != 0:
-                continue
-            nxt = _extend_map(src, dst, partial, gen, img)
-            if nxt is not None:
-                extend(k + 1, nxt)
+        return [y for y in dst.elements() if gorder % dst.element_order(y) == 0]
 
-    extend(0, {0: 0})
-    results.sort()
+    results = sorted(_generator_images(src, dst, images_of))
     return [Homomorphism(src, dst, m) for m in results]
 
 
-def _search_isomorphisms(g1: FiniteGroup, g2: FiniteGroup, find_all: bool):
+def _isomorphisms(g1: FiniteGroup, g2: FiniteGroup):
+    """Yield the isomorphisms g1 -> g2 as value tables, in search order."""
     if g1.order != g2.order:
-        return []
-    gens = generating_sequence(g1)
+        return
     by_order: dict[int, list[int]] = {}
     for x in g2.elements():
         by_order.setdefault(g2.element_order(x), []).append(x)
-    results: list[tuple[int, ...]] = []
-
-    def extend(k: int, partial: dict) -> bool:
-        if k == len(gens):
-            if len(partial) == g1.order and len(set(partial.values())) == g1.order:
-                results.append(tuple(partial[x] for x in g1.elements()))
-                return not find_all
-            return False
-        for img in by_order.get(g1.element_order(gens[k]), ()):
-            nxt = _extend_map(g1, g2, partial, gens[k], img)
-            if nxt is not None and extend(k + 1, nxt):
-                return True
-        return False
-
-    extend(0, {0: 0})
-    return results
+    for m in _generator_images(g1, g2, lambda gen: by_order.get(g1.element_order(gen), ())):
+        if len(set(m)) == g1.order:
+            yield m
 
 
 def are_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> Homomorphism | None:
     """An isomorphism witness if one exists: fingerprint filter, then backtracking."""
     if g1.fingerprint() != g2.fingerprint():
         return None
-    found = _search_isomorphisms(g1, g2, find_all=False)
-    if not found:
-        return None
-    return Homomorphism(g1, g2, found[0])
+    found = next(_isomorphisms(g1, g2), None)
+    return None if found is None else Homomorphism(g1, g2, found)
 
 
 def automorphism_group(g: FiniteGroup) -> list[Automorphism]:
     """The full automorphism list, cached on the group, sorted by value table."""
     auts = g._cache.get("auts")
     if auts is None:
-        perms = sorted(_search_isomorphisms(g, g, find_all=True))
-        auts = [Automorphism(g, g, p) for p in perms]
+        auts = [Automorphism(g, g, p) for p in sorted(_isomorphisms(g, g))]
         g._cache["auts"] = auts
     return auts
 
@@ -669,6 +697,16 @@ def _split_product_args(body: str) -> tuple[str, str]:
     raise InvalidDescriptorError(f"product(...) needs two arguments: {body!r}")
 
 
+def int_rows(value, what: str) -> list:
+    """Return `value` if it is a list of lists of integers, as document tables must be."""
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) and all(isinstance(v, int) for v in row)
+        for row in value
+    ):
+        raise InvalidDescriptorError(f"{what} must be a list of lists of integers")
+    return value
+
+
 def make_group(spec, *, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> FiniteGroup:
     """Build a group from a descriptor string or a table document.
 
@@ -678,8 +716,8 @@ def make_group(spec, *, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> FiniteGroup
     explicit table.
     """
     if isinstance(spec, dict):
-        table = spec["table"]
-        if "order" in spec and int(spec["order"]) != len(table):
+        table = int_rows(spec["table"], "table")
+        if spec.get("order", len(table)) != len(table):
             raise InvalidDescriptorError("order field disagrees with table size")
         g = table_group(table, name=spec.get("name"), renumber=bool(spec.get("renumber", False)))
     else:

@@ -3,9 +3,10 @@
 Morphisms between two products over the same (H, G) correspond to quadruples
 (u, r, v, s): u: H->H, r: G->H, v: G->G are bare maps and s: H->G is a
 homomorphism, subject to five compatibility conditions.  Only s is assumed
-multiplicative; u is constrained by condition 3 instead.  All searches run by
-backtracking over dense value tables, checking each condition instance as soon
-as its arguments are assigned.
+multiplicative; u is constrained by condition 3 instead.  Every search is a
+call of the shared kernel `groups.backtrack`: one candidate list per unknown
+value, and an `accept` check that tests each condition instance as soon as
+its arguments are assigned.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from .errors import PairInvariantViolationError, QuadrupleConditionError
 from .groups import (
     FiniteGroup,
     Homomorphism,
+    _completion_triples,
+    backtrack,
     enumerate_homomorphisms,
     is_homomorphism,
 )
@@ -241,21 +244,10 @@ def stabilizes_ends(q: MorphismQuadruple, h_order: int, g_order: int) -> bool:
     )
 
 
-def _completion_triples(table) -> list[list[tuple[int, int, int]]]:
-    """For each index k >= 1: the pairs (a, b, ab) whose last argument is k."""
-    n = len(table)
-    out: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            ab = table[a][b]
-            out[max(a, b, ab)].append((a, b, ab))
-    return out
-
-
 def enumerate_morphisms(sysA: CrossedSystem, sysB: CrossedSystem) -> list[MorphismQuadruple]:
     """All quadruples (u, r, v, s) between two normalized systems on one (H, G).
 
-    Search order: s over Hom(H, G); v, u, r filled in by backtracking with
+    Search order: s over Hom(H, G); then v, u, r as one position list, with
     every condition instance checked as soon as its arguments are known.
     Results are sorted by the encoding of (u, r, v, s).  The quadruple count
     is asserted to equal the direct homomorphism count between the built
@@ -269,6 +261,9 @@ def enumerate_morphisms(sysA: CrossedSystem, sysB: CrossedSystem) -> list[Morphi
     fA, fB = sysA.cocycle.table, sysB.cocycle.table
     g_triples = _completion_triples(gm)
     h_triples = _completion_triples(hm)
+    # positions: v, then u, then r; each starts with its fixed unit value
+    domains = [(0,)] + [range(m)] * (m - 1) + [(0,)] + [range(n)] * (n - 1)
+    domains += [(0,)] + [range(n)] * (m - 1)
     results: list[MorphismQuadruple] = []
 
     for s_hom in enumerate_homomorphisms(h_grp, g_grp):
@@ -312,42 +307,22 @@ def enumerate_morphisms(sysA: CrossedSystem, sysB: CrossedSystem) -> list[Morphi
                     return False
             return True
 
-        def search_r(k: int) -> None:
-            if k == m:
-                results.append(
-                    MorphismQuadruple(tuple(u), tuple(r), tuple(v), s_hom)
-                )
-                return
-            for val in range(n):
-                r[k] = val
-                if cond4_ok(k) and cond5_ok(k):
-                    search_r(k + 1)
-            r[k] = 0
+        def accept(k: int, vals) -> bool:
+            if k < m:
+                v[k] = vals[k]
+                return cond2_ok(k) and cond1_ok(k)
+            if k < m + n:
+                u[k - m] = vals[k]
+                return cond3_ok(k - m)
+            # at g = 0 (r(1) = 1) conditions 4 and 5 constrain u and v only
+            g = k - m - n
+            r[g] = vals[k]
+            return cond4_ok(g) and cond5_ok(g)
 
-        def search_u(k: int) -> None:
-            if k == n:
-                # condition 4 restricted to g = 0 constrains no r values yet
-                if cond4_ok(0) and cond5_ok(0):
-                    search_r(1)
-                return
-            for val in range(n):
-                u[k] = val
-                if cond3_ok(k):
-                    search_u(k + 1)
-            u[k] = 0
-
-        def search_v(k: int) -> None:
-            if k == m:
-                search_u(1)
-                return
-            for val in range(m):
-                v[k] = val
-                if cond2_ok(k) and cond1_ok(k):
-                    search_v(k + 1)
-            v[k] = 0
-
-        if cond1_ok(0) and cond2_ok(0) and cond3_ok(0):
-            search_v(1)
+        for vals in backtrack(domains, accept):
+            results.append(
+                MorphismQuadruple(vals[m:m + n], vals[m + n:], vals[:m], s_hom)
+            )
 
     results.sort(key=MorphismQuadruple.key)
     prodA, prodB = cached_product(sysA), cached_product(sysB)
@@ -388,27 +363,15 @@ def iter_stabilizing_maps(sysA: CrossedSystem, sysB: CrossedSystem):
             return
         candidates.append(cands)
     g_triples = _completion_triples(gm)
-    r = [0] * m
 
-    def ok(g: int) -> bool:
+    def accept(g: int, r) -> bool:
         for (g1, g2, g12) in g_triples[g]:
             want = hm[hm[hm[actB[g1][hinv[r[g2]]]][hinv[r[g1]]]][fA[g1][g2]]][r[g12]]
             if fB[g1][g2] != want:
                 return False
         return True
 
-    def search(k: int):
-        if k == m:
-            yield tuple(r)
-            return
-        for val in candidates[k]:
-            r[k] = val
-            if ok(k):
-                yield from search(k + 1)
-        r[k] = 0
-
-    if ok(0):
-        yield from search(1)
+    yield from backtrack(candidates, accept)
 
 
 def enumerate_stabilizing_isos(sysA: CrossedSystem, sysB: CrossedSystem) -> list[tuple[int, ...]]:
@@ -428,52 +391,45 @@ def enumerate_stabilizing_isos(sysA: CrossedSystem, sysB: CrossedSystem) -> list
 # splittings and lifts ---------------------------------------------------------
 
 
-def find_splitting(sys: CrossedSystem) -> tuple[int, ...] | None:
-    """A map v: G -> H splitting the inclusion of H, if one exists.
+def _inclusion_lift(sys: CrossedSystem, x: FiniteGroup, um) -> tuple[int, ...] | None:
+    """The least map v: G -> X completing u: H -> X (value table `um`) to a pair.
 
-    Conditions: g |> h = v(g) h v(g)^-1 and f(g1,g2) = v(g1) v(g2) v(g1g2)^-1.
+    Conditions: v(g) u(h) = u(g |> h) v(g) and v(g1) v(g2) = u(f(g1,g2)) v(g1g2).
     """
-    if not sys.normalized:
-        raise ValueError("requires a normalized system")
-    h_grp, g_grp = sys.h, sys.g
-    n, m = h_grp.order, g_grp.order
-    hm = h_grp.table
-    hinv = h_grp.inverse_table
+    xm = x.table
     act = sys.action.perms
     f = sys.cocycle.table
     candidates: list[list[int]] = [[0]]
-    for g in range(1, m):
+    for g in range(1, sys.g.order):
         pg = act[g]
         cands = [
-            c for c in range(n) if all(pg[x] == hm[hm[c][x]][hinv[c]] for x in range(n))
+            xi
+            for xi in x.elements()
+            if all(xm[xi][um[h]] == xm[um[pg[h]]][xi] for h in sys.h.elements())
         ]
         if not cands:
             return None
         candidates.append(cands)
-    g_triples = _completion_triples(g_grp.table)
-    v = [0] * m
+    g_triples = _completion_triples(sys.g.table)
 
-    def ok(g: int) -> bool:
+    def accept(g: int, v) -> bool:
         for (g1, g2, g12) in g_triples[g]:
-            if f[g1][g2] != hm[hm[v[g1]][v[g2]]][hinv[v[g12]]]:
+            if xm[v[g1]][v[g2]] != xm[um[f[g1][g2]]][v[g12]]:
                 return False
         return True
 
-    def search(k: int):
-        if k == m:
-            return tuple(v)
-        for val in candidates[k]:
-            v[k] = val
-            if ok(k):
-                got = search(k + 1)
-                if got is not None:
-                    return got
-        v[k] = 0
-        return None
+    return next(backtrack(candidates, accept), None)
 
-    if not ok(0):
-        return None
-    return search(1)
+
+def find_splitting(sys: CrossedSystem) -> tuple[int, ...] | None:
+    """A map v: G -> H splitting the inclusion of H, if one exists.
+
+    Conditions: g |> h = v(g) h v(g)^-1 and f(g1,g2) = v(g1) v(g2) v(g1g2)^-1,
+    i.e. v lifts the identity of H through the inclusion.
+    """
+    if not sys.normalized:
+        raise ValueError("requires a normalized system")
+    return _inclusion_lift(sys, sys.h, range(sys.h.order))
 
 
 def lift_through_inclusion(
@@ -486,47 +442,7 @@ def lift_through_inclusion(
     """
     if u.source != sys.h or u.target != x:
         raise ValueError("u must map H into X")
-    m = sys.g.order
-    xm = x.table
-    um = u.map
-    act = sys.action.perms
-    f = sys.cocycle.table
-    gm = sys.g.table
-    candidates: list[list[int]] = [[0]]
-    for g in range(1, m):
-        pg = act[g]
-        cands = [
-            xi
-            for xi in x.elements()
-            if all(xm[xi][um[h]] == xm[um[pg[h]]][xi] for h in sys.h.elements())
-        ]
-        if not cands:
-            return None
-        candidates.append(cands)
-    g_triples = _completion_triples(gm)
-    v = [0] * m
-
-    def ok(g: int) -> bool:
-        for (g1, g2, g12) in g_triples[g]:
-            if xm[v[g1]][v[g2]] != xm[um[f[g1][g2]]][v[g12]]:
-                return False
-        return True
-
-    def search(k: int):
-        if k == m:
-            return tuple(v)
-        for val in candidates[k]:
-            v[k] = val
-            if ok(k):
-                got = search(k + 1)
-                if got is not None:
-                    return got
-        v[k] = 0
-        return None
-
-    if not ok(0):
-        return None
-    found = search(1)
+    found = _inclusion_lift(sys, x, u.map)
     if found is None:
         return None
     w = universal_map_out(sys, PairIntoX(u, found))
@@ -549,29 +465,14 @@ def lift_through_projection(
     f = sys.cocycle.table
     vm = v.map
     x_triples = _completion_triples(x.table)
-    u = [0] * x.order
 
-    def ok(k: int) -> bool:
+    def accept(k: int, u) -> bool:
         for (a, b, ab) in x_triples[k]:
             if u[ab] != hm[hm[u[a]][act[vm[a]][u[b]]]][f[vm[a]][vm[b]]]:
                 return False
         return True
 
-    def search(k: int):
-        if k == x.order:
-            return tuple(u)
-        for val in range(n):
-            u[k] = val
-            if ok(k):
-                got = search(k + 1)
-                if got is not None:
-                    return got
-        u[k] = 0
-        return None
-
-    if not ok(0):
-        return None
-    found = search(1)
+    found = next(backtrack([(0,)] + [range(n)] * (x.order - 1), accept), None)
     if found is None:
         return None
     w = universal_map_in(sys, PairFromX(found, v))
@@ -616,13 +517,15 @@ def specialize_semidirect_vs_twisted(
             u = [0] * n
             r = [0] * m
 
-            def u_ok(k: int) -> bool:
-                return all(
-                    u[h12] == hm[hm[u[h1]][u[h2]]][f[s[h1]][s[h2]]]
-                    for (h1, h2, h12) in h_triples[k]
-                )
-
-            def r_ok(k: int) -> bool:
+            def accept(k: int, vals) -> bool:
+                if k < n:
+                    u[k] = vals[k]
+                    return all(
+                        u[h12] == hm[hm[u[h1]][u[h2]]][f[s[h1]][s[h2]]]
+                        for (h1, h2, h12) in h_triples[k]
+                    )
+                k -= n
+                r[k] = vals[k + n]
                 for (g1, g2, g12) in g_triples[k]:
                     if r[g12] != hm[hm[r[g1]][r[g2]]][f[v[g1]][v[g2]]]:
                         return False
@@ -634,29 +537,9 @@ def specialize_semidirect_vs_twisted(
                         return False
                 return True
 
-            def search_r(k: int) -> None:
-                if k == m:
-                    reduced.add((tuple(u), tuple(r), tuple(v), s))
-                    return
-                for val in range(n):
-                    r[k] = val
-                    if r_ok(k):
-                        search_r(k + 1)
-                r[k] = 0
-
-            def search_u(k: int) -> None:
-                if k == n:
-                    if r_ok(0):
-                        search_r(1)
-                    return
-                for val in range(n):
-                    u[k] = val
-                    if u_ok(k):
-                        search_u(k + 1)
-                u[k] = 0
-
-            if u_ok(0):
-                search_u(1)
+            domains = [(0,)] + [range(n)] * (n - 1) + [(0,)] + [range(n)] * (m - 1)
+            for vals in backtrack(domains, accept):
+                reduced.add((vals[:n], vals[n:], v, s))
 
     assert reduced == {q.key() for q in general}, "specialized conditions disagree"
     return general
@@ -685,47 +568,27 @@ def specialize_crossed_vs_direct(sys: CrossedSystem) -> list[MorphismQuadruple]:
             v = [0] * m
             r = [0] * m
 
-            def v_ok(k: int) -> bool:
-                for (g1, g2, g12) in g_triples[k]:
-                    if gm[v[g1]][v[g2]] != gm[s[f[g1][g2]]][v[g12]]:
-                        return False
-                vk = v[k]
-                return all(
-                    gm[vk][s[y]] == gm[s[act[k][y]]][vk] for y in range(n)
-                )
-
-            def r_ok(k: int) -> bool:
+            def accept(k: int, vals) -> bool:
+                if k < m:
+                    v[k] = vk = vals[k]
+                    for (g1, g2, g12) in g_triples[k]:
+                        if gm[v[g1]][v[g2]] != gm[s[f[g1][g2]]][v[g12]]:
+                            return False
+                    return all(
+                        gm[vk][s[y]] == gm[s[act[k][y]]][vk] for y in range(n)
+                    )
+                k -= m
+                r[k] = rk = vals[k + m]
                 for (g1, g2, g12) in g_triples[k]:
                     if hm[r[g1]][r[g2]] != hm[u[f[g1][g2]]][r[g12]]:
                         return False
-                rk = r[k]
                 return all(
                     hm[rk][u[y]] == hm[u[act[k][y]]][rk] for y in range(n)
                 )
 
-            def search_r(k: int) -> None:
-                if k == m:
-                    reduced.add((tuple(u), tuple(r), tuple(v), s))
-                    return
-                for val in range(n):
-                    r[k] = val
-                    if r_ok(k):
-                        search_r(k + 1)
-                r[k] = 0
-
-            def search_v(k: int) -> None:
-                if k == m:
-                    if r_ok(0):
-                        search_r(1)
-                    return
-                for val in range(m):
-                    v[k] = val
-                    if v_ok(k):
-                        search_v(k + 1)
-                v[k] = 0
-
-            if v_ok(0):
-                search_v(1)
+            domains = [(0,)] + [range(m)] * (m - 1) + [(0,)] + [range(n)] * (m - 1)
+            for vals in backtrack(domains, accept):
+                reduced.add((u, vals[m:], vals[:m], s))
 
     assert reduced == {q.key() for q in general}, "specialized conditions disagree"
     return general
@@ -772,9 +635,8 @@ def find_retraction_pair(
             pinned[a] = 0
         if conflict:
             continue
-        s = [0] * x.order
 
-        def ok(k: int) -> bool:
+        def accept(k: int, s) -> bool:
             if k in pinned and s[k] != pinned[k]:
                 return False
             for (a, b, ab) in x_triples[k]:
@@ -784,21 +646,8 @@ def find_retraction_pair(
                     return False
             return True
 
-        def search(k: int):
-            if k == x.order:
-                return tuple(s)
-            for val in sys.h.elements():
-                s[k] = val
-                if ok(k):
-                    got = search(k + 1)
-                    if got is not None:
-                        return got
-            s[k] = 0
-            return None
-
-        if not ok(0):
-            continue
-        found = search(1)
+        domains = [(0,)] + [sys.h.elements()] * (x.order - 1)
+        found = next(backtrack(domains, accept), None)
         if found is not None:
             return r_hom, found
     return None
@@ -843,9 +692,8 @@ def find_section_pair(
             cand_per_g.append(cands)
         if not feasible:
             continue
-        s = [0] * sys.g.order
 
-        def ok(k: int) -> bool:
+        def accept(k: int, s) -> bool:
             sk = s[k]
             for (g1, g2, g12) in g_triples[k]:
                 if xm[s[g1]][s[g2]] != xm[r[f[g1][g2]]][s[g12]]:
@@ -856,21 +704,7 @@ def find_section_pair(
                 xm[sk][r[h]] == xm[r[act[k][h]]][sk] for h in sys.h.elements()
             )
 
-        def search(k: int):
-            if k == sys.g.order:
-                return tuple(s)
-            for val in cand_per_g[k]:
-                s[k] = val
-                if ok(k):
-                    got = search(k + 1)
-                    if got is not None:
-                        return got
-            s[k] = 0
-            return None
-
-        if not ok(0):
-            continue
-        found = search(1)
+        found = next(backtrack(cand_per_g, accept), None)
         if found is not None:
             return r_hom, found
     return None

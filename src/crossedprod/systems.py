@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AxiomViolationError, InvalidTableError
+from .errors import AxiomViolationError, InvalidDescriptorError, InvalidTableError
 from .groups import (
     Automorphism,
     FiniteGroup,
     Subgroup,
     automorphism_index,
     identity_automorphism,
+    int_rows,
     is_homomorphism,
 )
 
@@ -52,8 +53,9 @@ def weak_action(actor: FiniteGroup, space: FiniteGroup, perms) -> WeakAction:
     if len(rows) != actor.order:
         raise InvalidTableError("action table length differs from |G|", (len(rows),))
     entries = []
+    elements = list(space.elements())
     for g, p in enumerate(rows):
-        if len(set(p)) != space.order or not is_homomorphism(space, space, p):
+        if sorted(p) != elements or not is_homomorphism(space, space, p):
             raise InvalidTableError("action entry is not an automorphism", (g,))
         entries.append(Automorphism(space, space, p))
     return WeakAction(actor, space, tuple(entries))
@@ -254,8 +256,10 @@ def system_to_doc(sys: CrossedSystem) -> dict:
 def system_from_doc(doc: dict, *, max_order: int = 256) -> CrossedSystem:
     from .groups import make_group
 
+    if not isinstance(doc, dict):
+        raise InvalidDescriptorError("a system document must be a JSON object")
     h = make_group(doc["h"], max_order=max_order)
     g = make_group(doc["g"], max_order=max_order)
-    action = weak_action(g, h, doc["alpha"])
-    cyc = cocycle(g, h, doc["f"])
+    action = weak_action(g, h, int_rows(doc["alpha"], "alpha"))
+    cyc = cocycle(g, h, int_rows(doc["f"], "f"))
     return validate_crossed_system(h, g, action, cyc)

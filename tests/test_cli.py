@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from crossedprod.cli import main
 
 
@@ -164,6 +166,38 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert main(["nonsense"]) == 1
     capsys.readouterr()
+    for args in (
+        ["holder", "--n", "0", "--m", "2"],
+        ["holder", "--n", "3", "--m", "0"],
+        ["enumerate", "--h", "cyclic:2", "--g", "cyclic:2", "--max-order", "-4"],
+        ["enumerate", "--h", "cyclic:2", "--g", "cyclic:2", "--max-group-order", "-1"],
+        ["selfcheck", "--samples", "-5"],
+    ):
+        code, out, err = run_cli(args, capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err.splitlines()[-1])["error"]["type"] == "usage"
+
+
+@pytest.mark.parametrize(
+    "option, doc",
+    [
+        ("--system", [1, 2]),
+        ("--system", {"h": "cyclic:2", "g": "cyclic:2", "alpha": 5, "f": [[0, 0], [0, 0]]}),
+        ("--system", {"h": "cyclic:2", "g": "cyclic:2", "alpha": [[0, 1], [0, 1]], "f": 7}),
+        ("--system", {"h": "cyclic:2", "g": "cyclic:2", "alpha": [[0, 5], [0, 1]], "f": [[0, 0], [0, 0]]}),
+        ("--h", {"order": 2, "table": 5}),
+    ],
+)
+def test_malformed_documents_are_input_errors(tmp_path, capsys, option, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if option == "--system":
+        args = ["build", "--system", f"@{path}"]
+    else:
+        args = ["enumerate", "--h", f"table:@{path}", "--g", "cyclic:2"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err.splitlines()[-1])["error"]["type"] == "input"
 
 
 def test_invalid_descriptor_exit_code(capsys):

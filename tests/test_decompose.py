@@ -1,6 +1,11 @@
 import pytest
 
-from crossedprod.errors import CapExceededError, NotAbelianError, SectionInvalidError
+from crossedprod.errors import (
+    CapExceededError,
+    InvalidDescriptorError,
+    NotAbelianError,
+    SectionInvalidError,
+)
 from crossedprod.groups import (
     Homomorphism,
     are_isomorphic,
@@ -254,6 +259,9 @@ def test_holder_enumerate_4_2_contains_d8_and_q8():
 def test_holder_cap():
     with pytest.raises(CapExceededError):
         holder_enumerate(10, 10)
+    for n, m in ((0, 2), (3, 0)):
+        with pytest.raises(InvalidDescriptorError):
+            holder_enumerate(n, m)
 
 
 def test_holder_cross_validate_spot_values():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from crossedprod.errors import PairInvariantViolationError, QuadrupleConditionError
@@ -254,6 +256,40 @@ def test_find_splitting_trivial_system():
 
 def test_find_splitting_absent_for_q8():
     assert find_splitting(q8_system()) is None
+
+
+@pytest.mark.parametrize(
+    "h_spec, g_spec",
+    [
+        ("cyclic:2", "cyclic:2"),
+        ("cyclic:4", "cyclic:2"),
+        ("cyclic:2", "cyclic:3"),
+        ("product(cyclic:2,cyclic:2)", "cyclic:2"),
+        ("symmetric:3", "cyclic:2"),
+    ],
+)
+def test_find_splitting_is_least_brute_force_splitting(h_spec, g_spec):
+    h, g = make_group(h_spec), make_group(g_spec)
+    hm = h.table
+
+    def splits(sys, v):
+        return all(
+            sys.act(x, y) == hm[hm[v[x]][y]][h.inv(v[x])]
+            for x in g.elements()
+            for y in h.elements()
+        ) and all(
+            sys.f(a, b) == hm[hm[v[a]][v[b]]][h.inv(v[g.mul(a, b)])]
+            for a in g.elements()
+            for b in g.elements()
+        )
+
+    found = 0
+    for sys in enumerate_crossed_systems(h, g):
+        maps = itertools.product(h.elements(), repeat=g.order)
+        want = next((v for v in maps if splits(sys, v)), None)
+        assert find_splitting(sys) == want
+        found += want is not None
+    assert found > 0
 
 
 def test_find_splitting_inner_action_instance():
