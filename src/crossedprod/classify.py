@@ -92,7 +92,6 @@ def enumerate_raw_systems(h: FiniteGroup, g: FiniteGroup, visit, *, cap: int = D
         raise CapExceededError("engine packs cocycle values into bytes; |H| must be < 256")
     aut_perms = [a.map for a in automorphism_group(h)]
     naut = len(aut_perms)
-    assert aut_perms[0] == tuple(range(n)), "identity automorphism must sort first"
     hm = h.table
     hinv = h.inverse_table
     gm = g.table
@@ -334,8 +333,11 @@ def shift_system(sys: CrossedSystem, r) -> CrossedSystem:
 
     The shifted action conjugates each automorphism by r(g); the shifted
     cocycle follows the witness law, so are_equivalent_1 always relates the
-    input and the output.
+    input and the output.  Requires a normalized system; the output is then
+    normalized too.
     """
+    if not sys.normalized:
+        raise ValueError("requires a normalized system")
     r = tuple(int(v) for v in r)
     h, g = sys.h, sys.g
     if len(r) != g.order or r[0] != 0:
@@ -358,11 +360,9 @@ def shift_system(sys: CrossedSystem, r) -> CrossedSystem:
     ]
     from .systems import validate_crossed_system, weak_action, cocycle as make_cocycle
 
-    shifted = validate_crossed_system(
+    return validate_crossed_system(
         h, g, weak_action(g, h, new_perms), make_cocycle(g, h, new_f)
     )
-    assert shifted.normalized
-    return shifted
 
 
 def coboundary_orbit_keys(
@@ -566,9 +566,7 @@ def are_equivalent_2(sysA: CrossedSystem, sysB: CrossedSystem) -> Equivalence2Wi
         for gamma in automorphism_group(sysA.g):
             t = _t_witness_map(sysA, sysB, eta, gamma)
             if t is not None:
-                w = Equivalence2Witness(eta, gamma, t)
-                assert verify_equivalence2_witness(sysA, sysB, w)
-                return w
+                return Equivalence2Witness(eta, gamma, t)
     return None
 
 

@@ -16,6 +16,7 @@ import os
 import random
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,8 @@ from .errors import (
     AxiomViolationError,
     CapExceededError,
     CrossedProductError,
+    InternalInvariantError,
     InvalidDescriptorError,
-    InvalidTableError,
 )
 from .groups import (
     DEFAULT_MAX_GROUP_ORDER,
@@ -79,20 +80,29 @@ def _emit(doc: dict, cfg: RunConfig, render_text) -> None:
         sys.stdout.write(render_text(doc))
 
 
+@contextmanager
+def _input_nesting():
+    """Report input nested past the recursion limit as an input error."""
+    try:
+        yield
+    except RecursionError as exc:
+        raise InvalidDescriptorError("input nests too deeply") from exc
+
+
 def _load_spec(text: str, cfg: RunConfig):
     """Resolve table:@file descriptors, pass everything else through."""
-    if text.startswith("table:@"):
-        with open(text[len("table:@"):], "r", encoding="utf-8") as fh:
-            return make_group(json.load(fh), max_order=cfg.max_group_order)
-    return make_group(text, max_order=cfg.max_group_order)
+    with _input_nesting():
+        if text.startswith("table:@"):
+            with open(text[len("table:@"):], "r", encoding="utf-8") as fh:
+                return make_group(json.load(fh), max_order=cfg.max_group_order)
+        return make_group(text, max_order=cfg.max_group_order)
 
 
 def _load_system(arg: str, cfg: RunConfig):
     if not arg.startswith("@"):
         raise InvalidDescriptorError("system argument must be @<path>")
-    with open(arg[1:], "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return system_from_doc(doc, max_order=cfg.max_group_order)
+    with _input_nesting(), open(arg[1:], "r", encoding="utf-8") as fh:
+        return system_from_doc(json.load(fh), max_order=cfg.max_group_order)
 
 
 # subcommands -------------------------------------------------------------------
@@ -419,21 +429,12 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         _error_doc("cap-exceeded", exc)
         return EXIT_CAP
-    except (
-        InvalidDescriptorError,
-        InvalidTableError,
-        AxiomViolationError,
-        CrossedProductError,
-        FileNotFoundError,
-        json.JSONDecodeError,
-        KeyError,
-        ValueError,
-    ) as exc:
-        _error_doc("input", exc)
-        return EXIT_USAGE
-    except AssertionError as exc:
+    except InternalInvariantError as exc:
         _error_doc("internal-invariant", exc)
         return EXIT_INTERNAL
+    except (CrossedProductError, KeyError, OSError, ValueError) as exc:
+        _error_doc("input", exc)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -17,7 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, InvalidDescriptorError, NotAbelianError, SectionInvalidError
+from .errors import (
+    CapExceededError,
+    InternalInvariantError,
+    InvalidDescriptorError,
+    NotAbelianError,
+    SectionInvalidError,
+)
 from .groups import (
     FiniteGroup,
     Homomorphism,
@@ -95,8 +101,9 @@ def extract_crossed_system(ext: Extension, sec: Section) -> tuple[CrossedSystem,
     """Normalized crossed system of an extension, with the rebuild isomorphism.
 
     Returns (system, theta) where theta maps the built product group onto
-    ext.e by (h, g) -> i(h) s(g); theta is verified to be an isomorphism
-    compatible with the inclusion and projection.
+    ext.e by (h, g) -> i(h) s(g).  Since s(1) = 1 the system is normalized,
+    and by Schreier's theorem theta is an isomorphism compatible with the
+    inclusion and the projection.
     """
     validate_section(ext, sec)
     h = ext.i.source
@@ -119,22 +126,8 @@ def extract_crossed_system(ext: Extension, sec: Section) -> tuple[CrossedSystem,
         for g1 in g.elements()
     ]
     sys = validate_crossed_system(h, g, weak_action(g, h, perms), cocycle(g, h, f_rows))
-    assert sys.normalized
     prod = build_product(sys)
-    theta_map = tuple(
-        e.mul(i_map[hh], s[gg])
-        for idx in prod.group.elements()
-        for (hh, gg) in (prod.decode(idx),)
-    )
-    assert is_homomorphism(prod.group, e, theta_map)
-    assert len(set(theta_map)) == e.order
-    assert all(
-        ext.pi.map[theta_map[idx]] == prod.project_g.map[idx]
-        for idx in prod.group.elements()
-    )
-    assert all(
-        theta_map[prod.include_h.map[x]] == i_map[x] for x in h.elements()
-    )
+    theta_map = tuple(e.mul(i_map[hh], s[gg]) for (hh, gg) in prod.pair_of_index)
     return sys, Homomorphism(prod.group, e, theta_map)
 
 
@@ -172,7 +165,7 @@ def decompose(e: FiniteGroup) -> DecompositionTree:
     """Split off a maximal proper normal subgroup and recurse on both parts.
 
     Every non-leaf node stores the crossed system over (normal part, quotient)
-    plus the verified isomorphism from the rebuilt product back onto the node's
+    plus the rebuild isomorphism from the product back onto the node's
     group.  Leaves are simple (the trivial group can only appear for order-1
     input).  The normal-subgroup choice is maximal order with lexicographic
     tie-break, so trees are deterministic.
@@ -200,31 +193,7 @@ def decompose_abelian(e: FiniteGroup) -> DecompositionTree:
     """Decompose an abelian group; actions are trivial and leaves prime cyclic."""
     if not e.is_abelian:
         raise NotAbelianError(f"{e.name} is not abelian")
-    tree = decompose(e)
-
-    def walk(node: DecompositionTree) -> None:
-        if node.is_leaf:
-            assert node.group.order == 1 or (
-                is_simple(node.group) and _is_prime(node.group.order)
-            )
-            return
-        assert node.system.action.is_trivial()
-        walk(node.left)
-        walk(node.right)
-
-    walk(tree)
-    return tree
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
+    return decompose(e)
 
 
 # cyclic-by-cyclic enumeration ---------------------------------------------------
@@ -306,5 +275,6 @@ def holder_cross_validate(n: int, m: int, *, cap: int = DEFAULT_PAIR_CAP) -> dic
         "system_types": sorted(identify_group(t) for t in sys_reps),
         "match": matched,
     }
-    assert matched, f"type sets disagree for ({n}, {m}): {report}"
+    if not matched:
+        raise InternalInvariantError(f"type sets disagree for ({n}, {m}): {report}")
     return report

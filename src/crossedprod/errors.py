@@ -71,3 +71,7 @@ class SectionInvalidError(CrossedProductError):
 
 class NotAbelianError(CrossedProductError):
     """An operation restricted to abelian groups was given a non-abelian one."""
+
+
+class InternalInvariantError(CrossedProductError):
+    """Two independent computations of one result disagree: a library bug."""

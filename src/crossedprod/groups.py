@@ -1,14 +1,15 @@
 """Finite groups as explicit multiplication tables, with 0-based element indices.
 
 Element 0 is always the identity.  Groups are immutable after construction and
-hash/compare by their table, so they can be shared freely across workers and
-used as cache keys.
+hash/compare by their table, so they can be used as cache keys.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -24,8 +25,8 @@ DEFAULT_MAX_GROUP_ORDER = 256
 # table validation ----------------------------------------------------------
 
 
-def check_table(table: tuple[tuple[int, ...], ...]) -> None:
-    """Raise InvalidTableError unless `table` is a group table with identity 0."""
+def _check_shape(table) -> None:
+    """Raise InvalidTableError unless `table` is a non-empty square of indices into it."""
     n = len(table)
     if n == 0:
         raise InvalidTableError("empty table", ())
@@ -35,6 +36,12 @@ def check_table(table: tuple[tuple[int, ...], ...]) -> None:
         for y, v in enumerate(row):
             if not 0 <= v < n:
                 raise InvalidTableError("entry out of range", (x, y))
+
+
+def check_table(table: tuple[tuple[int, ...], ...]) -> None:
+    """Raise InvalidTableError unless `table` is a group table with identity 0."""
+    _check_shape(table)
+    n = len(table)
     for x in range(n):
         if table[0][x] != x:
             raise InvalidTableError("identity row", (0, x))
@@ -73,7 +80,7 @@ class FiniteGroup:
 
     `table[x][y]` is the index of x*y; index 0 is the identity.  Derived data
     (inverses, element orders, automorphisms, ...) is computed lazily and
-    cached; caches are write-once, so sharing across threads is safe.
+    cached; each cache entry is written once.
     """
 
     def __init__(self, name, table, *, descriptor=None, validate=True):
@@ -665,6 +672,7 @@ def table_group(table, *, name=None, renumber=False) -> FiniteGroup:
     table = [list(row) for row in table]
     n = len(table)
     if renumber:
+        _check_shape(table)
         ident = None
         for e in range(n):
             if all(table[e][x] == x and table[x][e] == x for x in range(n)):
@@ -707,52 +715,66 @@ def int_rows(value, what: str) -> list:
     return value
 
 
+def _parse_descriptor(text: str, max_order: int):
+    """(order, builder) of the group a descriptor names.
+
+    Each (sub)descriptor's order is known from its text, so a group over
+    `max_order` raises CapExceededError before any table is built.  An
+    invalid argument counts as order 0 here and is rejected by the builder.
+    """
+    if text.startswith("product(") and text.endswith(")"):
+        (left_order, left), (right_order, right) = (
+            _parse_descriptor(part.strip(), max_order)
+            for part in _split_product_args(text[len("product("):-1])
+        )
+        order = left_order * right_order
+
+        def build():
+            return direct_product(left(), right())
+    elif ":" in text:
+        kind, _, arg = text.partition(":")
+        kind = kind.strip().lower()
+        try:
+            value = int(arg)
+        except ValueError as exc:
+            raise InvalidDescriptorError(f"bad descriptor argument: {text!r}") from exc
+        if kind == "cyclic":
+            order, build = max(value, 0), partial(cyclic_group, value)
+        elif kind == "dihedral":
+            order, build = max(value, 0), partial(dihedral_group, value)
+        elif kind == "quaternion":
+            if value != 8:
+                raise InvalidDescriptorError("only quaternion:8 is supported")
+            order, build = 8, quaternion_group
+        elif kind == "symmetric":
+            order = math.factorial(value) if 1 <= value <= 5 else 0
+            build = partial(symmetric_group, value)
+        else:
+            raise InvalidDescriptorError(f"unknown group kind {kind!r}")
+    else:
+        raise InvalidDescriptorError(f"unrecognized group descriptor {text!r}")
+    if order > max_order:
+        raise CapExceededError(f"group order {order} exceeds cap {max_order}")
+    return order, build
+
+
 def make_group(spec, *, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> FiniteGroup:
     """Build a group from a descriptor string or a table document.
 
     Descriptors: ``cyclic:N``, ``dihedral:N`` (N = order), ``quaternion:8``,
     ``symmetric:N`` (N <= 5), ``product(spec,spec)``.  A mapping with keys
     ``order`` and ``table`` (plus optional ``renumber``/``name``) gives an
-    explicit table.
+    explicit table, which is validated.  A group over `max_order` raises
+    CapExceededError before its table is built.
     """
-    if isinstance(spec, dict):
-        table = int_rows(spec["table"], "table")
-        if spec.get("order", len(table)) != len(table):
-            raise InvalidDescriptorError("order field disagrees with table size")
-        g = table_group(table, name=spec.get("name"), renumber=bool(spec.get("renumber", False)))
-    else:
-        text = str(spec).strip()
-        if text.startswith("product(") and text.endswith(")"):
-            left, right = _split_product_args(text[len("product("):-1])
-            g = direct_product(
-                make_group(left, max_order=max_order),
-                make_group(right, max_order=max_order),
-            )
-        elif ":" in text:
-            kind, _, arg = text.partition(":")
-            kind = kind.strip().lower()
-            try:
-                value = int(arg)
-            except ValueError as exc:
-                raise InvalidDescriptorError(f"bad descriptor argument: {text!r}") from exc
-            if kind == "cyclic":
-                g = cyclic_group(value)
-            elif kind == "dihedral":
-                g = dihedral_group(value)
-            elif kind == "quaternion":
-                if value != 8:
-                    raise InvalidDescriptorError("only quaternion:8 is supported")
-                g = quaternion_group()
-            elif kind == "symmetric":
-                g = symmetric_group(value)
-            else:
-                raise InvalidDescriptorError(f"unknown group kind {kind!r}")
-        else:
-            raise InvalidDescriptorError(f"unrecognized group descriptor {spec!r}")
-    if g.order > max_order:
-        raise CapExceededError(f"group order {g.order} exceeds cap {max_order}")
-    check_table(g.table)
-    return g
+    if not isinstance(spec, dict):
+        return _parse_descriptor(str(spec).strip(), max_order)[1]()
+    table = int_rows(spec["table"], "table")
+    if spec.get("order", len(table)) != len(table):
+        raise InvalidDescriptorError("order field disagrees with table size")
+    if len(table) > max_order:
+        raise CapExceededError(f"group order {len(table)} exceeds cap {max_order}")
+    return table_group(table, name=spec.get("name"), renumber=bool(spec.get("renumber", False)))
 
 
 def group_to_doc(g: FiniteGroup) -> object:

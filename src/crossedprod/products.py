@@ -19,6 +19,7 @@ from .errors import (
     ActionNotHomomorphismError,
     CocycleConditionError,
     CocycleNotCentralError,
+    InternalInvariantError,
 )
 from .groups import FiniteGroup, Homomorphism, Subgroup, center
 from .systems import (
@@ -50,32 +51,9 @@ class CrossedProductGroup:
         return self.pair_of_index[idx]
 
 
-def product_table(sys: CrossedSystem) -> list[list[int]]:
-    """Raw multiplication table in packed (h + |H|*g) coordinates."""
-    hm = sys.h.table
-    gm = sys.g.table
-    act = sys.action.perms
-    f = sys.cocycle.table
-    n = sys.h.order
-    size = n * sys.g.order
-    out = [[0] * size for _ in range(size)]
-    for g1 in range(sys.g.order):
-        a1 = act[g1]
-        f1 = f[g1]
-        grow = gm[g1]
-        for h1 in range(n):
-            row = out[h1 + n * g1]
-            hrow = hm[h1]
-            for g2 in range(sys.g.order):
-                base = n * grow[g2]
-                c = f1[g2]
-                for h2 in range(n):
-                    row[h2 + n * g2] = hm[hrow[a1[h2]]][c] + base
-    return out
-
-
 def product_table_np(hm: np.ndarray, gm: np.ndarray, act: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Vectorized product table for bulk work; same packing as product_table."""
+    """Product table in packed (h + |H|*g) coordinates from the H and G tables,
+    the action rows and the cocycle table; the package's one table kernel."""
     n = hm.shape[0]
     m = gm.shape[0]
     size = n * m
@@ -89,72 +67,45 @@ def product_table_np(hm: np.ndarray, gm: np.ndarray, act: np.ndarray, f: np.ndar
     return t + n * gm[g1, g2]
 
 
-def _renumber(table: list[list[int]], unit: int) -> tuple[list[list[int]], list[int]]:
-    """Swap `unit` with index 0; returns (table, old->new permutation)."""
-    size = len(table)
-    perm = list(range(size))
-    if unit != 0:
-        perm[0], perm[unit] = unit, 0
-    new = [[0] * size for _ in range(size)]
-    for x in range(size):
-        rx = table[perm[x]]
-        nr = new[x]
-        for y in range(size):
-            nr[y] = perm[rx[perm[y]]]
-    # perm is an involution, so old->new equals new->old
-    return new, perm
-
-
 def build_product(sys: CrossedSystem) -> CrossedProductGroup:
-    """Build and validate the full product group of a valid crossed system."""
-    n, m = sys.h.order, sys.g.order
-    raw = product_table(sys)
-    f11inv = sys.h.inv(sys.f(0, 0))
-    unit = f11inv  # packed (f(1,1)^-1, 1)
-    table, perm = _renumber(raw, unit)
-    name = f"{sys.h.name}#{sys.g.name}"
-    group = FiniteGroup(name, table)
-    index_of_pair = tuple(perm)
-    pair_of_index = [None] * (n * m)
-    for h in range(n):
-        for g in range(m):
-            pair_of_index[perm[h + n * g]] = (h, g)
+    """Build the product group of a valid crossed system.
+
+    Nothing is re-checked: the two axioms that validate_crossed_system checked
+    make the pair table a group table and the canonical maps an exact sequence.
+    """
+    h, g = sys.h, sys.g
+    n = h.order
+    raw = product_table_np(
+        np.array(h.table), np.array(g.table),
+        np.array(sys.action.perms), np.array(sys.cocycle.table),
+    )
+    f11inv = h.inv(sys.f(0, 0))
+    # swap the packed unit (f(1,1)^-1, 1) with index 0; the swap is an
+    # involution, so it maps packed pairs to indices and back
+    perm = np.arange(n * g.order)
+    perm[[0, f11inv]] = f11inv, 0
+    table = perm[raw[np.ix_(perm, perm)]]
+    group = FiniteGroup(f"{h.name}#{g.name}", table.tolist(), validate=False)
+    index_of_pair = tuple(perm.tolist())
+    pair_of_index = tuple((k % n, k // n) for k in index_of_pair)
     include = Homomorphism(
-        sys.h, group, tuple(perm[sys.h.mul(h, f11inv)] for h in range(n))
+        h, group, tuple(index_of_pair[h.mul(x, f11inv)] for x in h.elements())
     )
-    project = Homomorphism(
-        group, sys.g, tuple(p[1] for p in pair_of_index)
-    )
-    prod = CrossedProductGroup(
+    project = Homomorphism(group, g, tuple(p[1] for p in pair_of_index))
+    return CrossedProductGroup(
         system=sys,
         group=group,
         index_of_pair=index_of_pair,
-        pair_of_index=tuple(pair_of_index),
+        pair_of_index=pair_of_index,
         include_h=include,
         project_g=project,
     )
-    assert _exactness_holds(prod)
-    return prod
 
 
 @lru_cache(maxsize=512)
 def cached_product(sys: CrossedSystem) -> CrossedProductGroup:
     """Memoized build_product for modules that repeatedly touch the same system."""
     return build_product(sys)
-
-
-def _exactness_holds(p: CrossedProductGroup) -> bool:
-    """include_h injective hom, project_g surjective hom, image = kernel."""
-    from .groups import is_homomorphism
-
-    sys = p.system
-    if not is_homomorphism(sys.h, p.group, p.include_h.map):
-        return False
-    if not is_homomorphism(p.group, sys.g, p.project_g.map):
-        return False
-    if not p.include_h.is_injective() or not p.project_g.is_surjective():
-        return False
-    return set(p.include_h.map) == set(p.project_g.kernel_elements())
 
 
 def check_action_multiplicative(h: FiniteGroup, g: FiniteGroup, action: WeakAction) -> None:
@@ -246,7 +197,8 @@ def product_center(p: CrossedProductGroup) -> Subgroup:
     """Centre of the product via the pair conditions, cross-checked directly."""
     pairs = center_pairs(p.system)
     elems = tuple(sorted(p.encode(h, g) for (h, g) in pairs))
-    assert elems == center(p.group).elements, "pair-condition centre disagrees with table scan"
+    if elems != center(p.group).elements:
+        raise InternalInvariantError("pair-condition centre disagrees with table scan")
     return Subgroup(p.group, elems)
 
 
@@ -264,7 +216,8 @@ def is_abelian_product(sys: CrossedSystem) -> bool:
     """Whether the built product is abelian; checked against the criterion."""
     prod = build_product(sys)
     direct = prod.group.is_abelian
-    assert direct == abelian_by_criterion(sys), "abelianness criterion disagrees"
+    if direct != abelian_by_criterion(sys):
+        raise InternalInvariantError("abelianness criterion disagrees")
     return direct
 
 
@@ -292,7 +245,8 @@ def centralizer_of_h(p: CrossedProductGroup) -> Subgroup:
     pairs = centralizer_pairs(sys)
     elems = tuple(sorted(p.encode(h, g) for (h, g) in pairs))
     direct = centralizer(p.group, p.include_h.map).elements
-    assert elems == direct, "centralizer pair conditions disagree with table scan"
+    if elems != direct:
+        raise InternalInvariantError("centralizer pair conditions disagree with table scan")
     if sys.h.is_abelian:
         kernel = tuple(
             g for g in sys.g.elements()
@@ -301,5 +255,6 @@ def centralizer_of_h(p: CrossedProductGroup) -> Subgroup:
         expected = tuple(sorted(
             p.encode(h, g) for h in sys.h.elements() for g in kernel
         ))
-        assert elems == expected, "centralizer is not H x Ker(action)"
+        if elems != expected:
+            raise InternalInvariantError("centralizer is not H x Ker(action)")
     return Subgroup(p.group, elems)

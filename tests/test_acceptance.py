@@ -13,15 +13,19 @@ import numpy as np
 
 from crossedprod.errors import AxiomViolationError
 from crossedprod.groups import (
+    Subgroup,
     alternating_group,
     are_isomorphic,
     automorphism_group,
     cyclic_group,
     dihedral_group,
     enumerate_homomorphisms,
+    is_homomorphism,
     make_group,
     presentation_group,
     quaternion_group,
+    quotient,
+    subgroup_as_group,
     symmetric_group,
 )
 from crossedprod.classify import (
@@ -336,9 +340,21 @@ def test_criterion_7_decomposition_soundness():
         if node.is_leaf:
             assert is_simple(node.group)
             return count
-        rebuilt = build_product(node.system).group
+        prod = build_product(node.system)
+        rebuilt = prod.group
+        theta = node.theta.map
         assert node.theta.is_bijective()
+        assert is_homomorphism(rebuilt, node.group, theta)
         assert are_isomorphic(rebuilt, node.group) is not None
+        # theta is compatible with the inclusion of the normal part and the
+        # projection onto the quotient, both rebuilt from theta's image of H
+        image = Subgroup(node.group, tuple(sorted(theta[x] for x in prod.include_h.map)))
+        sub, incl = subgroup_as_group(image)
+        q, proj = quotient(node.group, image)
+        assert sub == node.system.h == node.left.group
+        assert q == node.system.g == node.right.group
+        assert all(theta[prod.include_h.map[x]] == incl.map[x] for x in sub.elements())
+        assert all(proj.map[theta[idx]] == prod.project_g.map[idx] for idx in rebuilt.elements())
         return count + walk(node.left) + walk(node.right)
 
     nodes = 0

@@ -279,6 +279,27 @@ def test_equivalence2_search_complete_with_nontrivial_gamma():
             assert brute == (are_equivalent_2(a, b) is not None)
 
 
+def test_equivalence2_witnesses_verify():
+    # every witness the search returns must pass the independent verifier
+    found = 0
+    for (h, g) in [(C4, C2), (C2, C4), (K4, C2), (C3, C3)]:
+        systems = enumerate_crossed_systems(h, g)
+        for a in systems:
+            for b in systems:
+                w = are_equivalent_2(a, b)
+                if w is not None:
+                    assert verify_equivalence2_witness(a, b, w)
+                    found += 1
+    assert found > 50
+
+
+def test_shift_system_rejects_non_normalized():
+    c1 = cyclic_group(1)
+    sys = validate_crossed_system(C2, c1, trivial_action(c1, C2), cocycle(c1, C2, [[1]]))
+    with pytest.raises(ValueError, match="normalized"):
+        shift_system(sys, (0,))
+
+
 def test_functor_check_trivial_quotient():
     out = functor_check(C4, cyclic_group(1))
     assert (out["eq1_classes"], out["eq2_classes"], out["iso_classes"]) == (1, 1, 1)

@@ -186,6 +186,8 @@ def test_usage_error_exit_code(capsys):
         ("--system", {"h": "cyclic:2", "g": "cyclic:2", "alpha": [[0, 1], [0, 1]], "f": 7}),
         ("--system", {"h": "cyclic:2", "g": "cyclic:2", "alpha": [[0, 5], [0, 1]], "f": [[0, 0], [0, 0]]}),
         ("--h", {"order": 2, "table": 5}),
+        ("--h", {"order": 2, "table": [[0], [1, 0]], "renumber": True}),
+        ("--h", {"order": 3, "table": [[1, 0, 7], [0, 1, 2], [7, 2, 0]], "renumber": True}),
     ],
 )
 def test_malformed_documents_are_input_errors(tmp_path, capsys, option, doc):
@@ -198,6 +200,21 @@ def test_malformed_documents_are_input_errors(tmp_path, capsys, option, doc):
     code, out, err = run_cli(args, capsys)
     assert code == 1 and out == ""
     assert json.loads(err.splitlines()[-1])["error"]["type"] == "input"
+
+
+def test_internal_invariant_exit_code(monkeypatch, capsys):
+    from crossedprod import cli
+    from crossedprod.errors import InternalInvariantError
+
+    def broken(group):
+        raise InternalInvariantError("two computations disagree")
+
+    monkeypatch.setattr(cli, "decompose", broken)
+    code, out, err = run_cli(["decompose", "--group", "cyclic:4"], capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err.splitlines()[-1]) == {
+        "error": {"type": "internal-invariant", "message": "two computations disagree"}
+    }
 
 
 def test_invalid_descriptor_exit_code(capsys):

@@ -1,7 +1,10 @@
+import importlib
+
 import pytest
 
 from crossedprod.errors import (
     CapExceededError,
+    InternalInvariantError,
     InvalidDescriptorError,
     NotAbelianError,
     SectionInvalidError,
@@ -12,6 +15,7 @@ from crossedprod.groups import (
     cyclic_group,
     dihedral_group,
     identify_group,
+    is_homomorphism,
     make_group,
     normal_subgroups,
     quaternion_group,
@@ -136,6 +140,39 @@ def test_theta_respects_projection_and_inclusion():
         assert proj.map[theta.map[idx]] == prod.project_g.map[idx]
     for h in sub.elements():
         assert theta.map[prod.include_h.map[h]] == incl.map[h]
+
+
+def test_theta_is_a_compatible_isomorphism_for_every_normal_subgroup():
+    # Schreier's theorem, checked directly: for every proper normal subgroup
+    # and two different sections, theta is an isomorphism onto E that
+    # restricts to the inclusion and lifts the projection
+    checked = 0
+    for spec in ("dihedral:8", "quaternion:8", "symmetric:4", "dihedral:12",
+                 "product(cyclic:2,cyclic:4)", "cyclic:12"):
+        e = make_group(spec)
+        for n in normal_subgroups(e):
+            if not 1 < n.order < e.order:
+                continue
+            sub, incl = subgroup_as_group(n)
+            q, proj = quotient(e, n)
+            ext = extension(e, incl, proj)
+            last = [0] * q.order
+            for x in e.elements():
+                if proj.map[x]:
+                    last[proj.map[x]] = x
+            for sec in (default_section(ext), Section(tuple(last))):
+                sys, theta = extract_crossed_system(ext, sec)
+                prod = build_product(sys)
+                assert sys.normalized
+                assert theta.source == prod.group and theta.target == e
+                assert is_homomorphism(prod.group, e, theta.map)
+                assert theta.is_bijective()
+                for h in sub.elements():
+                    assert theta.map[prod.include_h.map[h]] == incl.map[h]
+                for idx in prod.group.elements():
+                    assert proj.map[theta.map[idx]] == prod.project_g.map[idx]
+                checked += 1
+    assert checked > 20
 
 
 def test_section_independence_up_to_equivalence_1():
@@ -274,3 +311,11 @@ def test_holder_cross_validate_spot_values():
     rep = holder_cross_validate(4, 2)
     assert rep["match"]
     assert sorted(rep["system_types"]) == ["C4xC2", "C8", "D8", "Q8"]
+
+
+def test_holder_type_mismatch_is_internal_invariant_error(monkeypatch):
+    # the package exports the function `decompose`, which hides the module
+    decompose_mod = importlib.import_module("crossedprod.decompose")
+    monkeypatch.setattr(decompose_mod, "holder_enumerate", lambda n, m, cap: [])
+    with pytest.raises(InternalInvariantError):
+        holder_cross_validate(2, 2)

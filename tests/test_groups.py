@@ -268,6 +268,39 @@ def test_make_group_descriptors():
         make_group("cyclic:20", max_order=10)
 
 
+@pytest.mark.parametrize("spec", [
+    "cyclic:1", "cyclic:7", "dihedral:2", "dihedral:4", "dihedral:18", "quaternion:8",
+    "symmetric:1", "symmetric:2", "symmetric:3", "symmetric:4", "symmetric:5",
+    "product(cyclic:3,dihedral:6)", "product(quaternion:8,product(cyclic:2,symmetric:3))",
+])
+def test_descriptor_groups_are_group_tables(spec):
+    # make_group does not re-validate what the constructors build
+    g = make_group(spec)
+    check_table(g.table)
+    assert g.descriptor == spec
+
+
+def test_group_cap_applies_before_any_table_is_built(monkeypatch):
+    from crossedprod import groups
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a constructor ran for a group over the cap")
+
+    for name in ("cyclic_group", "dihedral_group", "symmetric_group", "direct_product",
+                 "table_group"):
+        monkeypatch.setattr(groups, name, unreachable)
+    for spec in ("cyclic:100000", "product(cyclic:200,cyclic:200)", "dihedral:1000",
+                 "product(cyclic:2,product(cyclic:300,cyclic:1))"):
+        with pytest.raises(CapExceededError):
+            make_group(spec)
+    with pytest.raises(CapExceededError):
+        make_group("symmetric:5", max_order=100)
+    with pytest.raises(CapExceededError):
+        make_group("product(cyclic:8,cyclic:8)", max_order=32)
+    with pytest.raises(CapExceededError):
+        make_group({"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}, max_order=2)
+
+
 def test_make_group_from_table_document():
     c3 = cyclic_group(3)
     doc = {"order": 3, "table": [list(r) for r in c3.table]}
@@ -315,6 +348,18 @@ def test_table_group_renumber():
     ]
     g = table_group(scrambled, renumber=True)
     assert are_isomorphic(g, q8) is not None
+
+
+@pytest.mark.parametrize("table, reason", [
+    ([[0], [1, 0]], "ragged row"),
+    ([[1, 0, 7], [0, 1, 2], [7, 2, 0]], "entry out of range"),
+    ([[0, -1], [1, 0]], "entry out of range"),
+    ([], "empty table"),
+])
+def test_table_group_renumber_checks_shape_first(table, reason):
+    with pytest.raises(InvalidTableError) as err:
+        table_group(table, renumber=True)
+    assert err.value.reason == reason
 
 
 def test_subgroup_as_group_inclusion():

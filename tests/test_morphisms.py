@@ -2,7 +2,12 @@ import itertools
 
 import pytest
 
-from crossedprod.errors import PairInvariantViolationError, QuadrupleConditionError
+from crossedprod import morphisms
+from crossedprod.errors import (
+    InternalInvariantError,
+    PairInvariantViolationError,
+    QuadrupleConditionError,
+)
 from crossedprod.groups import (
     Homomorphism,
     cyclic_group,
@@ -235,6 +240,24 @@ def test_stabilizing_isos_found_for_coboundary_shift():
     assert rs, "coboundary-shifted system must be stabilizing-isomorphic"
 
 
+def test_stabilizing_isos_induce_isomorphisms():
+    # each witness r must induce the isomorphism (h, g) -> (h r(g), g)
+    checked = 0
+    for (h, g) in [(C4, C2), (C2, C4), (K4, C2), (C3, C3)]:
+        systems = enumerate_crossed_systems(h, g)
+        for sysA in systems:
+            for sysB in systems:
+                prodA, prodB = cached_product(sysA), cached_product(sysB)
+                for r in enumerate_stabilizing_isos(sysA, sysB):
+                    psi = tuple(
+                        prodB.encode(h.mul(hh, r[gg]), gg) for (hh, gg) in prodA.pair_of_index
+                    )
+                    assert is_homomorphism(prodA.group, prodB.group, psi)
+                    assert len(set(psi)) == prodA.group.order
+                    checked += 1
+    assert checked > 50
+
+
 def test_stabilizing_matches_quadruple_flag():
     sysA = q8_system()
     for sysB in enumerate_crossed_systems(C4, C2):
@@ -379,6 +402,16 @@ def test_specialize_crossed_vs_direct_q8():
     for q in quads:
         psi = induced_map(q8_system(), trivial_system(C4, C2), q)
         assert len(set(psi)) < 8  # never an isomorphism
+
+
+def test_specialize_disagreement_is_an_internal_invariant_error(monkeypatch):
+    # the agreement check is an explicit check, so it also runs under python -O
+    real = morphisms.enumerate_morphisms
+    monkeypatch.setattr(morphisms, "enumerate_morphisms", lambda a, b: real(a, b)[1:])
+    with pytest.raises(InternalInvariantError):
+        specialize_crossed_vs_direct(q8_system())
+    with pytest.raises(InternalInvariantError):
+        specialize_semidirect_vs_twisted(C2, C2, trivial_action(C2, C2), trivial_cocycle(C2, C2))
 
 
 # bijectivity characterizations -------------------------------------------------------

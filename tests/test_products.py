@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 
+from crossedprod import products
 from crossedprod.errors import (
     ActionNotHomomorphismError,
     CocycleConditionError,
     CocycleNotCentralError,
+    InternalInvariantError,
 )
 from crossedprod.groups import (
     are_isomorphic,
     center,
+    check_table,
     cyclic_group,
     dihedral_group,
     direct_product,
+    is_homomorphism,
     make_group,
     quaternion_group,
     symmetric_group,
@@ -53,6 +57,14 @@ def q8_system():
     return validate_crossed_system(
         C4, C2, inversion_action(C2, C4), cocycle(C2, C4, [[0, 0], [0, 2]])
     )
+
+
+# non-normalized samples: constant cocycles with the trivial action
+NON_NORMALIZED = [
+    validate_crossed_system(h, C2, trivial_action(C2, h), cocycle(C2, h, [[c, c], [c, c]]))
+    for h in (C2, C3, C4)
+    for c in range(1, h.order)
+]
 
 
 def test_trivial_system_builds_direct_product():
@@ -98,8 +110,18 @@ def test_unit_and_inverse_formula():
 
 
 def test_exactness_of_canonical_extension():
-    for sys in enumerate_crossed_systems(C4, C2):
+    # build_product checks nothing itself: the product table must be a group
+    # table and 1 -> H -> product -> G -> 1 exact for every valid system
+    k4 = make_group("product(cyclic:2,cyclic:2)")
+    systems = []
+    for (h, g) in [(C4, C2), (C2, C4), (k4, C2), (symmetric_group(3), C2), (C3, C3)]:
+        systems += enumerate_crossed_systems(h, g)
+    systems += NON_NORMALIZED
+    for sys in systems:
         prod = build_product(sys)
+        check_table(prod.group.table)
+        assert is_homomorphism(sys.h, prod.group, prod.include_h.map)
+        assert is_homomorphism(prod.group, sys.g, prod.project_g.map)
         assert prod.include_h.is_injective()
         assert prod.project_g.is_surjective()
         assert set(prod.include_h.map) == set(prod.project_g.kernel_elements())
@@ -255,15 +277,43 @@ def test_centralizer_abelian_under_symmetric_cocycle():
             )
 
 
+def test_structure_disagreements_are_internal_invariant_errors(monkeypatch):
+    # the pair-condition results are cross-checked by explicit checks that
+    # also run under python -O
+    prod = build_product(q8_system())
+    monkeypatch.setattr(products, "center_pairs", lambda sys: frozenset())
+    with pytest.raises(InternalInvariantError):
+        product_center(prod)
+    monkeypatch.setattr(products, "abelian_by_criterion", lambda sys: True)
+    with pytest.raises(InternalInvariantError):
+        is_abelian_product(q8_system())
+    monkeypatch.setattr(products, "centralizer_pairs", lambda sys: frozenset())
+    with pytest.raises(InternalInvariantError):
+        centralizer_of_h(prod)
+
+
 def test_vectorized_table_matches_scalar():
-    for sys in enumerate_crossed_systems(C4, C2):
+    # element by element against (h1, g1)(h2, g2) = (h1 (g1 |> h2) f(g1, g2), g1 g2)
+    systems = enumerate_crossed_systems(C4, C2) + enumerate_crossed_systems(C2, C3)
+    systems += enumerate_crossed_systems(symmetric_group(3), C2) + NON_NORMALIZED
+    for sys in systems:
+        h, g = sys.h, sys.g
+        n = h.order
         hm = np.array(sys.h.table, dtype=np.int64)
         gm = np.array(sys.g.table, dtype=np.int64)
         act = np.array([list(p) for p in sys.action.perms], dtype=np.int64)
         f = np.array([list(r) for r in sys.cocycle.table], dtype=np.int64)
-        from crossedprod.products import product_table
-
-        assert product_table(sys) == [list(map(int, row)) for row in product_table_np(hm, gm, act, f)]
+        table = product_table_np(hm, gm, act, f)
+        prod = build_product(sys)
+        for h1 in h.elements():
+            for g1 in g.elements():
+                for h2 in h.elements():
+                    for g2 in g.elements():
+                        hp = h.mul(h.mul(h1, sys.act(g1, h2)), sys.f(g1, g2))
+                        gp = g.mul(g1, g2)
+                        assert table[h1 + n * g1, h2 + n * g2] == hp + n * gp
+                        a, b = prod.encode(h1, g1), prod.encode(h2, g2)
+                        assert prod.decode(prod.group.mul(a, b)) == (hp, gp)
 
 
 def test_sampled_associativity_equivalence():
