@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError
+from .errors import CapExceededError, InternalInvariantError
 from .groups import (
     Automorphism,
     FiniteGroup,
@@ -366,35 +366,62 @@ def shift_system(sys: CrossedSystem, r) -> CrossedSystem:
 
 
 def coboundary_orbit_keys(
-    h: FiniteGroup, g: FiniteGroup, act_rows, f_flat: bytes
-) -> "np.ndarray":
-    """Row-major cocycle tables of the whole stabilizing orbit of one system.
+    h: FiniteGroup,
+    g: FiniteGroup,
+    act_rows,
+    f_flat: bytes,
+    eta: Automorphism | None = None,
+    gamma: Automorphism | None = None,
+) -> tuple["np.ndarray", "np.ndarray"]:
+    """Keys of every system that a witness (eta, gamma, t) relates to one system.
 
-    Valid for abelian H, where shifts fix the action and translate the cocycle
-    by a coboundary.  Returns a (|H|^(|G|-1), |G|^2) uint8 array whose rows are
-    the orbit members' tables (duplicates included).
+    Row k stands for the map t: G -> H with t(1) = 1 whose value at element
+    gi > 0 is digit gi - 1 of k in base |H|.  It holds the system B with
+
+        act_B(g)(x)  = eta(t(g) act(q)(eta^-1(x)) t(g)^-1),            q = gamma^-1(g)
+        f_B(g1, g2) = eta(t(g1) act(q1)(t(g2)) f(q1, q2) t(g1 g2)^-1),  qi = gamma^-1(gi)
+
+    which are the laws `_witness_laws_hold` checks.  eta and gamma default to
+    the identity, which gives the end-stabilizing (eq1) orbit.  Returns
+    `(actions, cocycles)`: uint8 arrays of shape (|H|^(|G|-1), |G||H|) and
+    (|H|^(|G|-1), |G|^2) whose rows are B's action rows and row-major cocycle
+    table, duplicates included.  For abelian H the action does not depend on t,
+    so `actions` is then a read-only broadcast of one row.
     """
-    if not h.is_abelian:
-        raise ValueError("coboundary orbits require abelian H")
     n, m = h.order, g.order
     hm = np.array(h.table, dtype=np.uint8)
     hinv = np.array(h.inverse_table, dtype=np.uint8)
-    act = [np.array(row, dtype=np.uint8) for row in act_rows]
+    act = np.array(act_rows, dtype=np.uint8).reshape(m, n)
     gm = g.table
+    einv = np.arange(n) if eta is None else np.array(eta.inverse_automorphism().map)
+    ginv = list(range(m) if gamma is None else gamma.inverse_automorphism().map)
     count = n ** (m - 1)
     codes = np.arange(count, dtype=np.int64)
-    x = np.zeros((count, m), dtype=np.int64)
+    t = np.zeros((count, m), dtype=np.int64)
     for gi in range(1, m):
-        x[:, gi] = (codes // (n ** (gi - 1))) % n
+        t[:, gi] = (codes // (n ** (gi - 1))) % n
+    t_inv = hinv[t]
+    em = None if eta is None else np.array(eta.map, dtype=np.uint8)
+
+    def relabel(a):
+        return a if em is None else em[a]
+
+    moved = act[ginv][:, einv]
+    if h.is_abelian:
+        actions = np.broadcast_to(relabel(moved).reshape(1, m * n), (count, m * n))
+    else:
+        conj = hm[hm[t[:, :, None], moved[None, :, :]], t_inv[:, :, None]]
+        actions = relabel(conj).reshape(count, m * n)
     f_arr = np.frombuffer(f_flat, dtype=np.uint8)
-    out = np.empty((count, m * m), dtype=np.uint8)
+    cocycles = np.empty((count, m * m), dtype=np.uint8)
     for g1 in range(m):
-        xg1 = x[:, g1]
+        t1 = t[:, g1]
+        q1 = ginv[g1]
         for g2 in range(m):
-            cell = g1 * m + g2
-            delta = hm[hm[xg1, act[g1][x[:, g2]]], hinv[x[:, gm[g1][g2]]]]
-            out[:, cell] = hm[delta, f_arr[cell]]
-    return out
+            q2 = ginv[g2]
+            shifted = hm[hm[t1, act[q1][t[:, g2]]], f_arr[q1 * m + q2]]
+            cocycles[:, g1 * m + g2] = hm[shifted, t_inv[:, gm[g1][g2]]]
+    return actions, relabel(cocycles)
 
 
 def iter_orbit_representatives(h: FiniteGroup, g: FiniteGroup, *, cap: int = DEFAULT_PAIR_CAP):
@@ -419,9 +446,9 @@ def iter_orbit_representatives(h: FiniteGroup, g: FiniteGroup, *, cap: int = DEF
         if f_bytes in state["seen"]:
             return
         act_rows = [automorphism_group(h)[a].map for a in alpha_indices]
-        orbit = coboundary_orbit_keys(h, g, act_rows, f_bytes)
+        _, cocycles = coboundary_orbit_keys(h, g, act_rows, f_bytes)
         seen = state["seen"]
-        for row in orbit:
+        for row in cocycles:
             seen.add(row.tobytes())
         reps.append((alpha_indices, f_bytes))
 
@@ -617,6 +644,43 @@ class ClassificationReport:
         return out
 
 
+def _system_key(sys: CrossedSystem) -> bytes:
+    """The system's action rows then its row-major cocycle table, as one key."""
+    rows = sys.action.perms + sys.cocycle.table
+    return bytes(v for row in rows for v in row)
+
+
+def _orbit_classes(systems: list[CrossedSystem], index: dict[bytes, int], pairs) -> list[tuple[int, ...]]:
+    """Partition sorted `systems` into orbits of the witnesses (eta, gamma, t).
+
+    `pairs` lists the (eta, gamma) to use, t ranging over every map with
+    t(1) = 1; `index` maps each system's key to its position.  Each unmarked
+    system in turn opens a class and marks its whole orbit, so classes come in
+    order of their least member, which is their representative.
+    """
+    h, g = systems[0].h, systems[0].g
+    class_of = [-1] * len(systems)
+    classes: list[list[int]] = []
+    for i, sys in enumerate(systems):
+        if class_of[i] >= 0:
+            continue
+        ci = len(classes)
+        members: list[int] = []
+        f_flat = bytes(v for row in sys.cocycle.table for v in row)
+        for eta, gamma in pairs:
+            actions, cocycles = coboundary_orbit_keys(h, g, sys.action.perms, f_flat, eta, gamma)
+            keys = np.concatenate([actions, cocycles], axis=1)
+            for key in {row.tobytes() for row in keys}:
+                j = index.get(key)
+                if j is None or class_of[j] not in (-1, ci):
+                    raise InternalInvariantError("a witness orbit left the systems or met another class")
+                if class_of[j] < 0:
+                    class_of[j] = ci
+                    members.append(j)
+        classes.append(members)
+    return [tuple(sorted(ms)) for ms in classes]
+
+
 def classify(
     h: FiniteGroup,
     g: FiniteGroup,
@@ -627,46 +691,54 @@ def classify(
 ) -> ClassificationReport:
     """Partition Crossed(H, G) under eq1, eq2, or product isomorphism.
 
-    Uses representative-first comparison: each system is matched against the
-    current class representatives in order, stopping at the first match, so
-    the first member of each class is its lexicographically minimal element.
-    `workers` is accepted for compatibility and ignored: the witness searches
-    are pure Python, so threads only slow them down under the GIL.
+    eq1 and eq2 classes are orbits: of the maps t: G -> H with t(1) = 1 for
+    eq1, and of those together with Aut(H) x Aut(G) for eq2.  Walking the
+    sorted systems, each system not yet in a class opens one and marks its
+    whole orbit (`coboundary_orbit_keys`), so classes come in order of their
+    least member, which is their lexicographically minimal representative.
+    iso merges eq2 classes in order, testing `are_isomorphic` on the products
+    of class representatives only: an eq2 witness induces a product
+    isomorphism (`equivalence2_map`).  Product types are named once per eq2
+    class, which holds one product type, and reused for the eq1 classes
+    inside it.  `workers` is accepted for compatibility and ignored.
     """
     if relation not in RELATIONS:
         raise ValueError(f"relation must be one of {RELATIONS}")
     systems = enumerate_crossed_systems(h, g, max_pair_order=max_pair_order)
-    if relation == "iso":
-        groups = [build_product(s).group for s in systems]
-
-        def matches(rep_idx: int, cand_idx: int) -> bool:
-            return are_isomorphic(groups[rep_idx], groups[cand_idx]) is not None
-
-    elif relation == "eq1":
-
-        def matches(rep_idx: int, cand_idx: int) -> bool:
-            return are_equivalent_1(systems[rep_idx], systems[cand_idx]) is not None
-
+    index = {_system_key(s): i for i, s in enumerate(systems)}
+    eq2 = _orbit_classes(
+        systems, index, [(eta, gamma) for eta in automorphism_group(h) for gamma in automorphism_group(g)]
+    )
+    products = [build_product(systems[ms[0]]).group for ms in eq2]
+    names = [identify_group(p) for p in products]
+    if relation == "eq1":
+        eq2_of = {i: k for k, ms in enumerate(eq2) for i in ms}
+        classes = _orbit_classes(systems, index, [(None, None)])
+        types = [names[eq2_of[ms[0]]] for ms in classes]
+    elif relation == "eq2":
+        classes, types = eq2, names
     else:
-
-        def matches(rep_idx: int, cand_idx: int) -> bool:
-            return are_equivalent_2(systems[rep_idx], systems[cand_idx]) is not None
-
-    reps: list[int] = []
-    members: list[list[int]] = []
-    for idx in range(len(systems)):
-        hit = next((pos for pos, rj in enumerate(reps) if matches(rj, idx)), None)
-        if hit is None:
-            reps.append(idx)
-            members.append([idx])
-        else:
-            members[hit].append(idx)
-    types = [identify_group(build_product(systems[r]).group) for r in reps]
+        merged: list[list[int]] = []
+        for k, prod in enumerate(products):
+            hit = next(
+                (
+                    ks
+                    for ks in merged
+                    if names[ks[0]] == names[k] and are_isomorphic(products[ks[0]], prod) is not None
+                ),
+                None,
+            )
+            if hit is None:
+                merged.append([k])
+            else:
+                hit.append(k)
+        classes = [tuple(sorted(i for k in ks for i in eq2[k])) for ks in merged]
+        types = [names[ks[0]] for ks in merged]
     return ClassificationReport(
         relation=relation,
         systems=systems,
-        classes=[tuple(ms) for ms in members],
-        representatives=reps,
+        classes=classes,
+        representatives=[ms[0] for ms in classes],
         product_iso_types=types,
     )
 

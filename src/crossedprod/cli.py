@@ -52,7 +52,6 @@ EXIT_INTERNAL = 3
 class RunConfig:
     max_product_order: int = DEFAULT_PAIR_CAP
     max_group_order: int = DEFAULT_MAX_GROUP_ORDER
-    workers: int = 1
     output_format: str = "json"
     seed: int = 0
 
@@ -144,9 +143,7 @@ def cmd_classify(args, cfg: RunConfig) -> int:
     h = _load_spec(args.h, cfg)
     g = _load_spec(args.g, cfg)
     started = time.perf_counter()
-    report = classify(
-        h, g, args.relation, workers=cfg.workers, max_pair_order=cfg.max_product_order
-    )
+    report = classify(h, g, args.relation, max_pair_order=cfg.max_product_order)
     elapsed = time.perf_counter() - started
     classes = []
     for ci, members in enumerate(report.classes):
@@ -420,7 +417,6 @@ def main(argv=None) -> int:
     cfg = RunConfig(
         max_product_order=args.max_order,
         max_group_order=args.max_group_order,
-        workers=max(1, args.workers),
         output_format=args.out,
         seed=args.seed,
     )

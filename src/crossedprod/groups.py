@@ -788,55 +788,34 @@ def group_to_doc(g: FiniteGroup) -> object:
 
 
 def _abelian_invariant_name(g: FiniteGroup) -> str | None:
-    """Invariant-factor name (largest factor first) for an abelian group."""
+    """Invariant-factor name (largest factor first) for an abelian group.
+
+    Read from element-order counts: if the p-part of g is the product of cyclic
+    groups of orders p^e_i, then p^(sum_i min(k, e_i)) elements have order
+    dividing p^k, so the count for k less the count for k - 1 (in powers of p)
+    is the number of factors with e_i >= k.
+    """
     if not g.is_abelian:
         return None
-    for factors in _abelian_types(g.order):
-        cand = cyclic_group(factors[0])
-        for f in factors[1:]:
-            cand = direct_product(cand, cyclic_group(f))
-        if are_isomorphic(g, cand) is not None:
-            return "x".join(f"C{f}" for f in factors)
-    return None
-
-
-def _partitions(n: int):
-    if n == 0:
-        yield ()
-        return
-    for first in range(n, 0, -1):
-        for rest in _partitions(n - first):
-            if not rest or rest[0] <= first:
-                yield (first,) + rest
-
-
-def _abelian_types(order: int) -> list[tuple[int, ...]]:
-    """All abelian iso types of the given order, as invariant factor tuples."""
-    factors: dict[int, int] = {}
-    n, p = order, 2
+    factors = [1] * g.order.bit_length()
+    n, p = g.order, 2
     while n > 1:
+        e = 0
         while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
             n //= p
-        p += 1 if p == 2 else 2
-        if p * p > n and n > 1:
-            factors[n] = factors.get(n, 0) + 1
-            n = 1
-    per_prime = []
-    for p, e in sorted(factors.items()):
-        per_prime.append([tuple(p**k for k in part) for part in _partitions(e)])
-    types = []
-    for combo in itertools.product(*per_prime):
-        width = max(len(c) for c in combo)
-        inv = []
-        for col in range(width):
-            f = 1
-            for c in combo:
-                if col < len(c):
-                    f *= c[col]
-            inv.append(f)
-        types.append(tuple(sorted(inv, reverse=True)))
-    return sorted(set(types), reverse=True)
+            e += 1
+        prev = 0
+        for k in range(1, e + 1):
+            count = sum(1 for o in g.element_orders if p**k % o == 0)
+            logp = 0
+            while count > 1:
+                count //= p
+                logp += 1
+            for j in range(logp - prev):
+                factors[j] *= p
+            prev = logp
+        p += 1
+    return "x".join(f"C{f}" for f in factors if f > 1) or "C1"
 
 
 def _named_candidates(order: int):

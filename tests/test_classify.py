@@ -7,6 +7,8 @@ from crossedprod.groups import (
     are_isomorphic,
     automorphism_group,
     cyclic_group,
+    dihedral_group,
+    identify_group,
     make_group,
     quaternion_group,
     symmetric_group,
@@ -40,6 +42,9 @@ C2 = cyclic_group(2)
 C3 = cyclic_group(3)
 C4 = cyclic_group(4)
 K4 = make_group("product(cyclic:2,cyclic:2)")
+S3 = symmetric_group(3)
+Q8 = quaternion_group()
+D8 = dihedral_group(8)
 
 
 def trivial_system(h, g):
@@ -356,19 +361,104 @@ def test_orbit_representatives_cover_everything():
         assert covered == all_encodings
 
 
+def _flat(rows):
+    return bytes(v for row in rows for v in row)
+
+
 def test_orbit_keys_match_shift_system():
     import itertools
 
     cases = enumerate_crossed_systems(C4, C3)[:6]
     # include systems acting nontrivially (inversion of C3 through C4)
     cases += [s for s in enumerate_crossed_systems(C3, C4) if not s.action.is_trivial()][:4]
+    # non-abelian H: shifts move the action too
+    for (h, g) in [(S3, C2), (Q8, C2), (D8, C2), (S3, C3)]:
+        cases += enumerate_crossed_systems(h, g)[::7]
     for sys in cases:
         h, g = sys.h, sys.g
-        flat = bytes(v for row in sys.cocycle.table for v in row)
-        keys = coboundary_orbit_keys(h, g, sys.action.perms, flat)
+        actions, cocycles = coboundary_orbit_keys(h, g, sys.action.perms, _flat(sys.cocycle.table))
         expected = set()
         for combo in itertools.product(range(h.order), repeat=g.order - 1):
             shifted = shift_system(sys, (0,) + combo)
-            assert shifted.action.perms == sys.action.perms  # abelian H fixes the action
-            expected.add(bytes(v for row in shifted.cocycle.table for v in row))
-        assert {row.tobytes() for row in keys} == expected
+            if h.is_abelian:
+                assert shifted.action.perms == sys.action.perms  # abelian H fixes the action
+            expected.add(_flat(shifted.action.perms) + _flat(shifted.cocycle.table))
+        assert {a.tobytes() + f.tobytes() for a, f in zip(actions, cocycles)} == expected
+
+
+def test_orbit_keys_satisfy_equivalence2_witnesses():
+    from crossedprod.classify import Equivalence2Witness
+
+    checked = 0
+    # (C3, C4) and (C2, K4) add nontrivial gammas (of order 3 on K4) and maps t
+    # with several values
+    for (h, g) in [(C4, C2), (S3, C2), (C3, C4), (C2, K4)]:
+        systems = enumerate_crossed_systems(h, g)
+        by_key = {_flat(s.action.perms) + _flat(s.cocycle.table): s for s in systems}
+        for sys in systems:
+            for eta in automorphism_group(h):
+                for gamma in automorphism_group(g):
+                    if eta.map == tuple(h.elements()) and gamma.map == tuple(g.elements()):
+                        continue
+                    actions, cocycles = coboundary_orbit_keys(
+                        h, g, sys.action.perms, _flat(sys.cocycle.table), eta, gamma
+                    )
+                    n = h.order
+                    for k, (a, f) in enumerate(zip(actions, cocycles)):
+                        target = by_key[a.tobytes() + f.tobytes()]
+                        t = tuple((k // n ** (gi - 1)) % n if gi else 0 for gi in g.elements())
+                        w = Equivalence2Witness(eta, gamma, t)
+                        assert verify_equivalence2_witness(sys, target, w)
+                        checked += 1
+    assert checked == 3760
+
+
+def _pairwise_classes(h, g, relation):
+    """Reference partition: match each system against the class representatives in order."""
+    systems = enumerate_crossed_systems(h, g)
+    if relation == "iso":
+        groups = [build_product(s).group for s in systems]
+
+        def matches(rep_idx, cand_idx):
+            return are_isomorphic(groups[rep_idx], groups[cand_idx]) is not None
+
+    elif relation == "eq1":
+
+        def matches(rep_idx, cand_idx):
+            return are_equivalent_1(systems[rep_idx], systems[cand_idx]) is not None
+
+    else:
+
+        def matches(rep_idx, cand_idx):
+            return are_equivalent_2(systems[rep_idx], systems[cand_idx]) is not None
+
+    reps = []
+    members = []
+    for idx in range(len(systems)):
+        hit = next((pos for pos, rj in enumerate(reps) if matches(rj, idx)), None)
+        if hit is None:
+            reps.append(idx)
+            members.append([idx])
+        else:
+            members[hit].append(idx)
+    types = [identify_group(build_product(systems[r]).group) for r in reps]
+    return [tuple(ms) for ms in members], reps, types
+
+
+def test_orbit_classification_matches_pairwise_search():
+    # Orbit marking makes eq1 refine eq2 and eq2 refine iso by construction, so
+    # criterion 4's refinement checks cannot fail; this comparison with the
+    # pairwise witness search is their independent check.
+    pairs = [(Q8, C2), (D8, C2), (S3, C2), (C3, C4), (C4, C2), (C3, C3), (K4, C2), (C2, K4)]
+    coarser = 0
+    for (h, g) in pairs:
+        counts = {}
+        for relation in ("eq1", "eq2", "iso"):
+            rep = classify(h, g, relation)
+            classes, reps, types = _pairwise_classes(h, g, relation)
+            assert rep.classes == classes, (h.name, g.name, relation)
+            assert rep.representatives == reps
+            assert rep.product_iso_types == types
+            counts[relation] = len(classes)
+        coarser += counts["eq2"] < counts["eq1"]
+    assert coarser >= 1  # (C3, C3) at least
