@@ -72,12 +72,19 @@ def _aut_composition(h: FiniteGroup) -> list[list[int]]:
     return comp
 
 
-def enumerate_raw_systems(h: FiniteGroup, g: FiniteGroup, visit, *, cap: int = DEFAULT_PAIR_CAP) -> None:
+def enumerate_raw_systems(
+    h: FiniteGroup, g: FiniteGroup, visit, *, cap: int = DEFAULT_PAIR_CAP, _pinned=()
+) -> None:
     """Drive `visit(alpha_indices, f_bytes)` over every normalized crossed system.
 
     `alpha_indices` indexes into automorphism_group(h) per element of G;
     `f_bytes` is the cocycle table row-major.  Systems are emitted grouped by
     action assignment, actions in lexicographic index order.
+
+    `_pinned` names cocycle cells (g1, g2) held at the unit: their domain is
+    `(0,)`, so only the systems with the unit on every pinned cell are emitted
+    and a branch dies as soon as a pinned cell is derived non-zero.  With no
+    pinned cells (the default) every system is emitted.
 
     Cocycle cells are filled column-major; for most cells some axiom instance
     pins the value, which is then computed directly instead of searched.  For
@@ -107,6 +114,7 @@ def enumerate_raw_systems(h: FiniteGroup, g: FiniteGroup, visit, *, cap: int = D
     cell_pos = {c: k for k, c in enumerate(cells)}
     flat = [g1 * m + g2 for (g1, g2) in cells]
     K = len(cells)
+    pinned_pos = [cell_pos[c] for c in _pinned]
     third_args = generating_sequence(g) if abelian_h else list(range(1, m))
     cc_at: list[list[tuple[int, int, int, int, int]]] = [[] for _ in range(K)]
     for g1 in range(1, m):
@@ -177,6 +185,11 @@ def enumerate_raw_systems(h: FiniteGroup, g: FiniteGroup, visit, *, cap: int = D
                     return
                 domains.append(dom)
                 domsets.append(set(dom))
+        for k in pinned_pos:
+            if 0 not in domains[k]:
+                return
+            domains[k] = (0,)
+            domsets[k] = {0}
         act_inv: list[tuple[int, ...] | None] = [None] * m
 
         def derive_op(k: int):
@@ -372,21 +385,25 @@ def coboundary_orbit_keys(
     f_flat: bytes,
     eta: Automorphism | None = None,
     gamma: Automorphism | None = None,
+    t_rows=None,
 ) -> tuple["np.ndarray", "np.ndarray"]:
     """Keys of every system that a witness (eta, gamma, t) relates to one system.
 
-    Row k stands for the map t: G -> H with t(1) = 1 whose value at element
-    gi > 0 is digit gi - 1 of k in base |H|.  It holds the system B with
+    By default row k stands for the map t: G -> H with t(1) = 1 whose value at
+    element gi > 0 is digit gi - 1 of k in base |H|; `t_rows`, an integer
+    array of shape (rows, |G|) with t(1) = 1 in column 0, gives the maps t to
+    use instead, one per row.  Row k holds the system B with
 
         act_B(g)(x)  = eta(t(g) act(q)(eta^-1(x)) t(g)^-1),            q = gamma^-1(g)
         f_B(g1, g2) = eta(t(g1) act(q1)(t(g2)) f(q1, q2) t(g1 g2)^-1),  qi = gamma^-1(gi)
 
     which are the laws `_witness_laws_hold` checks.  eta and gamma default to
     the identity, which gives the end-stabilizing (eq1) orbit.  Returns
-    `(actions, cocycles)`: uint8 arrays of shape (|H|^(|G|-1), |G||H|) and
-    (|H|^(|G|-1), |G|^2) whose rows are B's action rows and row-major cocycle
-    table, duplicates included.  For abelian H the action does not depend on t,
-    so `actions` is then a read-only broadcast of one row.
+    `(actions, cocycles)`: uint8 arrays of shape (rows, |G||H|) and
+    (rows, |G|^2), rows = |H|^(|G|-1) by default, whose rows are B's action
+    rows and row-major cocycle table, duplicates included.  For abelian H the
+    action does not depend on t, so `actions` is then a read-only broadcast of
+    one row.
     """
     n, m = h.order, g.order
     hm = np.array(h.table, dtype=np.uint8)
@@ -395,11 +412,15 @@ def coboundary_orbit_keys(
     gm = g.table
     einv = np.arange(n) if eta is None else np.array(eta.inverse_automorphism().map)
     ginv = list(range(m) if gamma is None else gamma.inverse_automorphism().map)
-    count = n ** (m - 1)
-    codes = np.arange(count, dtype=np.int64)
-    t = np.zeros((count, m), dtype=np.int64)
-    for gi in range(1, m):
-        t[:, gi] = (codes // (n ** (gi - 1))) % n
+    if t_rows is None:
+        count = n ** (m - 1)
+        codes = np.arange(count, dtype=np.int64)
+        t = np.zeros((count, m), dtype=np.int64)
+        for gi in range(1, m):
+            t[:, gi] = (codes // (n ** (gi - 1))) % n
+    else:
+        t = np.asarray(t_rows, dtype=np.int64)
+        count = len(t)
     t_inv = hinv[t]
     em = None if eta is None else np.array(eta.map, dtype=np.uint8)
 
@@ -424,35 +445,86 @@ def coboundary_orbit_keys(
     return actions, relabel(cocycles)
 
 
+def _gauge_tree(g: FiniteGroup) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """A BFS spanning tree of G's Cayley graph over `generating_sequence(g)`.
+
+    Returns `(gens, edges)`: the generators are the depth-1 elements, and
+    every element x at depth >= 2 has one edge (x, p, s) with x = p s, p != 1
+    at depth one less and s a generator, listed in BFS order.
+    """
+    gens = generating_sequence(g)
+    gm = g.table
+    seen = {0, *gens}
+    order = list(gens)
+    edges: list[tuple[int, int, int]] = []
+    for p in order:  # grows while it is walked: breadth-first
+        for s in gens:
+            x = gm[p][s]
+            if x not in seen:
+                seen.add(x)
+                order.append(x)
+                edges.append((x, p, s))
+    return gens, edges
+
+
+def _gauge_shifts(h: FiniteGroup, act_rows, gens, edges) -> "np.ndarray":
+    """The maps t of T0 as rows of shape (|H|^len(gens), |G|).
+
+    T0 holds the maps t: G -> H with t(1) = 1, any values on the generators,
+    and t(p s) = t(p) act(p)(t(s)) on every tree edge: exactly the shifts
+    whose coboundary is the unit on every tree cell (p, s), so for abelian H
+    they move a cocycle of the gauge slice only within the slice.
+    """
+    n = h.order
+    hm = np.array(h.table, dtype=np.int64)
+    act = np.array(act_rows, dtype=np.int64)
+    count = n ** len(gens)
+    codes = np.arange(count, dtype=np.int64)
+    t = np.zeros((count, len(act_rows)), dtype=np.int64)
+    for j, s in enumerate(gens):
+        t[:, s] = (codes // (n ** j)) % n
+    for (x, p, s) in edges:
+        t[:, x] = hm[t[:, p], act[p][t[:, s]]]
+    return t
+
+
 def iter_orbit_representatives(h: FiniteGroup, g: FiniteGroup, *, cap: int = DEFAULT_PAIR_CAP):
     """Yield one raw system per stabilizing-equivalence orbit.
 
-    For abelian H whole orbits are marked via coboundary translation, so the
-    yield count is the class count; for non-abelian H every system is yielded
+    For abelian H the action is a homomorphism G -> Aut(H), a shift keeps it,
+    and an orbit is a cohomology class f B^2.  Only the gauge slice is
+    enumerated: the cocycles with the unit on every tree cell (p, s) of a BFS
+    spanning tree of G (`_gauge_tree`).  Every orbit meets it, since setting
+    t(s) = 1 on the generators and t(p s) = t(p) p(t(s)) f(p, s) down the tree
+    moves f into it, and meets it in the T0-orbit of any member
+    (`_gauge_shifts`, |H|^#generators maps instead of |H|^(|G|-1)).  Each
+    slice cocycle not yet marked is yielded and marks its T0-orbit, so the
+    yield count is the class count.  For non-abelian H every system is yielded
     (correct, just without reduction).  Orbit members share their product's
     isomorphism type, which is what bulk consumers rely on.
     """
-    reps: list[tuple[tuple[int, ...], bytes]] = []
+    systems: list[tuple[tuple[int, ...], bytes]] = []
     if not h.is_abelian:
-        enumerate_raw_systems(h, g, lambda a, fb: reps.append((a, fb)), cap=cap)
-        yield from reps
+        enumerate_raw_systems(h, g, lambda a, fb: systems.append((a, fb)), cap=cap)
+        yield from systems
         return
-    state = {"alpha": None, "seen": set()}
-
-    def visit(alpha_indices, f_bytes):
-        if alpha_indices != state["alpha"]:
-            state["alpha"] = alpha_indices
-            state["seen"] = set()
-        if f_bytes in state["seen"]:
-            return
-        act_rows = [automorphism_group(h)[a].map for a in alpha_indices]
-        _, cocycles = coboundary_orbit_keys(h, g, act_rows, f_bytes)
-        seen = state["seen"]
-        for row in cocycles:
-            seen.add(row.tobytes())
+    gens, edges = _gauge_tree(g)
+    pinned = [(p, s) for (_, p, s) in edges]
+    enumerate_raw_systems(h, g, lambda a, fb: systems.append((a, fb)), cap=cap, _pinned=pinned)
+    auts = automorphism_group(h)
+    reps: list[tuple[tuple[int, ...], bytes]] = []
+    alpha: tuple[int, ...] | None = None
+    seen: set[bytes] = set()
+    for (alpha_indices, f_bytes) in systems:
+        if alpha_indices != alpha:
+            alpha, seen = alpha_indices, set()
+            act_rows = [auts[a].map for a in alpha]
+            t_rows = _gauge_shifts(h, act_rows, gens, edges)
+        if f_bytes in seen:
+            continue
+        _, cocycles = coboundary_orbit_keys(h, g, act_rows, f_bytes, t_rows=t_rows)
+        seen.update(row.tobytes() for row in cocycles)
         reps.append((alpha_indices, f_bytes))
-
-    enumerate_raw_systems(h, g, visit, cap=cap)
     yield from reps
 
 

@@ -29,6 +29,7 @@ from .groups import (
     Homomorphism,
     Subgroup,
     are_isomorphic,
+    automorphism_group,
     cyclic_group,
     identify_group,
     is_homomorphism,
@@ -253,8 +254,6 @@ def holder_cross_validate(n: int, m: int, *, cap: int = DEFAULT_PAIR_CAP) -> dic
     h, g = cyclic_group(n), cyclic_group(m)
     hm = np.array(h.table, dtype=np.int64)
     gm = np.array(g.table, dtype=np.int64)
-    from .groups import automorphism_group
-
     aut_perms = [np.array(a.map, dtype=np.int64) for a in automorphism_group(h)]
     sys_reps: list[FiniteGroup] = []
     for (alpha_indices, f_bytes) in iter_orbit_representatives(h, g, cap=cap):

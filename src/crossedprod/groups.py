@@ -504,18 +504,22 @@ def _extend_map(src: FiniteGroup, dst: FiniteGroup, base: dict, x: int, y: int):
     return mapping
 
 
-def _generator_images(src: FiniteGroup, dst: FiniteGroup, images_of):
+def _generator_images(src: FiniteGroup, dst: FiniteGroup, images_of, *, injective: bool = False):
     """Yield the value tables of the homomorphisms src -> dst, in search order.
 
     `images_of(gen)` lists the candidate images of one generator; each choice
-    extends the partial map of the previous generators via _extend_map.
+    extends the partial map of the previous generators via _extend_map.  With
+    `injective` a partial map whose values repeat is rejected at once: every
+    extension of it repeats them too, so only the injective homomorphisms are
+    yielded, in the same order.
     """
     gens = generating_sequence(src)
     maps: list[dict] = [{0: 0}] * (len(gens) + 1)
 
     def accept(k: int, imgs) -> bool:
-        maps[k + 1] = _extend_map(src, dst, maps[k], gens[k], imgs[k])
-        return maps[k + 1] is not None
+        ext = _extend_map(src, dst, maps[k], gens[k], imgs[k])
+        maps[k + 1] = ext
+        return ext is not None and (not injective or len(set(ext.values())) == len(ext))
 
     for _ in backtrack([images_of(x) for x in gens], accept):
         yield tuple(maps[-1][x] for x in src.elements())
@@ -538,9 +542,9 @@ def _isomorphisms(g1: FiniteGroup, g2: FiniteGroup):
     by_order: dict[int, list[int]] = {}
     for x in g2.elements():
         by_order.setdefault(g2.element_order(x), []).append(x)
-    for m in _generator_images(g1, g2, lambda gen: by_order.get(g1.element_order(gen), ())):
-        if len(set(m)) == g1.order:
-            yield m
+    yield from _generator_images(
+        g1, g2, lambda gen: by_order.get(g1.element_order(gen), ()), injective=True
+    )
 
 
 def are_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> Homomorphism | None:
@@ -583,7 +587,8 @@ def presentation_group(n: int, m: int, i: int, j: int, name: str) -> FiniteGroup
     """Group on pairs (a^p, b^q) with a^n = 1, b^m = a^i, b^-1 a b = a^j.
 
     Requires i*(j-1) = 0 and j^m = 1 mod n; the table is fully determined by
-    the two relations and is validated before being returned.
+    the two relations, which make it a group table, so it is not re-validated
+    (the tests run `check_table` on every presentation with n*m <= 36).
     """
     if n < 1 or m < 1:
         raise InvalidDescriptorError("presentation orders must be >= 1")
@@ -604,7 +609,7 @@ def presentation_group(n: int, m: int, i: int, j: int, name: str) -> FiniteGroup
                         u -= m
                         t = (t + i) % n
                     table[a][r + n * s] = t + n * u
-    return FiniteGroup(name, table)
+    return FiniteGroup(name, table, validate=False)
 
 
 def dihedral_group(order: int) -> FiniteGroup:

@@ -8,12 +8,15 @@ from crossedprod.groups import (
     automorphism_group,
     cyclic_group,
     dihedral_group,
+    generating_sequence,
     identify_group,
     make_group,
     quaternion_group,
     symmetric_group,
 )
 from crossedprod.classify import (
+    _gauge_shifts,
+    _gauge_tree,
     are_equivalent_1,
     are_equivalent_2,
     classify,
@@ -21,6 +24,7 @@ from crossedprod.classify import (
     compose_equivalence1,
     compose_equivalence2,
     enumerate_crossed_systems,
+    enumerate_raw_systems,
     functor_check,
     invert_equivalence1,
     invert_equivalence2,
@@ -462,3 +466,138 @@ def test_orbit_classification_matches_pairwise_search():
             counts[relation] = len(classes)
         coarser += counts["eq2"] < counts["eq1"]
     assert coarser >= 1  # (C3, C3) at least
+
+
+# gauge-slice orbit representatives ---------------------------------------------
+
+C5 = cyclic_group(5)
+C2_3 = make_group("product(cyclic:2,product(cyclic:2,cyclic:2))")
+
+# cyclic and non-cyclic G, non-trivial actions, non-cyclic abelian H
+SLICE_PAIRS = [
+    (K4, K4),
+    (C2, D8),
+    (C3, Q8),
+    (C2_3, C2),
+    (C4, K4),
+    (C3, C4),
+    (C5, C4),
+    (C4, C3),
+    (C3, S3),
+    (C2, C2_3),
+]
+
+
+def _raw_systems(h, g, pinned=()):
+    out = []
+    enumerate_raw_systems(h, g, lambda a, fb: out.append((a, fb)), _pinned=pinned)
+    return out
+
+
+def _full_eq1_orbit(h, g, alpha, f_bytes):
+    """The whole eq1 orbit of one system: every shift t with t(1) = 1."""
+    act_rows = [automorphism_group(h)[a].map for a in alpha]
+    _, cocycles = coboundary_orbit_keys(h, g, act_rows, f_bytes)
+    return {(alpha, row.tobytes()) for row in cocycles}
+
+
+def _full_z2_orbit_index(h, g):
+    """Reference: every system of Z^2 by the engine, each mapped to the index
+    of its eq1 orbit by marking whole orbits in engine order."""
+    orbit_of = {}
+    count = 0
+    for (alpha, fb) in _raw_systems(h, g):
+        if (alpha, fb) in orbit_of:
+            continue
+        for key in _full_eq1_orbit(h, g, alpha, fb):
+            orbit_of[key] = count
+        count += 1
+    return orbit_of, count
+
+
+def _tree_cells(g):
+    _, edges = _gauge_tree(g)
+    return [(p, s) for (_, p, s) in edges]
+
+
+def test_slice_representatives_hit_each_eq1_orbit_once():
+    for (h, g) in SLICE_PAIRS:
+        orbit_of, count = _full_z2_orbit_index(h, g)
+        reps = list(iter_orbit_representatives(h, g))
+        hit = sorted(orbit_of[rep] for rep in reps)
+        assert hit == list(range(count)), (h.name, g.name)
+
+
+def test_slice_representatives_are_unit_on_tree_cells():
+    for (h, g) in SLICE_PAIRS:
+        m = g.order
+        cells = _tree_cells(g)
+        assert len(cells) == m - 1 - len(generating_sequence(g))
+        for (_, fb) in iter_orbit_representatives(h, g):
+            assert all(fb[p * m + s] == 0 for (p, s) in cells)
+
+
+def test_gauge_tree_spans_g_breadth_first():
+    for g in (C4, K4, S3, D8, Q8, C2_3, cyclic_group(18)):
+        gens, edges = _gauge_tree(g)
+        assert gens == generating_sequence(g)
+        depth = {0: 0, **{s: 1 for s in gens}}
+        for (x, p, s) in edges:
+            assert p != 0 and s in gens and g.mul(p, s) == x and x not in depth
+            depth[x] = depth[p] + 1
+        assert sorted(depth) == list(g.elements())
+        assert [depth[x] for (x, _, _) in edges] == sorted(depth[x] for (x, _, _) in edges)
+
+
+def test_engine_pins_exactly_the_named_cells():
+    # pinned cells filter the full enumeration, in the same order
+    for (h, g) in SLICE_PAIRS + [(S3, C2), (Q8, C2)]:
+        m = g.order
+        cells = _tree_cells(g)
+        full = _raw_systems(h, g)
+        want = [(a, fb) for (a, fb) in full if all(fb[p * m + s] == 0 for (p, s) in cells)]
+        assert _raw_systems(h, g, cells) == want
+
+
+def test_gauge_shifts_keep_the_slice():
+    for (h, g) in SLICE_PAIRS:
+        m = g.order
+        gens, edges = _gauge_tree(g)
+        cells = [p * m + s for (_, p, s) in edges]
+        slice_systems = set(_raw_systems(h, g, [(p, s) for (_, p, s) in edges]))
+        for (alpha, fb) in slice_systems:
+            act_rows = [automorphism_group(h)[a].map for a in alpha]
+            t_rows = _gauge_shifts(h, act_rows, gens, edges)
+            assert t_rows.shape == (h.order ** len(gens), m) and not t_rows[:, 0].any()
+            _, cocycles = coboundary_orbit_keys(h, g, act_rows, fb, t_rows=t_rows)
+            assert not cocycles[:, cells].any()
+            assert {(alpha, row.tobytes()) for row in cocycles} <= slice_systems
+
+
+# (H, G, systems, sha256 prefix of the emitted (alpha, cocycle) byte stream),
+# recorded from the engine before cells could be pinned
+ENGINE_DIGESTS = [
+    ("cyclic:2", "cyclic:4", 8, "bf719263628de9686475081491ecaae6"),
+    ("cyclic:4", "cyclic:3", 16, "bd9084390cf01eacafa31ab27d223848"),
+    ("cyclic:3", "cyclic:4", 36, "cb6f2b06d5e66b41d5cc8bba53e059fd"),
+    ("cyclic:2", "dihedral:8", 256, "574405b0d5c80f95f8e364f619a5de38"),
+    ("product(cyclic:2,cyclic:2)", "product(cyclic:2,cyclic:2)", 544, "e1adb50e253e0eff2cff4f427d3acaa7"),
+    ("cyclic:3", "quaternion:8", 4374, "005ce9a25bb11cdd9079aeee2f306cff"),
+    ("symmetric:3", "cyclic:2", 6, "e3fb8c19c9d53e2e2841be159562d26b"),
+    ("quaternion:8", "cyclic:2", 32, "393982b5d6d12f6ef7e68c3462d5093d"),
+    ("cyclic:2", "symmetric:3", 32, "53f9860cbeff02238e02bf5216df87f3"),
+    ("cyclic:5", "cyclic:4", 200, "402765b88d3cd68081c8d493fcd1c355"),
+]
+
+
+@pytest.mark.parametrize("hs,gs,count,digest", ENGINE_DIGESTS)
+def test_engine_without_pinned_cells_emits_the_recorded_stream(hs, gs, count, digest):
+    import hashlib
+
+    stream = hashlib.sha256()
+    emitted = _raw_systems(make_group(hs), make_group(gs))
+    for (alpha, fb) in emitted:
+        stream.update(bytes(alpha))
+        stream.update(fb)
+    assert len(emitted) == count
+    assert stream.hexdigest()[:32] == digest

@@ -11,6 +11,8 @@ from crossedprod.errors import (
     NotNormalError,
 )
 from crossedprod.groups import (
+    _generator_images,
+    _isomorphisms,
     alternating_group,
     are_isomorphic,
     automorphism_group,
@@ -455,3 +457,69 @@ def test_abelian_names_from_order_counts_match_isomorphism_search():
                 assert name == _abelian_name_by_search(relabelled)
                 searched += 1
     assert searched == 113
+
+
+def test_presentation_groups_are_group_tables():
+    # presentation_group builds its tables without validation; every
+    # consistent (n, m, i, j) with n*m <= 36 must still give a group table
+    checked = 0
+    for n in range(1, 37):
+        for m in range(1, 37 // n + 1):
+            for i in range(n):
+                for j in range(n):
+                    if (i * (j - 1)) % n == 0 and pow(j, m, n) == 1 % n:
+                        check_table(presentation_group(n, m, i, j, "P").table)
+                        checked += 1
+    assert checked == 1194
+
+
+def _relabelled(grp, seed):
+    rng = random.Random(seed)
+    order = grp.order
+    perm = [0] + rng.sample(range(1, order), order - 1)
+    table = [[0] * order for _ in range(order)]
+    for x in range(order):
+        for y in range(order):
+            table[perm[x]][perm[y]] = perm[grp.table[x][y]]
+    return table_group(table)
+
+
+def _unpruned_isomorphisms(g1, g2):
+    # reference: every homomorphism from the generator-image search, kept
+    # when bijective
+    by_order = {}
+    for x in g2.elements():
+        by_order.setdefault(g2.element_order(x), []).append(x)
+    for m in _generator_images(g1, g2, lambda gen: by_order.get(g1.element_order(gen), ())):
+        if len(set(m)) == g1.order:
+            yield m
+
+
+def test_isomorphism_pruning_keeps_the_list_and_its_order():
+    groups = [
+        make_group("product(cyclic:2,cyclic:2)"),
+        cyclic_group(6),
+        symmetric_group(3),
+        dihedral_group(8),
+        quaternion_group(),
+        make_group("product(cyclic:2,product(cyclic:2,cyclic:2))"),
+        make_group("product(cyclic:3,cyclic:3)"),
+        make_group("product(cyclic:2,cyclic:4)"),
+        alternating_group(4),
+        dihedral_group(12),
+    ]
+    for k, grp in enumerate(groups):
+        for src in (grp, _relabelled(grp, k)):
+            assert list(_isomorphisms(src, grp)) == list(_unpruned_isomorphisms(src, grp))
+
+
+def test_isomorphism_pruning_on_a_relabelled_elementary_abelian_group():
+    # |Aut(C2^5)| is about 10^7, so only the first isomorphism is compared;
+    # the unpruned reference takes seconds to reach it
+    c2_5 = make_group(
+        "product(cyclic:2,product(cyclic:2,product(cyclic:2,product(cyclic:2,cyclic:2))))"
+    )
+    relabelled = _relabelled(c2_5, 5)
+    first = next(_isomorphisms(relabelled, c2_5))
+    assert first == next(_unpruned_isomorphisms(relabelled, c2_5))
+    assert is_homomorphism(relabelled, c2_5, first) and len(set(first)) == 32
