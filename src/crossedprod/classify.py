@@ -4,8 +4,11 @@ The enumerator fixes the unit row and column of the cocycle and the unit
 action entry (forced by normalization), then backtracks over the remaining
 action entries (drawn from the cached automorphism list of H) and cocycle
 cells, checking every axiom instance as soon as its last argument is
-assigned.  Cells are filled column-major, which pins most cells immediately
-from earlier ones and keeps the search tree close to the solution count.
+assigned.  By the first axiom an action is a homomorphism G -> Out(H), so
+action tuples are pruned in Out(H) as they are built, and each cocycle cell's
+domain, a coset of Z(H), is read from the Inn(H) table cached on H.  Cells
+are filled column-major, which pins most cells immediately from earlier ones
+and keeps the search tree close to the solution count.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .groups import (
     backtrack,
     generating_sequence,
     identify_group,
+    inner_automorphisms,
     is_homomorphism,
 )
 from .morphisms import iter_stabilizing_maps
@@ -58,18 +62,49 @@ class Equivalence2Witness:
 # enumeration engine -----------------------------------------------------------
 
 
-def _aut_composition(h: FiniteGroup) -> list[list[int]]:
-    """comp[i][j] = index of (aut_i after aut_j) in the sorted automorphism list."""
-    comp = h._cache.get("aut_comp")
-    if comp is None:
+def _aut_tables(h: FiniteGroup):
+    """`(comp, aut_inv, outer, conj_of)` over automorphism_group(h), cached on h.
+
+    comp[i][j] is the index of (aut_i after aut_j) and aut_inv[i] that of
+    aut_i's inverse.  outer[i] labels aut_i's coset of Inn(H) (its least
+    index), so outer is the projection Aut(H) -> Out(H).  conj_of[i] is the
+    ascending tuple of c in H whose conjugation x -> c x c^-1 is aut_i, empty
+    unless aut_i is inner.
+    """
+    tables = h._cache.get("aut_tables")
+    if tables is None:
         perms = [a.map for a in automorphism_group(h)]
         index = automorphism_index(h)
         comp = [
             [index[tuple(pi[pj[x]] for x in range(h.order))] for pj in perms]
             for pi in perms
         ]
-        h._cache["aut_comp"] = comp
-    return comp
+        aut_inv = [row.index(0) for row in comp]
+        inner = inner_automorphisms(h)
+        inn = [index[p] for p in inner]
+        outer = [min(comp[c][a] for c in inn) for a in range(len(perms))]
+        conj_of = [inner.get(p, ()) for p in perms]
+        tables = (comp, aut_inv, outer, conj_of)
+        h._cache["aut_tables"] = tables
+    return tables
+
+
+def _outer_actions(h: FiniteGroup, g: FiniteGroup):
+    """The action tuples of the crossed systems on (H, G), in lexicographic order.
+
+    A tuple gives one index into automorphism_group(h) per element of G, the
+    identity at 1.  The first axiom makes a(g1) a(g2) a(g1 g2)^-1 the
+    conjugation by f(g1, g2), so exactly the tuples that are homomorphisms
+    G -> Out(H) have a non-empty domain on every cocycle cell.  For abelian H,
+    Out(H) = Aut(H) and these are the homomorphisms G -> Aut(H).
+    """
+    comp, _, outer, _ = _aut_tables(h)
+    g_triples = _completion_triples(g.table)
+
+    def accept(gi: int, al) -> bool:
+        return all(outer[comp[al[x]][al[y]]] == outer[al[xy]] for (x, y, xy) in g_triples[gi])
+
+    return backtrack([(0,)] + [range(len(comp))] * (g.order - 1), accept)
 
 
 def enumerate_raw_systems(
@@ -79,7 +114,10 @@ def enumerate_raw_systems(
 
     `alpha_indices` indexes into automorphism_group(h) per element of G;
     `f_bytes` is the cocycle table row-major.  Systems are emitted grouped by
-    action assignment, actions in lexicographic index order.
+    action assignment, actions in lexicographic index order.  Only the
+    homomorphisms G -> Out(H) are tried (`_outer_actions`); the domain of
+    cell (g1, g2) is the ascending tuple of c in H conjugating like
+    a(g1) a(g2) a(g1 g2)^-1, one lookup in the cached Inn(H) table.
 
     `_pinned` names cocycle cells (g1, g2) held at the unit: their domain is
     `(0,)`, so only the systems with the unit on every pinned cell are emitted
@@ -98,7 +136,6 @@ def enumerate_raw_systems(
     if n >= 256:
         raise CapExceededError("engine packs cocycle values into bytes; |H| must be < 256")
     aut_perms = [a.map for a in automorphism_group(h)]
-    naut = len(aut_perms)
     hm = h.table
     hinv = h.inverse_table
     gm = g.table
@@ -151,40 +188,19 @@ def enumerate_raw_systems(
         derive_info.append(chosen)
         rest_info.append(rest)
 
-    full_domain = tuple(range(n))
-
-    if abelian_h:
-        comp = _aut_composition(h)
-        g_triples = _completion_triples(gm)
-
-        def accept_action(gi: int, al) -> bool:
-            return all(comp[al[x]][al[y]] == al[xy] for (x, y, xy) in g_triples[gi])
-    else:
-
-        def accept_action(gi: int, al) -> bool:
-            return True
+    # a cell's domain is the coset of Z(H) conjugating like a1 a2 a12^-1 (all
+    # of H when H is abelian); a full domain needs no membership test (None),
+    # which lets derived cells chain
+    comp, aut_inv, _, conj_of = _aut_tables(h)
+    domset_of = [None if len(d) == n else frozenset(d) for d in conj_of]
 
     CHAIN, DERIVE, FREE = 0, 1, 2
 
     def alpha_leaf() -> None:
         act = [aut_perms[a] for a in alpha]
-        if abelian_h:
-            domains = [full_domain] * K
-            domsets = [None] * K
-        else:
-            domains = []
-            domsets = []
-            for (g1, g2) in cells:
-                a1, a2, a12 = act[g1], act[g2], act[gm[g1][g2]]
-                dom = tuple(
-                    c
-                    for c in range(n)
-                    if all(a1[a2[x]] == hm[hm[c][a12[x]]][hinv[c]] for x in range(n))
-                )
-                if not dom:
-                    return
-                domains.append(dom)
-                domsets.append(set(dom))
+        inner = [comp[comp[alpha[g1]][alpha[g2]]][aut_inv[alpha[gm[g1][g2]]]] for (g1, g2) in cells]
+        domains = [conj_of[a] for a in inner]
+        domsets = [domset_of[a] for a in inner]
         for k in pinned_pos:
             if 0 not in domains[k]:
                 return
@@ -310,7 +326,7 @@ def enumerate_raw_systems(
                 fv[i] = 0
                 k -= 1
 
-    for combo in backtrack([(0,)] + [range(naut)] * (m - 1), accept_action):
+    for combo in _outer_actions(h, g):
         alpha[:] = combo
         alpha_leaf()
 
@@ -318,13 +334,20 @@ def enumerate_raw_systems(
 def system_from_raw(
     h: FiniteGroup, g: FiniteGroup, alpha_indices: tuple[int, ...], f_flat
 ) -> CrossedSystem:
-    """Materialize an engine record; validity is guaranteed by construction."""
+    """Materialize an engine record; validity is guaranteed by construction.
+
+    `f_flat` is the row-major cocycle table: the engine's bytes, whose row
+    slices already hold ints, or any sequence of integers.
+    """
     auts = automorphism_group(h)
     m = g.order
     action = WeakAction(g, h, tuple(auts[a] for a in alpha_indices))
-    rows = tuple(
-        tuple(int(v) for v in f_flat[g1 * m:(g1 + 1) * m]) for g1 in range(m)
-    )
+    if isinstance(f_flat, (bytes, bytearray)):
+        rows = tuple(tuple(f_flat[g1 * m:(g1 + 1) * m]) for g1 in range(m))
+    else:
+        rows = tuple(
+            tuple(int(v) for v in f_flat[g1 * m:(g1 + 1) * m]) for g1 in range(m)
+        )
     return CrossedSystem(h, g, action, Cocycle(g, h, rows), normalized=True)
 
 

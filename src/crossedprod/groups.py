@@ -160,16 +160,19 @@ class FiniteGroup:
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         classes = self._cache.get("classes")
         if classes is None:
-            seen = [False] * self.order
-            out = []
-            for x in self.elements():
-                if seen[x]:
-                    continue
-                orbit = sorted({self.conj(g, x) for g in self.elements()})
-                for v in orbit:
-                    seen[v] = True
-                out.append(tuple(orbit))
-            classes = tuple(out)
+            if self.is_abelian:
+                classes = tuple((x,) for x in self.elements())
+            else:
+                seen = [False] * self.order
+                out = []
+                for x in self.elements():
+                    if seen[x]:
+                        continue
+                    orbit = sorted({self.conj(g, x) for g in self.elements()})
+                    for v in orbit:
+                        seen[v] = True
+                    out.append(tuple(orbit))
+                classes = tuple(out)
             self._cache["classes"] = classes
         return classes
 
@@ -339,11 +342,36 @@ def subgroup(parent: FiniteGroup, elems) -> Subgroup:
 
 
 def center(g: FiniteGroup) -> Subgroup:
-    t = g.table
-    elems = tuple(
-        x for x in g.elements() if all(t[x][y] == t[y][x] for y in g.elements())
-    )
+    """Z(G); its elements are cached on the group."""
+    elems = g._cache.get("center")
+    if elems is None:
+        t = g.table
+        elems = tuple(
+            x for x in g.elements() if all(t[x][y] == t[y][x] for y in g.elements())
+        )
+        g._cache["center"] = elems
     return Subgroup(g, elems)
+
+
+def inner_automorphisms(g: FiniteGroup) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Map from each inner automorphism's value table to the ascending tuple of
+    the c in G whose conjugation x -> c x c^-1 it is; cached on the group.
+
+    The keys are Inn(G) and each value is a coset c Z(G).  Keyed by value
+    table rather than by position in automorphism_group, so a lookup never
+    needs Aut(G).
+    """
+    inner = g._cache.get("inner")
+    if inner is None:
+        t = g.table
+        inv = g.inverse_table
+        found: dict[tuple[int, ...], list[int]] = {}
+        for c in g.elements():
+            ci = inv[c]
+            found.setdefault(tuple(t[t[c][x]][ci] for x in g.elements()), []).append(c)
+        inner = {perm: tuple(cs) for perm, cs in found.items()}
+        g._cache["inner"] = inner
+    return inner
 
 
 def centralizer(g: FiniteGroup, elems) -> Subgroup:

@@ -21,7 +21,7 @@ from .errors import (
     CocycleNotCentralError,
     InternalInvariantError,
 )
-from .groups import FiniteGroup, Homomorphism, Subgroup, center
+from .groups import FiniteGroup, Homomorphism, Subgroup, center, inner_automorphisms
 from .systems import (
     Cocycle,
     CrossedSystem,
@@ -51,20 +51,39 @@ class CrossedProductGroup:
         return self.pair_of_index[idx]
 
 
+@lru_cache(maxsize=16)
+def _table_plan(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only intp index arrays for |H| = n, |G| = m, packed i = h + n*g.
+
+    `h_row` (size, 1) holds h1*n; `g1h2` and `g1g2` (size, size) hold the flat
+    positions g1*n + h2 in the action rows and g1*m + g2 in the cocycle and
+    G tables.  The arrays are size^2, so the cache keeps only a few sizes.
+    """
+    idx = np.arange(n * m, dtype=np.intp)
+    h, g = idx % n, idx // n
+    plan = ((h * n)[:, None], (g * n)[:, None] + h, (g * m)[:, None] + g)
+    for a in plan:
+        a.flags.writeable = False
+    return plan
+
+
 def product_table_np(hm: np.ndarray, gm: np.ndarray, act: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Product table in packed (h + |H|*g) coordinates from the H and G tables,
-    the action rows and the cocycle table; the package's one table kernel."""
+    the action rows and the cocycle table; the package's one table kernel.
+
+    Entry (h1 + |H| g1, h2 + |H| g2) is h1 (g1 |> h2) f(g1, g2) + |H| g1 g2.
+    The index grids depend only on (|H|, |G|) and come from a cached plan, so
+    a call is a few `take`s on the flattened tables.  Index arithmetic runs in
+    intp whatever the input dtype; the result has the dtype that
+    `hm[...] + |H| * gm[...]` gives.
+    """
     n = hm.shape[0]
-    m = gm.shape[0]
-    size = n * m
-    idx = np.arange(size)
-    h1 = (idx % n)[:, None]
-    g1 = (idx // n)[:, None]
-    h2 = (idx % n)[None, :]
-    g2 = (idx // n)[None, :]
-    moved = act[g1, h2]
-    t = hm[hm[h1, moved], f[g1, g2]]
-    return t + n * gm[g1, g2]
+    h_row, g1h2, g1g2 = _table_plan(n, gm.shape[0])
+    hm_flat = hm.ravel()
+    left = hm_flat.take(h_row + act.ravel().take(g1h2))      # h1 (g1 |> h2)
+    pos = np.multiply(left, n, dtype=np.intp)
+    pos += f.ravel().take(g1g2)
+    return hm_flat.take(pos) + n * gm.ravel().take(g1g2)
 
 
 def build_product(sys: CrossedSystem) -> CrossedProductGroup:
@@ -166,27 +185,26 @@ def build_twisted(h: FiniteGroup, g: FiniteGroup, cyc: Cocycle) -> CrossedProduc
 def center_pairs(sys: CrossedSystem) -> frozenset[tuple[int, int]]:
     """Centre of the product computed from system data alone.
 
-    (h, g) is central iff: conjugation by h on H equals the action of g,
-    g is central in G, and (g' |> h) f(g', g) = h f(g, g') for every g'.
-    Requires a normalized system.
+    (h, g) is central iff: g is central in G, conjugation x -> h^-1 x h on H
+    equals the action of g, and (g' |> h) f(g', g) = h f(g, g') for every g'.
+    Z(G) and the inner-automorphism table of H are cached on the groups, so
+    the candidate h for each central g are one lookup (the inverses of the c
+    with c x c^-1 = g |> x), and only the cocycle condition is checked per
+    system.  Requires a normalized system.
     """
     h_grp, g_grp = sys.h, sys.g
     hm = h_grp.table
     hinv = h_grp.inverse_table
     act = sys.action.perms
     f = sys.cocycle.table
-    zg = set(center(g_grp).elements)
+    inner = inner_automorphisms(h_grp)
     out = set()
-    for g in g_grp.elements():
-        if g not in zg:
-            continue
-        pg = act[g]
-        for h in h_grp.elements():
-            hi = hinv[h]
-            if any(pg[x] != hm[hm[hi][x]][h] for x in h_grp.elements()):
-                continue
+    for g in center(g_grp).elements:
+        fg = f[g]
+        for c in inner.get(act[g], ()):
+            h = hinv[c]
             if all(
-                hm[act[gp][h]][f[gp][g]] == hm[h][f[g][gp]]
+                hm[act[gp][h]][f[gp][g]] == hm[h][fg[gp]]
                 for gp in g_grp.elements()
             ):
                 out.add((h, g))
@@ -222,19 +240,17 @@ def is_abelian_product(sys: CrossedSystem) -> bool:
 
 
 def centralizer_pairs(sys: CrossedSystem) -> frozenset[tuple[int, int]]:
-    """Pairs (h, g) whose action part conjugates H exactly like h^-1 . h."""
-    h_grp = sys.h
-    hm = h_grp.table
-    hinv = h_grp.inverse_table
-    act = sys.action.perms
-    out = set()
-    for g in sys.g.elements():
-        pg = act[g]
-        for h in h_grp.elements():
-            hi = hinv[h]
-            if all(pg[x] == hm[hm[hi][x]][h] for x in h_grp.elements()):
-                out.add((h, g))
-    return frozenset(out)
+    """Pairs (h, g) whose action part conjugates H exactly like h^-1 . h.
+
+    The h for each g are looked up in H's cached inner-automorphism table.
+    """
+    hinv = sys.h.inverse_table
+    inner = inner_automorphisms(sys.h)
+    return frozenset(
+        (hinv[c], g)
+        for g, perm in enumerate(sys.action.perms)
+        for c in inner.get(perm, ())
+    )
 
 
 def centralizer_of_h(p: CrossedProductGroup) -> Subgroup:

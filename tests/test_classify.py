@@ -15,8 +15,10 @@ from crossedprod.groups import (
     symmetric_group,
 )
 from crossedprod.classify import (
+    _aut_tables,
     _gauge_shifts,
     _gauge_tree,
+    _outer_actions,
     are_equivalent_1,
     are_equivalent_2,
     classify,
@@ -587,6 +589,13 @@ ENGINE_DIGESTS = [
     ("quaternion:8", "cyclic:2", 32, "393982b5d6d12f6ef7e68c3462d5093d"),
     ("cyclic:2", "symmetric:3", 32, "53f9860cbeff02238e02bf5216df87f3"),
     ("cyclic:5", "cyclic:4", 200, "402765b88d3cd68081c8d493fcd1c355"),
+    # non-abelian H whose actions are pruned in Out(H); recorded on the
+    # engine that scanned every action tuple's cell domains
+    ("quaternion:8", "cyclic:4", 2048, "81b8142957fa7263df07e4b6308ba619"),
+    ("dihedral:8", "cyclic:4", 1024, "787b65c110795dc45560230160049204"),
+    ("symmetric:3", "cyclic:4", 216, "2c450887fb7c6e6f3c611406a8aa3da1"),
+    ("symmetric:3", "cyclic:3", 36, "0af2550c445f888092ffd105ff7a8d13"),
+    ("quaternion:8", "product(cyclic:2,cyclic:2)", 10240, "74df26f51e785d794ab2f6878f28a312"),
 ]
 
 
@@ -601,3 +610,52 @@ def test_engine_without_pinned_cells_emits_the_recorded_stream(hs, gs, count, di
         stream.update(fb)
     assert len(emitted) == count
     assert stream.hexdigest()[:32] == digest
+
+
+def _scanned_domain(h, a1, a2, a12):
+    # reference: every c in H with a1(a2(x)) = c a12(x) c^-1, by |H|^2 checks
+    hm, hinv = h.table, h.inverse_table
+    return tuple(
+        c for c in h.elements()
+        if all(a1[a2[x]] == hm[hm[c][a12[x]]][hinv[c]] for x in h.elements())
+    )
+
+
+@pytest.mark.parametrize("hs,gs", [
+    ("symmetric:3", "cyclic:2"), ("symmetric:3", "cyclic:3"), ("dihedral:8", "cyclic:2"),
+    ("quaternion:8", "cyclic:2"), ("dihedral:8", "cyclic:3"),
+])
+def test_outer_actions_are_the_tuples_with_non_empty_scanned_domains(hs, gs):
+    import itertools
+
+    h, g = make_group(hs), make_group(gs)
+    perms = [a.map for a in automorphism_group(h)]
+    comp, aut_inv, _, conj_of = _aut_tables(h)
+    cells = [(g1, g2) for g1 in range(1, g.order) for g2 in range(1, g.order)]
+    expected = []
+    for rest in itertools.product(range(len(perms)), repeat=g.order - 1):
+        alpha = (0,) + rest
+        domains = [
+            _scanned_domain(h, perms[alpha[g1]], perms[alpha[g2]], perms[alpha[g.mul(g1, g2)]])
+            for (g1, g2) in cells
+        ]
+        if all(domains):
+            expected.append(alpha)
+            for (g1, g2), dom in zip(cells, domains):
+                inner = comp[comp[alpha[g1]][alpha[g2]]][aut_inv[alpha[g.mul(g1, g2)]]]
+                assert conj_of[inner] == dom
+    assert list(_outer_actions(h, g)) == expected
+    emitted = {alpha for (alpha, _) in _raw_systems(h, g)}
+    assert emitted <= set(expected)
+
+
+def test_system_from_raw_accepts_bytes_and_integer_sequences():
+    import numpy as np
+
+    for (h, g) in [(Q8, C2), (C4, K4), (S3, C3)]:
+        for (alpha, fb) in _raw_systems(h, g)[:20]:
+            want = system_from_raw(h, g, alpha, list(fb))
+            for f_flat in (fb, bytearray(fb), np.frombuffer(fb, dtype=np.uint8)):
+                got = system_from_raw(h, g, alpha, f_flat)
+                assert got == want
+                assert all(type(v) is int for row in got.cocycle.table for v in row)

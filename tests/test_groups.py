@@ -24,6 +24,7 @@ from crossedprod.groups import (
     enumerate_homomorphisms,
     generating_sequence,
     identify_group,
+    inner_automorphisms,
     inverse,
     is_homomorphism,
     make_group,
@@ -435,11 +436,8 @@ def _abelian_name_by_search(g):
 
 
 def test_abelian_names_from_order_counts_match_isomorphism_search():
-    # The reference search backtracks over generator images and rejects a
-    # non-injective map only once every generator has an image, so on the three
-    # types with five or more invariant factors (C2^5, C4xC2^4, C2^6) one call
-    # takes from seconds to minutes; those are checked against the factors the
-    # group was built from only.
+    # every abelian type of order below 65, each against the factors it was
+    # built from and against the isomorphism-search reference
     rng = random.Random(11)
     searched = 0
     for order in range(2, 65):
@@ -453,10 +451,9 @@ def test_abelian_names_from_order_counts_match_isomorphism_search():
             relabelled = table_group(table)
             name = identify_group(relabelled)
             assert name == "x".join(f"C{f}" for f in factors)
-            if len(factors) <= 4:
-                assert name == _abelian_name_by_search(relabelled)
-                searched += 1
-    assert searched == 113
+            assert name == _abelian_name_by_search(relabelled)
+            searched += 1
+    assert searched == 116
 
 
 def test_presentation_groups_are_group_tables():
@@ -523,3 +520,43 @@ def test_isomorphism_pruning_on_a_relabelled_elementary_abelian_group():
     first = next(_isomorphisms(relabelled, c2_5))
     assert first == next(_unpruned_isomorphisms(relabelled, c2_5))
     assert is_homomorphism(relabelled, c2_5, first) and len(set(first)) == 32
+
+
+def _classes_by_conjugation(g):
+    # reference: the generic orbit loop, with no abelian shortcut
+    seen, out = set(), []
+    for x in g.elements():
+        if x not in seen:
+            orbit = tuple(sorted({g.conj(y, x) for y in g.elements()}))
+            seen.update(orbit)
+            out.append(orbit)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("spec", [
+    "cyclic:1", "cyclic:6", "product(cyclic:2,cyclic:4)",
+    "product(cyclic:2,product(cyclic:2,cyclic:2))",
+    "symmetric:3", "dihedral:8", "quaternion:8", "symmetric:4",
+])
+def test_conjugacy_classes_match_the_orbit_loop(spec):
+    g = make_group(spec)
+    assert g.conjugacy_classes() == _classes_by_conjugation(g)
+    relabelled = _relabelled(g, 5)
+    assert relabelled.conjugacy_classes() == _classes_by_conjugation(relabelled)
+
+
+@pytest.mark.parametrize("grp", CATALOG[:18], ids=lambda g: g.name)
+def test_inner_automorphism_table_and_cached_centre(grp):
+    inner = inner_automorphisms(grp)
+    by_conjugation = {}
+    for c in grp.elements():
+        perm = tuple(grp.conj(c, x) for x in grp.elements())
+        by_conjugation.setdefault(perm, []).append(c)
+    assert inner == {perm: tuple(cs) for perm, cs in by_conjugation.items()}
+    assert inner[tuple(grp.elements())] == center(grp).elements
+    assert len(inner) * center(grp).order == grp.order
+    assert set(inner) <= {a.map for a in automorphism_group(grp)}
+    assert inner_automorphisms(grp) is inner
+    assert center(grp).elements == tuple(
+        x for x in grp.elements() if all(grp.mul(x, y) == grp.mul(y, x) for y in grp.elements())
+    )

@@ -28,6 +28,7 @@ from crossedprod.products import (
     build_twisted,
     center_pairs,
     centralizer_of_h,
+    centralizer_pairs,
     is_abelian_product,
     product_center,
     product_table_np,
@@ -342,3 +343,89 @@ def test_sampled_associativity_equivalence():
         except AxiomViolationError:
             accepted = False
         assert associative == accepted
+
+
+def _product_table_2d(hm, gm, act, f):
+    # reference: the kernel's former formula, index grids rebuilt per call
+    n, m = hm.shape[0], gm.shape[0]
+    idx = np.arange(n * m)
+    h1, g1 = (idx % n)[:, None], (idx // n)[:, None]
+    h2, g2 = (idx % n)[None, :], (idx // n)[None, :]
+    return hm[hm[h1, act[g1, h2]], f[g1, g2]] + n * gm[g1, g2]
+
+
+def test_table_kernel_matches_the_2d_formula():
+    rng = np.random.default_rng(6)
+    groups_ = [C2, C3, C4, symmetric_group(3), make_group("product(cyclic:4,cyclic:4)"),
+               make_group("product(cyclic:2,dihedral:8)")]
+    shapes = [(C4, C2), (C2, C4), (symmetric_group(3), C3), (C3, symmetric_group(3))]
+    shapes += [(groups_[4], C4), (C4, groups_[4]), (groups_[5], C2), (C2, groups_[5])]
+    for h, g in shapes:
+        hm, gm = np.array(h.table), np.array(g.table)
+        # arbitrary action and cocycle entries: the kernel is pure indexing
+        act = rng.integers(0, h.order, (g.order, h.order))
+        f = rng.integers(0, h.order, (g.order, g.order))
+        for dtype in (np.int64, np.int32, np.uint8):
+            args = [a.astype(dtype) for a in (hm, gm, act, f)]
+            got, want = product_table_np(*args), _product_table_2d(*args)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+    assert groups_[4].order == 16 and groups_[5].order == 16
+    for plan in (products._table_plan(16, 4), products._table_plan(3, 6)):
+        for arr in plan:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1
+
+
+def test_table_kernel_index_arithmetic_does_not_wrap_on_uint8():
+    # |H| = 17, |G| = 15: every entry of the product table fits a byte, but
+    # positions in H's flattened table reach 16 * 17 + 16, which does not
+    h, g = cyclic_group(17), cyclic_group(15)
+    rng = np.random.default_rng(17)
+    args = (
+        np.array(h.table, dtype=np.uint8), np.array(g.table, dtype=np.uint8),
+        rng.integers(0, 17, (15, 17)).astype(np.uint8), rng.integers(0, 17, (15, 15)).astype(np.uint8),
+    )
+    got = product_table_np(*args)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, _product_table_2d(*(a.astype(np.int64) for a in args)))
+
+
+def _center_pairs_scan(sys):
+    # reference: the former per-system scan of Z(G) and every conjugation of H
+    h_grp, g_grp = sys.h, sys.g
+    hm, hinv = h_grp.table, h_grp.inverse_table
+    act, f = sys.action.perms, sys.cocycle.table
+    zg = {x for x in g_grp.elements() if all(g_grp.mul(x, y) == g_grp.mul(y, x) for y in g_grp.elements())}
+    out = set()
+    for g in zg:
+        for h in h_grp.elements():
+            if any(act[g][x] != hm[hm[hinv[h]][x]][h] for x in h_grp.elements()):
+                continue
+            if all(hm[act[gp][h]][f[gp][g]] == hm[h][f[g][gp]] for gp in g_grp.elements()):
+                out.add((h, g))
+    return frozenset(out)
+
+
+def _centralizer_pairs_scan(sys):
+    h_grp = sys.h
+    hm, hinv = h_grp.table, h_grp.inverse_table
+    return frozenset(
+        (h, g)
+        for g in sys.g.elements()
+        for h in h_grp.elements()
+        if all(sys.act(g, x) == hm[hm[hinv[h]][x]][h] for x in h_grp.elements())
+    )
+
+
+@pytest.mark.parametrize("hs,gs", [
+    ("symmetric:3", "cyclic:2"), ("quaternion:8", "cyclic:2"), ("dihedral:8", "cyclic:2"),
+    ("cyclic:4", "product(cyclic:2,cyclic:2)"),
+])
+def test_centre_lookups_match_the_scans(hs, gs):
+    systems = enumerate_crossed_systems(make_group(hs), make_group(gs))
+    assert systems
+    for sys in systems:
+        assert center_pairs(sys) == _center_pairs_scan(sys)
+        assert centralizer_pairs(sys) == _centralizer_pairs_scan(sys)
