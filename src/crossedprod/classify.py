@@ -9,6 +9,13 @@ action tuples are pruned in Out(H) as they are built, and each cocycle cell's
 domain, a coset of Z(H), is read from the Inn(H) table cached on H.  Cells
 are filled column-major, which pins most cells immediately from earlier ones
 and keeps the search tree close to the solution count.
+
+Both equivalences rest on one law.  eq1 shifts a system by a map t: G -> H
+(`shift_system`, `coboundary_orbit_keys`); eq2 relabels its ends by (eta,
+gamma) in Aut(H) x Aut(G) (`relabel_system`) and then shifts.  So eq1 classes
+are shift orbits, eq2 classes are unions of eq1 classes, iso classes are
+unions of eq2 classes, and `are_equivalent_2` is `are_equivalent_1` on the
+relabellings.
 """
 
 from __future__ import annotations
@@ -99,7 +106,7 @@ def _outer_actions(h: FiniteGroup, g: FiniteGroup):
     Out(H) = Aut(H) and these are the homomorphisms G -> Aut(H).
     """
     comp, _, outer, _ = _aut_tables(h)
-    g_triples = _completion_triples(g.table)
+    g_triples = _completion_triples(g)
 
     def accept(gi: int, al) -> bool:
         return all(outer[comp[al[x]][al[y]]] == outer[al[xy]] for (x, y, xy) in g_triples[gi])
@@ -361,7 +368,7 @@ def enumerate_crossed_systems(
     return [system_from_raw(h, g, a, fb) for (a, fb) in raws]
 
 
-# the end-stabilizing shift ----------------------------------------------------
+# shifts and relabellings -----------------------------------------------------
 
 
 def shift_system(sys: CrossedSystem, r) -> CrossedSystem:
@@ -401,40 +408,52 @@ def shift_system(sys: CrossedSystem, r) -> CrossedSystem:
     )
 
 
+def relabel_system(sys: CrossedSystem, eta: Automorphism, gamma: Automorphism) -> CrossedSystem:
+    """The system that the witness (eta, gamma, 1) relates to `sys`.
+
+    It has act_B(g) = eta act(gamma^-1 g) eta^-1 and f_B(g1, g2) =
+    eta(f(gamma^-1 g1, gamma^-1 g2)).  Relabelling both ends by automorphisms
+    keeps both axioms and f(1, 1) = 1, so the output is valid, and normalized
+    when `sys` is.  By `compose_equivalence2` a witness (eta, gamma, t) is this
+    relabelling followed by the end-stabilizing shift by eta t
+    (`coboundary_orbit_keys`), so every eq2 question reduces to eq1.
+    """
+    h, g = sys.h, sys.g
+    em = eta.map
+    einv = eta.inverse_automorphism().map
+    ginv = gamma.inverse_automorphism().map
+    act = sys.action.perms
+    f = sys.cocycle.table
+    perms = tuple(Automorphism(h, h, tuple(em[act[q][x]] for x in einv)) for q in ginv)
+    rows = tuple(tuple(em[f[q1][q2]] for q2 in ginv) for q1 in ginv)
+    return CrossedSystem(h, g, WeakAction(g, h, perms), Cocycle(g, h, rows), sys.normalized)
+
+
 def coboundary_orbit_keys(
-    h: FiniteGroup,
-    g: FiniteGroup,
-    act_rows,
-    f_flat: bytes,
-    eta: Automorphism | None = None,
-    gamma: Automorphism | None = None,
-    t_rows=None,
+    h: FiniteGroup, g: FiniteGroup, act_rows, f_flat: bytes, t_rows=None
 ) -> tuple["np.ndarray", "np.ndarray"]:
-    """Keys of every system that a witness (eta, gamma, t) relates to one system.
+    """Keys of every system that an end-stabilizing shift relates to one system.
 
     By default row k stands for the map t: G -> H with t(1) = 1 whose value at
     element gi > 0 is digit gi - 1 of k in base |H|; `t_rows`, an integer
     array of shape (rows, |G|) with t(1) = 1 in column 0, gives the maps t to
     use instead, one per row.  Row k holds the system B with
 
-        act_B(g)(x)  = eta(t(g) act(q)(eta^-1(x)) t(g)^-1),            q = gamma^-1(g)
-        f_B(g1, g2) = eta(t(g1) act(q1)(t(g2)) f(q1, q2) t(g1 g2)^-1),  qi = gamma^-1(gi)
+        act_B(g)(x)  = t(g) act(g)(x) t(g)^-1
+        f_B(g1, g2) = t(g1) act(g1)(t(g2)) f(g1, g2) t(g1 g2)^-1
 
-    which are the laws `_witness_laws_hold` checks.  eta and gamma default to
-    the identity, which gives the end-stabilizing (eq1) orbit.  Returns
-    `(actions, cocycles)`: uint8 arrays of shape (rows, |G||H|) and
-    (rows, |G|^2), rows = |H|^(|G|-1) by default, whose rows are B's action
-    rows and row-major cocycle table, duplicates included.  For abelian H the
-    action does not depend on t, so `actions` is then a read-only broadcast of
-    one row.
+    which is the eq1 witness r = t^-1 (`verify_equivalence1_witness`), so the
+    rows list the whole eq1 orbit.  Returns `(actions, cocycles)`: uint8
+    arrays of shape (rows, |G||H|) and (rows, |G|^2), rows = |H|^(|G|-1) by
+    default, whose rows are B's action rows and row-major cocycle table,
+    duplicates included.  For abelian H the action does not depend on t, so
+    `actions` is then a read-only broadcast of one row.
     """
     n, m = h.order, g.order
     hm = np.array(h.table, dtype=np.uint8)
     hinv = np.array(h.inverse_table, dtype=np.uint8)
     act = np.array(act_rows, dtype=np.uint8).reshape(m, n)
     gm = g.table
-    einv = np.arange(n) if eta is None else np.array(eta.inverse_automorphism().map)
-    ginv = list(range(m) if gamma is None else gamma.inverse_automorphism().map)
     if t_rows is None:
         count = n ** (m - 1)
         codes = np.arange(count, dtype=np.int64)
@@ -445,27 +464,18 @@ def coboundary_orbit_keys(
         t = np.asarray(t_rows, dtype=np.int64)
         count = len(t)
     t_inv = hinv[t]
-    em = None if eta is None else np.array(eta.map, dtype=np.uint8)
-
-    def relabel(a):
-        return a if em is None else em[a]
-
-    moved = act[ginv][:, einv]
     if h.is_abelian:
-        actions = np.broadcast_to(relabel(moved).reshape(1, m * n), (count, m * n))
+        actions = np.broadcast_to(act.reshape(1, m * n), (count, m * n))
     else:
-        conj = hm[hm[t[:, :, None], moved[None, :, :]], t_inv[:, :, None]]
-        actions = relabel(conj).reshape(count, m * n)
+        actions = hm[hm[t[:, :, None], act[None, :, :]], t_inv[:, :, None]].reshape(count, m * n)
     f_arr = np.frombuffer(f_flat, dtype=np.uint8)
     cocycles = np.empty((count, m * m), dtype=np.uint8)
     for g1 in range(m):
         t1 = t[:, g1]
-        q1 = ginv[g1]
         for g2 in range(m):
-            q2 = ginv[g2]
-            shifted = hm[hm[t1, act[q1][t[:, g2]]], f_arr[q1 * m + q2]]
+            shifted = hm[hm[t1, act[g1][t[:, g2]]], f_arr[g1 * m + g2]]
             cocycles[:, g1 * m + g2] = hm[shifted, t_inv[:, gm[g1][g2]]]
-    return actions, relabel(cocycles)
+    return actions, cocycles
 
 
 def _gauge_tree(g: FiniteGroup) -> tuple[list[int], list[tuple[int, int, int]]]:
@@ -591,45 +601,6 @@ def invert_equivalence1(w: Equivalence1Witness, h: FiniteGroup) -> Equivalence1W
     return Equivalence1Witness(tuple(h.inv(v) for v in w.r))
 
 
-def _t_witness_map(sysA, sysB, eta: Automorphism, gamma: Automorphism):
-    """Search for the correcting map t given end automorphisms (eta, gamma)."""
-    h, g = sysA.h, sysA.g
-    n, m = h.order, g.order
-    hm = h.table
-    hinv = h.inverse_table
-    gm = g.table
-    actA, actB = sysA.action.perms, sysB.action.perms
-    fA, fB = sysA.cocycle.table, sysB.cocycle.table
-    em, gmap = eta.map, gamma.map
-    einv = eta.inverse_automorphism().map
-    ginv = gamma.inverse_automorphism().map
-    candidates: list[list[int]] = [[0]]
-    for gi in range(1, m):
-        gq = ginv[gi]
-        cands = [
-            c
-            for c in range(n)
-            if all(
-                einv[actB[gi][em[x]]] == hm[hm[c][actA[gq][x]]][hinv[c]]
-                for x in range(n)
-            )
-        ]
-        if not cands:
-            return None
-        candidates.append(cands)
-    triples = _completion_triples(gm)
-
-    def accept(k: int, t) -> bool:
-        for (g1, g2, g12) in triples[k]:
-            q1, q2 = ginv[g1], ginv[g2]
-            inner = hm[hm[hm[t[g1]][actA[q1][t[g2]]]][fA[q1][q2]]][hinv[t[g12]]]
-            if fB[g1][g2] != em[inner]:
-                return False
-        return True
-
-    return next(backtrack(candidates, accept), None)
-
-
 def equivalence2_map(sysA, sysB, w: Equivalence2Witness) -> tuple[int, ...]:
     """Element map of psi(h, g) = (eta(h t(gamma(g))^-1), gamma(g)) on the products."""
     prodA, prodB = cached_product(sysA), cached_product(sysB)
@@ -679,16 +650,18 @@ def _witness_laws_hold(sysA, sysB, w: Equivalence2Witness) -> bool:
 
 
 def are_equivalent_2(sysA: CrossedSystem, sysB: CrossedSystem) -> Equivalence2Witness | None:
-    """Search Aut(H) x Aut(G), then backtrack over the correcting map t."""
-    if sysA.h.table != sysB.h.table or sysA.g.table != sysB.g.table:
-        raise ValueError("both systems must live on the same (H, G)")
-    if not (sysA.normalized and sysB.normalized):
-        raise ValueError("both systems must be normalized")
-    for eta in automorphism_group(sysA.h):
+    """First (eta, gamma) in Aut(H) x Aut(G) order whose relabelling of A is eq1 to B.
+
+    An eq1 witness r from relabel_system(A, eta, gamma) to B is the shift by
+    r^-1 (`coboundary_orbit_keys`), so (eta, gamma, eta^-1 r^-1) relates A to B.
+    """
+    h = sysA.h
+    for eta in automorphism_group(h):
         for gamma in automorphism_group(sysA.g):
-            t = _t_witness_map(sysA, sysB, eta, gamma)
-            if t is not None:
-                return Equivalence2Witness(eta, gamma, t)
+            w = are_equivalent_1(relabel_system(sysA, eta, gamma), sysB)
+            if w is not None:
+                einv = eta.inverse_automorphism().map
+                return Equivalence2Witness(eta, gamma, tuple(einv[h.inv(v)] for v in w.r))
     return None
 
 
@@ -745,74 +718,72 @@ def _system_key(sys: CrossedSystem) -> bytes:
     return bytes(v for row in rows for v in row)
 
 
-def _orbit_classes(systems: list[CrossedSystem], index: dict[bytes, int], pairs) -> list[tuple[int, ...]]:
-    """Partition sorted `systems` into orbits of the witnesses (eta, gamma, t).
+def _orbit_classes(count: int, orbit) -> list[tuple[int, ...]]:
+    """Partition range(count) into the orbits that `orbit(i)` lists.
 
-    `pairs` lists the (eta, gamma) to use, t ranging over every map with
-    t(1) = 1; `index` maps each system's key to its position.  Each unmarked
-    system in turn opens a class and marks its whole orbit, so classes come in
-    order of their least member, which is their representative.
+    Each index not yet in a class opens one and marks every index of its orbit,
+    so classes come in order of their least member, which is their
+    representative.  An orbit that meets an earlier class raises
+    InternalInvariantError.
     """
-    h, g = systems[0].h, systems[0].g
-    class_of = [-1] * len(systems)
-    classes: list[list[int]] = []
-    for i, sys in enumerate(systems):
+    class_of = [-1] * count
+    classes: list[tuple[int, ...]] = []
+    for i in range(count):
         if class_of[i] >= 0:
             continue
         ci = len(classes)
-        members: list[int] = []
-        f_flat = bytes(v for row in sys.cocycle.table for v in row)
-        for eta, gamma in pairs:
-            actions, cocycles = coboundary_orbit_keys(h, g, sys.action.perms, f_flat, eta, gamma)
-            keys = np.concatenate([actions, cocycles], axis=1)
-            for key in {row.tobytes() for row in keys}:
-                j = index.get(key)
-                if j is None or class_of[j] not in (-1, ci):
-                    raise InternalInvariantError("a witness orbit left the systems or met another class")
-                if class_of[j] < 0:
-                    class_of[j] = ci
-                    members.append(j)
-        classes.append(members)
-    return [tuple(sorted(ms)) for ms in classes]
+        members = set(orbit(i))
+        if any(class_of[j] >= 0 for j in members):
+            raise InternalInvariantError("an orbit met another class")
+        for j in members:
+            class_of[j] = ci
+        classes.append(tuple(sorted(members)))
+    return classes
 
 
-def classify(
-    h: FiniteGroup,
-    g: FiniteGroup,
-    relation: str,
-    *,
-    workers: int = 1,
-    max_pair_order: int = DEFAULT_PAIR_CAP,
-) -> ClassificationReport:
-    """Partition Crossed(H, G) under eq1, eq2, or product isomorphism.
+def _reports(h: FiniteGroup, g: FiniteGroup, relations, cap: int) -> dict[str, ClassificationReport]:
+    """The reports for `relations` on (H, G), from one enumeration.
 
-    eq1 and eq2 classes are orbits: of the maps t: G -> H with t(1) = 1 for
-    eq1, and of those together with Aut(H) x Aut(G) for eq2.  Walking the
-    sorted systems, each system not yet in a class opens one and marks its
-    whole orbit (`coboundary_orbit_keys`), so classes come in order of their
-    least member, which is their lexicographically minimal representative.
-    iso merges eq2 classes in order, testing `are_isomorphic` on the products
-    of class representatives only: an eq2 witness induces a product
-    isomorphism (`equivalence2_map`).  Product types are named once per eq2
-    class, which holds one product type, and reused for the eq1 classes
-    inside it.  `workers` is accepted for compatibility and ignored.
+    The chain eq1 -> eq2 -> iso is built in order.  eq1 classes are the
+    orbits of the shifts (`coboundary_orbit_keys`).  Relabellings map eq1
+    classes onto eq1 classes, and an eq2 witness is a relabelling followed by
+    a shift (`relabel_system`), so the eq2 classes are the unions of eq1
+    classes joined by the |Aut(H)|·|Aut(G)| relabellings of each class's
+    representative.  iso merges eq2 classes in order, testing
+    `are_isomorphic` on the products of class representatives only: an eq2
+    witness induces a product isomorphism (`equivalence2_map`).  Product
+    types are named once per eq2 class, which holds one product type.
     """
-    if relation not in RELATIONS:
-        raise ValueError(f"relation must be one of {RELATIONS}")
-    systems = enumerate_crossed_systems(h, g, max_pair_order=max_pair_order)
+    systems = enumerate_crossed_systems(h, g, max_pair_order=cap)
     index = {_system_key(s): i for i, s in enumerate(systems)}
-    eq2 = _orbit_classes(
-        systems, index, [(eta, gamma) for eta in automorphism_group(h) for gamma in automorphism_group(g)]
-    )
+
+    def lookup(key: bytes) -> int:
+        i = index.get(key)
+        if i is None:
+            raise InternalInvariantError("an orbit left the systems")
+        return i
+
+    def shifts(i: int):
+        sys = systems[i]
+        f_flat = bytes(v for row in sys.cocycle.table for v in row)
+        actions, cocycles = coboundary_orbit_keys(h, g, sys.action.perms, f_flat)
+        return {lookup(row.tobytes()) for row in np.concatenate([actions, cocycles], axis=1)}
+
+    eq1 = _orbit_classes(len(systems), shifts)
+    eq1_of = {i: c for c, ms in enumerate(eq1) for i in ms}
+    pairs = [(eta, gamma) for eta in automorphism_group(h) for gamma in automorphism_group(g)]
+
+    def relabellings(c: int):
+        sys = systems[eq1[c][0]]
+        return {eq1_of[lookup(_system_key(relabel_system(sys, eta, gamma)))] for (eta, gamma) in pairs}
+
+    joined = _orbit_classes(len(eq1), relabellings)
+    eq2 = [tuple(sorted(i for c in cs for i in eq1[c])) for cs in joined]
     products = [build_product(systems[ms[0]]).group for ms in eq2]
     names = [identify_group(p) for p in products]
-    if relation == "eq1":
-        eq2_of = {i: k for k, ms in enumerate(eq2) for i in ms}
-        classes = _orbit_classes(systems, index, [(None, None)])
-        types = [names[eq2_of[ms[0]]] for ms in classes]
-    elif relation == "eq2":
-        classes, types = eq2, names
-    else:
+    eq2_of = {c: k for k, cs in enumerate(joined) for c in cs}
+    chain = {"eq1": (eq1, [names[eq2_of[c]] for c in range(len(eq1))]), "eq2": (eq2, names)}
+    if "iso" in relations:
         merged: list[list[int]] = []
         for k, prod in enumerate(products):
             hit = next(
@@ -827,15 +798,42 @@ def classify(
                 merged.append([k])
             else:
                 hit.append(k)
-        classes = [tuple(sorted(i for k in ks for i in eq2[k])) for ks in merged]
-        types = [names[ks[0]] for ks in merged]
-    return ClassificationReport(
-        relation=relation,
-        systems=systems,
-        classes=classes,
-        representatives=[ms[0] for ms in classes],
-        product_iso_types=types,
-    )
+        chain["iso"] = (
+            [tuple(sorted(i for k in ks for i in eq2[k])) for ks in merged],
+            [names[ks[0]] for ks in merged],
+        )
+    return {
+        rel: ClassificationReport(
+            relation=rel,
+            systems=systems,
+            classes=chain[rel][0],
+            representatives=[ms[0] for ms in chain[rel][0]],
+            product_iso_types=chain[rel][1],
+        )
+        for rel in relations
+    }
+
+
+def classify(
+    h: FiniteGroup,
+    g: FiniteGroup,
+    relation: str,
+    *,
+    workers: int = 1,
+    max_pair_order: int = DEFAULT_PAIR_CAP,
+) -> ClassificationReport:
+    """Partition Crossed(H, G) under eq1, eq2, or product isomorphism.
+
+    Classes come in order of their least member, which is their
+    lexicographically minimal representative.  eq1 classes are the orbits of
+    the maps t: G -> H with t(1) = 1, eq2 classes unions of eq1 classes and
+    iso classes unions of eq2 classes (`_reports`), so each relation refines
+    the next by construction.  `workers` is accepted for compatibility and
+    ignored.
+    """
+    if relation not in RELATIONS:
+        raise ValueError(f"relation must be one of {RELATIONS}")
+    return _reports(h, g, (relation,), max_pair_order)[relation]
 
 
 def _refines(fine: ClassificationReport, coarse: ClassificationReport) -> bool:
@@ -850,11 +848,9 @@ def _refines(fine: ClassificationReport, coarse: ClassificationReport) -> bool:
 def functor_check(
     h: FiniteGroup, g: FiniteGroup, *, max_pair_order: int = DEFAULT_PAIR_CAP
 ) -> dict:
-    """Verify the refinement chain eq1 -> eq2 -> iso on one pair."""
-    rep1 = classify(h, g, "eq1", max_pair_order=max_pair_order)
-    rep2 = classify(h, g, "eq2", max_pair_order=max_pair_order)
-    rep3 = classify(h, g, "iso", max_pair_order=max_pair_order)
-    out = {
+    """Verify the refinement chain eq1 -> eq2 -> iso on one pair, from one enumeration."""
+    rep1, rep2, rep3 = _reports(h, g, RELATIONS, max_pair_order).values()
+    return {
         "system_count": len(rep1.systems),
         "eq1_classes": rep1.class_count(),
         "eq2_classes": rep2.class_count(),
@@ -862,4 +858,3 @@ def functor_check(
         "eq1_refines_eq2": _refines(rep1, rep2),
         "eq2_refines_iso": _refines(rep2, rep3),
     }
-    return out

@@ -490,14 +490,17 @@ def backtrack(domains, accept):
             iters[k] = iter(domains[k])
 
 
-def _completion_triples(table) -> list[list[tuple[int, int, int]]]:
-    """For each index k: the pairs (a, b, ab) whose largest index is k."""
-    n = len(table)
-    out: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            ab = table[a][b]
-            out[max(a, b, ab)].append((a, b, ab))
+def _completion_triples(g: FiniteGroup) -> list[list[tuple[int, int, int]]]:
+    """For each index k: the pairs (a, b, ab) of G whose largest index is k, cached on g."""
+    out = g._cache.get("triples")
+    if out is None:
+        table = g.table
+        out = [[] for _ in range(g.order)]
+        for a in range(g.order):
+            for b in range(g.order):
+                ab = table[a][b]
+                out[max(a, b, ab)].append((a, b, ab))
+        g._cache["triples"] = out
     return out
 
 

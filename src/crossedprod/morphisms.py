@@ -236,8 +236,8 @@ def enumerate_morphisms(sysA: CrossedSystem, sysB: CrossedSystem) -> list[Morphi
     hm, gm = h_grp.table, g_grp.table
     actA, actB = sysA.action.perms, sysB.action.perms
     fA, fB = sysA.cocycle.table, sysB.cocycle.table
-    g_triples = _completion_triples(gm)
-    h_triples = _completion_triples(hm)
+    g_triples = _completion_triples(g_grp)
+    h_triples = _completion_triples(h_grp)
     # positions: v, then u, then r; each starts with its fixed unit value
     domains = [(0,)] + [range(m)] * (m - 1) + [(0,)] + [range(n)] * (n - 1)
     domains += [(0,)] + [range(n)] * (m - 1)
@@ -334,7 +334,7 @@ def iter_stabilizing_maps(sysA: CrossedSystem, sysB: CrossedSystem):
         if not cands:
             return
         candidates.append(cands)
-    g_triples = _completion_triples(gm)
+    g_triples = _completion_triples(g_grp)
 
     def accept(g: int, r) -> bool:
         for (g1, g2, g12) in g_triples[g]:
@@ -374,7 +374,7 @@ def _inclusion_lift(sys: CrossedSystem, x: FiniteGroup, um) -> tuple[int, ...] |
         if not cands:
             return None
         candidates.append(cands)
-    g_triples = _completion_triples(sys.g.table)
+    g_triples = _completion_triples(sys.g)
 
     def accept(g: int, v) -> bool:
         for (g1, g2, g12) in g_triples[g]:
@@ -428,7 +428,7 @@ def lift_through_projection(
     act = sys.action.perms
     f = sys.cocycle.table
     vm = v.map
-    x_triples = _completion_triples(x.table)
+    x_triples = _completion_triples(x)
 
     def accept(k: int, u) -> bool:
         for (a, b, ab) in x_triples[k]:
@@ -466,8 +466,8 @@ def specialize_semidirect_vs_twisted(
     act = action.perms
     f = cyc.table
     n, m = h.order, g.order
-    h_triples = _completion_triples(hm)
-    g_triples = _completion_triples(gm)
+    h_triples = _completion_triples(h)
+    g_triples = _completion_triples(g)
     reduced: set[tuple] = set()
     for s_hom in enumerate_homomorphisms(h, g):
         s = s_hom.map
@@ -526,7 +526,7 @@ def specialize_crossed_vs_direct(sys: CrossedSystem) -> list[MorphismQuadruple]:
     act = sys.action.perms
     f = sys.cocycle.table
     n, m = h.order, g.order
-    g_triples = _completion_triples(gm)
+    g_triples = _completion_triples(g)
     reduced: set[tuple] = set()
     for s_hom in enumerate_homomorphisms(h, g):
         s = s_hom.map
@@ -578,7 +578,7 @@ def find_retraction_pair(
     xm = x.table
     act = sys.action.perms
     f = sys.cocycle.table
-    x_triples = _completion_triples(xm)
+    x_triples = _completion_triples(x)
     for r_hom in enumerate_homomorphisms(x, sys.g):
         r = r_hom.map
         if any(r[v[g]] != g for g in sys.g.elements()):
@@ -635,7 +635,7 @@ def find_section_pair(
     gm = sys.g.table
     act = sys.action.perms
     f = sys.cocycle.table
-    g_triples = _completion_triples(gm)
+    g_triples = _completion_triples(sys.g)
     # fibers of v, for the pointwise recovery condition
     fiber: list[list[int]] = [[] for _ in sys.g.elements()]
     for a in x.elements():

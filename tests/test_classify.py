@@ -1,8 +1,10 @@
+import importlib
 import random
 
+import numpy as np
 import pytest
 
-from crossedprod.errors import CapExceededError
+from crossedprod.errors import CapExceededError, InternalInvariantError
 from crossedprod.groups import (
     are_isomorphic,
     automorphism_group,
@@ -15,10 +17,12 @@ from crossedprod.groups import (
     symmetric_group,
 )
 from crossedprod.classify import (
+    DEFAULT_PAIR_CAP,
     _aut_tables,
     _gauge_shifts,
     _gauge_tree,
     _outer_actions,
+    _reports,
     are_equivalent_1,
     are_equivalent_2,
     classify,
@@ -31,6 +35,7 @@ from crossedprod.classify import (
     invert_equivalence1,
     invert_equivalence2,
     iter_orbit_representatives,
+    relabel_system,
     shift_system,
     system_from_raw,
     verify_equivalence1_witness,
@@ -311,6 +316,65 @@ def test_shift_system_rejects_non_normalized():
         shift_system(sys, (0,))
 
 
+def test_functor_check_equals_three_classify_calls():
+    for (h, g) in [(C3, C3), (K4, C2), (S3, C2), (C2, C4)]:
+        reports = [classify(h, g, relation) for relation in ("eq1", "eq2", "iso")]
+        out = functor_check(h, g)
+        assert out["system_count"] == len(reports[0].systems)
+        assert [out[f"{r}_classes"] for r in ("eq1", "eq2", "iso")] == [r.class_count() for r in reports]
+        assert out["eq1_refines_eq2"] and out["eq2_refines_iso"]
+        chain = _reports(h, g, ("eq1", "eq2", "iso"), DEFAULT_PAIR_CAP).values()
+        for rep, from_chain in zip(reports, chain):
+            assert rep == from_chain
+
+
+def _stray_system(h, g):
+    """A valid system on (H, G) that the enumeration does not contain."""
+    return validate_crossed_system(h, g, trivial_action(g, h), cocycle(g, h, [[1] * g.order] * g.order))
+
+
+def _key_rows(sys):
+    """The one-row `(actions, cocycles)` kernel output naming `sys`."""
+    return (
+        np.frombuffer(_flat(sys.action.perms), dtype=np.uint8)[None, :],
+        np.frombuffer(_flat(sys.cocycle.table), dtype=np.uint8)[None, :],
+    )
+
+
+def test_internal_invariant_orbit_leaving_the_systems_raises(monkeypatch):
+    classify_mod = importlib.import_module("crossedprod.classify")
+
+    stray = _stray_system(C2, C2)
+    monkeypatch.setattr(classify_mod, "relabel_system", lambda sys, eta, gamma: stray)
+    with pytest.raises(InternalInvariantError, match="left the systems"):
+        classify(C2, C2, "eq2")
+
+    monkeypatch.setattr(classify_mod, "coboundary_orbit_keys", lambda *args: _key_rows(stray))
+    with pytest.raises(InternalInvariantError, match="left the systems"):
+        classify(C2, C2, "eq1")
+
+
+def test_internal_invariant_orbit_meeting_another_class_raises(monkeypatch):
+    classify_mod = importlib.import_module("crossedprod.classify")
+
+    first = enumerate_crossed_systems(C2, C2)[0]
+    monkeypatch.setattr(classify_mod, "relabel_system", lambda sys, eta, gamma: first)
+    with pytest.raises(InternalInvariantError, match="met another class"):
+        classify(C2, C2, "eq2")
+
+    orbit_keys = classify_mod.coboundary_orbit_keys
+
+    def kernel(h, g, act_rows, f_flat, t_rows=None):
+        # every orbit also names the first system
+        actions, cocycles = orbit_keys(h, g, act_rows, f_flat, t_rows)
+        first_action, first_cocycle = _key_rows(first)
+        return np.concatenate([actions, first_action]), np.concatenate([cocycles, first_cocycle])
+
+    monkeypatch.setattr(classify_mod, "coboundary_orbit_keys", kernel)
+    with pytest.raises(InternalInvariantError, match="met another class"):
+        classify(C2, C2, "eq1")
+
+
 def test_functor_check_trivial_quotient():
     out = functor_check(C4, cyclic_group(1))
     assert (out["eq1_classes"], out["eq2_classes"], out["iso_classes"]) == (1, 1, 1)
@@ -332,21 +396,24 @@ def test_equivalence1_search_is_complete():
 
 
 def test_equivalence2_search_is_complete():
+    # brute force over every (eta, gamma, t); S3 and D8 give non-abelian H,
+    # where the relabelled action must be matched by conjugation
     import itertools
 
-    systems = enumerate_crossed_systems(C4, C2)
     from crossedprod.classify import Equivalence2Witness
 
-    for a in systems:
-        for b in systems:
-            brute = False
-            for eta in automorphism_group(C4):
-                for gamma in automorphism_group(C2):
-                    for t1 in range(4):
-                        w = Equivalence2Witness(eta, gamma, (0, t1))
-                        if verify_equivalence2_witness(a, b, w):
-                            brute = True
-            assert brute == (are_equivalent_2(a, b) is not None)
+    for (h, g) in [(C4, C2), (S3, C2), (D8, C2)]:
+        systems = enumerate_crossed_systems(h, g)
+        witnesses = [
+            Equivalence2Witness(eta, gamma, (0,) + combo)
+            for eta in automorphism_group(h)
+            for gamma in automorphism_group(g)
+            for combo in itertools.product(range(h.order), repeat=g.order - 1)
+        ]
+        for a in systems:
+            for b in systems:
+                brute = any(verify_equivalence2_witness(a, b, w) for w in witnesses)
+                assert brute == (are_equivalent_2(a, b) is not None)
 
 
 def test_orbit_representatives_cover_everything():
@@ -393,6 +460,9 @@ def test_orbit_keys_match_shift_system():
 
 
 def test_orbit_keys_satisfy_equivalence2_witnesses():
+    # every eq2 witness is a relabelling then a shift: row k of the shift
+    # orbit of relabel_system(sys, eta, gamma) is related to sys by
+    # (eta, gamma, eta^-1 t_k)
     from crossedprod.classify import Equivalence2Witness
 
     checked = 0
@@ -401,19 +471,24 @@ def test_orbit_keys_satisfy_equivalence2_witnesses():
     for (h, g) in [(C4, C2), (S3, C2), (C3, C4), (C2, K4)]:
         systems = enumerate_crossed_systems(h, g)
         by_key = {_flat(s.action.perms) + _flat(s.cocycle.table): s for s in systems}
+        n = h.order
         for sys in systems:
             for eta in automorphism_group(h):
+                einv = eta.inverse_automorphism().map
                 for gamma in automorphism_group(g):
                     if eta.map == tuple(h.elements()) and gamma.map == tuple(g.elements()):
                         continue
-                    actions, cocycles = coboundary_orbit_keys(
-                        h, g, sys.action.perms, _flat(sys.cocycle.table), eta, gamma
+                    moved = relabel_system(sys, eta, gamma)
+                    assert verify_equivalence2_witness(
+                        sys, moved, Equivalence2Witness(eta, gamma, (0,) * g.order)
                     )
-                    n = h.order
+                    actions, cocycles = coboundary_orbit_keys(
+                        h, g, moved.action.perms, _flat(moved.cocycle.table)
+                    )
                     for k, (a, f) in enumerate(zip(actions, cocycles)):
                         target = by_key[a.tobytes() + f.tobytes()]
                         t = tuple((k // n ** (gi - 1)) % n if gi else 0 for gi in g.elements())
-                        w = Equivalence2Witness(eta, gamma, t)
+                        w = Equivalence2Witness(eta, gamma, tuple(einv[v] for v in t))
                         assert verify_equivalence2_witness(sys, target, w)
                         checked += 1
     assert checked == 3760

@@ -62,6 +62,43 @@ def test_classify_counts(capsys):
         assert names == ["C2xC2", "C4"]
 
 
+# (H, G, relation, sha256 prefix of `classify` stdout) for the benchmark's
+# classify jobs, recorded from the classifier that marked eq2 orbits with
+# its own witness kernel
+CLASSIFY_DIGESTS = [
+    ("product(cyclic:2,cyclic:2)", "product(cyclic:2,cyclic:2)", "eq1", "c15d009f94d86d69d6756f60d310e809"),
+    ("product(cyclic:2,cyclic:2)", "product(cyclic:2,cyclic:2)", "eq2", "00578aab863fb8c8e5e1f83b10c430e0"),
+    ("product(cyclic:2,cyclic:2)", "product(cyclic:2,cyclic:2)", "iso", "39f1d6a13916500331970a68a8910a07"),
+    ("cyclic:2", "dihedral:8", "eq1", "41dbf68476bba01c68d700f088fad089"),
+    ("cyclic:2", "dihedral:8", "eq2", "942ec68dcbfc3d0174ac3800ba8ffe90"),
+    ("cyclic:2", "dihedral:8", "iso", "0574701bd11ff465f33229135b3e4e8e"),
+    ("cyclic:2", "quaternion:8", "eq1", "2f88eb68d1b4eb17c67c097227769f94"),
+    ("cyclic:2", "quaternion:8", "eq2", "2871f7e539024c1e0bc5f0d691f4b42a"),
+    ("cyclic:2", "quaternion:8", "iso", "c8bb63586724de4a5d47421e7d35b0cd"),
+    ("cyclic:3", "symmetric:3", "eq1", "0b22a157b282922ce788296670bbf6f6"),
+    ("cyclic:3", "symmetric:3", "eq2", "61830f4e097509f1250336c903068d2b"),
+    ("cyclic:3", "symmetric:3", "iso", "2e70b9e1bc8645e99a41576b31cbdcae"),
+    ("cyclic:4", "cyclic:4", "eq1", "bd83c6443aac28d31042a05d196028ee"),
+    ("cyclic:4", "cyclic:4", "eq2", "d740a651421b0ecd1aca1dfade0d5405"),
+    ("cyclic:4", "cyclic:4", "iso", "aaaee45794c1460608d2982c26c9c9cc"),
+    ("quaternion:8", "cyclic:2", "eq1", "36b2576173136066d98e95c211020b00"),
+    ("quaternion:8", "cyclic:2", "eq2", "8ff16504478e87bb9471475fa1932ae8"),
+    ("quaternion:8", "cyclic:2", "iso", "bf39e7491020df89952cd36c725f4d7f"),
+    ("dihedral:8", "cyclic:2", "eq1", "e0dc3d8dabbb9999456e78ecf3e65ed0"),
+    ("dihedral:8", "cyclic:2", "eq2", "cfa180e07bc50d1eac3e333327dd2dbc"),
+    ("dihedral:8", "cyclic:2", "iso", "7ea3f2351709ba2ceb491652ccf07cd6"),
+]
+
+
+@pytest.mark.parametrize("h,g,relation,digest", CLASSIFY_DIGESTS)
+def test_classify_stdout_matches_the_recorded_digest(h, g, relation, digest, capsys):
+    import hashlib
+
+    code, out, _ = run_cli(["classify", "--h", h, "--g", g, "--relation", relation], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:32] == digest
+
+
 def test_classify_trivial_g(capsys):
     code, out, _ = run_cli(
         ["classify", "--h", "cyclic:4", "--g", "cyclic:1", "--relation", "iso"], capsys
