@@ -1,14 +1,21 @@
 """Enumeration of normalized crossed systems and their equivalence classifications.
 
-The enumerator fixes the unit row and column of the cocycle and the unit
-action entry (forced by normalization), then backtracks over the remaining
-action entries (drawn from the cached automorphism list of H) and cocycle
-cells, checking every axiom instance as soon as its last argument is
-assigned.  By the first axiom an action is a homomorphism G -> Out(H), so
-action tuples are pruned in Out(H) as they are built, and each cocycle cell's
-domain, a coset of Z(H), is read from the Inn(H) table cached on H.  Cells
-are filled column-major, which pins most cells immediately from earlier ones
-and keeps the search tree close to the solution count.
+The backtracking engine (`_search_systems`) fixes the unit row and column of
+the cocycle and the unit action entry (forced by normalization), then
+backtracks over the remaining action entries (drawn from the cached
+automorphism list of H) and cocycle cells, checking every axiom instance as
+soon as its last argument is assigned.  By the first axiom an action is a
+homomorphism G -> Out(H), so action tuples are pruned in Out(H) as they are
+built, and each cocycle cell's domain, a coset of Z(H), is read from the
+Inn(H) table cached on H.  Cells are filled column-major, which pins most
+cells immediately from earlier ones and keeps the engine's search tree close
+to the solution count.
+
+For abelian H the cocycles of one action form a group Z^2 under the pointwise
+product, and each eq1 class is a coset f B^2 (H^2 = Z^2 / B^2).  There the
+engine enumerates only the gauge slice, which gives one representative per
+class, and each action's block is those representatives times B^2, sorted
+into the engine's order (`_algebraic_systems`).
 
 Both equivalences rest on one law.  eq1 shifts a system by a map t: G -> H
 (`shift_system`, `coboundary_orbit_keys`); eq2 relabels its ends by (eta,
@@ -21,6 +28,7 @@ relabellings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -43,6 +51,11 @@ from .products import build_product, cached_product
 from .systems import Cocycle, CrossedSystem, WeakAction
 
 DEFAULT_PAIR_CAP = 64
+
+# Below this many normalized maps t: G -> H, |H|^(|G|-1), the engine's whole
+# search costs less than the fixed per-action work of `_algebraic_systems`,
+# which includes a pinned engine pass over the gauge slice.
+_ALGEBRAIC_MIN_MAPS = 128
 
 RELATIONS = ("eq1", "eq2", "iso")
 
@@ -121,27 +134,48 @@ def enumerate_raw_systems(
 
     `alpha_indices` indexes into automorphism_group(h) per element of G;
     `f_bytes` is the cocycle table row-major.  Systems are emitted grouped by
-    action assignment, actions in lexicographic index order.  Only the
-    homomorphisms G -> Out(H) are tried (`_outer_actions`); the domain of
-    cell (g1, g2) is the ascending tuple of c in H conjugating like
-    a(g1) a(g2) a(g1 g2)^-1, one lookup in the cached Inn(H) table.
+    action assignment, actions in lexicographic index order (`_outer_actions`,
+    the homomorphisms G -> Out(H)), and within one action in lexicographic
+    order of the cocycle read column-major (`g2` outer, `g1` inner).
 
-    `_pinned` names cocycle cells (g1, g2) held at the unit: their domain is
-    `(0,)`, so only the systems with the unit on every pinned cell are emitted
-    and a branch dies as soon as a pinned cell is derived non-zero.  With no
+    For abelian H, with no pinned cells and at least `_ALGEBRAIC_MIN_MAPS`
+    maps t: G -> H, each action's systems form the group Z^2, built as the
+    cosets rep B^2 of its H^2 representatives (`_algebraic_systems`).  Every
+    other call runs the backtracking engine `_search_systems`.  Both emit the
+    same stream.
+
+    `_pinned` names cocycle cells (g1, g2) held at the unit: only the systems
+    with the unit on every pinned cell are emitted, by the engine.  With no
     pinned cells (the default) every system is emitted.
-
-    Cocycle cells are filled column-major; for most cells some axiom instance
-    pins the value, which is then computed directly instead of searched.  For
-    abelian H (where the weak action is forced to be multiplicative) only
-    instances whose third argument is a generator of G are scheduled: the rest
-    follow by induction on the word length of the third argument.
     """
     n, m = h.order, g.order
     if n * m > cap:
         raise CapExceededError(f"|H|*|G| = {n * m} exceeds cap {cap}")
     if n >= 256:
         raise CapExceededError("engine packs cocycle values into bytes; |H| must be < 256")
+    if h.is_abelian and not _pinned and n ** (m - 1) >= _ALGEBRAIC_MIN_MAPS:
+        _algebraic_systems(h, g, visit)
+    else:
+        _search_systems(h, g, visit, _pinned)
+
+
+def _search_systems(h: FiniteGroup, g: FiniteGroup, visit, pinned=()) -> None:
+    """The backtracking engine behind `enumerate_raw_systems`, same stream.
+
+    Only the homomorphisms G -> Out(H) are tried (`_outer_actions`); the
+    domain of cell (g1, g2) is the ascending tuple of c in H conjugating like
+    a(g1) a(g2) a(g1 g2)^-1, one lookup in the cached Inn(H) table.  A pinned
+    cell's domain is `(0,)`, so a branch dies as soon as a pinned cell is
+    derived non-zero.
+
+    Cocycle cells are filled column-major; for most cells some axiom instance
+    pins the value, which is then computed directly instead of searched.  For
+    abelian H (where the weak action is forced to be multiplicative) only
+    instances whose third argument is a generator of G are scheduled: the rest
+    follow by induction on the word length of the third argument.  A cell that
+    no instance pins is FREE and tries its domain in ascending order.
+    """
+    n, m = h.order, g.order
     aut_perms = [a.map for a in automorphism_group(h)]
     hm = h.table
     hinv = h.inverse_table
@@ -158,7 +192,7 @@ def enumerate_raw_systems(
     cell_pos = {c: k for k, c in enumerate(cells)}
     flat = [g1 * m + g2 for (g1, g2) in cells]
     K = len(cells)
-    pinned_pos = [cell_pos[c] for c in _pinned]
+    pinned_pos = [cell_pos[c] for c in pinned]
     third_args = generating_sequence(g) if abelian_h else list(range(1, m))
     cc_at: list[list[tuple[int, int, int, int, int]]] = [[] for _ in range(K)]
     for g1 in range(1, m):
@@ -521,6 +555,103 @@ def _gauge_shifts(h: FiniteGroup, act_rows, gens, edges) -> "np.ndarray":
     return t
 
 
+def _gauge_slice_classes(h: FiniteGroup, g: FiniteGroup, slice_systems, gens, edges):
+    """Yield `(alpha, act_rows, reps)` per action: one slice cocycle per class f B^2.
+
+    For abelian H.  `slice_systems` is the engine's stream pinned to the unit
+    on the tree cells of `(gens, edges)` (`_gauge_tree`), the gauge slice,
+    which meets each class f B^2 in the T0-orbit of any member
+    (`_gauge_shifts`).  A shift multiplies a cocycle by its coboundary, so that
+    orbit is f times the coboundaries of T0, computed once per action.  Within
+    each action, in stream order, every slice cocycle not yet marked joins
+    `reps` (row-major bytes) and marks its T0-orbit, so `reps` holds one
+    representative per class.
+    """
+    auts = automorphism_group(h)
+    hm = np.array(h.table, dtype=np.uint8)
+    unit = bytes(g.order ** 2)
+    for alpha, block in groupby(slice_systems, key=lambda s: s[0]):
+        act_rows = [auts[a].map for a in alpha]
+        t_rows = _gauge_shifts(h, act_rows, gens, edges)
+        _, shifts = coboundary_orbit_keys(h, g, act_rows, unit, t_rows=t_rows)
+        seen: set[bytes] = set()
+        reps: list[bytes] = []
+        for (_, f_bytes) in block:
+            if f_bytes in seen:
+                continue
+            orbit = hm[np.frombuffer(f_bytes, dtype=np.uint8), shifts]
+            seen.update(row.tobytes() for row in orbit)
+            reps.append(f_bytes)
+        yield alpha, act_rows, reps
+
+
+def _coboundary_group(h: FiniteGroup, g: FiniteGroup, act_rows) -> "np.ndarray":
+    """B^2 of one action over abelian H: uint8 rows of shape (|B^2|, |G|^2).
+
+    Each row is a row-major coboundary table, the unit first.  B^2 is the
+    image of the maps t: G -> H under t -> (t(g1) g1(t(g2)) t(g1 g2)^-1), a
+    homomorphism for abelian H, so it is generated by the coboundaries of the
+    single-point maps (t = s at one x != 1, the unit elsewhere; s runs over
+    `generating_sequence(h)`).  The closure adjoins one generator c at a time
+    as the cosets B c^k up to the first power of c already in B, so memory
+    follows |B^2|, never the |H|^(|G|-1) maps t.
+    """
+    m = g.order
+    hm = np.array(h.table, dtype=np.uint8)
+    points = [(x, s) for x in range(1, m) for s in generating_sequence(h)]
+    t_rows = np.zeros((len(points), m), dtype=np.int64)
+    for i, (x, s) in enumerate(points):
+        t_rows[i, x] = s
+    _, generators = coboundary_orbit_keys(h, g, act_rows, bytes(m * m), t_rows=t_rows)
+    group = np.zeros((1, m * m), dtype=np.uint8)
+    for c in generators:
+        cosets = [group]
+        step = hm[group, c]
+        while not (group == step[0]).all(axis=1).any():
+            cosets.append(step)
+            step = hm[step, c]
+        group = np.concatenate(cosets)
+    return group
+
+
+def _cocycle_block(h: FiniteGroup, g: FiniteGroup, act_rows, reps) -> "np.ndarray":
+    """Z^2 of one action over abelian H, in the engine's order.
+
+    `reps` holds one row-major cocycle per class f B^2 (`_gauge_slice_classes`).
+    Z^2 is the disjoint union of the cosets rep B^2 (`_coboundary_group`), one
+    table lookup with no duplicates.  The rows, uint8 of shape (|Z^2|, |G|^2),
+    are sorted by the cocycle read column-major, which is the engine's cell
+    schedule: every derived cell is a function of earlier cells, so two
+    systems first differ on a FREE cell, whose domain the engine tries in
+    ascending order.
+    """
+    m = g.order
+    hm = np.array(h.table, dtype=np.uint8)
+    rep_rows = np.frombuffer(b"".join(reps), dtype=np.uint8).reshape(len(reps), m * m)
+    b2 = _coboundary_group(h, g, act_rows)
+    z2 = hm[rep_rows[:, None, :], b2[None, :, :]].reshape(-1, m * m)
+    columns = np.ascontiguousarray(z2.reshape(-1, m, m).transpose(0, 2, 1)).reshape(-1, m * m)
+    return z2[np.argsort(columns.view(f"V{m * m}").ravel())]
+
+
+def _algebraic_systems(h: FiniteGroup, g: FiniteGroup, visit) -> None:
+    """`enumerate_raw_systems` for abelian H, one Z^2 block per action.
+
+    The engine pinned to the gauge slice gives the H^2 representatives of
+    each action (`_gauge_slice_classes`); `_cocycle_block` multiplies them
+    by B^2 and sorts the block into the engine's order, so the stream equals
+    `_search_systems`'s.
+    """
+    gens, edges = _gauge_tree(g)
+    slice_systems: list[tuple[tuple[int, ...], bytes]] = []
+    _search_systems(h, g, lambda a, fb: slice_systems.append((a, fb)), [(p, s) for (_, p, s) in edges])
+    size = g.order ** 2
+    for alpha, act_rows, reps in _gauge_slice_classes(h, g, slice_systems, gens, edges):
+        data = _cocycle_block(h, g, act_rows, reps).tobytes()
+        for i in range(0, len(data), size):
+            visit(alpha, data[i:i + size])
+
+
 def iter_orbit_representatives(h: FiniteGroup, g: FiniteGroup, *, cap: int = DEFAULT_PAIR_CAP):
     """Yield one raw system per stabilizing-equivalence orbit.
 
@@ -531,10 +662,11 @@ def iter_orbit_representatives(h: FiniteGroup, g: FiniteGroup, *, cap: int = DEF
     t(s) = 1 on the generators and t(p s) = t(p) p(t(s)) f(p, s) down the tree
     moves f into it, and meets it in the T0-orbit of any member
     (`_gauge_shifts`, |H|^#generators maps instead of |H|^(|G|-1)).  Each
-    slice cocycle not yet marked is yielded and marks its T0-orbit, so the
-    yield count is the class count.  For non-abelian H every system is yielded
-    (correct, just without reduction).  Orbit members share their product's
-    isomorphism type, which is what bulk consumers rely on.
+    slice cocycle not yet marked is yielded and marks its T0-orbit
+    (`_gauge_slice_classes`), so the yield count is the class count.  For
+    non-abelian H every system is yielded (correct, just without reduction).
+    Orbit members share their product's isomorphism type, which is what bulk
+    consumers rely on.
     """
     systems: list[tuple[tuple[int, ...], bytes]] = []
     if not h.is_abelian:
@@ -544,20 +676,11 @@ def iter_orbit_representatives(h: FiniteGroup, g: FiniteGroup, *, cap: int = DEF
     gens, edges = _gauge_tree(g)
     pinned = [(p, s) for (_, p, s) in edges]
     enumerate_raw_systems(h, g, lambda a, fb: systems.append((a, fb)), cap=cap, _pinned=pinned)
-    auts = automorphism_group(h)
-    reps: list[tuple[tuple[int, ...], bytes]] = []
-    alpha: tuple[int, ...] | None = None
-    seen: set[bytes] = set()
-    for (alpha_indices, f_bytes) in systems:
-        if alpha_indices != alpha:
-            alpha, seen = alpha_indices, set()
-            act_rows = [auts[a].map for a in alpha]
-            t_rows = _gauge_shifts(h, act_rows, gens, edges)
-        if f_bytes in seen:
-            continue
-        _, cocycles = coboundary_orbit_keys(h, g, act_rows, f_bytes, t_rows=t_rows)
-        seen.update(row.tobytes() for row in cocycles)
-        reps.append((alpha_indices, f_bytes))
+    reps = [
+        (alpha, f_bytes)
+        for (alpha, _, block) in _gauge_slice_classes(h, g, systems, gens, edges)
+        for f_bytes in block
+    ]
     yield from reps
 
 

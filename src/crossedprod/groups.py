@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -270,6 +270,11 @@ class Automorphism(Homomorphism):
     """A bijective endomorphism; `map` is a permutation of the group."""
 
     def inverse_automorphism(self) -> "Automorphism":
+        """The inverse, computed on the first call and kept on this object."""
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "Automorphism":
         inv = [0] * len(self.map)
         for x, y in enumerate(self.map):
             inv[y] = x

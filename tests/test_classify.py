@@ -1,5 +1,6 @@
 import importlib
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,11 +19,15 @@ from crossedprod.groups import (
 )
 from crossedprod.classify import (
     DEFAULT_PAIR_CAP,
+    _algebraic_systems,
     _aut_tables,
+    _coboundary_group,
     _gauge_shifts,
+    _gauge_slice_classes,
     _gauge_tree,
     _outer_actions,
     _reports,
+    _search_systems,
     are_equivalent_1,
     are_equivalent_2,
     classify,
@@ -671,6 +676,15 @@ ENGINE_DIGESTS = [
     ("symmetric:3", "cyclic:4", 216, "2c450887fb7c6e6f3c611406a8aa3da1"),
     ("symmetric:3", "cyclic:3", 36, "0af2550c445f888092ffd105ff7a8d13"),
     ("quaternion:8", "product(cyclic:2,cyclic:2)", 10240, "74df26f51e785d794ab2f6878f28a312"),
+    # heavy abelian H, whose Z^2 blocks are now built from H^2 representatives
+    # and B^2; recorded on the backtracking engine
+    ("cyclic:4", "quaternion:8", 40960, "065b58b176af5e609f431cfb4dd9f331"),
+    ("product(cyclic:2,cyclic:2)", "quaternion:8", 90112, "11c2dfac6e63e04a1b64fba1959b8454"),
+    ("cyclic:4", "dihedral:8", 81920, "b328d0db3a2ea1a38ca444d760f106ca"),
+    ("product(cyclic:2,cyclic:2)", "dihedral:8", 188416, "9a7a034805c3c3d3c87f129edde3a46f"),
+    ("cyclic:4", "cyclic:8", 24576, "2dbb2cbf00c04a2695ed88e8039ef09e"),
+    ("product(cyclic:2,cyclic:2)", "cyclic:8", 40960, "0acb1e5d39139c0819e80df9c3998e8a"),
+    ("cyclic:3", "dihedral:8", 4374, "3f866a4b9b8bbdc35ffc69a69130aba6"),
 ]
 
 
@@ -685,6 +699,40 @@ def test_engine_without_pinned_cells_emits_the_recorded_stream(hs, gs, count, di
         stream.update(fb)
     assert len(emitted) == count
     assert stream.hexdigest()[:32] == digest
+
+
+# criterion 6's catalog: every abelian-H pair with |H||G| <= 32 and at most
+# 4,374 systems, which leaves out the six pairs with 4^7 maps t (their
+# 24,576-188,416 systems are ENGINE_DIGESTS rows)
+_CATALOG = [cyclic_group(k) for k in (1, 2, 3, 4, 5, 6, 8)] + [K4, S3, D8, Q8]
+ALGEBRAIC_PAIRS = [
+    (h, g)
+    for h in _CATALOG
+    for g in _CATALOG
+    if h.is_abelian and h.order * g.order <= 32 and h.order ** (g.order - 1) < 4 ** 7
+]
+
+
+@pytest.mark.parametrize("h,g", ALGEBRAIC_PAIRS, ids=lambda x: x.name)
+def test_algebraic_blocks_equal_the_engine_stream(h, g):
+    m = g.order
+    engine = []
+    _search_systems(h, g, lambda a, fb: engine.append((a, fb)))
+    built = []
+    _algebraic_systems(h, g, lambda a, fb: built.append((a, fb)))
+    assert built == engine
+
+    per_action = Counter(alpha for (alpha, _) in engine)
+    gens, edges = _gauge_tree(g)
+    slice_systems = _raw_systems(h, g, [(p, s) for (_, p, s) in edges])
+    blocks = list(_gauge_slice_classes(h, g, slice_systems, gens, edges))
+    assert [alpha for (alpha, _, _) in blocks] == list(per_action)
+    for (alpha, act_rows, reps) in blocks:
+        b2 = _coboundary_group(h, g, act_rows)
+        _, coboundaries = coboundary_orbit_keys(h, g, act_rows, bytes(m * m))
+        assert {row.tobytes() for row in b2} == {row.tobytes() for row in coboundaries}
+        assert len({row.tobytes() for row in b2}) == len(b2)
+        assert per_action[alpha] == len(reps) * len(b2)
 
 
 def _scanned_domain(h, a1, a2, a12):

@@ -99,6 +99,25 @@ def test_classify_stdout_matches_the_recorded_digest(h, g, relation, digest, cap
     assert hashlib.sha256(out.encode()).hexdigest()[:32] == digest
 
 
+# (H, G, sha256 prefix of `enumerate` stdout) for the benchmark's enumerate
+# requests, recorded from the backtracking engine for every pair
+ENUMERATE_DIGESTS = [
+    ("cyclic:2", "dihedral:8", "6a4e4d115bd2ea218bb81f593ef5b31e"),
+    ("cyclic:4", "cyclic:5", "e311f4dcf2dc338f2c874c235f090b93"),
+    ("product(cyclic:2,cyclic:2)", "cyclic:5", "5dbee7afb87162f9eee47988e34b7333"),
+    ("cyclic:2", "cyclic:9", "45e9338d4b677d413d122610d99fd2b6"),
+]
+
+
+@pytest.mark.parametrize("h,g,digest", ENUMERATE_DIGESTS)
+def test_enumerate_stdout_matches_the_recorded_digest(h, g, digest, capsys):
+    import hashlib
+
+    code, out, _ = run_cli(["enumerate", "--h", h, "--g", g], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:32] == digest
+
+
 def test_classify_trivial_g(capsys):
     code, out, _ = run_cli(
         ["classify", "--h", "cyclic:4", "--g", "cyclic:1", "--relation", "iso"], capsys

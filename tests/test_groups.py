@@ -201,6 +201,16 @@ def test_automorphisms_closed_under_composition_and_inverse(g):
     assert [a.map for a in automorphism_group(g)] == sorted(perms)
 
 
+def test_inverse_automorphism_is_computed_once_and_inverts():
+    for a in automorphism_group(dihedral_group(8)):
+        inv = a.inverse_automorphism()
+        assert a.inverse_automorphism() is inv
+        assert all(inv.map[a.map[x]] == x for x in range(len(a.map)))
+        # the kept inverse is not a field: equality and hashing are unchanged
+        fresh = type(a)(a.source, a.target, a.map)
+        assert a == fresh and hash(a) == hash(fresh)
+
+
 def test_are_isomorphic_examples():
     c4 = cyclic_group(4)
     k4 = make_group("product(cyclic:2,cyclic:2)")
