@@ -84,7 +84,7 @@ class FiniteGroup:
     """
 
     def __init__(self, name, table, *, descriptor=None, validate=True):
-        table = tuple(tuple(int(v) for v in row) for row in table)
+        table = tuple(tuple(map(int, row)) for row in table)
         if validate:
             check_table(table)
         self.name = str(name)
@@ -148,12 +148,8 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         flag = self._cache.get("abelian")
         if flag is None:
-            t = self.table
-            flag = all(
-                t[x][y] == t[y][x]
-                for x in range(self.order)
-                for y in range(x + 1, self.order)
-            )
+            # each row against the matching column: x*y == y*x for every y
+            flag = self.table == tuple(zip(*self.table))
             self._cache["abelian"] = flag
         return flag
 
@@ -318,24 +314,24 @@ class Subgroup:
 
 
 def closure(g: FiniteGroup, elems) -> tuple[int, ...]:
-    """Subgroup generated by `elems`, as a sorted element tuple."""
-    known = {0}
-    frontier = [0]
-    for x in elems:
-        if x not in known:
-            known.add(x)
-            frontier.append(x)
+    """Subgroup generated by `elems`, as a sorted element tuple.
+
+    A breadth-first search from the identity by right multiplication with the
+    non-identity `elems`: in a finite group every element of the subgroup is a
+    positive word in them, so this costs O(|result| * |elems|).
+    """
+    gens = set(elems)
+    gens.discard(0)
     table = g.table
-    items = list(known)
-    i = 0
-    while i < len(items):
-        a = items[i]
-        i += 1
-        for b in list(items):
-            for c in (table[a][b], table[b][a]):
-                if c not in known:
-                    known.add(c)
-                    items.append(c)
+    known = {0}
+    queue = [0]
+    for a in queue:  # grows while it is walked: breadth-first
+        row = table[a]
+        for s in gens:
+            c = row[s]
+            if c not in known:
+                known.add(c)
+                queue.append(c)
     return tuple(sorted(known))
 
 
@@ -350,10 +346,9 @@ def center(g: FiniteGroup) -> Subgroup:
     """Z(G); its elements are cached on the group."""
     elems = g._cache.get("center")
     if elems is None:
-        t = g.table
-        elems = tuple(
-            x for x in g.elements() if all(t[x][y] == t[y][x] for y in g.elements())
-        )
+        # x is central iff its row (x*y) equals its column (y*x)
+        cols = zip(*g.table)
+        elems = tuple(x for x, (row, col) in enumerate(zip(g.table, cols)) if row == col)
         g._cache["center"] = elems
     return Subgroup(g, elems)
 
@@ -452,17 +447,55 @@ def quotient(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, Homomorphism]:
 # homomorphism and isomorphism search ---------------------------------------
 
 
+def _generator_plan(g: FiniteGroup) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+    """`(gens, levels)` for the generator-image search, cached on g.
+
+    `gens` is the greedy generating sequence: each g_k is the smallest element
+    outside H_{k-1} = <g_0..g_{k-1}> (H_{-1} = 1).  `levels[k]` lists, in
+    breadth-first order over H_k, one step `(x, j, x g_j, new)` for every x in
+    H_k and every j <= k that no earlier level listed.  `new` marks the first
+    step to reach an element, so its x was reached by an earlier step or lies
+    in H_{k-1}; the new steps reach exactly the elements of H_k outside H_{k-1}.
+    A map on H_k is a homomorphism iff phi(x g_j) = phi(x) phi(g_j) on every
+    step of levels 0..k: with that, phi(x w) = phi(x) phi(w) for every positive
+    word w, and in a finite group every element is one.
+    """
+    plan = g._cache.get("plan")
+    if plan is None:
+        table = g.table
+        gens: list[int] = []
+        levels: list[tuple] = []
+        seen = [False] * g.order
+        seen[0] = True
+        members = [0]  # H_{k-1}, in the order the search reached it
+        for gen in range(1, g.order):
+            if seen[gen]:
+                continue
+            k = len(gens)
+            gens.append(gen)
+            steps = []
+            old = len(members)
+            for i, x in enumerate(members):  # grows while it is walked: breadth-first
+                row = table[x]
+                for j in (k,) if i < old else range(k + 1):
+                    y = row[gens[j]]
+                    new = not seen[y]
+                    steps.append((x, j, y, new))
+                    if new:
+                        seen[y] = True
+                        members.append(y)
+            levels.append(tuple(steps))
+        plan = (tuple(gens), tuple(levels))
+        g._cache["plan"] = plan
+    return plan
+
+
 def generating_sequence(g: FiniteGroup) -> list[int]:
-    """Greedy generating sequence: repeatedly adjoin the smallest outside element."""
-    gens: list[int] = []
-    closed = (0,)
-    for x in g.elements():
-        if x not in set(closed):
-            gens.append(x)
-            closed = closure(g, gens)
-            if len(closed) == g.order:
-                break
-    return gens
+    """Greedy generating sequence: repeatedly adjoin the smallest outside element.
+
+    Read from the cached `_generator_plan`; a fresh list on every call.
+    """
+    return list(_generator_plan(g)[0])
 
 
 def backtrack(domains, accept):
@@ -509,56 +542,34 @@ def _completion_triples(g: FiniteGroup) -> list[list[tuple[int, int, int]]]:
     return out
 
 
-def _extend_map(src: FiniteGroup, dst: FiniteGroup, base: dict, x: int, y: int):
-    """Extend a partial multiplicative map with x -> y; None on conflict.
-
-    The result is closed under products of its domain, and multiplicativity
-    is checked on every pair, so a total extension is a homomorphism.
-    """
-    if x in base:
-        return base if base[x] == y else None
-    mapping = dict(base)
-    ts, tt = src.table, dst.table
-    known = list(mapping)
-    queue = [(x, k) for k in known] + [(k, x) for k in known] + [(x, x)]
-    mapping[x] = y
-    known.append(x)
-    while queue:
-        a, b = queue.pop()
-        c = ts[a][b]
-        d = tt[mapping[a]][mapping[b]]
-        cur = mapping.get(c)
-        if cur is None:
-            for k in known:
-                queue.append((c, k))
-                queue.append((k, c))
-            queue.append((c, c))
-            mapping[c] = d
-            known.append(c)
-        elif cur != d:
-            return None
-    return mapping
-
-
 def _generator_images(src: FiniteGroup, dst: FiniteGroup, images_of, *, injective: bool = False):
     """Yield the value tables of the homomorphisms src -> dst, in search order.
 
-    `images_of(gen)` lists the candidate images of one generator; each choice
-    extends the partial map of the previous generators via _extend_map.  With
-    `injective` a partial map whose values repeat is rejected at once: every
-    extension of it repeats them too, so only the injective homomorphisms are
-    yielded, in the same order.
+    `images_of(gen)` lists the candidate images of one generator of
+    `_generator_plan(src)`.  Choosing the image of g_k walks level k of the
+    plan on one shared value list `phi`: a new step defines phi(x g_j) as
+    phi(x) img_j, any other step checks that equation, so a node costs
+    O(|H_k| * k).  With `injective` a new value 0 (a non-trivial kernel) is
+    rejected at once: every extension has that kernel too, so only the
+    injective homomorphisms are yielded, in the same order.
     """
-    gens = generating_sequence(src)
-    maps: list[dict] = [{0: 0}] * (len(gens) + 1)
+    gens, levels = _generator_plan(src)
+    tt = dst.table
+    phi = [0] * src.order
 
     def accept(k: int, imgs) -> bool:
-        ext = _extend_map(src, dst, maps[k], gens[k], imgs[k])
-        maps[k + 1] = ext
-        return ext is not None and (not injective or len(set(ext.values())) == len(ext))
+        for x, j, y, new in levels[k]:
+            v = tt[phi[x]][imgs[j]]
+            if new:
+                if injective and v == 0:
+                    return False
+                phi[y] = v
+            elif phi[y] != v:
+                return False
+        return True
 
     for _ in backtrack([images_of(x) for x in gens], accept):
-        yield tuple(maps[-1][x] for x in src.elements())
+        yield tuple(phi)
 
 
 def enumerate_homomorphisms(src: FiniteGroup, dst: FiniteGroup) -> list[Homomorphism]:
@@ -631,21 +642,18 @@ def presentation_group(n: int, m: int, i: int, j: int, name: str) -> FiniteGroup
     if (i * (j - 1)) % n != 0 or pow(j, m, n) != 1 % n:
         raise InvalidDescriptorError(f"inconsistent relations (n={n}, m={m}, i={i}, j={j})")
     jinv = pow(j, m - 1, n) if n > 1 else 0
-    jq = [pow(jinv, q, n) if n > 1 else 0 for q in range(m)]
+    jq = np.array([pow(jinv, q, n) if n > 1 else 0 for q in range(m)], dtype=np.intp)
+    # (a^p b^q)(a^r b^s) = a^(p + r j^-q) b^(q + s), and b^m = a^i on a carry;
+    # axes (q, p, s, r) so that element a^p b^q has index p + n q
+    q = np.arange(m, dtype=np.intp)[:, None, None, None]
+    p = np.arange(n, dtype=np.intp)[None, :, None, None]
+    s = np.arange(m, dtype=np.intp)[None, None, :, None]
+    r = np.arange(n, dtype=np.intp)[None, None, None, :]
+    carry = q + s >= m
+    t = (p + r * jq[q] + i * carry) % n
+    u = q + s - m * carry
     size = n * m
-    table = [[0] * size for _ in range(size)]
-    for p in range(n):
-        for q in range(m):
-            a = p + n * q
-            for r in range(n):
-                for s in range(m):
-                    t = (p + r * jq[q]) % n
-                    u = q + s
-                    if u >= m:
-                        u -= m
-                        t = (t + i) % n
-                    table[a][r + n * s] = t + n * u
-    return FiniteGroup(name, table, validate=False)
+    return FiniteGroup(name, (t + n * u).reshape(size, size).tolist(), validate=False)
 
 
 def dihedral_group(order: int) -> FiniteGroup:

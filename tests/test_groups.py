@@ -11,13 +11,14 @@ from crossedprod.errors import (
     NotNormalError,
 )
 from crossedprod.groups import (
-    _generator_images,
+    _generator_plan,
     _isomorphisms,
     alternating_group,
     are_isomorphic,
     automorphism_group,
     center,
     check_table,
+    closure,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -260,8 +261,6 @@ def test_enumerate_homomorphisms_counts():
 def test_generating_sequence_generates():
     for g in (cyclic_group(12), symmetric_group(4), quaternion_group()):
         gens = generating_sequence(g)
-        from crossedprod.groups import closure
-
         assert len(closure(g, gens)) == g.order
 
 
@@ -491,15 +490,220 @@ def _relabelled(grp, seed):
     return table_group(table)
 
 
-def _unpruned_isomorphisms(g1, g2):
-    # reference: every homomorphism from the generator-image search, kept
-    # when bijective
+# reference search: every product pair of the partial domain is closed and
+# checked at each node, independently of the library's generator plan and of
+# `backtrack`
+
+
+def _pairwise_closure(g, elems):
+    # reference: adjoin all products of pairs until nothing new appears
+    known = {0, *elems}
+    while True:
+        new = {g.mul(a, b) for a in known for b in known} - known
+        if not new:
+            return tuple(sorted(known))
+        known |= new
+
+
+def _greedy_generators(g):
+    gens, closed = [], {0}
+    for x in g.elements():
+        if x not in closed:
+            gens.append(x)
+            closed = set(_pairwise_closure(g, gens))
+    return gens
+
+
+def _extend_by_all_pairs(src, dst, base, x, y):
+    # the partial map `base` (closed under products) extended by x -> y and
+    # closed again, checking multiplicativity on every pair; None on conflict
+    if x in base:
+        return base if base[x] == y else None
+    mapping = dict(base)
+    known = list(mapping)
+    queue = [(x, k) for k in known] + [(k, x) for k in known] + [(x, x)]
+    mapping[x] = y
+    known.append(x)
+    while queue:
+        a, b = queue.pop()
+        c = src.mul(a, b)
+        d = dst.mul(mapping[a], mapping[b])
+        cur = mapping.get(c)
+        if cur is None:
+            for k in known:
+                queue.append((c, k))
+                queue.append((k, c))
+            queue.append((c, c))
+            mapping[c] = d
+            known.append(c)
+        elif cur != d:
+            return None
+    return mapping
+
+
+def _all_pairs_images(src, dst, images_of, injective=False):
+    # reference: the value tables of the homomorphisms src -> dst, in search
+    # order (generator by generator, candidates in `images_of` order)
+    gens = _greedy_generators(src)
+
+    def search(k, mapping):
+        if k == len(gens):
+            yield tuple(mapping[x] for x in src.elements())
+            return
+        for y in images_of(gens[k]):
+            ext = _extend_by_all_pairs(src, dst, mapping, gens[k], y)
+            if ext is not None and (not injective or len(set(ext.values())) == len(ext)):
+                yield from search(k + 1, ext)
+
+    yield from search(0, {0: 0})
+
+
+def _by_order(g1, g2):
     by_order = {}
     for x in g2.elements():
         by_order.setdefault(g2.element_order(x), []).append(x)
-    for m in _generator_images(g1, g2, lambda gen: by_order.get(g1.element_order(gen), ())):
+    return lambda gen: by_order.get(g1.element_order(gen), ())
+
+
+def _reference_isomorphisms(g1, g2):
+    if g1.order != g2.order:
+        return iter(())
+    return _all_pairs_images(g1, g2, _by_order(g1, g2), injective=True)
+
+
+def _reference_homomorphisms(src, dst):
+    def images_of(gen):
+        return [y for y in dst.elements() if src.element_order(gen) % dst.element_order(y) == 0]
+
+    return sorted(_all_pairs_images(src, dst, images_of))
+
+
+def _unpruned_isomorphisms(g1, g2):
+    # reference: every homomorphism of the all-pairs search, kept when bijective
+    for m in _all_pairs_images(g1, g2, _by_order(g1, g2)):
         if len(set(m)) == g1.order:
             yield m
+
+
+SEARCH_GROUPS = CATALOG[:18]
+
+
+@pytest.mark.parametrize("grp", SEARCH_GROUPS, ids=lambda g: g.name)
+def test_generator_plan_search_matches_the_all_pairs_reference(grp):
+    relabelled = _relabelled(grp, grp.order)
+    for src in (grp, relabelled):
+        for dst in (grp, relabelled):
+            assert list(_isomorphisms(src, dst)) == list(_reference_isomorphisms(src, dst))
+        assert [a.map for a in automorphism_group(src)] == sorted(_reference_isomorphisms(src, src))
+        found = are_isomorphic(src, grp)
+        assert found.map == next(_reference_isomorphisms(src, grp))
+
+
+def test_homomorphisms_match_the_all_pairs_reference():
+    groups = SEARCH_GROUPS + [_relabelled(g, 3) for g in SEARCH_GROUPS[8:]]
+    for src in groups:
+        for dst in groups:
+            homs = [h.map for h in enumerate_homomorphisms(src, dst)]
+            assert homs == _reference_homomorphisms(src, dst), (src.name, dst.name)
+
+
+@pytest.mark.parametrize("grp", CATALOG, ids=lambda g: g.name)
+def test_generator_plan_lists_each_generator_edge_once(grp):
+    for g in (grp, _relabelled(grp, 1)):
+        gens, levels = _generator_plan(g)
+        assert list(gens) == _greedy_generators(g) and len(levels) == len(gens)
+        listed = set()
+        prev = {0}
+        for k, steps in enumerate(levels):
+            sub = set(_pairwise_closure(g, gens[: k + 1]))
+            reached = set(prev)
+            for (x, j, y, new) in steps:
+                assert (x, j) not in listed and x in reached
+                assert y == g.mul(x, gens[j]) and new == (y not in reached)
+                listed.add((x, j))
+                reached.add(y)
+            assert listed == {(x, j) for x in sub for j in range(k + 1)}
+            assert {y for (_, _, y, new) in steps if new} == sub - prev
+            prev = sub
+        assert prev == set(g.elements())
+        # a fresh list each call: a caller's edit does not reach the cache
+        seq = generating_sequence(g)
+        seq.append(-1)
+        assert generating_sequence(g) == list(gens)
+
+
+def test_closure_matches_the_pairwise_reference_on_random_subsets():
+    rng = random.Random(13)
+    checked = 0
+    for grp in CATALOG:
+        for g in (grp, _relabelled(grp, 2)):
+            for size in (0, 1, 1, 2, 2, 3):
+                elems = [rng.randrange(g.order) for _ in range(size)]
+                assert closure(g, elems) == _pairwise_closure(g, elems)
+                checked += 1
+    assert checked == 240
+
+
+def _normal_subgroups_by_pairwise_closure(g):
+    # reference: unions of conjugacy classes closed with the pairwise closure
+    found = {(0,)}
+    frontier = [(0,)]
+    while frontier:
+        base = frontier.pop()
+        for cls in g.conjugacy_classes():
+            if cls[0] not in base:
+                new = _pairwise_closure(g, base + cls)
+                if new not in found:
+                    found.add(new)
+                    frontier.append(new)
+    return sorted(found, key=lambda e: (len(e), e))
+
+
+@pytest.mark.parametrize("grp", CATALOG[:18], ids=lambda g: g.name)
+def test_normal_subgroups_match_the_pairwise_closure_reference(grp):
+    for g in (grp, _relabelled(grp, 4)):
+        assert [s.elements for s in normal_subgroups(g)] == _normal_subgroups_by_pairwise_closure(g)
+
+
+@pytest.mark.parametrize("grp", CATALOG, ids=lambda g: g.name)
+def test_centre_and_abelianness_match_the_direct_scans(grp):
+    for g in (grp, _relabelled(grp, 6)):
+        pairs = [(x, y) for x in g.elements() for y in g.elements()]
+        assert center(g).elements == tuple(
+            x for x in g.elements() if all(g.mul(x, y) == g.mul(y, x) for y in g.elements())
+        )
+        assert g.is_abelian == all(g.mul(x, y) == g.mul(y, x) for (x, y) in pairs)
+
+
+def _presentation_table_by_loops(n, m, i, j):
+    # reference: the exponent-pair product formula, entry by entry
+    jinv = pow(j, m - 1, n) if n > 1 else 0
+    jq = [pow(jinv, q, n) if n > 1 else 0 for q in range(m)]
+    table = [[0] * (n * m) for _ in range(n * m)]
+    for p in range(n):
+        for q in range(m):
+            for r in range(n):
+                for s in range(m):
+                    t = (p + r * jq[q]) % n
+                    u = q + s
+                    if u >= m:
+                        u -= m
+                        t = (t + i) % n
+                    table[p + n * q][r + n * s] = t + n * u
+    return tuple(tuple(row) for row in table)
+
+
+def test_presentation_tables_match_the_loop_formula():
+    checked = 0
+    for n in range(1, 65):
+        for m in range(1, 64 // n + 1):
+            for i in range(n):
+                for j in range(n):
+                    if (i * (j - 1)) % n == 0 and pow(j, m, n) == 1 % n:
+                        grp = presentation_group(n, m, i, j, "P")
+                        assert grp.table == _presentation_table_by_loops(n, m, i, j)
+                        checked += 1
+    assert checked > 1194
 
 
 def test_isomorphism_pruning_keeps_the_list_and_its_order():
