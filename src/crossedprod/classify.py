@@ -379,10 +379,21 @@ def system_from_raw(
 
     `f_flat` is the row-major cocycle table: the engine's bytes, whose row
     slices already hold ints, or any sequence of integers.
+
+    The last call's `WeakAction` is kept on h, with g (by identity) and the
+    alpha it was built for, and reused when both match.  Every stream emits
+    the systems of one action together, so its systems share one action
+    object and the facts cached on it (`perms`, `center_plan`).
     """
-    auts = automorphism_group(h)
+    alpha = tuple(alpha_indices)
+    last = h._cache.get("raw_action")
+    if last is not None and last[0] is g and last[1] == alpha:
+        action = last[2]
+    else:
+        auts = automorphism_group(h)
+        action = WeakAction(g, h, tuple(auts[a] for a in alpha))
+        h._cache["raw_action"] = (g, alpha, action)
     m = g.order
-    action = WeakAction(g, h, tuple(auts[a] for a in alpha_indices))
     if isinstance(f_flat, (bytes, bytearray)):
         rows = tuple(tuple(f_flat[g1 * m:(g1 + 1) * m]) for g1 in range(m))
     else:

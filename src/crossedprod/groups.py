@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -80,7 +80,8 @@ class FiniteGroup:
 
     `table[x][y]` is the index of x*y; index 0 is the identity.  Derived data
     (inverses, element orders, automorphisms, ...) is computed lazily and
-    cached; each cache entry is written once.
+    cached; each cache entry is written once, except `raw_action`, the
+    one-entry action slot of `classify.system_from_raw`.
     """
 
     def __init__(self, name, table, *, descriptor=None, validate=True):
@@ -159,15 +160,19 @@ class FiniteGroup:
             if self.is_abelian:
                 classes = tuple((x,) for x in self.elements())
             else:
+                # column x of the conjugation table holds c x c^-1 for every c
+                t = np.array(self.table, dtype=np.intp)
+                inv = np.array(self.inverse_table, dtype=np.intp)
+                conj = t[t, inv[:, None]]
                 seen = [False] * self.order
                 out = []
                 for x in self.elements():
                     if seen[x]:
                         continue
-                    orbit = sorted({self.conj(g, x) for g in self.elements()})
+                    orbit = tuple(np.unique(conj[:, x]).tolist())
                     for v in orbit:
                         seen[v] = True
-                    out.append(tuple(orbit))
+                    out.append(orbit)
                 classes = tuple(out)
             self._cache["classes"] = classes
         return classes
@@ -867,26 +872,34 @@ def _abelian_invariant_name(g: FiniteGroup) -> str | None:
     return "x".join(f"C{f}" for f in factors if f > 1) or "C1"
 
 
-def _named_candidates(order: int):
+@lru_cache(maxsize=None)
+def _named_candidates(order: int) -> tuple[tuple[str, FiniteGroup], ...]:
+    """The named non-abelian groups of one order, in the order tried.
+
+    Built once per order, so each candidate's fingerprint, classes and
+    generator plan are cached on it across `identify_group` calls.
+    """
+    out = []
     if order == 8:
-        yield "Q8", quaternion_group()
+        out.append(("Q8", quaternion_group()))
     if order == 6:
-        yield "S3", symmetric_group(3)
+        out.append(("S3", symmetric_group(3)))
     if order == 24:
-        yield "S4", symmetric_group(4)
+        out.append(("S4", symmetric_group(4)))
     if order == 12:
-        yield "A4", alternating_group(4)
+        out.append(("A4", alternating_group(4)))
     if order % 2 == 0 and order >= 6:
-        yield f"D{order}", dihedral_group(order)
+        out.append((f"D{order}", dihedral_group(order)))
     if order % 4 == 0 and order >= 12:
         k = order // 4
-        yield f"Dic{k}", presentation_group(2 * k, 2, k, 2 * k - 1, f"Dic{k}")
+        out.append((f"Dic{k}", presentation_group(2 * k, 2, k, 2 * k - 1, f"Dic{k}")))
     # small products of a named non-abelian with a cyclic group
     for sub in (6, 8, 12):
         if order % sub == 0 and order // sub >= 2 and order > sub:
+            cof = order // sub
             for name, base in _named_candidates(sub):
-                cof = order // sub
-                yield f"{name}xC{cof}", direct_product(base, cyclic_group(cof))
+                out.append((f"{name}xC{cof}", direct_product(base, cyclic_group(cof))))
+    return tuple(out)
 
 
 def identify_group(g: FiniteGroup) -> str:

@@ -67,23 +67,35 @@ def _table_plan(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return plan
 
 
+# (key, |H| h1 (g1 |> h2), |H| g1 g2) of the last product_table_np call,
+# replaced as one tuple
+_action_half = None
+
+
 def product_table_np(hm: np.ndarray, gm: np.ndarray, act: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Product table in packed (h + |H|*g) coordinates from the H and G tables,
     the action rows and the cocycle table; the package's one table kernel.
 
     Entry (h1 + |H| g1, h2 + |H| g2) is h1 (g1 |> h2) f(g1, g2) + |H| g1 g2.
-    The index grids depend only on (|H|, |G|) and come from a cached plan, so
-    a call is a few `take`s on the flattened tables.  Index arithmetic runs in
-    intp whatever the input dtype; the result has the dtype that
+    The index grids depend only on (|H|, |G|) and come from a cached plan.
+    The action half, |H| h1 (g1 |> h2) and |H| g1 g2, depends only on (hm,
+    gm, act); the last call's is kept, keyed by their shapes, dtypes and
+    bytes, so a stream of systems of one action pays per call only the
+    cocycle `take`, two adds and the H `take`.  Index arithmetic runs in intp
+    whatever the input dtype; the result, a new array, has the dtype that
     `hm[...] + |H| * gm[...]` gives.
     """
+    global _action_half
     n = hm.shape[0]
     h_row, g1h2, g1g2 = _table_plan(n, gm.shape[0])
     hm_flat = hm.ravel()
-    left = hm_flat.take(h_row + act.ravel().take(g1h2))      # h1 (g1 |> h2)
-    pos = np.multiply(left, n, dtype=np.intp)
-    pos += f.ravel().take(g1g2)
-    return hm_flat.take(pos) + n * gm.ravel().take(g1g2)
+    key = tuple((a.shape, a.dtype, a.tobytes()) for a in (hm, gm, act))
+    memo = _action_half
+    if memo is None or memo[0] != key:
+        left = hm_flat.take(h_row + act.ravel().take(g1h2))      # h1 (g1 |> h2)
+        memo = _action_half = (key, np.multiply(left, n, dtype=np.intp), n * gm.ravel().take(g1g2))
+    _, pos0, g_part = memo
+    return hm_flat.take(pos0 + f.ravel().take(g1g2)) + g_part
 
 
 def build_product(sys: CrossedSystem) -> CrossedProductGroup:
@@ -186,28 +198,22 @@ def center_pairs(sys: CrossedSystem) -> frozenset[tuple[int, int]]:
     """Centre of the product computed from system data alone.
 
     (h, g) is central iff: g is central in G, conjugation x -> h^-1 x h on H
-    equals the action of g, and (g' |> h) f(g', g) = h f(g, g') for every g'.
-    Z(G) and the inner-automorphism table of H are cached on the groups, so
-    the candidate h for each central g are one lookup (the inverses of the c
-    with c x c^-1 = g |> x), and only the cocycle condition is checked per
-    system.  Requires a normalized system.
+    equals the action of g, and (g' |> h) f(g', g) = h f(g, g') for every g',
+    that is h^-1 (g' |> h) = f(g, g') f(g', g)^-1.  The left side depends only
+    on the action, so the action's cached `center_plan` maps each such tuple
+    to its candidates h; per system, each central g with an inner action
+    builds the right side from the cocycle and looks it up, O(|Z(G)| |G|).
+    Requires a normalized system.
     """
-    h_grp, g_grp = sys.h, sys.g
-    hm = h_grp.table
-    hinv = h_grp.inverse_table
-    act = sys.action.perms
+    hm = sys.h.table
+    hinv = sys.h.inverse_table
     f = sys.cocycle.table
-    inner = inner_automorphisms(h_grp)
+    cols = range(sys.g.order)
     out = set()
-    for g in center(g_grp).elements:
+    for g, keys in sys.action.center_plan:
         fg = f[g]
-        for c in inner.get(act[g], ()):
-            h = hinv[c]
-            if all(
-                hm[act[gp][h]][f[gp][g]] == hm[h][fg[gp]]
-                for gp in g_grp.elements()
-            ):
-                out.add((h, g))
+        for h in keys.get(tuple([hm[fg[gp]][hinv[f[gp][g]]] for gp in cols]), ()):
+            out.add((h, g))
     return frozenset(out)
 
 

@@ -14,6 +14,7 @@ A system is normalized when f(1,1) = 1, which forces f(1,g) = f(g,1) = 1 and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import AxiomViolationError, InvalidDescriptorError, InvalidTableError
 from .groups import (
@@ -21,7 +22,9 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     automorphism_index,
+    center,
     identity_automorphism,
+    inner_automorphisms,
     int_rows,
     is_homomorphism,
 )
@@ -29,13 +32,20 @@ from .groups import (
 
 @dataclass(frozen=True)
 class WeakAction:
-    """One automorphism of `space` per element of `actor`."""
+    """One automorphism of `space` per element of `actor`.
+
+    Facts that depend only on the action (`perms`, `is_trivial()`,
+    `center_plan`) are computed on first use and kept on the object, like
+    `Automorphism._inverse`; they are not dataclass fields, so equality and
+    hashing are unchanged.  Systems streamed for one action share one object
+    (`classify.system_from_raw`), so each fact is computed once per action.
+    """
 
     actor: FiniteGroup
     space: FiniteGroup
     table: tuple[Automorphism, ...]
 
-    @property
+    @cached_property
     def perms(self) -> tuple[tuple[int, ...], ...]:
         return tuple(a.map for a in self.table)
 
@@ -43,8 +53,35 @@ class WeakAction:
         return self.table[g].map[h]
 
     def is_trivial(self) -> bool:
+        return self._trivial
+
+    @cached_property
+    def _trivial(self) -> bool:
         ident = tuple(range(self.space.order))
         return all(a.map == ident for a in self.table)
+
+    @cached_property
+    def center_plan(self) -> tuple[tuple[int, dict[tuple[int, ...], list[int]]], ...]:
+        """`(g, keys)` for each g in Z(G), ascending, whose action is inner.
+
+        keys maps (h^-1 (g' |> h))_{g' in G} to the h with h^-1 x h = g |> x
+        that give it, so the h of the central pairs (h, g) of a system are one
+        lookup of the tuple its cocycle gives (`products.center_pairs`).
+        """
+        hm = self.space.table
+        hinv = self.space.inverse_table
+        act = self.perms
+        inner = inner_automorphisms(self.space)
+        plan = []
+        for g in center(self.actor).elements:
+            cs = inner.get(act[g])
+            if cs:
+                keys: dict[tuple[int, ...], list[int]] = {}
+                for c in cs:     # h = c^-1
+                    h, row = hinv[c], hm[c]
+                    keys.setdefault(tuple([row[a[h]] for a in act]), []).append(h)
+                plan.append((g, keys))
+        return tuple(plan)
 
 
 def weak_action(actor: FiniteGroup, space: FiniteGroup, perms) -> WeakAction:

@@ -48,6 +48,9 @@ from crossedprod.classify import (
 )
 from crossedprod.products import build_product
 from crossedprod.systems import (
+    Cocycle,
+    CrossedSystem,
+    WeakAction,
     cocycle,
     trivial_action,
     trivial_cocycle,
@@ -782,3 +785,40 @@ def test_system_from_raw_accepts_bytes_and_integer_sequences():
                 got = system_from_raw(h, g, alpha, f_flat)
                 assert got == want
                 assert all(type(v) is int for row in got.cocycle.table for v in row)
+
+
+def _fresh_system(h, g, alpha, fb):
+    # reference: a system built from scratch, sharing nothing with earlier calls
+    auts = automorphism_group(h)
+    m = g.order
+    rows = tuple(tuple(fb[i * m:(i + 1) * m]) for i in range(m))
+    action = WeakAction(g, h, tuple(auts[a] for a in alpha))
+    return CrossedSystem(h, g, action, Cocycle(g, h, rows), normalized=True)
+
+
+def test_system_from_raw_reuses_one_action_and_matches_fresh_builds():
+    # two pairs that share H, with G of the same order (so the trivial action
+    # has the same alpha on both), and two alphas per pair, interleaved
+    c4_again = cyclic_group(4)
+    records = []
+    for g in (C4, K4, c4_again):
+        raws = _raw_systems(C4, g)
+        alphas = sorted({a for a, _ in raws})[:2]
+        assert len(alphas) == 2 and alphas[0] == (0, 0, 0, 0)
+        records.append([(g, a, [fb for b, fb in raws if b == a][:2]) for a in alphas])
+    (r00, r01), (r10, r11), (r20, r21) = records
+    # each step keeps g and changes alpha, or keeps alpha and changes g (to
+    # K4, or to an equal copy of C4), or repeats
+    sequence = [r00, r00, r01, r00, r10, r11, r11, r10, r01, r00, r20, r21, r20, r00]
+    previous = None
+    for g, alpha, fbs in sequence:
+        for fb in fbs:
+            got = system_from_raw(C4, g, list(alpha), fb)
+            want = _fresh_system(C4, g, alpha, fb)
+            assert got == want and got.action == want.action
+            assert got.action.actor is g and got.action.space is C4
+            assert got.action.perms == want.action.perms
+            assert got.action.center_plan == want.action.center_plan
+            if previous is not None and previous[0] is g and previous[1] == alpha:
+                assert got.action is previous[2]
+            previous = (g, alpha, got.action)

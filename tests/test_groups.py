@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from crossedprod import groups as groups_mod
 from crossedprod.errors import (
     CapExceededError,
     InvalidDescriptorError,
@@ -774,3 +775,42 @@ def test_inner_automorphism_table_and_cached_centre(grp):
     assert center(grp).elements == tuple(
         x for x in grp.elements() if all(grp.mul(x, y) == grp.mul(y, x) for y in grp.elements())
     )
+
+
+@pytest.mark.parametrize("grp", CATALOG, ids=lambda g: g.name)
+def test_conjugation_table_classes_match_the_orbit_loop_on_the_catalog(grp):
+    # each group is fresh, so its classes are read off the conjugation table
+    for g in (table_group(grp.table), _relabelled(grp, 7), _relabelled(grp, 8)):
+        assert g.conjugacy_classes() == _classes_by_conjugation(g)
+
+
+# names given before the candidates were cached, for each group and one
+# relabelling of it
+RECORDED_NAMES = {
+    "cyclic:1": "C1", "cyclic:2": "C2", "cyclic:6": "C6", "cyclic:12": "C12",
+    "product(cyclic:2,cyclic:4)": "C4xC2", "symmetric:3": "S3", "symmetric:4": "S4",
+    "dihedral:8": "D8", "dihedral:10": "D10", "dihedral:12": "D12", "dihedral:16": "D16",
+    "dihedral:24": "D24", "quaternion:8": "Q8", "product(cyclic:8,cyclic:8)": "C8xC8",
+    "dihedral:64": "D64", "product(cyclic:2,symmetric:3)": "D12",
+    "product(cyclic:3,symmetric:3)": "S3xC3", "product(cyclic:2,quaternion:8)": "Q8xC2",
+    "product(cyclic:2,dihedral:8)": "D8xC2", "product(cyclic:4,symmetric:3)": "S3xC4",
+    "product(cyclic:2,dihedral:12)": "D12xC2",
+    "product(symmetric:3,symmetric:3)": "G36(2^15,3^8,6^12)",
+    "product(cyclic:3,quaternion:8)": "Q8xC3",
+    "product(cyclic:2,symmetric:4)": "G48(2^19,3^8,4^12,6^8)",
+    "product(cyclic:4,quaternion:8)": "Q8xC4",
+    "product(quaternion:8,symmetric:3)": "G48(2^7,3^2,4^24,6^2,12^12)",
+}
+
+
+def test_identify_group_names_are_unchanged_with_cached_candidates():
+    groups = [(name, make_group(spec)) for spec, name in RECORDED_NAMES.items()]
+    groups += [("A4", alternating_group(4)), ("A4xC2", direct_product(alternating_group(4), cyclic_group(2))),
+               ("G21(3^14,7^6)", presentation_group(7, 3, 0, 2, "P")),
+               ("Dic3", presentation_group(3, 4, 0, 2, "P"))]
+    for _ in range(2):  # the second round runs on the cached candidates
+        for name, grp in groups:
+            assert identify_group(grp) == name
+            assert identify_group(_relabelled(grp, 3)) == name
+    for order in (6, 8, 12, 16, 24, 48):
+        assert groups_mod._named_candidates(order) is groups_mod._named_candidates(order)

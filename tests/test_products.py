@@ -10,17 +10,26 @@ from crossedprod.errors import (
 )
 from crossedprod.groups import (
     are_isomorphic,
+    automorphism_group,
     center,
     check_table,
     cyclic_group,
     dihedral_group,
     direct_product,
+    inner_automorphisms,
     is_homomorphism,
     make_group,
     quaternion_group,
     symmetric_group,
+    table_group,
 )
-from crossedprod.classify import enumerate_crossed_systems
+from crossedprod.classify import (
+    enumerate_crossed_systems,
+    enumerate_raw_systems,
+    relabel_system,
+    shift_system,
+    system_from_raw,
+)
 from crossedprod.products import (
     abelian_by_criterion,
     build_product,
@@ -37,6 +46,8 @@ from crossedprod.systems import (
     cocycle,
     invariant_subgroup,
     is_symmetric,
+    system_from_doc,
+    system_to_doc,
     trivial_action,
     trivial_cocycle,
     validate_crossed_system,
@@ -429,3 +440,136 @@ def test_centre_lookups_match_the_scans(hs, gs):
     for sys in systems:
         assert center_pairs(sys) == _center_pairs_scan(sys)
         assert centralizer_pairs(sys) == _centralizer_pairs_scan(sys)
+
+
+def _center_pairs_candidates(sys):
+    # reference: the former candidate loop, every inner candidate h of each
+    # central g checked against every g'
+    h_grp, g_grp = sys.h, sys.g
+    hm, hinv = h_grp.table, h_grp.inverse_table
+    act, f = sys.action.perms, sys.cocycle.table
+    inner = inner_automorphisms(h_grp)
+    out = set()
+    for g in center(g_grp).elements:
+        for c in inner.get(act[g], ()):
+            h = hinv[c]
+            if all(hm[act[gp][h]][f[gp][g]] == hm[h][f[g][gp]] for gp in g_grp.elements()):
+                out.add((h, g))
+    return frozenset(out)
+
+
+def _center_pairs_by_table(sys):
+    # reference: the rows of the product table that equal their columns
+    n = sys.h.order
+    table = _product_table_2d(
+        np.array(sys.h.table), np.array(sys.g.table),
+        np.array(sys.action.perms), np.array(sys.cocycle.table),
+    )
+    central = np.flatnonzero((table == table.T).all(axis=1))
+    return frozenset((int(i % n), int(i // n)) for i in central)
+
+
+def _assert_centre_matches_references(sys):
+    got = center_pairs(sys)
+    assert got == _center_pairs_candidates(sys)
+    assert got == _center_pairs_by_table(sys)
+
+
+def _relabelled_group(grp, seed):
+    rng = np.random.default_rng(seed)
+    perm = [0] + [int(v) + 1 for v in rng.permutation(grp.order - 1)]
+    table = [[0] * grp.order for _ in range(grp.order)]
+    for x in grp.elements():
+        for y in grp.elements():
+            table[perm[x]][perm[y]] = perm[grp.table[x][y]]
+    return table_group(table)
+
+
+CENTRE_CATALOG = [cyclic_group(n) for n in (1, 2, 3, 4, 5, 6, 8)] + [
+    make_group("product(cyclic:2,cyclic:2)"), symmetric_group(3), dihedral_group(8), quaternion_group(),
+]
+
+
+def test_centre_plan_matches_both_references_on_every_streamed_system():
+    # systems of one action share one WeakAction, and so one centre plan
+    checked = 0
+    for h in CENTRE_CATALOG:
+        for g in CENTRE_CATALOG:
+            if h.order * g.order > 16:
+                continue
+            raws = []
+            enumerate_raw_systems(h, g, lambda a, fb: raws.append((a, fb)))
+            for alpha, fb in raws:
+                _assert_centre_matches_references(system_from_raw(h, g, alpha, fb))
+                checked += 1
+    assert checked == 2112
+
+
+@pytest.mark.parametrize("hs,gs", [
+    ("symmetric:3", "cyclic:2"), ("quaternion:8", "cyclic:2"), ("dihedral:8", "cyclic:2"),
+    ("cyclic:4", "product(cyclic:2,cyclic:2)"), ("cyclic:2", "dihedral:8"),
+])
+def test_centre_plan_on_actions_built_outside_the_stream(hs, gs):
+    # each system's WeakAction comes from a document, a relabelling or a shift
+    h, g = make_group(hs), make_group(gs)
+    h_auts, g_auts = automorphism_group(h), automorphism_group(g)
+    rng = np.random.default_rng(5)
+    for sys in enumerate_crossed_systems(h, g):
+        doc_sys = system_from_doc(system_to_doc(sys))
+        eta = h_auts[int(rng.integers(len(h_auts)))]
+        gamma = g_auts[int(rng.integers(len(g_auts)))]
+        r = [0] + [int(v) for v in rng.integers(0, h.order, g.order - 1)]
+        for other in (doc_sys, relabel_system(sys, eta, gamma), shift_system(sys, r)):
+            _assert_centre_matches_references(other)
+        assert center_pairs(doc_sys) == center_pairs(sys)
+
+
+@pytest.mark.parametrize("hs,gs,seed", [
+    ("symmetric:3", "cyclic:2", 1), ("symmetric:3", "cyclic:3", 2), ("quaternion:8", "cyclic:2", 3),
+    ("dihedral:8", "cyclic:2", 4), ("symmetric:3", "product(cyclic:2,cyclic:2)", 5),
+])
+def test_centre_plan_on_relabelled_non_abelian_h(hs, gs, seed):
+    h = _relabelled_group(make_group(hs), seed)
+    g = make_group(gs)
+    systems = enumerate_crossed_systems(h, g)
+    assert systems
+    for sys in systems:
+        _assert_centre_matches_references(sys)
+
+
+def test_action_facts_are_computed_once_and_stay_out_of_equality():
+    sys = q8_system()
+    action = sys.action
+    assert action.perms is action.perms
+    assert action.center_plan is action.center_plan
+    assert not action.is_trivial()
+    # the cached facts are not fields: a fresh copy compares and hashes equal
+    fresh = weak_action(C2, C4, [a.map for a in action.table])
+    assert fresh == action and hash(fresh) == hash(action)
+    assert trivial_action(C2, C4).is_trivial()
+
+
+def test_table_kernel_memo_follows_every_input():
+    # one entry, keyed by (hm, gm, act): consecutive calls alternate actions,
+    # change only hm, gm or the dtype, and mutate an input or an output
+    rng = np.random.default_rng(10)
+    h_tables = [np.array(symmetric_group(3).table), np.array(cyclic_group(6).table)]
+    g_tables = [np.array(cyclic_group(4).table), np.array(make_group("product(cyclic:2,cyclic:2)").table)]
+    acts = [rng.integers(0, 6, (4, 6)) for _ in range(2)]
+    fs = [rng.integers(0, 6, (4, 4)) for _ in range(2)]
+    calls = [(0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 1), (1, 1, 0, 1), (0, 1, 0, 1)]
+    dtypes = [np.int64, np.uint8, np.int32, np.uint32]
+    # dtype-only changes follow each other first, then hm-only and gm-only ones
+    order = [(c, d) for c in calls for d in dtypes] + [(c, d) for d in dtypes for c in calls]
+
+    def check(args):
+        got, want = product_table_np(*args), _product_table_2d(*args)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        return got
+
+    for (i, j, k, l), dtype in order:
+        args = [a.astype(dtype) for a in (h_tables[i], g_tables[j], acts[k], fs[l])]
+        check(args)[:] = 0      # the returned table is the caller's: nothing leaks
+        check(args)
+    args[2][1, 2] = (args[2][1, 2] + 1) % 6     # act changed in place
+    check(args)
