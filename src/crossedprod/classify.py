@@ -27,6 +27,7 @@ relabellings.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -46,7 +47,7 @@ from .groups import (
     inner_automorphisms,
     is_homomorphism,
 )
-from .morphisms import iter_stabilizing_maps
+from .morphisms import _require_same_groups, iter_stabilizing_maps, iter_stabilizing_rows
 from .products import build_product, cached_product
 from .systems import Cocycle, CrossedSystem, WeakAction
 
@@ -474,15 +475,53 @@ def relabel_system(sys: CrossedSystem, eta: Automorphism, gamma: Automorphism) -
     return CrossedSystem(h, g, WeakAction(g, h, perms), Cocycle(g, h, rows), sys.normalized)
 
 
+def _relabellings(h: FiniteGroup, g: FiniteGroup):
+    """`(eta, eta_inv, gamma_inv)`: value tables of every (eta, gamma) in Aut(H) x Aut(G).
+
+    Row p of each int array, of shape (P, |H|), (P, |H|) and (P, |G|) with
+    P = |Aut(H)| |Aut(G)|, is eta_p, eta_p^-1 and gamma_p^-1, with eta
+    outer and gamma inner, both in `automorphism_group` order.
+    """
+    eta = np.array([a.map for a in automorphism_group(h)], dtype=np.intp)
+    gamma = np.array([a.map for a in automorphism_group(g)], dtype=np.intp)
+    count = len(gamma)
+    return (
+        np.repeat(eta, count, axis=0),
+        np.repeat(np.argsort(eta, axis=1), count, axis=0),
+        np.tile(np.argsort(gamma, axis=1), (len(eta), 1)),
+    )
+
+
+def _relabel_rows(act, f, eta, eta_inv, gamma_inv) -> tuple["np.ndarray", "np.ndarray"]:
+    """The rows of every relabelling of one system (`relabel_system`), one gather.
+
+    `act` (|G|, |H|) and `f` (|G|, |G|) are the system's action rows and
+    cocycle table; `eta`, `eta_inv`, `gamma_inv` are as `_relabellings`
+    gives them.  Row p of the output is the system with
+
+        act_B(g)(x)  = eta_p(act(gamma_p^-1 g)(eta_p^-1 x))
+        f_B(g1, g2) = eta_p(f(gamma_p^-1 g1, gamma_p^-1 g2))
+
+    Returns `(actions, cocycles)` of shape (P, |G||H|) and (P, |G|^2), in
+    the dtype of `eta`.
+    """
+    count = len(eta)
+    p = np.arange(count)[:, None, None]
+    q = gamma_inv[:, :, None]
+    actions = eta[p, act[q, eta_inv[:, None, :]]]
+    cocycles = eta[p, f[q, gamma_inv[:, None, :]]]
+    return actions.reshape(count, -1), cocycles.reshape(count, -1)
+
+
 def coboundary_orbit_keys(
     h: FiniteGroup, g: FiniteGroup, act_rows, f_flat: bytes, t_rows=None
 ) -> tuple["np.ndarray", "np.ndarray"]:
     """Keys of every system that an end-stabilizing shift relates to one system.
 
     By default row k stands for the map t: G -> H with t(1) = 1 whose value at
-    element gi > 0 is digit gi - 1 of k in base |H|; `t_rows`, an integer
-    array of shape (rows, |G|) with t(1) = 1 in column 0, gives the maps t to
-    use instead, one per row.  Row k holds the system B with
+    element gi > 0 is digit gi - 1 of k in base |H| (`_all_shifts`); `t_rows`,
+    an integer array of shape (rows, |G|) with t(1) = 1 in column 0, gives the
+    maps t to use instead, one per row.  Row k holds the system B with
 
         act_B(g)(x)  = t(g) act(g)(x) t(g)^-1
         f_B(g1, g2) = t(g1) act(g1)(t(g2)) f(g1, g2) t(g1 g2)^-1
@@ -491,36 +530,42 @@ def coboundary_orbit_keys(
     rows list the whole eq1 orbit.  Returns `(actions, cocycles)`: uint8
     arrays of shape (rows, |G||H|) and (rows, |G|^2), rows = |H|^(|G|-1) by
     default, whose rows are B's action rows and row-major cocycle table,
-    duplicates included.  For abelian H the action does not depend on t, so
-    `actions` is then a read-only broadcast of one row.
+    duplicates included, each computed in one broadcast gather over all rows.
+    For abelian H the action does not depend on t, so `actions` is then a
+    read-only broadcast of one row.
     """
     n, m = h.order, g.order
-    hm = np.array(h.table, dtype=np.uint8)
+    hm = np.array(h.table, dtype=np.uint8).ravel()
     hinv = np.array(h.inverse_table, dtype=np.uint8)
     act = np.array(act_rows, dtype=np.uint8).reshape(m, n)
-    gm = g.table
-    if t_rows is None:
-        count = n ** (m - 1)
-        codes = np.arange(count, dtype=np.int64)
-        t = np.zeros((count, m), dtype=np.int64)
-        for gi in range(1, m):
-            t[:, gi] = (codes // (n ** (gi - 1))) % n
-    else:
-        t = np.asarray(t_rows, dtype=np.int64)
-        count = len(t)
+    t = (_all_shifts(n, m) if t_rows is None else np.asarray(t_rows)).astype(np.uint8)
+    count = len(t)
     t_inv = hinv[t]
+
+    def mul(a, b):
+        # hm[a, b], elementwise with broadcasting, as one take on the flat table
+        return hm.take(a.astype(np.uint16) * n + b)
+
     if h.is_abelian:
         actions = np.broadcast_to(act.reshape(1, m * n), (count, m * n))
     else:
-        actions = hm[hm[t[:, :, None], act[None, :, :]], t_inv[:, :, None]].reshape(count, m * n)
-    f_arr = np.frombuffer(f_flat, dtype=np.uint8)
-    cocycles = np.empty((count, m * m), dtype=np.uint8)
-    for g1 in range(m):
-        t1 = t[:, g1]
-        for g2 in range(m):
-            shifted = hm[hm[t1, act[g1][t[:, g2]]], f_arr[g1 * m + g2]]
-            cocycles[:, g1 * m + g2] = hm[shifted, t_inv[:, gm[g1][g2]]]
-    return actions, cocycles
+        actions = mul(mul(t[:, :, None], act), t_inv[:, :, None]).reshape(count, m * n)
+    f = np.frombuffer(f_flat, dtype=np.uint8).reshape(m, m)
+    moved = act.T[t].transpose(0, 2, 1)   # [k, g1, g2] = act(g1)(t(g2))
+    shifted = mul(mul(mul(t[:, :, None], moved), f), t_inv.take(np.array(g.table), axis=1))
+    return actions, shifted.reshape(count, m * m)
+
+
+def _all_shifts(n: int, m: int) -> "np.ndarray":
+    """Every map t: G -> H with t(1) = 1, one per row of shape (|H|^(|G|-1), |G|).
+
+    Row k has, at element gi > 0, digit gi - 1 of k in base |H|.
+    """
+    codes = np.arange(n ** (m - 1), dtype=np.intp)
+    t = np.zeros((len(codes), m), dtype=np.intp)
+    for gi in range(1, m):
+        t[:, gi] = (codes // (n ** (gi - 1))) % n
+    return t
 
 
 def _gauge_tree(g: FiniteGroup) -> tuple[list[int], list[tuple[int, int, int]]]:
@@ -786,16 +831,33 @@ def _witness_laws_hold(sysA, sysB, w: Equivalence2Witness) -> bool:
 def are_equivalent_2(sysA: CrossedSystem, sysB: CrossedSystem) -> Equivalence2Witness | None:
     """First (eta, gamma) in Aut(H) x Aut(G) order whose relabelling of A is eq1 to B.
 
-    An eq1 witness r from relabel_system(A, eta, gamma) to B is the shift by
-    r^-1 (`coboundary_orbit_keys`), so (eta, gamma, eta^-1 r^-1) relates A to B.
+    The relabellings of A are computed as rows in one gather (`_relabel_rows`)
+    and each is searched against B's rows (`iter_stabilizing_rows`).  An eq1
+    witness r from relabel_system(A, eta, gamma) to B is the shift by r^-1
+    (`coboundary_orbit_keys`), so (eta, gamma, eta^-1 r^-1) relates A to B.
     """
-    h = sysA.h
-    for eta in automorphism_group(h):
-        for gamma in automorphism_group(sysA.g):
-            w = are_equivalent_1(relabel_system(sysA, eta, gamma), sysB)
-            if w is not None:
-                einv = eta.inverse_automorphism().map
-                return Equivalence2Witness(eta, gamma, tuple(einv[h.inv(v)] for v in w.r))
+    _require_same_groups(sysA, sysB)
+    h, g = sysA.h, sysA.g
+    n, m = h.order, g.order
+    eta, eta_inv, gamma_inv = _relabellings(h, g)
+    actions, cocycles = _relabel_rows(
+        np.array(sysA.action.perms, dtype=np.intp),
+        np.array(sysA.cocycle.table, dtype=np.intp),
+        eta, eta_inv, gamma_inv,
+    )
+    actB, fB = sysB.action.perms, sysB.cocycle.table
+    auts_g = automorphism_group(g)
+    for p in range(len(eta)):
+        actA = actions[p].reshape(m, n).tolist()
+        fA = cocycles[p].reshape(m, m).tolist()
+        r = next(iter_stabilizing_rows(h, g, actA, fA, actB, fB), None)
+        if r is not None:
+            einv = eta_inv[p].tolist()
+            return Equivalence2Witness(
+                automorphism_group(h)[p // len(auts_g)],
+                auts_g[p % len(auts_g)],
+                tuple(einv[h.inv(v)] for v in r),
+            )
     return None
 
 
@@ -826,10 +888,53 @@ def invert_equivalence2(w: Equivalence2Witness, h: FiniteGroup) -> Equivalence2W
 # classification ----------------------------------------------------------------
 
 
+class SystemSequence(Sequence):
+    """The sorted systems of one pair, read off a key block.
+
+    Row i of `keys` (uint8) is system i's action rows then its row-major
+    cocycle table, and `alphas[alpha_of[i]]` its automorphism indices.  A
+    `CrossedSystem` is built (`system_from_raw`) only when indexed.  Supports
+    `len`, iteration, indexing and slicing (a slice is a list), and equals any
+    list or tuple of the same systems.
+    """
+
+    __hash__ = None
+
+    def __init__(self, h: FiniteGroup, g: FiniteGroup, alphas, alpha_of, keys):
+        self.h, self.g = h, g
+        self._alphas, self._alpha_of, self._keys = alphas, alpha_of, keys
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = range(len(self))[i]   # IndexError outside, negative from the end
+        width = self.g.order * self.h.order
+        return system_from_raw(
+            self.h, self.g, self._alphas[self._alpha_of[i]], self._keys[i, width:].tobytes()
+        )
+
+    def __eq__(self, other):
+        if isinstance(other, SystemSequence):
+            return (
+                self.h.table == other.h.table
+                and self.g.table == other.g.table
+                and np.array_equal(self._keys, other._keys)
+            )
+        if isinstance(other, (list, tuple)):
+            return len(other) == len(self) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"SystemSequence({self.h.name}, {self.g.name}, {len(self)} systems)"
+
+
 @dataclass
 class ClassificationReport:
     relation: str
-    systems: list[CrossedSystem]
+    systems: Sequence[CrossedSystem]
     classes: list[tuple[int, ...]]
     representatives: list[int]
     product_iso_types: list[str]
@@ -846,77 +951,125 @@ class ClassificationReport:
         return out
 
 
-def _system_key(sys: CrossedSystem) -> bytes:
-    """The system's action rows then its row-major cocycle table, as one key."""
-    rows = sys.action.perms + sys.cocycle.table
-    return bytes(v for row in rows for v in row)
+def _system_block(h: FiniteGroup, g: FiniteGroup, cap: int) -> SystemSequence:
+    """Every system on (H, G), sorted, as one key block (`SystemSequence`).
 
-
-def _orbit_classes(count: int, orbit) -> list[tuple[int, ...]]:
-    """Partition range(count) into the orbits that `orbit(i)` lists.
-
-    Each index not yet in a class opens one and marks every index of its orbit,
-    so classes come in order of their least member, which is their
-    representative.  An orbit that meets an earlier class raises
-    InternalInvariantError.
+    automorphism_group is sorted by value table, so the order of the keys,
+    action rows then row-major cocycle, is the order of the raw records
+    (alpha, f_bytes) that `enumerate_crossed_systems` sorts by: one sort of
+    the block as fixed-width byte strings gives both.
     """
-    class_of = [-1] * count
-    classes: list[tuple[int, ...]] = []
-    for i in range(count):
-        if class_of[i] >= 0:
-            continue
-        ci = len(classes)
-        members = set(orbit(i))
-        if any(class_of[j] >= 0 for j in members):
-            raise InternalInvariantError("an orbit met another class")
-        for j in members:
-            class_of[j] = ci
-        classes.append(tuple(sorted(members)))
-    return classes
+    n, m = h.order, g.order
+    alphas: dict[tuple[int, ...], int] = {}
+    ids: list[int] = []
+    data = bytearray()
+
+    def visit(alpha, f_bytes) -> None:
+        ids.append(alphas.setdefault(alpha, len(alphas)))
+        data.extend(f_bytes)
+
+    enumerate_raw_systems(h, g, visit, cap=cap)
+    perms = np.array([a.map for a in automorphism_group(h)], dtype=np.uint8)
+    actions = perms[np.array(list(alphas), dtype=np.intp)].reshape(len(alphas), m * n)
+    alpha_of = np.array(ids, dtype=np.intp)
+    cocycles = np.frombuffer(bytes(data), dtype=np.uint8).reshape(len(ids), m * m)
+    keys = np.concatenate([actions[alpha_of], cocycles], axis=1)
+    order = np.argsort(_key_view(keys), kind="stable")
+    return SystemSequence(h, g, list(alphas), alpha_of[order], keys[order])
+
+
+def _key_view(rows: "np.ndarray") -> "np.ndarray":
+    """uint8 rows of shape (k, w) as k fixed-width byte strings, compared as keys."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(f"V{rows.shape[1]}").ravel()
+
+
+def _lookup(sorted_keys: "np.ndarray", rows: "np.ndarray") -> "np.ndarray":
+    """Index in `sorted_keys` (`_key_view` of a sorted block) of each key row.
+
+    The block holds the systems in order, so this is each row's system index.
+    A row that names no system raises InternalInvariantError.
+    """
+    query = _key_view(rows)
+    pos = np.searchsorted(sorted_keys, query)
+    if (pos == len(sorted_keys)).any() or (sorted_keys[pos] != query).any():
+        raise InternalInvariantError("an orbit left the systems")
+    return pos
+
+
+def _mark(class_of: "np.ndarray", members: "np.ndarray", label: int) -> None:
+    """Give the unmarked `members` the class `label`; an orbit that meets
+    another class raises InternalInvariantError."""
+    if (class_of[members] >= 0).any():
+        raise InternalInvariantError("an orbit met another class")
+    class_of[members] = label
+
+
+def _classes(labels: "np.ndarray", count: int) -> list[tuple[int, ...]]:
+    """The classes of `labels` (values 0..count-1), class k the indices labelled k."""
+    flat = np.argsort(labels, kind="stable").tolist()
+    out, start = [], 0
+    for size in np.bincount(labels, minlength=count).tolist():
+        out.append(tuple(flat[start:start + size]))
+        start += size
+    return out
 
 
 def _reports(h: FiniteGroup, g: FiniteGroup, relations, cap: int) -> dict[str, ClassificationReport]:
     """The reports for `relations` on (H, G), from one enumeration.
 
-    The chain eq1 -> eq2 -> iso is built in order.  eq1 classes are the
-    orbits of the shifts (`coboundary_orbit_keys`).  Relabellings map eq1
-    classes onto eq1 classes, and an eq2 witness is a relabelling followed by
-    a shift (`relabel_system`), so the eq2 classes are the unions of eq1
-    classes joined by the |Aut(H)|·|Aut(G)| relabellings of each class's
-    representative.  iso merges eq2 classes in order, testing
-    `are_isomorphic` on the products of class representatives only: an eq2
-    witness induces a product isomorphism (`equivalence2_map`).  Product
-    types are named once per eq2 class, which holds one product type.
+    The systems are one sorted key block (`_system_block`), and every orbit
+    is found in it by one `np.searchsorted` of its key rows.  The chain
+    eq1 -> eq2 -> iso is built in order, each relation labelling its classes
+    in order of their least member:
+
+    - eq1: each system not yet marked opens a class and marks its whole shift
+      orbit, computed in one gather (`coboundary_orbit_keys`).
+    - eq2: relabellings map eq1 classes onto eq1 classes, and an eq2 witness
+      is a relabelling followed by a shift, so each eq1 class not yet joined
+      joins the eq1 classes of the |Aut(H)|·|Aut(G)| relabellings of its
+      representative, computed in one gather (`_relabel_rows`).
+    - iso merges eq2 classes in order, testing `are_isomorphic` on the
+      products of class representatives only: an eq2 witness induces a
+      product isomorphism (`equivalence2_map`).
+
+    Product types are named once per eq2 class, which holds one product type.
+    Systems are built only for the eq2 representatives.
     """
-    systems = enumerate_crossed_systems(h, g, max_pair_order=cap)
-    index = {_system_key(s): i for i, s in enumerate(systems)}
+    n, m = h.order, g.order
+    systems = _system_block(h, g, cap)
+    keys = systems._keys
+    sorted_keys = _key_view(keys)
+    width = m * n
 
-    def lookup(key: bytes) -> int:
-        i = index.get(key)
-        if i is None:
-            raise InternalInvariantError("an orbit left the systems")
-        return i
+    eq1_of = np.full(len(keys), -1, dtype=np.intp)
+    t = _all_shifts(n, m)
+    count = 0
+    for i in range(len(keys)):
+        if eq1_of[i] < 0:
+            actions, cocycles = coboundary_orbit_keys(h, g, keys[i, :width], keys[i, width:].tobytes(), t)
+            _mark(eq1_of, _lookup(sorted_keys, np.concatenate([actions, cocycles], axis=1)), count)
+            count += 1
+    eq1 = _classes(eq1_of, count)
 
-    def shifts(i: int):
-        sys = systems[i]
-        f_flat = bytes(v for row in sys.cocycle.table for v in row)
-        actions, cocycles = coboundary_orbit_keys(h, g, sys.action.perms, f_flat)
-        return {lookup(row.tobytes()) for row in np.concatenate([actions, cocycles], axis=1)}
-
-    eq1 = _orbit_classes(len(systems), shifts)
-    eq1_of = {i: c for c, ms in enumerate(eq1) for i in ms}
-    pairs = [(eta, gamma) for eta in automorphism_group(h) for gamma in automorphism_group(g)]
-
-    def relabellings(c: int):
-        sys = systems[eq1[c][0]]
-        return {eq1_of[lookup(_system_key(relabel_system(sys, eta, gamma)))] for (eta, gamma) in pairs}
-
-    joined = _orbit_classes(len(eq1), relabellings)
-    eq2 = [tuple(sorted(i for c in cs for i in eq1[c])) for cs in joined]
+    eta, eta_inv, gamma_inv = _relabellings(h, g)
+    eta = eta.astype(np.uint8)
+    joined_of = np.full(len(eq1), -1, dtype=np.intp)
+    joined = 0
+    for c, members in enumerate(eq1):
+        if joined_of[c] < 0:
+            row = keys[members[0]]
+            actions, cocycles = _relabel_rows(
+                row[:width].reshape(m, n), row[width:].reshape(m, m), eta, eta_inv, gamma_inv
+            )
+            found = eq1_of[_lookup(sorted_keys, np.concatenate([actions, cocycles], axis=1))]
+            _mark(joined_of, found, joined)
+            joined += 1
+    eq2_of = joined_of[eq1_of]
+    eq2 = _classes(eq2_of, joined)
     products = [build_product(systems[ms[0]]).group for ms in eq2]
     names = [identify_group(p) for p in products]
-    eq2_of = {c: k for k, cs in enumerate(joined) for c in cs}
-    chain = {"eq1": (eq1, [names[eq2_of[c]] for c in range(len(eq1))]), "eq2": (eq2, names)}
+    chain = {"eq1": (eq1, [names[k] for k in joined_of.tolist()]), "eq2": (eq2, names)}
     if "iso" in relations:
         merged: list[list[int]] = []
         for k, prod in enumerate(products):
@@ -932,10 +1085,10 @@ def _reports(h: FiniteGroup, g: FiniteGroup, relations, cap: int) -> dict[str, C
                 merged.append([k])
             else:
                 hit.append(k)
-        chain["iso"] = (
-            [tuple(sorted(i for k in ks for i in eq2[k])) for ks in merged],
-            [names[ks[0]] for ks in merged],
-        )
+        iso_of = np.empty(len(eq2), dtype=np.intp)
+        for j, ks in enumerate(merged):
+            iso_of[ks] = j
+        chain["iso"] = (_classes(iso_of[eq2_of], len(merged)), [names[ks[0]] for ks in merged])
     return {
         rel: ClassificationReport(
             relation=rel,

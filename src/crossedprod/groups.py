@@ -877,7 +877,10 @@ def _named_candidates(order: int) -> tuple[tuple[str, FiniteGroup], ...]:
     """The named non-abelian groups of one order, in the order tried.
 
     Built once per order, so each candidate's fingerprint, classes and
-    generator plan are cached on it across `identify_group` calls.
+    generator plan are cached on it across `identify_group` calls.  A
+    candidate isomorphic to an earlier one (D6 to S3, S3xC2 to D12, S3xC6 to
+    D12xC3, ...) is dropped: the earlier one matches first, so its name could
+    never be returned.
     """
     out = []
     if order == 8:
@@ -899,7 +902,11 @@ def _named_candidates(order: int) -> tuple[tuple[str, FiniteGroup], ...]:
             cof = order // sub
             for name, base in _named_candidates(sub):
                 out.append((f"{name}xC{cof}", direct_product(base, cyclic_group(cof))))
-    return tuple(out)
+    kept: list[tuple[str, FiniteGroup]] = []
+    for name, cand in out:
+        if all(are_isomorphic(cand, other) is None for _, other in kept):
+            kept.append((name, cand))
+    return tuple(kept)
 
 
 def identify_group(g: FiniteGroup) -> str:

@@ -316,13 +316,23 @@ def iter_stabilizing_maps(sysA: CrossedSystem, sysB: CrossedSystem):
     Yields in lexicographic order of the value table.
     """
     _require_same_groups(sysA, sysB)
-    h_grp, g_grp = sysA.h, sysA.g
+    yield from iter_stabilizing_rows(
+        sysA.h, sysA.g,
+        sysA.action.perms, sysA.cocycle.table,
+        sysB.action.perms, sysB.cocycle.table,
+    )
+
+
+def iter_stabilizing_rows(h_grp: FiniteGroup, g_grp: FiniteGroup, actA, fA, actB, fB):
+    """`iter_stabilizing_maps` on two systems given by their rows only.
+
+    actA[g][x] and fA[g1][g2] (likewise B) are the action rows and cocycle
+    table of two normalized systems on (h_grp, g_grp); nothing else is read.
+    """
     n, m = h_grp.order, g_grp.order
     hm = h_grp.table
     hinv = h_grp.inverse_table
     gm = g_grp.table
-    actA, actB = sysA.action.perms, sysB.action.perms
-    fA, fB = sysA.cocycle.table, sysB.cocycle.table
     candidates: list[list[int]] = [[0]]
     for g in range(1, m):
         pa, pb = actA[g], actB[g]

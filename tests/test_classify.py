@@ -16,6 +16,7 @@ from crossedprod.groups import (
     make_group,
     quaternion_group,
     symmetric_group,
+    table_group,
 )
 from crossedprod.classify import (
     DEFAULT_PAIR_CAP,
@@ -317,6 +318,35 @@ def test_equivalence2_witnesses_verify():
     assert found > 50
 
 
+def _first_witness_by_objects(a, b):
+    """Reference: `relabel_system` then `are_equivalent_1`, one (eta, gamma) at a time."""
+    from crossedprod.classify import Equivalence2Witness
+
+    h = a.h
+    for eta in automorphism_group(h):
+        for gamma in automorphism_group(a.g):
+            w = are_equivalent_1(relabel_system(a, eta, gamma), b)
+            if w is not None:
+                einv = eta.inverse_automorphism().map
+                return Equivalence2Witness(eta, gamma, tuple(einv[h.inv(v)] for v in w.r))
+    return None
+
+
+def test_are_equivalent_2_on_rows_returns_the_same_first_witness():
+    # the all-pairs samples of test_equivalence2_witnesses_verify, plus a
+    # non-abelian H
+    compared = 0
+    # non-abelian H; and (C2, K4), (K4, C2) for automorphisms of order 3, which
+    # differ from their inverses
+    for (h, g) in [(C4, C2), (C2, C4), (K4, C2), (C3, C3), (S3, C2), (C2, K4)]:
+        systems = enumerate_crossed_systems(h, g)
+        for a in systems:
+            for b in systems:
+                assert are_equivalent_2(a, b) == _first_witness_by_objects(a, b)
+                compared += 1
+    assert compared == 317 + 256
+
+
 def test_shift_system_rejects_non_normalized():
     c1 = cyclic_group(1)
     sys = validate_crossed_system(C2, c1, trivial_action(c1, C2), cocycle(c1, C2, [[1]]))
@@ -350,23 +380,28 @@ def _key_rows(sys):
 
 
 def test_internal_invariant_orbit_leaving_the_systems_raises(monkeypatch):
+    # the two kernels the block path calls: relabellings (eq2) and shifts (eq1)
     classify_mod = importlib.import_module("crossedprod.classify")
 
-    stray = _stray_system(C2, C2)
-    monkeypatch.setattr(classify_mod, "relabel_system", lambda sys, eta, gamma: stray)
-    with pytest.raises(InternalInvariantError, match="left the systems"):
-        classify(C2, C2, "eq2")
+    # a key past the last system's, and one before the first (not a system)
+    for rows in (_key_rows(_stray_system(C2, C2)), (np.zeros((1, 4), np.uint8), np.zeros((1, 4), np.uint8))):
+        monkeypatch.setattr(classify_mod, "_relabel_rows", lambda *args: rows)
+        with pytest.raises(InternalInvariantError, match="left the systems"):
+            classify(C2, C2, "eq2")
+        monkeypatch.undo()
 
-    monkeypatch.setattr(classify_mod, "coboundary_orbit_keys", lambda *args: _key_rows(stray))
-    with pytest.raises(InternalInvariantError, match="left the systems"):
-        classify(C2, C2, "eq1")
+        monkeypatch.setattr(classify_mod, "coboundary_orbit_keys", lambda *args: rows)
+        with pytest.raises(InternalInvariantError, match="left the systems"):
+            classify(C2, C2, "eq1")
+        monkeypatch.undo()
 
 
 def test_internal_invariant_orbit_meeting_another_class_raises(monkeypatch):
     classify_mod = importlib.import_module("crossedprod.classify")
 
     first = enumerate_crossed_systems(C2, C2)[0]
-    monkeypatch.setattr(classify_mod, "relabel_system", lambda sys, eta, gamma: first)
+    # every eq1 class relabels onto the first system's class
+    monkeypatch.setattr(classify_mod, "_relabel_rows", lambda *args: _key_rows(first))
     with pytest.raises(InternalInvariantError, match="met another class"):
         classify(C2, C2, "eq2")
 
@@ -381,6 +416,19 @@ def test_internal_invariant_orbit_meeting_another_class_raises(monkeypatch):
     monkeypatch.setattr(classify_mod, "coboundary_orbit_keys", kernel)
     with pytest.raises(InternalInvariantError, match="met another class"):
         classify(C2, C2, "eq1")
+
+
+def test_classify_builds_no_relabelled_systems(monkeypatch):
+    # the block path relabels rows (`_relabel_rows`), never whole systems
+    classify_mod = importlib.import_module("crossedprod.classify")
+
+    def refuse(*args):
+        raise AssertionError("relabel_system called")
+
+    monkeypatch.setattr(classify_mod, "relabel_system", refuse)
+    for relation in ("eq1", "eq2", "iso"):
+        assert classify(S3, C2, relation).class_count() >= 1
+    assert not hasattr(classify_mod, "_system_key")
 
 
 def test_functor_check_trivial_quotient():
@@ -551,6 +599,135 @@ def test_orbit_classification_matches_pairwise_search():
             counts[relation] = len(classes)
         coarser += counts["eq2"] < counts["eq1"]
     assert coarser >= 1  # (C3, C3) at least
+
+
+# the block classifier against the per-object oracle -----------------------------
+
+
+def _system_key(sys):
+    """The system's action rows then its row-major cocycle table, as one key."""
+    return _flat(sys.action.perms) + _flat(sys.cocycle.table)
+
+
+def _orbit_classes(count, orbit):
+    """Partition range(count) into the orbits that `orbit(i)` lists, marking
+    whole orbits in index order (classes in order of least member)."""
+    class_of = [-1] * count
+    classes = []
+    for i in range(count):
+        if class_of[i] >= 0:
+            continue
+        members = set(orbit(i))
+        assert all(class_of[j] < 0 for j in members)
+        for j in members:
+            class_of[j] = len(classes)
+        classes.append(tuple(sorted(members)))
+    return classes
+
+
+def _reports_by_objects(h, g):
+    """Oracle: the eq1 -> eq2 -> iso chain built one system object at a time.
+
+    Every system is a `CrossedSystem`, looked up by `_system_key` in a dict;
+    eq1 marks shift orbits, eq2 joins the eq1 classes of `relabel_system` on
+    each class's first member, and iso merges eq2 classes whose products are
+    isomorphic.  Returns {relation: (classes, names)} and the systems.
+    """
+    systems = enumerate_crossed_systems(h, g)
+    index = {_system_key(s): i for i, s in enumerate(systems)}
+
+    def shifts(i):
+        sys = systems[i]
+        actions, cocycles = coboundary_orbit_keys(h, g, sys.action.perms, _flat(sys.cocycle.table))
+        return {index[a.tobytes() + f.tobytes()] for a, f in zip(actions, cocycles)}
+
+    eq1 = _orbit_classes(len(systems), shifts)
+    eq1_of = {i: c for c, ms in enumerate(eq1) for i in ms}
+    pairs = [(eta, gamma) for eta in automorphism_group(h) for gamma in automorphism_group(g)]
+
+    def relabellings(c):
+        sys = systems[eq1[c][0]]
+        return {eq1_of[index[_system_key(relabel_system(sys, eta, gamma))]] for (eta, gamma) in pairs}
+
+    joined = _orbit_classes(len(eq1), relabellings)
+    eq2 = [tuple(sorted(i for c in cs for i in eq1[c])) for cs in joined]
+    products = [build_product(systems[ms[0]]).group for ms in eq2]
+    names = [identify_group(p) for p in products]
+    eq2_of = {c: k for k, cs in enumerate(joined) for c in cs}
+    merged = []
+    for k, prod in enumerate(products):
+        hit = next((ks for ks in merged if are_isomorphic(products[ks[0]], prod) is not None), None)
+        if hit is None:
+            merged.append([k])
+        else:
+            hit.append(k)
+    chain = {
+        "eq1": (eq1, [names[eq2_of[c]] for c in range(len(eq1))]),
+        "eq2": (eq2, names),
+        "iso": ([tuple(sorted(i for k in ks for i in eq2[k])) for ks in merged], [names[ks[0]] for ks in merged]),
+    }
+    return chain, systems
+
+
+# every classify-witness pair of the benchmark (including (C2, D8), (C2, Q8)
+# and (C3, S3), on the algebraic abelian-H path), plus larger non-abelian and
+# abelian pairs
+ORACLE_PAIRS = [
+    ("product(cyclic:2,cyclic:2)", "product(cyclic:2,cyclic:2)"),
+    ("cyclic:2", "dihedral:8"),
+    ("cyclic:2", "quaternion:8"),
+    ("cyclic:3", "symmetric:3"),
+    ("cyclic:4", "cyclic:4"),
+    ("quaternion:8", "cyclic:2"),
+    ("dihedral:8", "cyclic:2"),
+    ("quaternion:8", "cyclic:4"),
+    ("symmetric:3", "cyclic:4"),
+    ("product(cyclic:2,cyclic:2)", "cyclic:8"),
+]
+
+
+@pytest.mark.parametrize("hs,gs", ORACLE_PAIRS)
+def test_block_classification_matches_the_object_oracle(hs, gs):
+    h, g = make_group(hs), make_group(gs)
+    chain, systems = _reports_by_objects(h, g)
+    reports = _reports(h, g, ("eq1", "eq2", "iso"), DEFAULT_PAIR_CAP)
+    for relation, (classes, names) in chain.items():
+        rep = reports[relation]
+        assert len(rep.systems) == len(systems)
+        assert rep.classes == classes, relation
+        assert rep.representatives == [ms[0] for ms in classes]
+        assert rep.product_iso_types == names
+    assert reports["eq1"].systems == systems
+
+
+def test_report_systems_are_a_lazy_sequence(monkeypatch):
+    classify_mod = importlib.import_module("crossedprod.classify")
+    for (h, g) in [(S3, C2), (C2, K4), (C4, cyclic_group(1))]:
+        systems = enumerate_crossed_systems(h, g)
+        built = []
+        real = classify_mod.system_from_raw
+        monkeypatch.setattr(classify_mod, "system_from_raw", lambda *a: built.append(a) or real(*a))
+        lazy = classify(h, g, "eq1").systems
+        built.clear()
+        assert len(lazy) == len(systems) and not built  # len builds nothing
+        assert lazy[0] == systems[0] and lazy[-1] == systems[-1] and len(built) == 2
+        assert list(lazy) == systems
+        assert lazy[1:4] == systems[1:4] and lazy[::-2] == systems[::-2]
+        assert lazy == systems and systems == lazy and lazy == tuple(systems)
+        assert lazy == classify(h, g, "eq2").systems
+        assert lazy != systems[:-1]
+        if len(systems) > 1:
+            assert lazy != systems[::-1]
+        with pytest.raises(IndexError):
+            lazy[len(systems)]
+        monkeypatch.undo()
+    assert classify(S3, C2, "eq1").systems != classify(C2, K4, "eq1").systems
+    # the same key block over another table of C4 names other systems
+    lazy = classify(C4, C2, "eq1").systems
+    swap = [0, 2, 1, 3]
+    c4_swapped = table_group([[swap[C4.mul(swap[a], swap[b])] for b in range(4)] for a in range(4)])
+    assert c4_swapped.table != C4.table
+    assert lazy != classify_mod.SystemSequence(c4_swapped, C2, lazy._alphas, lazy._alpha_of, lazy._keys)
 
 
 # gauge-slice orbit representatives ---------------------------------------------

@@ -814,3 +814,55 @@ def test_identify_group_names_are_unchanged_with_cached_candidates():
             assert identify_group(_relabelled(grp, 3)) == name
     for order in (6, 8, 12, 16, 24, 48):
         assert groups_mod._named_candidates(order) is groups_mod._named_candidates(order)
+
+
+def test_named_candidates_of_each_order_are_pairwise_non_isomorphic():
+    for order in range(1, 65):
+        cands = groups_mod._named_candidates(order)
+        for i, (name, cand) in enumerate(cands):
+            for other_name, other in cands[i + 1:]:
+                assert are_isomorphic(cand, other) is None, (order, name, other_name)
+    # the copies that used to be listed are gone, the first of each type kept
+    assert [n for n, _ in groups_mod._named_candidates(6)] == ["S3"]
+    assert [n for n, _ in groups_mod._named_candidates(12)] == ["A4", "D12", "Dic3"]
+
+
+# names recorded while the isomorphic candidate copies were still listed: the
+# catalog, and per pair of the `classify` digests in test_cli.py, how often
+# each name occurs among the products of the eq1 class representatives
+CATALOG_NAMES = [
+    "C1", "C2", "C3", "C4", "C5", "C6", "C8", "C12", "C2xC2", "C4xC2", "C2xC2xC2",
+    "S3", "S4", "D8", "D10", "D12", "Q8", "A4", "C8xC8", "D64",
+]
+DIGEST_PAIR_NAMES = {
+    ("cyclic:2", "dihedral:8"): {
+        "D16": 1, "D8xC2": 1, "Dic4": 1, "G16(2^3,4^12)": 1, "G16(2^5,4^6,8^4)": 2, "G16(2^7,4^8)": 2,
+    },
+    ("cyclic:2", "quaternion:8"): {"G16(2^3,4^12)": 3, "Q8xC2": 1},
+    ("cyclic:3", "symmetric:3"): {"D18": 2, "G18(2^9,3^8)": 1, "S3xC3": 1},
+    ("cyclic:4", "cyclic:4"): {
+        "C16": 2, "C4xC4": 1, "C8xC2": 1, "G16(2^3,4^12)": 1, "G16(2^3,4^4,8^8)": 1,
+    },
+    ("dihedral:8", "cyclic:2"): {"D16": 1, "D8xC2": 1, "G16(2^5,4^6,8^4)": 1, "G16(2^7,4^8)": 1},
+    ("product(cyclic:2,cyclic:2)", "product(cyclic:2,cyclic:2)"): {
+        "C2xC2xC2xC2": 1, "C4xC2xC2": 9, "C4xC4": 6, "D8xC2": 18, "G16(2^3,4^12)": 18,
+        "G16(2^7,4^8)": 27, "Q8xC2": 3,
+    },
+    ("quaternion:8", "cyclic:2"): {"Dic4": 3, "G16(2^5,4^6,8^4)": 3, "G16(2^7,4^8)": 1, "Q8xC2": 1},
+}
+
+
+def test_identify_group_names_are_unchanged_without_isomorphic_candidates():
+    from collections import Counter
+
+    from crossedprod.classify import classify, enumerate_crossed_systems
+    from crossedprod.products import build_product
+
+    assert [identify_group(g) for g in CATALOG] == CATALOG_NAMES
+    assert [identify_group(_relabelled(g, 3)) for g in CATALOG] == CATALOG_NAMES
+    for (hs, gs), expected in DIGEST_PAIR_NAMES.items():
+        h, g = make_group(hs), make_group(gs)
+        systems = enumerate_crossed_systems(h, g)
+        reps = classify(h, g, "eq1").representatives
+        names = Counter(identify_group(build_product(systems[i]).group) for i in reps)
+        assert names == Counter(expected), (hs, gs)
