@@ -17,6 +17,11 @@ engine enumerates only the gauge slice, which gives one representative per
 class, and each action's block is those representatives times B^2, sorted
 into the engine's order (`_algebraic_systems`).
 
+Either way the systems come as one block per action (`_system_blocks`).
+`_system_block` joins them into the one sorted key block that `classify`,
+`enumerate_crossed_systems` and the CLI read; `enumerate_raw_systems` is a
+per-system reader over the blocks.
+
 Both equivalences rest on one law.  eq1 shifts a system by a map t: G -> H
 (`shift_system`, `coboundary_orbit_keys`); eq2 relabels its ends by (eta,
 gamma) in Aut(H) x Aut(G) (`relabel_system`) and then shifts.  So eq1 classes
@@ -29,7 +34,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -129,7 +133,7 @@ def _outer_actions(h: FiniteGroup, g: FiniteGroup):
 
 
 def enumerate_raw_systems(
-    h: FiniteGroup, g: FiniteGroup, visit, *, cap: int = DEFAULT_PAIR_CAP, _pinned=()
+    h: FiniteGroup, g: FiniteGroup, visit, *, cap: int = DEFAULT_PAIR_CAP
 ) -> None:
     """Drive `visit(alpha_indices, f_bytes)` over every normalized crossed system.
 
@@ -139,29 +143,46 @@ def enumerate_raw_systems(
     the homomorphisms G -> Out(H)), and within one action in lexicographic
     order of the cocycle read column-major (`g2` outer, `g1` inner).
 
-    For abelian H, with no pinned cells and at least `_ALGEBRAIC_MIN_MAPS`
-    maps t: G -> H, each action's systems form the group Z^2, built as the
-    cosets rep B^2 of its H^2 representatives (`_algebraic_systems`).  Every
-    other call runs the backtracking engine `_search_systems`.  Both emit the
-    same stream.
-
-    `_pinned` names cocycle cells (g1, g2) held at the unit: only the systems
-    with the unit on every pinned cell are emitted, by the engine.  With no
-    pinned cells (the default) every system is emitted.
+    A per-system reader over the block stream `_system_blocks`, which the
+    library's own consumers read directly.
     """
+    for alpha, block in _system_blocks(h, g, cap):
+        data, size = block.tobytes(), block.shape[1]
+        for i in range(0, len(data), size):
+            visit(alpha, data[i:i + size])
+
+
+def _check_pair(h: FiniteGroup, g: FiniteGroup, cap: int) -> None:
+    """Raise CapExceededError unless (H, G) may be enumerated under `cap`."""
     n, m = h.order, g.order
     if n * m > cap:
         raise CapExceededError(f"|H|*|G| = {n * m} exceeds cap {cap}")
     if n >= 256:
         raise CapExceededError("engine packs cocycle values into bytes; |H| must be < 256")
-    if h.is_abelian and not _pinned and n ** (m - 1) >= _ALGEBRAIC_MIN_MAPS:
-        _algebraic_systems(h, g, visit)
-    else:
-        _search_systems(h, g, visit, _pinned)
 
 
-def _search_systems(h: FiniteGroup, g: FiniteGroup, visit, pinned=()) -> None:
-    """The backtracking engine behind `enumerate_raw_systems`, same stream.
+def _system_blocks(h: FiniteGroup, g: FiniteGroup, cap: int):
+    """Every normalized crossed system on (H, G), one block per action.
+
+    Yields `(alpha, block)` for each action with systems, in the order of
+    `enumerate_raw_systems`: `block` is a C-contiguous uint8 array of shape
+    (k, |G|^2), one row-major cocycle per row, rows in the stream's order.
+
+    For abelian H with at least `_ALGEBRAIC_MIN_MAPS` maps t: G -> H, each
+    block is Z^2, built as the cosets rep B^2 of its H^2 representatives
+    (`_algebraic_systems`).  Every other pair runs the backtracking engine
+    `_search_systems`.  Both give the same blocks.
+    """
+    _check_pair(h, g, cap)
+    if h.is_abelian and h.order ** (g.order - 1) >= _ALGEBRAIC_MIN_MAPS:
+        return _algebraic_systems(h, g)
+    return _search_systems(h, g)
+
+
+def _search_systems(h: FiniteGroup, g: FiniteGroup, pinned=()):
+    """The backtracking engine: `_system_blocks`'s blocks, each yielded when
+    its action is done, if not empty.  With `pinned` cells (g1, g2), only the
+    systems with the unit on every pinned cell are kept.
 
     Only the homomorphisms G -> Out(H) are tried (`_outer_actions`); the
     domain of cell (g1, g2) is the ascending tuple of c in H conjugating like
@@ -185,7 +206,7 @@ def _search_systems(h: FiniteGroup, g: FiniteGroup, visit, pinned=()) -> None:
     alpha = [0] * m
 
     if m == 1:
-        visit((0,), bytes(fvals))
+        yield (0,), np.zeros((1, 1), dtype=np.uint8)
         return
 
     abelian_h = h.is_abelian
@@ -238,14 +259,15 @@ def _search_systems(h: FiniteGroup, g: FiniteGroup, visit, pinned=()) -> None:
 
     CHAIN, DERIVE, FREE = 0, 1, 2
 
-    def alpha_leaf() -> None:
+    def alpha_leaf() -> bytearray:
+        rows = bytearray()
         act = [aut_perms[a] for a in alpha]
         inner = [comp[comp[alpha[g1]][alpha[g2]]][aut_inv[alpha[gm[g1][g2]]]] for (g1, g2) in cells]
         domains = [conj_of[a] for a in inner]
         domsets = [domset_of[a] for a in inner]
         for k in pinned_pos:
             if 0 not in domains[k]:
-                return
+                return rows
             domains[k] = (0,)
             domsets[k] = {0}
         act_inv: list[tuple[int, ...] | None] = [None] * m
@@ -286,13 +308,12 @@ def _search_systems(h: FiniteGroup, g: FiniteGroup, visit, pinned=()) -> None:
                 steps.append((FREE, flat[k], domains[k], len(domains[k]), bind(rest_info[k])))
                 k += 1
         nsteps = len(steps)
-        alpha_t = tuple(alpha)
         fv = fvals
         ptr = [0] * (nsteps + 1)
         k = 0
         while k >= 0:
             if k == nsteps:
-                visit(alpha_t, bytes(fv))
+                rows.extend(fv)
                 k -= 1
                 continue
             step = steps[k]
@@ -367,10 +388,13 @@ def _search_systems(h: FiniteGroup, g: FiniteGroup, visit, pinned=()) -> None:
                 ptr[k] = 0
                 fv[i] = 0
                 k -= 1
+        return rows
 
     for combo in _outer_actions(h, g):
         alpha[:] = combo
-        alpha_leaf()
+        rows = alpha_leaf()
+        if rows:
+            yield tuple(alpha), np.frombuffer(rows, dtype=np.uint8).reshape(-1, m * m)
 
 
 def system_from_raw(
@@ -407,11 +431,8 @@ def system_from_raw(
 def enumerate_crossed_systems(
     h: FiniteGroup, g: FiniteGroup, *, max_pair_order: int = DEFAULT_PAIR_CAP
 ) -> list[CrossedSystem]:
-    """All normalized crossed systems on (H, G), sorted by encoding."""
-    raws: list[tuple[tuple[int, ...], bytes]] = []
-    enumerate_raw_systems(h, g, lambda a, fb: raws.append((a, fb)), cap=max_pair_order)
-    raws.sort()
-    return [system_from_raw(h, g, a, fb) for (a, fb) in raws]
+    """All normalized crossed systems on (H, G), sorted by encoding (`_system_block`)."""
+    return list(_system_block(h, g, max_pair_order))
 
 
 # shifts and relabellings -----------------------------------------------------
@@ -611,34 +632,36 @@ def _gauge_shifts(h: FiniteGroup, act_rows, gens, edges) -> "np.ndarray":
     return t
 
 
-def _gauge_slice_classes(h: FiniteGroup, g: FiniteGroup, slice_systems, gens, edges):
+def _gauge_slice_classes(h: FiniteGroup, g: FiniteGroup):
     """Yield `(alpha, act_rows, reps)` per action: one slice cocycle per class f B^2.
 
-    For abelian H.  `slice_systems` is the engine's stream pinned to the unit
-    on the tree cells of `(gens, edges)` (`_gauge_tree`), the gauge slice,
-    which meets each class f B^2 in the T0-orbit of any member
-    (`_gauge_shifts`).  A shift multiplies a cocycle by its coboundary, so that
-    orbit is f times the coboundaries of T0, computed once per action.  Within
-    each action, in stream order, every slice cocycle not yet marked joins
-    `reps` (row-major bytes) and marks its T0-orbit, so `reps` holds one
-    representative per class.
+    For abelian H.  The engine pinned to the unit on the tree cells of
+    `_gauge_tree(g)` gives the gauge slice, one block per action, which meets
+    each class f B^2 in the T0-orbit of any member (`_gauge_shifts`).  A shift
+    multiplies a cocycle by its coboundary, so that orbit is f times the
+    coboundaries of T0, computed once per action.  Within each block, in
+    order, every row not yet marked joins `reps` (uint8 rows of shape
+    (r, |G|^2)) and marks its T0-orbit, looked up in the sorted block
+    (`_lookup`), so `reps` holds one representative per class.
     """
     auts = automorphism_group(h)
     hm = np.array(h.table, dtype=np.uint8)
     unit = bytes(g.order ** 2)
-    for alpha, block in groupby(slice_systems, key=lambda s: s[0]):
+    gens, edges = _gauge_tree(g)
+    for alpha, block in _search_systems(h, g, [(p, s) for (_, p, s) in edges]):
         act_rows = [auts[a].map for a in alpha]
         t_rows = _gauge_shifts(h, act_rows, gens, edges)
         _, shifts = coboundary_orbit_keys(h, g, act_rows, unit, t_rows=t_rows)
-        seen: set[bytes] = set()
-        reps: list[bytes] = []
-        for (_, f_bytes) in block:
-            if f_bytes in seen:
-                continue
-            orbit = hm[np.frombuffer(f_bytes, dtype=np.uint8), shifts]
-            seen.update(row.tobytes() for row in orbit)
-            reps.append(f_bytes)
-        yield alpha, act_rows, reps
+        keys = _key_view(block)
+        order = np.argsort(keys)
+        sorted_keys = keys[order]
+        marked = np.zeros(len(block), dtype=bool)
+        reps = []
+        for i in range(len(block)):
+            if not marked[i]:
+                marked[order[_lookup(sorted_keys, hm[block[i], shifts])]] = True
+                reps.append(i)
+        yield alpha, act_rows, block[reps]
 
 
 def _coboundary_group(h: FiniteGroup, g: FiniteGroup, act_rows) -> "np.ndarray":
@@ -673,7 +696,8 @@ def _coboundary_group(h: FiniteGroup, g: FiniteGroup, act_rows) -> "np.ndarray":
 def _cocycle_block(h: FiniteGroup, g: FiniteGroup, act_rows, reps) -> "np.ndarray":
     """Z^2 of one action over abelian H, in the engine's order.
 
-    `reps` holds one row-major cocycle per class f B^2 (`_gauge_slice_classes`).
+    `reps`, uint8 rows of shape (r, |G|^2), holds one row-major cocycle per
+    class f B^2 (`_gauge_slice_classes`).
     Z^2 is the disjoint union of the cosets rep B^2 (`_coboundary_group`), one
     table lookup with no duplicates.  The rows, uint8 of shape (|Z^2|, |G|^2),
     are sorted by the cocycle read column-major, which is the engine's cell
@@ -683,61 +707,48 @@ def _cocycle_block(h: FiniteGroup, g: FiniteGroup, act_rows, reps) -> "np.ndarra
     """
     m = g.order
     hm = np.array(h.table, dtype=np.uint8)
-    rep_rows = np.frombuffer(b"".join(reps), dtype=np.uint8).reshape(len(reps), m * m)
     b2 = _coboundary_group(h, g, act_rows)
-    z2 = hm[rep_rows[:, None, :], b2[None, :, :]].reshape(-1, m * m)
+    z2 = hm[reps[:, None, :], b2[None, :, :]].reshape(-1, m * m)
     columns = np.ascontiguousarray(z2.reshape(-1, m, m).transpose(0, 2, 1)).reshape(-1, m * m)
     return z2[np.argsort(columns.view(f"V{m * m}").ravel())]
 
 
-def _algebraic_systems(h: FiniteGroup, g: FiniteGroup, visit) -> None:
-    """`enumerate_raw_systems` for abelian H, one Z^2 block per action.
+def _algebraic_systems(h: FiniteGroup, g: FiniteGroup):
+    """`_system_blocks` for abelian H, one Z^2 block per action.
 
     The engine pinned to the gauge slice gives the H^2 representatives of
     each action (`_gauge_slice_classes`); `_cocycle_block` multiplies them
-    by B^2 and sorts the block into the engine's order, so the stream equals
+    by B^2 and sorts the block into the engine's order, so the blocks equal
     `_search_systems`'s.
     """
-    gens, edges = _gauge_tree(g)
-    slice_systems: list[tuple[tuple[int, ...], bytes]] = []
-    _search_systems(h, g, lambda a, fb: slice_systems.append((a, fb)), [(p, s) for (_, p, s) in edges])
-    size = g.order ** 2
-    for alpha, act_rows, reps in _gauge_slice_classes(h, g, slice_systems, gens, edges):
-        data = _cocycle_block(h, g, act_rows, reps).tobytes()
-        for i in range(0, len(data), size):
-            visit(alpha, data[i:i + size])
+    for alpha, act_rows, reps in _gauge_slice_classes(h, g):
+        yield alpha, _cocycle_block(h, g, act_rows, reps)
 
 
 def iter_orbit_representatives(h: FiniteGroup, g: FiniteGroup, *, cap: int = DEFAULT_PAIR_CAP):
-    """Yield one raw system per stabilizing-equivalence orbit.
+    """Yield one raw system `(alpha, f_bytes)` per stabilizing-equivalence orbit.
 
     For abelian H the action is a homomorphism G -> Aut(H), a shift keeps it,
     and an orbit is a cohomology class f B^2.  Only the gauge slice is
-    enumerated: the cocycles with the unit on every tree cell (p, s) of a BFS
-    spanning tree of G (`_gauge_tree`).  Every orbit meets it, since setting
-    t(s) = 1 on the generators and t(p s) = t(p) p(t(s)) f(p, s) down the tree
-    moves f into it, and meets it in the T0-orbit of any member
+    enumerated, by the engine pinned to the unit on every tree cell (p, s) of
+    a BFS spanning tree of G (`_gauge_tree`).  Every orbit meets it, since
+    setting t(s) = 1 on the generators and t(p s) = t(p) p(t(s)) f(p, s) down
+    the tree moves f into it, and meets it in the T0-orbit of any member
     (`_gauge_shifts`, |H|^#generators maps instead of |H|^(|G|-1)).  Each
     slice cocycle not yet marked is yielded and marks its T0-orbit
     (`_gauge_slice_classes`), so the yield count is the class count.  For
-    non-abelian H every system is yielded (correct, just without reduction).
-    Orbit members share their product's isomorphism type, which is what bulk
-    consumers rely on.
+    non-abelian H every system is yielded, from the engine's blocks (correct,
+    just without reduction).  Orbit members share their product's isomorphism
+    type, which is what bulk consumers rely on.
     """
-    systems: list[tuple[tuple[int, ...], bytes]] = []
-    if not h.is_abelian:
-        enumerate_raw_systems(h, g, lambda a, fb: systems.append((a, fb)), cap=cap)
-        yield from systems
-        return
-    gens, edges = _gauge_tree(g)
-    pinned = [(p, s) for (_, p, s) in edges]
-    enumerate_raw_systems(h, g, lambda a, fb: systems.append((a, fb)), cap=cap, _pinned=pinned)
-    reps = [
-        (alpha, f_bytes)
-        for (alpha, _, block) in _gauge_slice_classes(h, g, systems, gens, edges)
-        for f_bytes in block
-    ]
-    yield from reps
+    _check_pair(h, g, cap)
+    if h.is_abelian:
+        blocks = ((alpha, reps) for (alpha, _, reps) in _gauge_slice_classes(h, g))
+    else:
+        blocks = _search_systems(h, g)
+    for alpha, rows in blocks:
+        for row in rows:
+            yield alpha, row.tobytes()
 
 
 # pairwise equivalence ---------------------------------------------------------
@@ -954,26 +965,18 @@ class ClassificationReport:
 def _system_block(h: FiniteGroup, g: FiniteGroup, cap: int) -> SystemSequence:
     """Every system on (H, G), sorted, as one key block (`SystemSequence`).
 
-    automorphism_group is sorted by value table, so the order of the keys,
-    action rows then row-major cocycle, is the order of the raw records
-    (alpha, f_bytes) that `enumerate_crossed_systems` sorts by: one sort of
-    the block as fixed-width byte strings gives both.
+    Each action's rows (`_system_blocks`) are repeated over its block and
+    joined with it, so a key is action rows then row-major cocycle.
+    automorphism_group is sorted by value table, so the order of the keys is
+    the order of the raw records (alpha, f_bytes): one sort of the block as
+    fixed-width byte strings gives the library's one order of the systems.
     """
     n, m = h.order, g.order
-    alphas: dict[tuple[int, ...], int] = {}
-    ids: list[int] = []
-    data = bytearray()
-
-    def visit(alpha, f_bytes) -> None:
-        ids.append(alphas.setdefault(alpha, len(alphas)))
-        data.extend(f_bytes)
-
-    enumerate_raw_systems(h, g, visit, cap=cap)
+    alphas, blocks = zip(*_system_blocks(h, g, cap))
     perms = np.array([a.map for a in automorphism_group(h)], dtype=np.uint8)
-    actions = perms[np.array(list(alphas), dtype=np.intp)].reshape(len(alphas), m * n)
-    alpha_of = np.array(ids, dtype=np.intp)
-    cocycles = np.frombuffer(bytes(data), dtype=np.uint8).reshape(len(ids), m * m)
-    keys = np.concatenate([actions[alpha_of], cocycles], axis=1)
+    actions = perms[np.array(alphas, dtype=np.intp)].reshape(len(alphas), m * n)
+    alpha_of = np.repeat(np.arange(len(alphas)), [len(b) for b in blocks])
+    keys = np.concatenate([actions[alpha_of], np.concatenate(blocks)], axis=1)
     order = np.argsort(_key_view(keys), kind="stable")
     return SystemSequence(h, g, list(alphas), alpha_of[order], keys[order])
 

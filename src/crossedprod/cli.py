@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .classify import DEFAULT_PAIR_CAP, classify, enumerate_raw_systems
+from .classify import DEFAULT_PAIR_CAP, _system_block, classify
 from .decompose import DecompositionTree, decompose, holder_enumerate, is_simple
 from .errors import (
     AxiomViolationError,
@@ -110,24 +110,20 @@ def _load_system(arg: str, cfg: RunConfig):
 def cmd_enumerate(args, cfg: RunConfig) -> int:
     h = _load_spec(args.h, cfg)
     g = _load_spec(args.g, cfg)
-    raws: list[tuple[tuple[int, ...], bytes]] = []
-    enumerate_raw_systems(h, g, lambda a, fb: raws.append((a, fb)), cap=cfg.max_product_order)
-    raws.sort()
-    perms = [list(a.map) for a in automorphism_group(h)]
-    m = g.order
+    keys = _system_block(h, g, cfg.max_product_order)._keys
+    n, m = h.order, g.order
+    h_doc, g_doc = group_to_doc(h), group_to_doc(g)
     systems = [
-        {
-            "h": group_to_doc(h),
-            "g": group_to_doc(g),
-            "alpha": [perms[a] for a in alpha],
-            "f": [list(fb[r * m:(r + 1) * m]) for r in range(m)],
-        }
-        for (alpha, fb) in raws
+        {"h": h_doc, "g": g_doc, "alpha": alpha, "f": f}
+        for alpha, f in zip(
+            keys[:, :m * n].reshape(-1, m, n).tolist(),
+            keys[:, m * n:].reshape(-1, m, m).tolist(),
+        )
     ]
     doc = {
         "command": "enumerate",
-        "h": group_to_doc(h),
-        "g": group_to_doc(g),
+        "h": h_doc,
+        "g": g_doc,
         "count": len(systems),
         "systems": systems,
     }

@@ -20,6 +20,7 @@ from crossedprod.groups import (
 )
 from crossedprod.classify import (
     DEFAULT_PAIR_CAP,
+    _ALGEBRAIC_MIN_MAPS,
     _algebraic_systems,
     _aut_tables,
     _coboundary_group,
@@ -29,6 +30,8 @@ from crossedprod.classify import (
     _outer_actions,
     _reports,
     _search_systems,
+    _system_block,
+    _system_blocks,
     are_equivalent_1,
     are_equivalent_2,
     classify,
@@ -750,9 +753,17 @@ SLICE_PAIRS = [
 ]
 
 
+def _records(blocks):
+    """A block stream as raw records (alpha, f_bytes), one per row."""
+    return [(alpha, row.tobytes()) for (alpha, block) in blocks for row in block]
+
+
 def _raw_systems(h, g, pinned=()):
+    """The public stream, or with `pinned` cells the engine's pinned blocks."""
+    if pinned:
+        return _records(_search_systems(h, g, pinned))
     out = []
-    enumerate_raw_systems(h, g, lambda a, fb: out.append((a, fb)), _pinned=pinned)
+    enumerate_raw_systems(h, g, lambda a, fb: out.append((a, fb)))
     return out
 
 
@@ -896,16 +907,12 @@ ALGEBRAIC_PAIRS = [
 @pytest.mark.parametrize("h,g", ALGEBRAIC_PAIRS, ids=lambda x: x.name)
 def test_algebraic_blocks_equal_the_engine_stream(h, g):
     m = g.order
-    engine = []
-    _search_systems(h, g, lambda a, fb: engine.append((a, fb)))
-    built = []
-    _algebraic_systems(h, g, lambda a, fb: built.append((a, fb)))
-    assert built == engine
+    engine = list(_search_systems(h, g))
+    built = list(_algebraic_systems(h, g))
+    assert _records(built) == _records(engine)
 
-    per_action = Counter(alpha for (alpha, _) in engine)
-    gens, edges = _gauge_tree(g)
-    slice_systems = _raw_systems(h, g, [(p, s) for (_, p, s) in edges])
-    blocks = list(_gauge_slice_classes(h, g, slice_systems, gens, edges))
+    per_action = Counter(alpha for (alpha, _) in _records(engine))
+    blocks = list(_gauge_slice_classes(h, g))
     assert [alpha for (alpha, _, _) in blocks] == list(per_action)
     for (alpha, act_rows, reps) in blocks:
         b2 = _coboundary_group(h, g, act_rows)
@@ -913,6 +920,71 @@ def test_algebraic_blocks_equal_the_engine_stream(h, g):
         assert {row.tobytes() for row in b2} == {row.tobytes() for row in coboundaries}
         assert len({row.tobytes() for row in b2}) == len(b2)
         assert per_action[alpha] == len(reps) * len(b2)
+
+
+# the per-system path that the block stream replaced, kept as its oracle
+def _visited_systems(h, g):
+    """Raw records collected one per system through `visit`, then sorted."""
+    raws = []
+    enumerate_raw_systems(h, g, lambda a, fb: raws.append((a, fb)))
+    raws.sort()
+    return raws
+
+
+NON_ABELIAN_ENGINE_PAIRS = [
+    (make_group(hs), make_group(gs))
+    for (hs, gs, _, _) in ENGINE_DIGESTS
+    if not make_group(hs).is_abelian
+]
+ORACLE_PAIRS = SLICE_PAIRS + NON_ABELIAN_ENGINE_PAIRS + [(C4, cyclic_group(1))]
+
+
+@pytest.mark.parametrize("h,g", ORACLE_PAIRS, ids=lambda x: x.name)
+def test_system_block_matches_the_visit_oracle(h, g):
+    raws = _visited_systems(h, g)
+    perms = [a.map for a in automorphism_group(h)]
+    want_keys = np.array(
+        [[v for a in alpha for v in perms[a]] + list(fb) for (alpha, fb) in raws], dtype=np.uint8
+    )
+    block = _system_block(h, g, DEFAULT_PAIR_CAP)
+    assert np.array_equal(block._keys, want_keys)
+    assert [block._alphas[k] for k in block._alpha_of] == [alpha for (alpha, _) in raws]
+    assert enumerate_crossed_systems(h, g) == [system_from_raw(h, g, a, fb) for (a, fb) in raws]
+
+
+def test_block_stream_contract_and_visit_oracle():
+    # an engine pair (non-abelian H) and an algebraic pair (abelian H with at
+    # least the threshold of maps t)
+    for (h, g) in [(Q8, C4), (C3, Q8)]:
+        if h.is_abelian:
+            assert h.order ** (g.order - 1) >= _ALGEBRAIC_MIN_MAPS
+        blocks = list(_system_blocks(h, g, DEFAULT_PAIR_CAP))
+        alphas = [alpha for (alpha, _) in blocks]
+        assert all(a < b for a, b in zip(alphas, alphas[1:]))
+        for (alpha, block) in blocks:
+            assert isinstance(alpha, tuple) and len(alpha) == g.order
+            assert block.dtype == np.uint8 and block.flags.c_contiguous
+            assert block.ndim == 2 and block.shape[1] == g.order ** 2 and len(block) > 0
+        assert _records(blocks) == _raw_systems(h, g)
+    # pinned, most of S3's actions keep no system: they yield no block
+    cells = _tree_cells(C4)
+    blocks = list(_search_systems(S3, C4, cells))
+    assert len(blocks) < len(list(_outer_actions(S3, C4)))
+    assert all(len(block) > 0 for (_, block) in blocks)
+    assert _records(blocks) == [
+        (a, fb) for (a, fb) in _raw_systems(S3, C4) if all(fb[p * 4 + s] == 0 for (p, s) in cells)
+    ]
+
+
+def test_every_enumerating_entry_point_enforces_the_cap():
+    with pytest.raises(CapExceededError):
+        classify(C4, C4, "eq1", max_pair_order=8)
+    with pytest.raises(CapExceededError):
+        enumerate_crossed_systems(C4, C4, max_pair_order=8)
+    with pytest.raises(CapExceededError):
+        list(iter_orbit_representatives(C4, C4, cap=8))
+    with pytest.raises(CapExceededError):
+        enumerate_raw_systems(C4, C4, lambda a, fb: None, cap=8)
 
 
 def _scanned_domain(h, a1, a2, a12):

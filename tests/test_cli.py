@@ -106,6 +106,11 @@ ENUMERATE_DIGESTS = [
     ("cyclic:4", "cyclic:5", "e311f4dcf2dc338f2c874c235f090b93"),
     ("product(cyclic:2,cyclic:2)", "cyclic:5", "5dbee7afb87162f9eee47988e34b7333"),
     ("cyclic:2", "cyclic:9", "45e9338d4b677d413d122610d99fd2b6"),
+    # non-abelian H on the engine path, and trivial G; recorded on the
+    # command that collected and sorted one raw tuple per system
+    ("symmetric:3", "cyclic:4", "c75b34e964d3c0472df88208536e3936"),
+    ("quaternion:8", "cyclic:2", "cf226b2f45a97e3039ad944100ecdb23"),
+    ("cyclic:4", "cyclic:1", "15f75f9745f6142df86e4bd48f55e670"),
 ]
 
 
@@ -116,6 +121,28 @@ def test_enumerate_stdout_matches_the_recorded_digest(h, g, digest, capsys):
     code, out, _ = run_cli(["enumerate", "--h", h, "--g", g], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:32] == digest
+
+
+def test_enumerate_stdout_on_a_relabelled_table_document(tmp_path, capsys):
+    # D8 with its labels permuted: the documents carry the table itself, and
+    # the automorphisms sort differently from those of `dihedral:8`
+    import hashlib
+
+    from crossedprod.groups import make_group
+
+    d8 = make_group("dihedral:8")
+    perm = [0, 5, 3, 7, 1, 6, 2, 4]
+    table = [[0] * 8 for _ in range(8)]
+    for x in range(8):
+        for y in range(8):
+            table[perm[x]][perm[y]] = perm[d8.table[x][y]]
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"order": 8, "table": table}))
+    code, out, _ = run_cli(["enumerate", "--h", f"table:@{path}", "--g", "cyclic:2"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["count"] == 16 and doc["h"]["table"] == table
+    assert hashlib.sha256(out.encode()).hexdigest()[:32] == "4a7604cbe798005289c77fa0de9eb359"
 
 
 def test_classify_trivial_g(capsys):
