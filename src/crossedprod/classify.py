@@ -195,7 +195,11 @@ def _search_systems(h: FiniteGroup, g: FiniteGroup, pinned=()):
     abelian H (where the weak action is forced to be multiplicative) only
     instances whose third argument is a generator of G are scheduled: the rest
     follow by induction on the word length of the third argument.  A cell that
-    no instance pins is FREE and tries its domain in ascending order.
+    no instance pins is FREE and tries its domain in ascending order.  The
+    schedule depends on G alone (and on whether H is abelian), so it is built
+    once per G and cached on g (`_engine_schedule`: in numpy over the whole
+    (g1, g2, g3) grid for abelian H and |G| >= 11); per action only its
+    binding to the action's rows and cell domains runs.
     """
     n, m = h.order, g.order
     aut_perms = [a.map for a in automorphism_group(h)]
@@ -209,47 +213,10 @@ def _search_systems(h: FiniteGroup, g: FiniteGroup, pinned=()):
         yield (0,), np.zeros((1, 1), dtype=np.uint8)
         return
 
-    abelian_h = h.is_abelian
-    cells = [(g1, g2) for g2 in range(1, m) for g1 in range(1, m)]
-    cell_pos = {c: k for k, c in enumerate(cells)}
-    flat = [g1 * m + g2 for (g1, g2) in cells]
-    K = len(cells)
-    pinned_pos = [cell_pos[c] for c in pinned]
-    third_args = generating_sequence(g) if abelian_h else list(range(1, m))
-    cc_at: list[list[tuple[int, int, int, int, int]]] = [[] for _ in range(K)]
-    for g1 in range(1, m):
-        for g2 in range(1, m):
-            g12 = gm[g1][g2]
-            for g3 in third_args:
-                g23 = gm[g2][g3]
-                involved = [(g1, g2), (g2, g3)]
-                if g12 != 0:
-                    involved.append((g12, g3))
-                if g23 != 0:
-                    involved.append((g1, g23))
-                pos = max(cell_pos[c] for c in involved)
-                cc_at[pos].append(
-                    (g1 * m + g2, g12 * m + g3, g2 * m + g3, g1 * m + g23, g1)
-                )
-
-    # split each cell's instances into one deriving instance (the cell occurs
-    # exactly once in it) plus the remaining verification list
-    derive_info: list[tuple[int, int, int, int, int, int] | None] = []
-    rest_info: list[list[tuple[int, int, int, int, int]]] = []
-    for k in range(K):
-        target = flat[k]
-        chosen = None
-        rest: list[tuple[int, int, int, int, int]] = []
-        for inst in cc_at[k]:
-            iA, iB, iC, iD, g1 = inst
-            occurrences = (iA == target) + (iB == target) + (iC == target) + (iD == target)
-            if chosen is None and occurrences == 1:
-                mode = 0 if iA == target else 1 if iB == target else 2 if iC == target else 3
-                chosen = (mode, iA, iB, iC, iD, g1)
-            else:
-                rest.append(inst)
-        derive_info.append(chosen)
-        rest_info.append(rest)
+    flat, derive_info, rest_info = _engine_schedule(g, h.is_abelian)
+    K = len(flat)
+    cells = [divmod(i, m) for i in flat]
+    pinned_pos = [(g2 - 1) * (m - 1) + g1 - 1 for (g1, g2) in pinned]
 
     # a cell's domain is the coset of Z(H) conjugating like a1 a2 a12^-1 (all
     # of H when H is abelian); a full domain needs no membership test (None),
@@ -395,6 +362,125 @@ def _search_systems(h: FiniteGroup, g: FiniteGroup, pinned=()):
         rows = alpha_leaf()
         if rows:
             yield tuple(alpha), np.frombuffer(rows, dtype=np.uint8).reshape(-1, m * m)
+
+
+# `_engine_schedule` builds on the grid for abelian H from this order on.
+# Measured on 2 CPUs (median of 301 interleaved runs per group, g3 over
+# `generating_sequence`): the loop is faster up to order 9 (loop/grid time
+# 0.61-0.88), they tie at order 10 (0.98-0.99), and the grid is faster from
+# order 11 on (1.09-1.39 up to order 15, 2.5 on C36).  With every g3, as for
+# non-abelian H, the grid never wins: the loop is faster up to order 9
+# (0.67-0.96), they tie at orders 10-20 (0.91-1.08), and the loop is faster
+# again on S4, C24, C27, C32 and C36 (0.67-0.90), so that schedule is always
+# built by the loop.
+_GRID_MIN_ORDER = 11
+
+
+def _engine_schedule(g: FiniteGroup, abelian_h: bool):
+    """`(flat, derive_info, rest_info)`: the engine's cell schedule on G, cached on g.
+
+    The cells (g1, g2) off the unit row and column are numbered column-major
+    (g2 outer), cell k at flat position `flat[k]` = g1 |G| + g2.  An axiom
+    instance (g1, g2, g3), none of them the unit, is
+
+        f(g1, g2) f(g1 g2, g3) = g1(f(g2, g3)) f(g1, g2 g3)
+
+    written `(iA, iB, iC, iD, g1)` with the flat positions of its four cells,
+    and is listed at the highest-numbered cell it involves (a cell in the
+    unit row or column holds the unit), in (g1, g2, g3) order.  For abelian
+    H only the instances whose g3 is in `generating_sequence(g)` are listed.
+    Of the instances listed at cell k, the first that holds cell k exactly
+    once derives it: `derive_info[k]` is `(mode, iA, iB, iC, iD, g1)`, mode
+    0-3 naming which of the four is cell k, or None if no instance derives
+    it.  `rest_info[k]` lists the other instances, in order.
+
+    For abelian H on G of order `_GRID_MIN_ORDER` or more the schedule is
+    built on the whole (g1, g2, g3) grid at once (`_schedule_on_grid`), else
+    by one loop over the instances (`_schedule_by_loop`); both give the same
+    lists.
+    """
+    key = ("schedule", abelian_h)
+    schedule = g._cache.get(key)
+    if schedule is None:
+        m = g.order
+        third = generating_sequence(g) if abelian_h else list(range(1, m))
+        if abelian_h and m >= _GRID_MIN_ORDER:
+            schedule = _schedule_on_grid(g, third)
+        else:
+            schedule = _schedule_by_loop(g, third)
+        g._cache[key] = schedule
+    return schedule
+
+
+def _schedule_by_loop(g: FiniteGroup, third):
+    """`_engine_schedule` for the g3 in `third`, one instance at a time."""
+    m = g.order
+    gm = g.table
+    number = [-1] * (m * m)   # cell number by flat position, -1 off the cells
+    flat = []
+    for g2 in range(1, m):
+        for g1 in range(1, m):
+            number[g1 * m + g2] = len(flat)
+            flat.append(g1 * m + g2)
+    listed = [[] for _ in flat]
+    for g1 in range(1, m):
+        row1, base1 = gm[g1], g1 * m
+        for g2 in range(1, m):
+            iA, b12, base2, row2 = base1 + g2, row1[g2] * m, g2 * m, gm[g2]
+            for g3 in third:
+                iB, iC, iD = b12 + g3, base2 + g3, base1 + row2[g3]
+                listed[max(number[iA], number[iB], number[iC], number[iD])].append((iA, iB, iC, iD, g1))
+    derive_info, rest_info = [], []
+    for target, insts in zip(flat, listed):
+        for k, inst in enumerate(insts):
+            if inst[:4].count(target) == 1:
+                derive_info.append((inst.index(target), *inst))
+                rest_info.append(insts[:k] + insts[k + 1:])
+                break
+        else:
+            derive_info.append(None)
+            rest_info.append(insts)
+    return flat, derive_info, rest_info
+
+
+def _schedule_on_grid(g: FiniteGroup, third):
+    """`_engine_schedule` for the g3 in `third`, on the whole (g1, g2, g3) grid.
+
+    Every instance's cell numbers come from one gather, one stable sort by
+    the highest lists them cell by cell, and the deriving instance of each
+    cell is the first in its run that holds the cell once.
+    """
+    m, m1 = g.order, g.order - 1
+    gm = np.array(g.table, dtype=np.intp)
+    r = np.arange(1, m)
+    g1, g2, g3 = r[:, None, None], r[:, None], np.array(third, dtype=np.intp)
+    inst = np.empty((m1, m1, len(third), 5), dtype=np.intp)
+    inst[..., 0] = g1 * m + g2
+    inst[..., 1] = gm[g1, g2] * m + g3
+    inst[..., 2] = g2 * m + g3
+    inst[..., 3] = g1 * m + gm[g2, g3]
+    inst[..., 4] = g1
+    inst = inst.reshape(-1, 5)
+    number = np.full((m, m), -1, dtype=np.intp)
+    number[1:, 1:] = g2 - 1 + m1 * (r - 1)
+    cells = number.ravel()[inst[:, :4]]
+    at = cells.max(axis=1)
+    order = np.argsort(at, kind="stable")
+    inst, cells, at = inst[order], cells[order], at[order]
+    hits = cells == at[:, None]
+    once = np.flatnonzero(hits.sum(axis=1) == 1)
+    first = np.ones(len(once), dtype=bool)
+    first[1:] = at[once[1:]] != at[once[:-1]]
+    chosen = once[first]
+    derive_info = [None] * (m1 * m1)
+    for k, mode, row in zip(at[chosen].tolist(), hits[chosen].argmax(axis=1).tolist(), inst[chosen].tolist()):
+        derive_info[k] = (mode, *row)
+    rest = np.ones(len(inst), dtype=bool)
+    rest[chosen] = False
+    rows = list(map(tuple, inst[rest].tolist()))
+    bounds = np.searchsorted(at[rest], np.arange(m1 * m1 + 1)).tolist()
+    rest_info = [rows[a:b] for a, b in zip(bounds, bounds[1:])]
+    return (g1 * m + g2).T.ravel().tolist(), derive_info, rest_info
 
 
 def system_from_raw(
@@ -1027,7 +1113,10 @@ def _reports(h: FiniteGroup, g: FiniteGroup, relations, cap: int) -> dict[str, C
     in order of their least member:
 
     - eq1: each system not yet marked opens a class and marks its whole shift
-      orbit, computed in one gather (`coboundary_orbit_keys`).
+      orbit.  For abelian H the orbit of f is the coset f B^2, one gather
+      with the action's coboundary group (`_coboundary_group`, built once per
+      action); otherwise it is computed over all maps t in one gather
+      (`coboundary_orbit_keys`).
     - eq2: relabellings map eq1 classes onto eq1 classes, and an eq2 witness
       is a relabelling followed by a shift, so each eq1 class not yet joined
       joins the eq1 classes of the |Aut(H)|·|Aut(G)| relabellings of its
@@ -1046,11 +1135,23 @@ def _reports(h: FiniteGroup, g: FiniteGroup, relations, cap: int) -> dict[str, C
     width = m * n
 
     eq1_of = np.full(len(keys), -1, dtype=np.intp)
-    t = _all_shifts(n, m)
+    if h.is_abelian:
+        hm = np.array(h.table, dtype=np.uint8)
+        # the keys hold each action's systems together: B^2 of the last action
+        b2_act, b2 = None, None
+    else:
+        t = _all_shifts(n, m)
     count = 0
     for i in range(len(keys)):
         if eq1_of[i] < 0:
-            actions, cocycles = coboundary_orbit_keys(h, g, keys[i, :width], keys[i, width:].tobytes(), t)
+            act, f = keys[i, :width], keys[i, width:]
+            if h.is_abelian:
+                if b2_act is None or not np.array_equal(b2_act, act):
+                    b2_act, b2 = act, _coboundary_group(h, g, act)
+                cocycles = hm[f, b2]
+                actions = np.broadcast_to(act, (len(cocycles), width))
+            else:
+                actions, cocycles = coboundary_orbit_keys(h, g, act, f.tobytes(), t)
             _mark(eq1_of, _lookup(sorted_keys, np.concatenate([actions, cocycles], axis=1)), count)
             count += 1
     eq1 = _classes(eq1_of, count)

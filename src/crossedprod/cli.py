@@ -18,6 +18,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -347,7 +348,17 @@ def cmd_selfcheck(args, cfg: RunConfig) -> int:
 # wiring ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """The argument parser of every subcommand, built once per process.
+
+    Every call returns the same parser: `main` only parses with it, which
+    leaves it unchanged, so in-process callers skip rebuilding the argparse
+    tree on each call.  A one-shot CLI process builds it once either way.
+    Each subcommand's `cmd_*` function is bound (`set_defaults(func=...)`)
+    when the parser is first built, so replacing a `cmd_*` attribute of this
+    module afterwards does not change what `main` calls.
+    """
     parser = _Parser(prog="crossedprod", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)

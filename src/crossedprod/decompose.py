@@ -260,7 +260,7 @@ def holder_cross_validate(n: int, m: int, *, cap: int = DEFAULT_PAIR_CAP) -> dic
         act = np.stack([aut_perms[a] for a in alpha_indices])
         f_arr = np.frombuffer(f_bytes, dtype=np.uint8).astype(np.int64).reshape(m, m)
         table = product_table_np(hm, gm, act, f_arr)
-        grp = FiniteGroup(f"C{n}#C{m}", table.tolist(), validate=False)
+        grp = FiniteGroup(f"C{n}#C{m}", table, validate=False)
         _collect_type(sys_reps, grp)
 
     matched = len(pres_reps) == len(sys_reps) and all(

@@ -116,7 +116,7 @@ def build_product(sys: CrossedSystem) -> CrossedProductGroup:
     perm = np.arange(n * g.order)
     perm[[0, f11inv]] = f11inv, 0
     table = perm[raw[np.ix_(perm, perm)]]
-    group = FiniteGroup(f"{h.name}#{g.name}", table.tolist(), validate=False)
+    group = FiniteGroup(f"{h.name}#{g.name}", table, validate=False)
     index_of_pair = tuple(perm.tolist())
     pair_of_index = tuple((k % n, k // n) for k in index_of_pair)
     include = Homomorphism(

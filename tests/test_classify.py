@@ -24,6 +24,9 @@ from crossedprod.classify import (
     _algebraic_systems,
     _aut_tables,
     _coboundary_group,
+    _engine_schedule,
+    _schedule_by_loop,
+    _schedule_on_grid,
     _gauge_shifts,
     _gauge_slice_classes,
     _gauge_tree,
@@ -383,7 +386,8 @@ def _key_rows(sys):
 
 
 def test_internal_invariant_orbit_leaving_the_systems_raises(monkeypatch):
-    # the two kernels the block path calls: relabellings (eq2) and shifts (eq1)
+    # the kernels the block path calls: relabellings (eq2), shifts (eq1 on
+    # non-abelian H) and the coboundary group (eq1 on abelian H)
     classify_mod = importlib.import_module("crossedprod.classify")
 
     # a key past the last system's, and one before the first (not a system)
@@ -392,11 +396,18 @@ def test_internal_invariant_orbit_leaving_the_systems_raises(monkeypatch):
         with pytest.raises(InternalInvariantError, match="left the systems"):
             classify(C2, C2, "eq2")
         monkeypatch.undo()
-
+    for rows in (
+        (np.full((1, 12), 5, np.uint8), np.full((1, 4), 5, np.uint8)),
+        (np.zeros((1, 12), np.uint8), np.zeros((1, 4), np.uint8)),
+    ):
         monkeypatch.setattr(classify_mod, "coboundary_orbit_keys", lambda *args: rows)
         with pytest.raises(InternalInvariantError, match="left the systems"):
-            classify(C2, C2, "eq1")
+            classify(S3, C2, "eq1")
         monkeypatch.undo()
+    # a "coboundary" moving f(1, 1) off the unit
+    monkeypatch.setattr(classify_mod, "_coboundary_group", lambda *args: np.array([[1, 0, 0, 0]], np.uint8))
+    with pytest.raises(InternalInvariantError, match="left the systems"):
+        classify(C2, C2, "eq1")
 
 
 def test_internal_invariant_orbit_meeting_another_class_raises(monkeypatch):
@@ -407,7 +418,9 @@ def test_internal_invariant_orbit_meeting_another_class_raises(monkeypatch):
     monkeypatch.setattr(classify_mod, "_relabel_rows", lambda *args: _key_rows(first))
     with pytest.raises(InternalInvariantError, match="met another class"):
         classify(C2, C2, "eq2")
+    monkeypatch.undo()
 
+    first = enumerate_crossed_systems(D8, C2)[0]
     orbit_keys = classify_mod.coboundary_orbit_keys
 
     def kernel(h, g, act_rows, f_flat, t_rows=None):
@@ -416,9 +429,17 @@ def test_internal_invariant_orbit_meeting_another_class_raises(monkeypatch):
         first_action, first_cocycle = _key_rows(first)
         return np.concatenate([actions, first_action]), np.concatenate([cocycles, first_cocycle])
 
+    assert classify(D8, C2, "eq1").class_count() > 1
     monkeypatch.setattr(classify_mod, "coboundary_orbit_keys", kernel)
     with pytest.raises(InternalInvariantError, match="met another class"):
-        classify(C2, C2, "eq1")
+        classify(D8, C2, "eq1")
+    monkeypatch.undo()
+
+    # (C3, C2) with the trivial action has the systems f(1, 1) = 0, 1, 2; a
+    # "coboundary group" {0, 1} that is no group joins 0 and 1, then 2 and 0
+    monkeypatch.setattr(classify_mod, "_coboundary_group", lambda *args: np.array([[0, 0, 0, 0], [0, 0, 0, 1]], np.uint8))
+    with pytest.raises(InternalInvariantError, match="met another class"):
+        classify(C3, C2, "eq1")
 
 
 def test_classify_builds_no_relabelled_systems(monkeypatch):
@@ -1071,3 +1092,75 @@ def test_system_from_raw_reuses_one_action_and_matches_fresh_builds():
             if previous is not None and previous[0] is g and previous[1] == alpha:
                 assert got.action is previous[2]
             previous = (g, alpha, got.action)
+
+
+# the Python schedule compile that `_engine_schedule` replaced, kept as its oracle
+
+
+def _schedule_by_loops(g, abelian_h):
+    m = g.order
+    gm = g.table
+    cells = [(g1, g2) for g2 in range(1, m) for g1 in range(1, m)]
+    cell_pos = {c: k for k, c in enumerate(cells)}
+    flat = [g1 * m + g2 for (g1, g2) in cells]
+    third_args = generating_sequence(g) if abelian_h else list(range(1, m))
+    cc_at = [[] for _ in cells]
+    for g1 in range(1, m):
+        for g2 in range(1, m):
+            g12 = gm[g1][g2]
+            for g3 in third_args:
+                g23 = gm[g2][g3]
+                involved = [(g1, g2), (g2, g3)]
+                if g12 != 0:
+                    involved.append((g12, g3))
+                if g23 != 0:
+                    involved.append((g1, g23))
+                pos = max(cell_pos[c] for c in involved)
+                cc_at[pos].append((g1 * m + g2, g12 * m + g3, g2 * m + g3, g1 * m + g23, g1))
+    derive_info, rest_info = [], []
+    for k, target in enumerate(flat):
+        chosen, rest = None, []
+        for inst in cc_at[k]:
+            iA, iB, iC, iD, g1 = inst
+            occurrences = (iA == target) + (iB == target) + (iC == target) + (iD == target)
+            if chosen is None and occurrences == 1:
+                mode = 0 if iA == target else 1 if iB == target else 2 if iC == target else 3
+                chosen = (mode, iA, iB, iC, iD, g1)
+            else:
+                rest.append(inst)
+        derive_info.append(chosen)
+        rest_info.append(rest)
+    return flat, derive_info, rest_info
+
+
+SCHEDULE_GROUPS = [cyclic_group(k) for k in (2, 3, 4, 5, 6, 8, 9, 12, 18)] + [
+    K4, S3, D8, Q8, C2_3, dihedral_group(12), make_group("product(cyclic:2,cyclic:4)"), symmetric_group(4)
+]
+
+
+@pytest.mark.parametrize("g", SCHEDULE_GROUPS, ids=lambda x: x.name)
+def test_engine_schedule_matches_the_schedule_oracle(g):
+    # the loop and the grid schedule on every group, whichever `_engine_schedule` picks
+    for abelian_h in (True, False):
+        want = _schedule_by_loops(g, abelian_h)
+        third = generating_sequence(g) if abelian_h else list(range(1, g.order))
+        assert _schedule_by_loop(g, third) == want
+        assert _schedule_on_grid(g, third) == want
+        schedule = _engine_schedule(g, abelian_h)
+        assert schedule == want
+        assert _engine_schedule(g, abelian_h) is schedule
+
+
+@pytest.mark.parametrize("h,g", [
+    (C3, C4), (C2, D8), (K4, K4), (C4, S3), (C5, C4),
+    (S3, C4), (S3, C3), (Q8, C2), (D8, C2), (S3, K4),
+], ids=lambda x: x.name)
+def test_engine_blocks_match_the_schedule_oracle(h, g, monkeypatch):
+    # pinned (the gauge slice's tree cells) and unpinned passes, on the
+    # vectorised schedule and on the loop-built one
+    classify_mod = importlib.import_module("crossedprod.classify")
+    for pinned in ((), _tree_cells(g)):
+        blocks = _records(_search_systems(h, g, pinned))
+        with monkeypatch.context() as patch:
+            patch.setattr(classify_mod, "_engine_schedule", _schedule_by_loops)
+            assert _records(_search_systems(h, g, pinned)) == blocks

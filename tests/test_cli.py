@@ -285,6 +285,46 @@ def test_malformed_documents_are_input_errors(tmp_path, capsys, option, doc):
     assert json.loads(err.splitlines()[-1])["error"]["type"] == "input"
 
 
+def test_boolean_table_entries_are_input_errors(tmp_path, capsys):
+    # JSON true and false are not integers, though Python's bool is an int
+    for doc in (
+        {"order": 2, "table": [[False, True], [True, False]]},
+        [[False, True], [True, False]],
+        {"order": True, "table": [[0]]},
+    ):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(doc if isinstance(doc, dict) else {"table": doc}))
+        code, out, err = run_cli(["decompose", "--group", f"table:@{path}"], capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err.splitlines()[-1])["error"]["type"] == "input"
+
+
+def test_boolean_system_entries_are_input_errors(tmp_path, capsys):
+    good = {"h": "cyclic:2", "g": "cyclic:2", "alpha": [[0, 1], [0, 1]], "f": [[0, 0], [0, 0]]}
+    for bad in (
+        {"alpha": [[False, True], [False, True]], "f": [[False, False], [False, False]]},
+        {"alpha": [[False, True], [False, True]]},
+        {"f": [[0, 0], [0, True]]},
+    ):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({**good, **bad}))
+        code, out, err = run_cli(["build", "--system", f"@{path}"], capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err.splitlines()[-1])["error"]["type"] == "input"
+    path.write_text(json.dumps(good))
+    assert run_cli(["build", "--system", f"@{path}"], capsys)[0] == 0
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    from crossedprod.cli import build_parser
+
+    assert build_parser() is build_parser()
+    # a failed parse leaves the shared parser usable
+    assert run_cli(["enumerate", "--h", "cyclic:2"], capsys)[0] == 1
+    code, out, _ = run_cli(["enumerate", "--h", "cyclic:2", "--g", "cyclic:2"], capsys)
+    assert code == 0 and json.loads(out)["count"] == 2
+
+
 def test_internal_invariant_exit_code(monkeypatch, capsys):
     from crossedprod import cli
     from crossedprod.errors import InternalInvariantError

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from crossedprod import groups as groups_mod
@@ -866,3 +867,114 @@ def test_identify_group_names_are_unchanged_without_isomorphic_candidates():
         reps = classify(h, g, "eq1").representatives
         names = Counter(identify_group(build_product(systems[i]).group) for i in reps)
         assert names == Counter(expected), (hs, gs)
+
+
+# the per-entry table intake, the multiply-until-1 order loop, the nested-loop
+# completion triples and the direct product's entry loop, which the array
+# paths replaced, kept as their oracles
+
+
+def _intake_by_entries(table):
+    return tuple(tuple(map(int, row)) for row in table)
+
+
+def _orders_by_multiplication(table):
+    out = []
+    for x in range(len(table)):
+        k, acc = 1, x
+        while acc != 0:
+            acc = table[acc][x]
+            k += 1
+        out.append(k)
+    return tuple(out)
+
+
+def _triples_by_loops(table):
+    out = [[] for _ in range(len(table))]
+    for a in range(len(table)):
+        for b in range(len(table)):
+            ab = table[a][b]
+            out[max(a, b, ab)].append((a, b, ab))
+    return out
+
+
+def _direct_product_by_loops(a, b):
+    nb = b.order
+    return tuple(
+        tuple(a.table[x1][x2] * nb + b.table[y1][y2] for x2 in a.elements() for y2 in b.elements())
+        for x1 in a.elements()
+        for y1 in b.elements()
+    )
+
+
+def _presentation_groups():
+    """Every consistent presentation group with n*m <= 36."""
+    return [
+        presentation_group(n, m, i, j, f"P{n}.{m}.{i}.{j}")
+        for n in range(1, 37)
+        for m in range(1, 36 // n + 1)
+        for i in range(n)
+        for j in range(n)
+        if (i * (j - 1)) % n == 0 and pow(j, m, n) == 1 % n
+    ]
+
+
+def _table_forms(table):
+    """One table as an int64, int32 and (if it fits) uint8 array, nested lists,
+    nested tuples and rows of numpy integers."""
+    arr = np.array(table, dtype=np.int64)
+    forms = [arr, arr.astype(np.int32), [list(row) for row in table], table, list(arr)]
+    if len(table) < 256:
+        forms.append(arr.astype(np.uint8))
+    return forms
+
+
+def _all_python_ints(table):
+    return set(map(type, itertools.chain.from_iterable(table))) == {int}
+
+
+def test_table_types_match_the_intake_oracle():
+    for grp in CATALOG + _presentation_groups():
+        want = _intake_by_entries(grp.table)
+        built = [groups_mod.FiniteGroup("T", form, validate=False) for form in _table_forms(grp.table)]
+        for other in built:
+            assert other.table == want and other == grp and hash(other) == hash(grp)
+            assert _all_python_ints(other.table)
+    # the validating path takes arrays too, and still rejects a bad table
+    assert groups_mod.FiniteGroup("C3", np.array(cyclic_group(3).table)).order == 3
+    with pytest.raises(InvalidTableError):
+        groups_mod.FiniteGroup("bad", np.array([[0, 1], [1, 1]]))
+
+
+def test_constructor_tables_match_the_intake_oracle():
+    for n in range(1, 40):
+        assert cyclic_group(n).table == tuple(
+            tuple((i + j) % n for j in range(n)) for i in range(n)
+        )
+    for order in range(2, 40, 2):
+        d = dihedral_group(order)
+        k = order // 2
+        assert (d.name, d.descriptor) == (f"D{order}", f"dihedral:{order}")
+        assert d.table == _presentation_table_by_loops(k, 2, 0, (k - 1) % k if k > 1 else 0)
+    q = quaternion_group()
+    assert (q.name, q.descriptor) == ("Q8", "quaternion:8")
+    assert q.table == _presentation_table_by_loops(4, 2, 2, 3)
+    for a in CATALOG[:12]:
+        for b in CATALOG[:6]:
+            prod = direct_product(a, b)
+            assert prod.table == _direct_product_by_loops(a, b) and _all_python_ints(prod.table)
+    for grp in CATALOG + _presentation_groups()[::7]:
+        assert _all_python_ints(grp.table)
+
+
+def test_element_orders_and_triples_match_the_intake_oracle():
+    presented = _presentation_groups()
+    assert len(presented) == 1193
+    for k, grp in enumerate(CATALOG + presented):
+        for g in (grp, _relabelled(grp, k)) if grp.order <= 36 else (grp,):
+            orders = g.element_orders
+            assert orders == _orders_by_multiplication(g.table)
+            assert g.elements_by_order() == {
+                o: tuple(x for x in g.elements() if orders[x] == o) for o in set(orders)
+            }
+            assert groups_mod._completion_triples(g) == _triples_by_loops(g.table)
