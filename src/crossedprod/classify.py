@@ -42,7 +42,6 @@ from .groups import (
     Automorphism,
     FiniteGroup,
     _completion_triples,
-    are_isomorphic,
     automorphism_group,
     automorphism_index,
     backtrack,
@@ -50,6 +49,7 @@ from .groups import (
     identify_group,
     inner_automorphisms,
     is_homomorphism,
+    isomorphic,
 )
 from .morphisms import _require_same_groups, iter_stabilizing_maps, iter_stabilizing_rows
 from .products import build_product, cached_product
@@ -1121,9 +1121,9 @@ def _reports(h: FiniteGroup, g: FiniteGroup, relations, cap: int) -> dict[str, C
       is a relabelling followed by a shift, so each eq1 class not yet joined
       joins the eq1 classes of the |Aut(H)|·|Aut(G)| relabellings of its
       representative, computed in one gather (`_relabel_rows`).
-    - iso merges eq2 classes in order, testing `are_isomorphic` on the
-      products of class representatives only: an eq2 witness induces a
-      product isomorphism (`equivalence2_map`).
+    - iso merges eq2 classes in order, testing `isomorphic` on the products
+      of class representatives only: an eq2 witness induces a product
+      isomorphism (`equivalence2_map`).
 
     Product types are named once per eq2 class, which holds one product type.
     Systems are built only for the eq2 representatives.
@@ -1181,7 +1181,7 @@ def _reports(h: FiniteGroup, g: FiniteGroup, relations, cap: int) -> dict[str, C
                 (
                     ks
                     for ks in merged
-                    if names[ks[0]] == names[k] and are_isomorphic(products[ks[0]], prod) is not None
+                    if names[ks[0]] == names[k] and isomorphic(products[ks[0]], prod)
                 ),
                 None,
             )

@@ -28,11 +28,11 @@ from .groups import (
     FiniteGroup,
     Homomorphism,
     Subgroup,
-    are_isomorphic,
     automorphism_group,
     cyclic_group,
     identify_group,
     is_homomorphism,
+    isomorphic,
     normal_subgroups,
     presentation_group,
     quotient,
@@ -208,8 +208,10 @@ def holder_enumerate(
     The group is generated by a, b subject to a^n = 1, b^m = a^i, b^-1 a b = a^j,
     materialized as a table on exponent pairs.  For n = 1 the relations
     degenerate and the single pair (0, 0) presents the cyclic group of order m.
-    With dedupe=True only the first representative of each isomorphism class
-    is kept.
+    For m = 1, b = a^i never carries, so every pair (i, 1) presents C_n: its
+    table is built once, and each pair's group shares it under its own name
+    and with its own cache.  With dedupe=True only the first representative
+    of each isomorphism class is kept.
     """
     if n < 1 or m < 1:
         raise InvalidDescriptorError("orders must be positive")
@@ -219,13 +221,17 @@ def holder_enumerate(
     for i in range(n):
         for j in range(n):
             if (i * (j - 1)) % n == 0 and pow(j, m, n) == 1 % n:
-                grp = presentation_group(n, m, i, j, f"P{n}.{m}.{i}.{j}")
+                name = f"P{n}.{m}.{i}.{j}"
+                if m == 1 and out:
+                    grp = out[0][2]._renamed(name)
+                else:
+                    grp = presentation_group(n, m, i, j, name)
                 out.append((i, j, grp))
     if dedupe:
         reps: list[FiniteGroup] = []
         kept = []
         for (i, j, grp) in out:
-            if all(are_isomorphic(r, grp) is None for r in reps):
+            if not any(isomorphic(r, grp) for r in reps):
                 reps.append(grp)
                 kept.append((i, j, grp))
         out = kept
@@ -233,10 +239,8 @@ def holder_enumerate(
 
 
 def _collect_type(reps: list[FiniteGroup], grp: FiniteGroup) -> None:
-    for r in reps:
-        if are_isomorphic(r, grp) is not None:
-            return
-    reps.append(grp)
+    if not any(isomorphic(r, grp) for r in reps):
+        reps.append(grp)
 
 
 def holder_cross_validate(n: int, m: int, *, cap: int = DEFAULT_PAIR_CAP) -> dict:
@@ -264,7 +268,7 @@ def holder_cross_validate(n: int, m: int, *, cap: int = DEFAULT_PAIR_CAP) -> dic
         _collect_type(sys_reps, grp)
 
     matched = len(pres_reps) == len(sys_reps) and all(
-        any(are_isomorphic(p, s) is not None for s in sys_reps) for p in pres_reps
+        any(isomorphic(p, s) for s in sys_reps) for p in pres_reps
     )
     report = {
         "n": n,

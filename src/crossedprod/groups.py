@@ -115,6 +115,20 @@ class FiniteGroup:
         self._hash = hash(table)
         self._cache: dict = {}
 
+    def _renamed(self, name: str) -> "FiniteGroup":
+        """A group on this group's table under `name`, with its own empty cache.
+
+        The table tuple and its hash are shared, not rebuilt; no descriptor.
+        """
+        grp = object.__new__(FiniteGroup)
+        grp.name = name
+        grp.table = self.table
+        grp.order = self.order
+        grp.descriptor = None
+        grp._hash = self._hash
+        grp._cache = {}
+        return grp
+
     # basic operations ------------------------------------------------------
 
     def mul(self, x: int, y: int) -> int:
@@ -672,6 +686,28 @@ def are_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> Homomorphism | None:
     return None if found is None else Homomorphism(g1, g2, found)
 
 
+def isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> bool:
+    """Whether g1 and g2 are isomorphic, deciding by the first rule that applies.
+
+    1. different orders: no;
+    2. equal tables: yes;
+    3. one abelian, the other not: no;
+    4. both abelian: yes exactly when their sorted element orders agree (an
+       abelian group's type is fixed by how many elements it has of each
+       order, as `_abelian_invariant_name` reads it);
+    5. otherwise the witness search `are_isomorphic`.
+    """
+    if g1.order != g2.order:
+        return False
+    if g1 == g2:
+        return True
+    if g1.is_abelian != g2.is_abelian:
+        return False
+    if g1.is_abelian:
+        return sorted(g1.element_orders) == sorted(g2.element_orders)
+    return are_isomorphic(g1, g2) is not None
+
+
 def automorphism_group(g: FiniteGroup) -> list[Automorphism]:
     """The full automorphism list, cached on the group, sorted by value table."""
     auts = g._cache.get("auts")
@@ -978,7 +1014,7 @@ def _named_candidates(order: int) -> tuple[tuple[str, FiniteGroup], ...]:
                 out.append((f"{name}xC{cof}", direct_product(base, cyclic_group(cof))))
     kept: list[tuple[str, FiniteGroup]] = []
     for name, cand in out:
-        if all(are_isomorphic(cand, other) is None for _, other in kept):
+        if not any(isomorphic(cand, other) for _, other in kept):
             kept.append((name, cand))
     return tuple(kept)
 
@@ -995,7 +1031,7 @@ def identify_group(g: FiniteGroup) -> str:
     if name is not None:
         return name
     for cand_name, cand in _named_candidates(g.order):
-        if are_isomorphic(g, cand) is not None:
+        if isomorphic(g, cand):
             return cand_name
     counts: dict[int, int] = {}
     for k in g.element_orders:

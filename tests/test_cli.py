@@ -238,6 +238,20 @@ def test_holder_command(capsys):
     assert doc["degenerate"] is True and doc["pairs"][0]["group"] == "C4"
 
 
+
+# sha256 prefix of `holder --n 6 --m 1` stdout, without and with --dedupe,
+# recorded while each pair (i, 1) built its own table
+@pytest.mark.parametrize("extra,digest", [
+    ([], "6b147c456e3ce9372d06d038395fa578"),
+    (["--dedupe"], "4e62a9fc1c277c58ec140a684c3521f1"),
+])
+def test_holder_m1_stdout_matches_the_recorded_digest(extra, digest, capsys):
+    import hashlib
+
+    code, out, _ = run_cli(["holder", "--n", "6", "--m", "1", *extra], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:32] == digest
+
 def test_selfcheck(capsys):
     code, out, _ = run_cli(["selfcheck", "--samples", "150", "--seed", "5"], capsys)
     assert code == 0

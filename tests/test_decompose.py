@@ -286,6 +286,24 @@ def test_holder_enumerate_degenerate_n1():
         assert are_isomorphic(grp, cyclic_group(m)) is not None
 
 
+
+@pytest.mark.parametrize("n", (1, 2, 6, 36))
+def test_holder_enumerate_m1_shares_one_table(n):
+    # for m = 1, b = a^i never carries: every pair presents C_n on one table,
+    # shared by groups that keep their own names and caches
+    pairs = holder_enumerate(n, 1)
+    expected = [(0, 0)] if n == 1 else [(i, 1) for i in range(n)]
+    assert [(i, j) for (i, j, _) in pairs] == expected
+    assert [grp.name for (_, _, grp) in pairs] == [f"P{n}.1.{i}.{j}" for (i, j) in expected]
+    groups = [grp for (_, _, grp) in pairs]
+    assert all(grp.table == cyclic_group(n).table for grp in groups)
+    assert all(hash(grp) == hash(groups[0]) and grp.descriptor is None for grp in groups)
+    assert len({id(grp) for grp in groups}) == len(groups)
+    assert len({id(grp._cache) for grp in groups}) == len(groups)
+    groups[0]._cache["raw_action"] = ("G", (0,), None)
+    assert all("raw_action" not in grp._cache for grp in groups[1:])
+    assert [(i, j) for (i, j, _) in holder_enumerate(n, 1, dedupe=True)] == expected[:1]
+
 def test_holder_enumerate_4_2_contains_d8_and_q8():
     pairs = holder_enumerate(4, 2)
     by_ij = {(i, j): grp for (i, j, grp) in pairs}
@@ -312,6 +330,24 @@ def test_holder_cross_validate_spot_values():
     assert rep["match"]
     assert sorted(rep["system_types"]) == ["C4xC2", "C8", "D8", "Q8"]
 
+
+
+# sha256 prefix of the JSON list of `holder_cross_validate(n, m)` reports, over
+# every (n, m) with n m <= 36 in row order, recorded while every type test
+# ran the witness search
+HOLDER_REPORTS_DIGEST = "a682a56cfd406cd165eb4444d60469b4"
+
+
+def test_holder_cross_validate_reports_match_the_recorded_digest():
+    import hashlib
+    import json
+
+    reports = [
+        holder_cross_validate(n, m) for n in range(1, 37) for m in range(1, 37) if n * m <= 36
+    ]
+    assert len(reports) == 140 and all(rep["match"] for rep in reports)
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()[:32]
+    assert digest == HOLDER_REPORTS_DIGEST
 
 def test_holder_type_mismatch_is_internal_invariant_error(monkeypatch):
     # the package exports the function `decompose`, which hides the module

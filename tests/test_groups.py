@@ -30,6 +30,7 @@ from crossedprod.groups import (
     inner_automorphisms,
     inverse,
     is_homomorphism,
+    isomorphic,
     make_group,
     multiply,
     normal_subgroups,
@@ -243,6 +244,87 @@ def test_are_isomorphic_is_an_equivalence_on_samples():
         if ab and are_isomorphic(b, c) is not None:
             assert are_isomorphic(a, c) is not None
 
+
+
+# `isomorphic` decides by order, equal tables, abelianness and, for abelian
+# groups, the order profile before it searches; the witness search
+# `are_isomorphic` is its oracle on every pair of equal order
+
+ISO_DESCRIPTORS = [
+    # abelian groups of one order but different type
+    "cyclic:8", "product(cyclic:4,cyclic:2)", "product(cyclic:2,product(cyclic:2,cyclic:2))",
+    "cyclic:16", "product(cyclic:4,cyclic:4)", "product(cyclic:8,cyclic:2)",
+    "product(cyclic:4,product(cyclic:2,cyclic:2))",
+    # one type on different tables
+    "product(cyclic:3,cyclic:4)", "product(cyclic:2,cyclic:3)",
+    "product(symmetric:3,cyclic:2)", "product(cyclic:2,symmetric:3)",
+    # non-abelian groups of order 16, Q8xC2 among them
+    "dihedral:16", "product(quaternion:8,cyclic:2)", "product(dihedral:8,cyclic:2)",
+    "product(symmetric:3,cyclic:4)", "dihedral:24", "dihedral:32",
+]
+
+
+def _renumbered(grp, seed):
+    """grp on a random permutation of its labels, the identity included,
+    read back through `table_group(..., renumber=True)`."""
+    perm = list(range(grp.order))
+    random.Random(seed).shuffle(perm)
+    table = [[0] * grp.order for _ in range(grp.order)]
+    for x in range(grp.order):
+        for y in range(grp.order):
+            table[perm[x]][perm[y]] = perm[grp.table[x][y]]
+    return table_group(table, name=f"{grp.name}~{seed}", renumber=True)
+
+
+def _assert_iso_decisions_match_the_search(groups) -> tuple[int, int]:
+    """Check `isomorphic` on every pair of equal order; (pairs, isomorphic pairs)."""
+    by_order: dict = {}
+    for grp in groups:
+        by_order.setdefault(grp.order, []).append(grp)
+    pairs = hits = 0
+    for same in by_order.values():
+        for a, b in itertools.combinations_with_replacement(same, 2):
+            want = are_isomorphic(a, b) is not None
+            assert isomorphic(a, b) == isomorphic(b, a) == want, (a.name, b.name)
+            pairs += 1
+            hits += want
+    return pairs, hits
+
+
+def test_iso_decision_oracle_catalog():
+    groups = [g for g in CATALOG if g.order <= 32] + [make_group(d) for d in ISO_DESCRIPTORS]
+    pairs, hits = _assert_iso_decisions_match_the_search(groups)
+    assert hits < pairs
+    for descs in (ISO_DESCRIPTORS[:3], ISO_DESCRIPTORS[3:6]):
+        for a, b in itertools.combinations([make_group(d) for d in descs], 2):
+            assert not isomorphic(a, b) and a.is_abelian and b.is_abelian
+    assert isomorphic(make_group("product(cyclic:3,cyclic:4)"), cyclic_group(12))
+    assert isomorphic(make_group("product(symmetric:3,cyclic:2)"), dihedral_group(12))
+
+
+def test_iso_decision_oracle_presentations():
+    groups = _presentation_groups()
+    pairs, hits = _assert_iso_decisions_match_the_search(groups)
+    assert len(groups) == 1193 and 0 < hits < pairs
+    # non-abelian pairs whose fingerprints tie: the search has the last word
+    for a, b in (
+        (presentation_group(4, 4, 0, 3, "C4:C4"), make_group("product(quaternion:8,cyclic:2)")),
+        (presentation_group(4, 8, 0, 3, "P4.8.0.3"), presentation_group(8, 4, 0, 5, "P8.4.0.5")),
+        (presentation_group(8, 4, 0, 3, "P8.4.0.3"), presentation_group(8, 4, 0, 7, "P8.4.0.7")),
+    ):
+        assert not a.is_abelian and not b.is_abelian
+        assert a.fingerprint() == b.fingerprint()
+        assert are_isomorphic(a, b) is None and not isomorphic(a, b)
+
+
+def test_iso_decision_oracle_relabelled():
+    base = [g for g in CATALOG if g.order <= 32] + [make_group(d) for d in ISO_DESCRIPTORS]
+    base += [g for g in _presentation_groups() if g.order in (8, 12, 16)]
+    copies = [_renumbered(g, seed) for seed, g in enumerate(base)]
+    for g, copy in zip(base, copies):
+        assert copy.table != g.table or g.order < 8
+        assert isomorphic(g, copy)
+    _assert_iso_decisions_match_the_search(base + copies)
 
 def test_enumerate_homomorphisms_counts():
     c2, c4 = cyclic_group(2), cyclic_group(4)
