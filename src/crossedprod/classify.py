@@ -12,10 +12,13 @@ cells immediately from earlier ones and keeps the engine's search tree close
 to the solution count.
 
 For abelian H the cocycles of one action form a group Z^2 under the pointwise
-product, and each eq1 class is a coset f B^2 (H^2 = Z^2 / B^2).  There the
-engine enumerates only the gauge slice, which gives one representative per
-class, and each action's block is those representatives times B^2, sorted
-into the engine's order (`_algebraic_systems`).
+product, and each eq1 class is a coset f B^2 (H^2 = Z^2 / B^2).  There only
+the gauge slice is enumerated, which gives one representative per class, and
+each action's block is those representatives times B^2, sorted into the
+engine's order (`_algebraic_systems`).  For cyclic G the slice and its
+classes have a closed form (carry cocycles over H^psi, classes H^psi / N(H)),
+so no search runs; any other G runs the engine pinned to the slice
+(`_gauge_slice_classes`).
 
 Either way the systems come as one block per action (`_system_blocks`).
 `_system_block` joins them into the one sorted key block that `classify`,
@@ -59,7 +62,8 @@ DEFAULT_PAIR_CAP = 64
 
 # Below this many normalized maps t: G -> H, |H|^(|G|-1), the engine's whole
 # search costs less than the fixed per-action work of `_algebraic_systems`,
-# which includes a pinned engine pass over the gauge slice.
+# which includes a pinned engine pass over the gauge slice (measured before
+# cyclic G had its closed form, `_cyclic_slice_classes`).
 _ALGEBRAIC_MIN_MAPS = 128
 
 RELATIONS = ("eq1", "eq2", "iso")
@@ -721,14 +725,74 @@ def _gauge_shifts(h: FiniteGroup, act_rows, gens, edges) -> "np.ndarray":
 def _gauge_slice_classes(h: FiniteGroup, g: FiniteGroup):
     """Yield `(alpha, act_rows, reps)` per action: one slice cocycle per class f B^2.
 
-    For abelian H.  The engine pinned to the unit on the tree cells of
-    `_gauge_tree(g)` gives the gauge slice, one block per action, which meets
-    each class f B^2 in the T0-orbit of any member (`_gauge_shifts`).  A shift
+    For abelian H, actions in `_outer_actions` order; `reps` holds uint8 rows
+    of shape (r, |G|^2), one row-major cocycle of the gauge slice per class,
+    in the engine's order.  Cyclic G (one generator) reads the classes off in
+    closed form (`_cyclic_slice_classes`); any other G runs the pinned engine
+    (`_engine_slice_classes`).  Both give the same yields.
+    """
+    gens = generating_sequence(g)
+    if len(gens) == 1:
+        return _cyclic_slice_classes(h, g, gens[0])
+    return _engine_slice_classes(h, g)
+
+
+def _cyclic_slice_classes(h: FiniteGroup, g: FiniteGroup, b: int):
+    """`_gauge_slice_classes` for G = <b>, without the engine.
+
+    The gauge tree's cells are (b^k, b) for 0 < k < |G| - 1.  A normalized
+    cocycle that is the unit on them is the carry cocycle
+    f_c(b^x, b^y) = c^[x + y >= |G|] (0 <= x, y < |G|), and f_c is a cocycle
+    exactly when c is in H^psi, the elements fixed by psi = act(b).  The
+    engine's order reads the first carry cell first, so the slice is f_c for
+    c in H^psi ascending.  A map t of T0 with t(b) = s has coboundary f_N(s),
+    N(s) = s psi(s) ... psi^(|G|-1)(s), so the classes are the cosets of
+    N(H) in H^psi (H^2 = H^psi / N(H), K. S. Brown, Cohomology of Groups,
+    III.1 and IV.6): each c not yet marked is kept and marks c N(H).
+    """
+    n, m = h.order, g.order
+    hm, gm = h.table, g.table
+    auts = automorphism_group(h)
+    log = [0] * m
+    x = b
+    for k in range(1, m):
+        log[x] = k
+        x = gm[x][b]
+    logs = np.array(log)
+    carry = (logs[:, None] + logs >= m).ravel()
+    for alpha in _outer_actions(h, g):
+        act_rows = [auts[a].map for a in alpha]
+        psi = act_rows[b]
+        norms = set()
+        for s in range(n):
+            acc = y = s
+            for _ in range(m - 1):
+                y = psi[y]
+                acc = hm[acc][y]
+            norms.add(acc)
+        marked = [False] * n
+        kept = []
+        for c in range(n):
+            if psi[c] == c and not marked[c]:
+                kept.append(c)
+                for v in norms:
+                    marked[hm[c][v]] = True
+        reps = np.zeros((len(kept), m * m), dtype=np.uint8)
+        reps[:, carry] = np.array(kept, dtype=np.uint8)[:, None]
+        yield alpha, act_rows, reps
+
+
+def _engine_slice_classes(h: FiniteGroup, g: FiniteGroup):
+    """`_gauge_slice_classes` by the engine, for any G (the closed form's oracle).
+
+    The engine pinned to the unit on the tree cells of `_gauge_tree(g)`
+    gives the gauge slice, one block per action, which meets each class
+    f B^2 in the T0-orbit of any member (`_gauge_shifts`).  A shift
     multiplies a cocycle by its coboundary, so that orbit is f times the
     coboundaries of T0, computed once per action.  Within each block, in
-    order, every row not yet marked joins `reps` (uint8 rows of shape
-    (r, |G|^2)) and marks its T0-orbit, looked up in the sorted block
-    (`_lookup`), so `reps` holds one representative per class.
+    order, every row not yet marked joins `reps` and marks its T0-orbit,
+    looked up in the sorted block (`_lookup`), so `reps` holds one
+    representative per class.
     """
     auts = automorphism_group(h)
     hm = np.array(h.table, dtype=np.uint8)
@@ -802,8 +866,8 @@ def _cocycle_block(h: FiniteGroup, g: FiniteGroup, act_rows, reps) -> "np.ndarra
 def _algebraic_systems(h: FiniteGroup, g: FiniteGroup):
     """`_system_blocks` for abelian H, one Z^2 block per action.
 
-    The engine pinned to the gauge slice gives the H^2 representatives of
-    each action (`_gauge_slice_classes`); `_cocycle_block` multiplies them
+    The gauge slice gives the H^2 representatives of each action
+    (`_gauge_slice_classes`); `_cocycle_block` multiplies them
     by B^2 and sorts the block into the engine's order, so the blocks equal
     `_search_systems`'s.
     """
@@ -816,13 +880,14 @@ def iter_orbit_representatives(h: FiniteGroup, g: FiniteGroup, *, cap: int = DEF
 
     For abelian H the action is a homomorphism G -> Aut(H), a shift keeps it,
     and an orbit is a cohomology class f B^2.  Only the gauge slice is
-    enumerated, by the engine pinned to the unit on every tree cell (p, s) of
-    a BFS spanning tree of G (`_gauge_tree`).  Every orbit meets it, since
+    enumerated: the cocycles that are the unit on every tree cell (p, s) of a
+    BFS spanning tree of G (`_gauge_tree`).  Every orbit meets it, since
     setting t(s) = 1 on the generators and t(p s) = t(p) p(t(s)) f(p, s) down
     the tree moves f into it, and meets it in the T0-orbit of any member
     (`_gauge_shifts`, |H|^#generators maps instead of |H|^(|G|-1)).  Each
     slice cocycle not yet marked is yielded and marks its T0-orbit
-    (`_gauge_slice_classes`), so the yield count is the class count.  For
+    (`_gauge_slice_classes`: in closed form for cyclic G, by the pinned
+    engine for any other G), so the yield count is the class count.  For
     non-abelian H every system is yielded, from the engine's blocks (correct,
     just without reduction).  Orbit members share their product's isomorphism
     type, which is what bulk consumers rely on.

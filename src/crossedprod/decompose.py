@@ -248,7 +248,9 @@ def holder_cross_validate(n: int, m: int, *, cap: int = DEFAULT_PAIR_CAP) -> dic
     crossed-system enumeration over (Cn, Cm); the two sets must coincide.
 
     Orbits under end-stabilizing shifts share a product type, so only orbit
-    representatives are typed on the enumeration side.
+    representatives are typed on the enumeration side.  Each type is named
+    once: when the two sets match, the system side's names are the
+    presentation side's.
     """
     pres = holder_enumerate(n, m, cap=cap)
     pres_reps: list[FiniteGroup] = []
@@ -270,12 +272,14 @@ def holder_cross_validate(n: int, m: int, *, cap: int = DEFAULT_PAIR_CAP) -> dic
     matched = len(pres_reps) == len(sys_reps) and all(
         any(isomorphic(p, s) for s in sys_reps) for p in pres_reps
     )
+    pres_types = sorted(identify_group(t) for t in pres_reps)
     report = {
         "n": n,
         "m": m,
         "presentation_pair_count": len(pres),
-        "presentation_types": sorted(identify_group(t) for t in pres_reps),
-        "system_types": sorted(identify_group(t) for t in sys_reps),
+        "presentation_types": pres_types,
+        # matched types are in bijection, and a name is an isomorphism invariant
+        "system_types": list(pres_types) if matched else sorted(identify_group(t) for t in sys_reps),
         "match": matched,
     }
     if not matched:

@@ -777,37 +777,40 @@ def quaternion_group() -> FiniteGroup:
     return presentation_group(4, 2, 2, 3, "Q8", descriptor="quaternion:8")
 
 
+def _permutation_table(perms: "np.ndarray") -> "np.ndarray":
+    """The table of the permutations in `perms`, one per row in ascending
+    lexicographic order and closed under composition; p q is p after q.
+
+    One gather composes every pair; a lookup by the base-n code of each
+    product (ascending with the rows) ranks it.
+    """
+    k, n = perms.shape
+    weights = n ** np.arange(n - 1, -1, -1)
+    rank = np.zeros(n ** n, dtype=np.intp)
+    rank[perms @ weights] = np.arange(k)
+    products = perms[np.arange(k)[:, None, None], perms[None, :, :]]  # [p, q, i] = p[q[i]]
+    return rank[products @ weights]
+
+
+def _permutations(n: int) -> "np.ndarray":
+    """Every permutation of range(n), one per row, in lexicographic order."""
+    return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+
+
 def symmetric_group(n: int) -> FiniteGroup:
     if not 1 <= n <= 5:
         raise InvalidDescriptorError(f"symmetric:n supports 1 <= n <= 5, got {n}")
-    perms = sorted(itertools.permutations(range(n)))
-    pos = {p: i for i, p in enumerate(perms)}
-    table = [
-        [pos[tuple(p[q[i]] for i in range(n))] for q in perms]
-        for p in perms
-    ]
+    table = _permutation_table(_permutations(n))
     return FiniteGroup(f"S{n}", table, descriptor=f"symmetric:{n}", validate=False)
 
 
 def alternating_group(n: int) -> FiniteGroup:
     if not 1 <= n <= 5:
         raise InvalidDescriptorError(f"alternating group supports 1 <= n <= 5, got {n}")
-
-    def parity(p):
-        inv = sum(
-            1
-            for a in range(len(p))
-            for b in range(a + 1, len(p))
-            if p[a] > p[b]
-        )
-        return inv % 2
-
-    perms = sorted(p for p in itertools.permutations(range(n)) if parity(p) == 0)
-    pos = {p: i for i, p in enumerate(perms)}
-    table = [
-        [pos[tuple(p[q[i]] for i in range(n))] for q in perms]
-        for p in perms
-    ]
+    perms = _permutations(n)
+    a, b = np.triu_indices(n, 1)
+    inversions = (perms[:, a] > perms[:, b]).sum(axis=1)
+    table = _permutation_table(perms[inversions % 2 == 0])
     return FiniteGroup(f"A{n}", table, validate=False)
 
 

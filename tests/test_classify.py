@@ -28,6 +28,7 @@ from crossedprod.classify import (
     _schedule_by_loop,
     _schedule_on_grid,
     _gauge_shifts,
+    _engine_slice_classes,
     _gauge_slice_classes,
     _gauge_tree,
     _outer_actions,
@@ -866,6 +867,97 @@ def test_gauge_shifts_keep_the_slice():
             _, cocycles = coboundary_orbit_keys(h, g, act_rows, fb, t_rows=t_rows)
             assert not cocycles[:, cells].any()
             assert {(alpha, row.tobytes()) for row in cocycles} <= slice_systems
+
+
+# the closed form of cyclic G against the pinned engine ------------------------
+
+# every abelian H of the oracle sweep; G runs over C_m with |H| m <= 64 and
+# |H|^(m-1) <= 2^16, beyond which the engine side allocates too much
+CYCLIC_SLICE_H = [cyclic_group(k) for k in (*range(1, 10), 12)] + [
+    make_group(d)
+    for d in (
+        "product(cyclic:2,cyclic:2)",
+        "product(cyclic:2,cyclic:4)",
+        "product(cyclic:2,cyclic:6)",
+        "product(cyclic:3,cyclic:3)",
+        "product(cyclic:2,product(cyclic:2,cyclic:2))",
+        "product(cyclic:4,cyclic:4)",
+    )
+]
+
+
+def _no_engine(*args):
+    raise AssertionError("the engine ran")
+
+
+def _assert_same_slices(closed, engine):
+    assert len(closed) == len(engine) > 0
+    for (alpha, act_rows, reps), (alpha_e, act_rows_e, reps_e) in zip(closed, engine):
+        assert alpha == alpha_e and act_rows == act_rows_e
+        assert reps.dtype == reps_e.dtype == np.uint8 and reps.flags.c_contiguous
+        assert reps.shape == reps_e.shape and np.array_equal(reps, reps_e)
+
+
+def _closed_slices(h, g, monkeypatch):
+    """`_gauge_slice_classes` with the engine unreachable."""
+    with monkeypatch.context() as mp:
+        mp.setattr(importlib.import_module("crossedprod.classify"), "_search_systems", _no_engine)
+        return list(_gauge_slice_classes(h, g))
+
+
+@pytest.mark.parametrize("h", CYCLIC_SLICE_H, ids=lambda x: x.name)
+def test_cyclic_slice_oracle_closed_form_equals_the_engine(h, monkeypatch):
+    m = 2
+    while h.order * m <= 64 and h.order ** (m - 1) <= 2 ** 16:
+        g = cyclic_group(m)
+        _assert_same_slices(_closed_slices(h, g, monkeypatch), list(_engine_slice_classes(h, g)))
+        m += 1
+
+
+def _relabelled(g, new_of):
+    """g with element x renamed new_of[x] (new_of[0] = 0)."""
+    old_of = {new: old for old, new in enumerate(new_of)}
+    return table_group(
+        [[new_of[g.mul(old_of[x], old_of[y])] for y in g.elements()] for x in g.elements()],
+        name=f"{g.name}'",
+    )
+
+
+def test_cyclic_slice_oracle_relabelled_cyclic_g(monkeypatch):
+    c6 = cyclic_group(6)
+    # element 1 is old 5, a generator: the closed form reads discrete logs
+    logs = _relabelled(c6, [0, 4, 5, 2, 3, 1])
+    assert generating_sequence(logs) == [1]
+    # element 1 is old 3, of order 2: two generators, so the engine runs
+    fallback = _relabelled(c6, [0, 3, 2, 1, 4, 5])
+    assert generating_sequence(fallback) == [1, 2]
+    for h in (C2, C3, C4, K4, cyclic_group(7)):
+        _assert_same_slices(_closed_slices(h, logs, monkeypatch), list(_engine_slice_classes(h, logs)))
+        want = list(_engine_slice_classes(h, fallback))
+        _assert_same_slices(list(_gauge_slice_classes(h, fallback)), want)
+        assert sum(len(reps) for (_, _, reps) in want) == sum(
+            len(reps) for (_, _, reps) in _gauge_slice_classes(h, c6)
+        )
+
+
+# (yields, sha256 prefix) of iter_orbit_representatives over every (C_n, C_m)
+# with n m <= 64, n then m ascending: repr(alpha) then f_bytes per yield,
+# recorded on the pinned engine
+CYCLIC_REPRESENTATIVES_DIGEST = (617, "b8f6b773f3b683b981e3fd77dc5fd39e")
+
+
+def test_cyclic_slice_oracle_representatives_digest():
+    import hashlib
+
+    stream = hashlib.sha256()
+    count = 0
+    for n in range(1, 65):
+        for m in range(1, 64 // n + 1):
+            for (alpha, fb) in iter_orbit_representatives(cyclic_group(n), cyclic_group(m)):
+                stream.update(repr(alpha).encode())
+                stream.update(fb)
+                count += 1
+    assert (count, stream.hexdigest()[:32]) == CYCLIC_REPRESENTATIVES_DIGEST
 
 
 # (H, G, systems, sha256 prefix of the emitted (alpha, cocycle) byte stream),

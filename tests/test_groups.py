@@ -1049,6 +1049,25 @@ def test_constructor_tables_match_the_intake_oracle():
         assert _all_python_ints(grp.table)
 
 
+def _permutation_table_by_loops(n, even_only):
+    """S_n (or A_n) on its sorted permutations, p q = p after q, by loops."""
+
+    def parity(p):
+        return sum(1 for a in range(n) for b in range(a + 1, n) if p[a] > p[b]) % 2
+
+    perms = sorted(p for p in itertools.permutations(range(n)) if not even_only or parity(p) == 0)
+    pos = {p: i for i, p in enumerate(perms)}
+    return tuple(tuple(pos[tuple(p[q[i]] for i in range(n))] for q in perms) for p in perms)
+
+
+def test_permutation_tables_match_the_intake_oracle():
+    for n in range(1, 6):
+        s, a = symmetric_group(n), alternating_group(n)
+        assert (s.name, s.descriptor, a.name, a.descriptor) == (f"S{n}", f"symmetric:{n}", f"A{n}", None)
+        assert s.table == _permutation_table_by_loops(n, False) and _all_python_ints(s.table)
+        assert a.table == _permutation_table_by_loops(n, True) and _all_python_ints(a.table)
+
+
 def test_element_orders_and_triples_match_the_intake_oracle():
     presented = _presentation_groups()
     assert len(presented) == 1193
