@@ -3,10 +3,12 @@
 Morphisms between two products over the same (H, G) correspond to quadruples
 (u, r, v, s): u: H->H, r: G->H, v: G->G are bare maps and s: H->G is a
 homomorphism, subject to five compatibility conditions.  Only s is assumed
-multiplicative; u is constrained by condition 3 instead.  Every search is a
-call of the shared kernel `groups.backtrack`: one candidate list per unknown
-value, and an `accept` check that tests each condition instance as soon as
-its arguments are assigned.
+multiplicative; u is constrained by condition 3 instead.  By that
+correspondence the quadruples are read off Hom(E_A, E_B) of the two products,
+found by `groups.enumerate_homomorphisms`.  The other searches here are calls
+of the shared kernel `groups.backtrack`: one candidate list per unknown value,
+and an `accept` check that tests each condition instance as soon as its
+arguments are assigned.
 """
 
 from __future__ import annotations
@@ -223,84 +225,30 @@ def stabilizes_ends(q: MorphismQuadruple, h_order: int, g_order: int) -> bool:
 def enumerate_morphisms(sysA: CrossedSystem, sysB: CrossedSystem) -> list[MorphismQuadruple]:
     """All quadruples (u, r, v, s) between two normalized systems on one (H, G).
 
-    Search order: s over Hom(H, G); then v, u, r as one position list, with
-    every condition instance checked as soon as its arguments are known.
-    Results are sorted by the encoding of (u, r, v, s).  By the paper's
-    correspondence each quadruple induces a distinct homomorphism of the
-    products and every homomorphism arises so; the tests check this against a
-    direct homomorphism count.
+    Search order: by the paper's correspondence each quadruple induces a
+    distinct homomorphism psi of the products, psi(h, g) = (u(h), s(h)) *
+    (r(g), v(g)), and every homomorphism arises so.  So the quadruples are
+    read off Hom(E_A, E_B), found by generator-image search: (u(h), s(h)) =
+    psi(h, 1) and (r(g), v(g)) = psi(1, g) in pair coordinates.  Results are
+    sorted by the encoding of (u, r, v, s); the tests check them against the
+    five-condition search.
     """
     _require_same_groups(sysA, sysB)
+    prodA, prodB = cached_product(sysA), cached_product(sysB)
     h_grp, g_grp = sysA.h, sysA.g
-    n, m = h_grp.order, g_grp.order
-    hm, gm = h_grp.table, g_grp.table
-    actA, actB = sysA.action.perms, sysB.action.perms
-    fA, fB = sysA.cocycle.table, sysB.cocycle.table
-    g_triples = _completion_triples(g_grp)
-    h_triples = _completion_triples(h_grp)
-    # positions: v, then u, then r; each starts with its fixed unit value
-    domains = [(0,)] + [range(m)] * (m - 1) + [(0,)] + [range(n)] * (n - 1)
-    domains += [(0,)] + [range(n)] * (m - 1)
+    h_at = [prodA.encode(h, 0) for h in h_grp.elements()]
+    g_at = [prodA.encode(0, g) for g in g_grp.elements()]
+    pair = prodB.pair_of_index
     results: list[MorphismQuadruple] = []
-
-    for s_hom in enumerate_homomorphisms(h_grp, g_grp):
-        s = s_hom.map
-        v = [0] * m
-        u = [0] * n
-        r = [0] * m
-
-        def cond2_ok(g: int) -> bool:
-            vg = v[g]
-            return all(gm[vg][s[h]] == gm[s[actA[g][h]]][vg] for h in range(n))
-
-        def cond1_ok(g: int) -> bool:
-            for (g1, g2, g12) in g_triples[g]:
-                if gm[v[g1]][v[g2]] != gm[s[fA[g1][g2]]][v[g12]]:
-                    return False
-            return True
-
-        def cond3_ok(h: int) -> bool:
-            for (h1, h2, h12) in h_triples[h]:
-                if u[h12] != hm[hm[u[h1]][actB[s[h1]][u[h2]]]][fB[s[h1]][s[h2]]]:
-                    return False
-            return True
-
-        def cond4_ok(g: int) -> bool:
-            rg, vg = r[g], v[g]
-            for h in range(n):
-                gh = actA[g][h]
-                lhs = hm[hm[u[gh]][actB[s[gh]][rg]]][fB[s[gh]][vg]]
-                rhs = hm[hm[rg][actB[vg][u[h]]]][fB[vg][s[h]]]
-                if lhs != rhs:
-                    return False
-            return True
-
-        def cond5_ok(g: int) -> bool:
-            for (g1, g2, g12) in g_triples[g]:
-                fa = fA[g1][g2]
-                lhs = hm[hm[r[g1]][actB[v[g1]][r[g2]]]][fB[v[g1]][v[g2]]]
-                rhs = hm[hm[u[fa]][actB[s[fa]][r[g12]]]][fB[s[fa]][v[g12]]]
-                if lhs != rhs:
-                    return False
-            return True
-
-        def accept(k: int, vals) -> bool:
-            if k < m:
-                v[k] = vals[k]
-                return cond2_ok(k) and cond1_ok(k)
-            if k < m + n:
-                u[k - m] = vals[k]
-                return cond3_ok(k - m)
-            # at g = 0 (r(1) = 1) conditions 4 and 5 constrain u and v only
-            g = k - m - n
-            r[g] = vals[k]
-            return cond4_ok(g) and cond5_ok(g)
-
-        for vals in backtrack(domains, accept):
-            results.append(
-                MorphismQuadruple(vals[m:m + n], vals[m + n:], vals[:m], s_hom)
+    for psi in enumerate_homomorphisms(prodA.group, prodB.group):
+        us = [pair[psi.map[i]] for i in h_at]
+        rv = [pair[psi.map[i]] for i in g_at]
+        s = Homomorphism(h_grp, g_grp, tuple(p[1] for p in us))
+        results.append(
+            MorphismQuadruple(
+                tuple(p[0] for p in us), tuple(p[0] for p in rv), tuple(p[1] for p in rv), s
             )
-
+        )
     results.sort(key=MorphismQuadruple.key)
     return results
 

@@ -749,6 +749,159 @@ def test_normal_subgroups_match_the_pairwise_closure_reference(grp):
         assert [s.elements for s in normal_subgroups(g)] == _normal_subgroups_by_pairwise_closure(g)
 
 
+def _normal_subgroups_by_class_closures(g):
+    # reference: every union of a subgroup with a further class, closed again
+    # by `closure` from all of its elements
+    found = {(0,)}
+    frontier = [(0,)]
+    while frontier:
+        base = frontier.pop()
+        base_set = set(base)
+        for cls in g.conjugacy_classes():
+            if cls[0] in base_set:
+                continue
+            new = closure(g, base + cls)
+            if new not in found:
+                found.add(new)
+                frontier.append(new)
+    return sorted(found, key=lambda e: (len(e), e))
+
+
+def _lattice_groups():
+    specs = [f"cyclic:{n}" for n in range(1, 25)]
+    specs += [f"dihedral:{n}" for n in range(6, 65, 2)]
+    specs += [
+        "product(cyclic:2,product(cyclic:2,cyclic:2))", "product(cyclic:2,cyclic:4)",
+        "product(cyclic:4,cyclic:4)", "quaternion:8", "product(quaternion:8,cyclic:2)",
+        "symmetric:3", "symmetric:4", "symmetric:5", "product(cyclic:2,symmetric:4)",
+        "product(symmetric:3,dihedral:8)",
+    ]
+    return [make_group(s) for s in specs] + [alternating_group(4), alternating_group(5)]
+
+
+def test_lattice_oracle_normal_subgroups_and_simplicity():
+    from crossedprod.decompose import is_simple
+
+    for g in _lattice_groups():
+        want = _normal_subgroups_by_class_closures(g)
+        assert [s.elements for s in normal_subgroups(g)] == want, g.name
+        # the second call reads the lattice cached on the group
+        assert [s.elements for s in normal_subgroups(g)] == want, g.name
+        assert is_simple(g) == (g.order > 1 and len(want) == 2), g.name
+
+
+def test_lattice_oracle_joins_each_closure_once(monkeypatch):
+    # each normal subgroup N is joined once with each distinct class closure
+    # not inside it, and with nothing else
+    joins = []
+    real = groups_mod._product_set
+
+    def counted(g, a, b):
+        joins.append((a, b))
+        return real(g, a, b)
+
+    monkeypatch.setattr(groups_mod, "_product_set", counted)
+    for g in _lattice_groups():
+        g = table_group(g.table)  # a fresh cache
+        closures = {_pairwise_closure(g, cls) for cls in g.conjugacy_classes()[1:]}
+        lattice = _normal_subgroups_by_class_closures(g)
+        joins.clear()
+        normal_subgroups(g)
+        want = sorted(
+            (n, m) for n in lattice for m in closures if not set(m) <= set(n)
+        )
+        assert sorted(joins) == want, g.name
+
+
+def _is_normal_exhaustively(sub):
+    # reference: x s x^-1 in N for every x of the parent and every s of N
+    g = sub.parent
+    members = set(sub.elements)
+    return all(g.conj(x, s) in members for x in g.elements() for s in sub.elements)
+
+
+def _is_homomorphism_exhaustively(source, target, mapping):
+    # reference: phi(x y) = phi(x) phi(y) on every pair
+    if len(mapping) != source.order or mapping[0] != 0:
+        return False
+    ts, tt = source.table, target.table
+    for x in source.elements():
+        mx = mapping[x]
+        for y in source.elements():
+            if mapping[ts[x][y]] != tt[mx][mapping[y]]:
+                return False
+    return True
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the exception type is part of the outcome
+        return type(exc)
+
+
+def test_generator_check_oracle_is_normal_on_every_subgroup():
+    from crossedprod.groups import Subgroup
+
+    rng = random.Random(29)
+    checked = normal = 0
+    for grp in (symmetric_group(4), dihedral_group(8), quaternion_group(), alternating_group(4)):
+        for g in (grp, _relabelled(grp, 8)):
+            # every subgroup of these four groups has two generators
+            subs = {closure(g, (a, b)) for a in g.elements() for b in g.elements()}
+            # the generator argument holds for any subset, closed or not
+            subs |= {
+                tuple(sorted({0, *rng.sample(range(1, g.order), k)}))
+                for k in (1, 2, 3) for _ in range(20)
+            }
+            for elems in sorted(subs):
+                sub = Subgroup(g, elems)
+                assert sub.is_normal() == _is_normal_exhaustively(sub), (g.name, elems)
+                checked += 1
+                normal += sub.is_normal()
+    assert checked > 400 and 0 < normal < checked
+
+
+def test_generator_check_oracle_is_homomorphism_on_every_small_map():
+    c4 = cyclic_group(4)
+    k4 = make_group("product(cyclic:2,cyclic:2)")
+    s3 = symmetric_group(3)
+    homs = 0
+    for (src, dst) in ((c4, c4), (k4, s3)):
+        for mapping in itertools.product(range(dst.order), repeat=src.order):
+            got = is_homomorphism(src, dst, mapping)
+            assert got == _is_homomorphism_exhaustively(src, dst, mapping), mapping
+            homs += got
+    # |Hom(C4, C4)| = 4 and |Hom(C2^2, S3)| = 10
+    assert homs == 14
+
+
+def test_generator_check_oracle_is_homomorphism_on_perturbed_maps():
+    rng = random.Random(31)
+    checked = 0
+    small = [grp for grp in CATALOG if grp.order <= 12]
+    for src in small:
+        for dst in small:
+            homs = enumerate_homomorphisms(src, dst)
+            for hom in rng.sample(homs, min(3, len(homs))):
+                base = list(hom.map)
+                variants = [base, base[:-1], base + [0]]
+                for _ in range(4):
+                    bent = list(base)
+                    bent[rng.randrange(src.order)] = rng.randrange(dst.order)
+                    variants.append(bent)
+                for bad in (dst.order, dst.order + 3, -1, -dst.order - 1):
+                    bent = list(base)
+                    bent[rng.randrange(src.order)] = bad
+                    variants.append(bent)
+                for mapping in variants:
+                    assert _outcome(is_homomorphism, src, dst, mapping) == _outcome(
+                        _is_homomorphism_exhaustively, src, dst, mapping
+                    ), (src.name, dst.name, mapping)
+                    checked += 1
+    assert checked > 1000
+
+
 @pytest.mark.parametrize("grp", CATALOG, ids=lambda g: g.name)
 def test_centre_and_abelianness_match_the_direct_scans(grp):
     for g in (grp, _relabelled(grp, 6)):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -10,6 +11,8 @@ from crossedprod.errors import (
 )
 from crossedprod.groups import (
     Homomorphism,
+    _completion_triples,
+    backtrack,
     cyclic_group,
     enumerate_homomorphisms,
     homomorphism,
@@ -216,6 +219,116 @@ def test_morphism_count_oracle_over_system_pairs():
         quads = enumerate_morphisms(sa, sb)
         homs = enumerate_homomorphisms(cached_product(sa).group, cached_product(sb).group)
         assert len(quads) == len(homs)
+
+
+def _morphisms_by_conditions(sysA, sysB):
+    # reference: the five-condition search over (H, G) data only; s over
+    # Hom(H, G), then v, u, r as one position list, each condition instance
+    # checked as soon as its arguments are known
+    h_grp, g_grp = sysA.h, sysA.g
+    n, m = h_grp.order, g_grp.order
+    hm, gm = h_grp.table, g_grp.table
+    actA, actB = sysA.action.perms, sysB.action.perms
+    fA, fB = sysA.cocycle.table, sysB.cocycle.table
+    g_triples = _completion_triples(g_grp)
+    h_triples = _completion_triples(h_grp)
+    domains = [(0,)] + [range(m)] * (m - 1) + [(0,)] + [range(n)] * (n - 1)
+    domains += [(0,)] + [range(n)] * (m - 1)
+    results = []
+
+    for s_hom in enumerate_homomorphisms(h_grp, g_grp):
+        s = s_hom.map
+        v = [0] * m
+        u = [0] * n
+        r = [0] * m
+
+        def cond2_ok(g):
+            vg = v[g]
+            return all(gm[vg][s[h]] == gm[s[actA[g][h]]][vg] for h in range(n))
+
+        def cond1_ok(g):
+            return all(
+                gm[v[g1]][v[g2]] == gm[s[fA[g1][g2]]][v[g12]] for (g1, g2, g12) in g_triples[g]
+            )
+
+        def cond3_ok(h):
+            return all(
+                u[h12] == hm[hm[u[h1]][actB[s[h1]][u[h2]]]][fB[s[h1]][s[h2]]]
+                for (h1, h2, h12) in h_triples[h]
+            )
+
+        def cond4_ok(g):
+            rg, vg = r[g], v[g]
+            for h in range(n):
+                gh = actA[g][h]
+                lhs = hm[hm[u[gh]][actB[s[gh]][rg]]][fB[s[gh]][vg]]
+                rhs = hm[hm[rg][actB[vg][u[h]]]][fB[vg][s[h]]]
+                if lhs != rhs:
+                    return False
+            return True
+
+        def cond5_ok(g):
+            for (g1, g2, g12) in g_triples[g]:
+                fa = fA[g1][g2]
+                lhs = hm[hm[r[g1]][actB[v[g1]][r[g2]]]][fB[v[g1]][v[g2]]]
+                rhs = hm[hm[u[fa]][actB[s[fa]][r[g12]]]][fB[s[fa]][v[g12]]]
+                if lhs != rhs:
+                    return False
+            return True
+
+        def accept(k, vals):
+            if k < m:
+                v[k] = vals[k]
+                return cond2_ok(k) and cond1_ok(k)
+            if k < m + n:
+                u[k - m] = vals[k]
+                return cond3_ok(k - m)
+            g = k - m - n
+            r[g] = vals[k]
+            return cond4_ok(g) and cond5_ok(g)
+
+        for vals in backtrack(domains, accept):
+            results.append((vals[m:m + n], vals[m + n:], vals[:m], s))
+
+    return sorted(results)
+
+
+def _assert_morphisms_match_the_conditions(sa, sb):
+    quads = enumerate_morphisms(sa, sb)
+    assert [q.key() for q in quads] == _morphisms_by_conditions(sa, sb)
+    prod_a, prod_b = cached_product(sa).group, cached_product(sb).group
+    for q in quads:
+        assert q.s.source == sa.h and q.s.target == sa.g
+        assert is_homomorphism(prod_a, prod_b, induced_map(sa, sb, q))
+
+
+S3 = symmetric_group(3)
+
+
+@pytest.mark.parametrize(
+    "h, g",
+    [(C2, C2), (C4, C2), (C2, C4), (K4, C2), (C2, K4), (C3, C2), (C2, S3)],
+    ids=lambda grp: grp.name,
+)
+def test_morphism_oracle_every_system_pair(h, g):
+    systems = enumerate_crossed_systems(h, g)
+    for sa in systems:
+        for sb in systems:
+            _assert_morphisms_match_the_conditions(sa, sb)
+
+
+@pytest.mark.parametrize(
+    "h, g",
+    [(S3, C3), (C3, S3), (cyclic_group(6), C4), (S3, C4)],
+    ids=lambda grp: grp.name,
+)
+def test_morphism_oracle_sampled_system_pairs(h, g):
+    systems = enumerate_crossed_systems(h, g)
+    rng = random.Random(17)
+    pairs = [(systems[0], systems[-1]), (systems[-1], systems[0])]
+    pairs += [(rng.choice(systems), rng.choice(systems)) for _ in range(10)]
+    for (sa, sb) in pairs:
+        _assert_morphisms_match_the_conditions(sa, sb)
 
 
 # stabilizing isomorphisms --------------------------------------------------------
