@@ -492,8 +492,9 @@ def system_from_raw(
 ) -> CrossedSystem:
     """Materialize an engine record; validity is guaranteed by construction.
 
-    `f_flat` is the row-major cocycle table: the engine's bytes, whose row
-    slices already hold ints, or any sequence of integers.
+    `f_flat` is the row-major cocycle table: the engine's bytes, which
+    already iterate as ints, or any sequence of integers.  One pass over it
+    cuts the rows.
 
     The last call's `WeakAction` is kept on h, with g (by identity) and the
     alpha it was built for, and reused when both match.  Every stream emits
@@ -508,13 +509,8 @@ def system_from_raw(
         auts = automorphism_group(h)
         action = WeakAction(g, h, tuple(auts[a] for a in alpha))
         h._cache["raw_action"] = (g, alpha, action)
-    m = g.order
-    if isinstance(f_flat, (bytes, bytearray)):
-        rows = tuple(tuple(f_flat[g1 * m:(g1 + 1) * m]) for g1 in range(m))
-    else:
-        rows = tuple(
-            tuple(int(v) for v in f_flat[g1 * m:(g1 + 1) * m]) for g1 in range(m)
-        )
+    values = f_flat if isinstance(f_flat, (bytes, bytearray)) else map(int, f_flat)
+    rows = tuple(zip(*[iter(values)] * g.order))
     return CrossedSystem(h, g, action, Cocycle(g, h, rows), normalized=True)
 
 

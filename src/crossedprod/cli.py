@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import __version__
-from .classify import DEFAULT_PAIR_CAP, _system_block, classify
+from .classify import DEFAULT_PAIR_CAP, SystemSequence, _key_view, _system_block, classify
 from .decompose import DecompositionTree, decompose, holder_enumerate, is_simple
 from .errors import (
     AxiomViolationError,
@@ -39,7 +39,7 @@ from .groups import (
     identify_group,
     make_group,
 )
-from .morphisms import enumerate_morphisms, induced_map, stabilizes_ends
+from .morphisms import morphism_maps, stabilizes_ends
 from .products import build_product, product_table_np
 from .systems import system_from_doc, system_to_doc, validate_crossed_system, weak_action, cocycle
 
@@ -108,31 +108,55 @@ def _load_system(arg: str, cfg: RunConfig):
 # subcommands -------------------------------------------------------------------
 
 
+def _row_texts(rows: "np.ndarray") -> tuple[list[str], "np.ndarray"]:
+    """The JSON text of each distinct uint8 row, and the index of each row's text."""
+    distinct, index = np.unique(_key_view(rows), return_inverse=True)
+    texts = [
+        "[" + ",".join(map(str, row)) + "]"
+        for row in distinct.view(np.uint8).reshape(-1, rows.shape[1]).tolist()
+    ]
+    return texts, index
+
+
+def _write_systems_doc(systems: SystemSequence) -> None:
+    """Write `enumerate`'s canonical JSON document straight from the key block.
+
+    The bytes are those of `_emit` on the document with one dict per
+    system, but each distinct action row and cocycle row is encoded once.
+    Every key starts with its action rows, so an action's systems are one
+    run of the sorted block; each run shares one `{"alpha":[...],"f":[`
+    prefix and is written in one piece.
+    """
+    h, g, keys = systems.h, systems.g, systems._keys
+    n, m = h.order, g.order
+    h_text, g_text = (
+        json.dumps(group_to_doc(x), sort_keys=True, separators=(",", ":")) for x in (h, g)
+    )
+    starts = np.flatnonzero(np.diff(systems._alpha_of, prepend=-1)).tolist()
+    act_texts, act_of = _row_texts(keys[starts, :m * n].reshape(-1, n))
+    f_texts, f_of = _row_texts(keys[:, m * n:].reshape(-1, m))
+    f_words = np.array(f_texts, dtype=object)[f_of].reshape(-1, m)
+    act_of = act_of.reshape(-1, m).tolist()
+    tail = '],"g":' + g_text + ',"h":' + h_text + "}"
+    write = sys.stdout.write
+    write(f'{{"command":"enumerate","count":{len(keys)},"g":{g_text},"h":{h_text},"systems":[')
+    for b, (start, end) in enumerate(zip(starts, starts[1:] + [len(keys)])):
+        head = '{"alpha":[' + ",".join(map(act_texts.__getitem__, act_of[b])) + '],"f":['
+        body = (tail + "," + head).join(map(",".join, f_words[start:end].tolist()))
+        write(("," if b else "") + head + body + tail)
+    write("]}\n")
+
+
 def cmd_enumerate(args, cfg: RunConfig) -> int:
     h = _load_spec(args.h, cfg)
     g = _load_spec(args.g, cfg)
-    keys = _system_block(h, g, cfg.max_product_order)._keys
-    n, m = h.order, g.order
-    h_doc, g_doc = group_to_doc(h), group_to_doc(g)
-    systems = [
-        {"h": h_doc, "g": g_doc, "alpha": alpha, "f": f}
-        for alpha, f in zip(
-            keys[:, :m * n].reshape(-1, m, n).tolist(),
-            keys[:, m * n:].reshape(-1, m, m).tolist(),
+    systems = _system_block(h, g, cfg.max_product_order)
+    if cfg.output_format == "json":
+        _write_systems_doc(systems)
+    else:
+        sys.stdout.write(
+            f"enumerate: {len(systems)} normalized crossed systems on ({h.name}, {g.name})\n"
         )
-    ]
-    doc = {
-        "command": "enumerate",
-        "h": h_doc,
-        "g": g_doc,
-        "count": len(systems),
-        "systems": systems,
-    }
-
-    def text(d):
-        return f"enumerate: {d['count']} normalized crossed systems on ({h.name}, {g.name})\n"
-
-    _emit(doc, cfg, text)
     return EXIT_OK
 
 
@@ -250,11 +274,9 @@ def cmd_decompose(args, cfg: RunConfig) -> int:
 def cmd_morphisms(args, cfg: RunConfig) -> int:
     sys_a = _load_system(args.system_a, cfg)
     sys_b = _load_system(args.system_b, cfg)
-    quads = enumerate_morphisms(sys_a, sys_b)
     n, m = sys_a.h.order, sys_a.g.order
     entries = []
-    for q in quads:
-        psi = induced_map(sys_a, sys_b, q)
+    for q, psi in morphism_maps(sys_a, sys_b):
         entries.append(
             {
                 "u": list(q.u),

@@ -222,16 +222,20 @@ def stabilizes_ends(q: MorphismQuadruple, h_order: int, g_order: int) -> bool:
     )
 
 
-def enumerate_morphisms(sysA: CrossedSystem, sysB: CrossedSystem) -> list[MorphismQuadruple]:
-    """All quadruples (u, r, v, s) between two normalized systems on one (H, G).
+def morphism_maps(
+    sysA: CrossedSystem, sysB: CrossedSystem
+) -> list[tuple[MorphismQuadruple, tuple[int, ...]]]:
+    """All quadruples (u, r, v, s) between two normalized systems on one (H, G),
+    each with the element map of the homomorphism psi it induces.
 
     Search order: by the paper's correspondence each quadruple induces a
     distinct homomorphism psi of the products, psi(h, g) = (u(h), s(h)) *
     (r(g), v(g)), and every homomorphism arises so.  So the quadruples are
     read off Hom(E_A, E_B), found by generator-image search: (u(h), s(h)) =
-    psi(h, 1) and (r(g), v(g)) = psi(1, g) in pair coordinates.  Results are
-    sorted by the encoding of (u, r, v, s); the tests check them against the
-    five-condition search.
+    psi(h, 1) and (r(g), v(g)) = psi(1, g) in pair coordinates, and psi's
+    map is `induced_map` of its quadruple.  Results are sorted by the
+    encoding of (u, r, v, s); the tests check them against the
+    five-condition search and `induced_map`.
     """
     _require_same_groups(sysA, sysB)
     prodA, prodB = cached_product(sysA), cached_product(sysB)
@@ -239,18 +243,23 @@ def enumerate_morphisms(sysA: CrossedSystem, sysB: CrossedSystem) -> list[Morphi
     h_at = [prodA.encode(h, 0) for h in h_grp.elements()]
     g_at = [prodA.encode(0, g) for g in g_grp.elements()]
     pair = prodB.pair_of_index
-    results: list[MorphismQuadruple] = []
+    results: list[tuple[MorphismQuadruple, tuple[int, ...]]] = []
     for psi in enumerate_homomorphisms(prodA.group, prodB.group):
         us = [pair[psi.map[i]] for i in h_at]
         rv = [pair[psi.map[i]] for i in g_at]
         s = Homomorphism(h_grp, g_grp, tuple(p[1] for p in us))
-        results.append(
-            MorphismQuadruple(
-                tuple(p[0] for p in us), tuple(p[0] for p in rv), tuple(p[1] for p in rv), s
-            )
+        q = MorphismQuadruple(
+            tuple(p[0] for p in us), tuple(p[0] for p in rv), tuple(p[1] for p in rv), s
         )
-    results.sort(key=MorphismQuadruple.key)
+        results.append((q, psi.map))
+    results.sort(key=lambda item: item[0].key())
     return results
+
+
+def enumerate_morphisms(sysA: CrossedSystem, sysB: CrossedSystem) -> list[MorphismQuadruple]:
+    """All quadruples (u, r, v, s) between two normalized systems on one
+    (H, G), sorted by their encoding: `morphism_maps` without the maps."""
+    return [q for q, _ in morphism_maps(sysA, sysB)]
 
 
 # stabilizing isomorphisms ----------------------------------------------------

@@ -1158,6 +1158,22 @@ def _fresh_system(h, g, alpha, fb):
     return CrossedSystem(h, g, action, Cocycle(g, h, rows), normalized=True)
 
 
+def test_system_from_raw_cuts_the_rows_of_bytes_and_integer_sequences():
+    # the one-pass rows equal the m row slices of a fresh build, for the
+    # engine's bytes and for integer sequences (numpy ones included)
+    for (h, g) in [(C3, Q8), (Q8, C2), (C4, K4), (S3, C3), (S3, cyclic_group(1))]:
+        for (alpha, fb) in _raw_systems(h, g)[:20]:
+            want = _fresh_system(h, g, alpha, fb)
+            as_array = np.frombuffer(fb, dtype=np.uint8)
+            for f_flat in (
+                fb, bytearray(fb), list(fb), tuple(fb), as_array, as_array.astype(np.int64)
+            ):
+                got = system_from_raw(h, g, alpha, f_flat)
+                assert got == want
+                assert got.cocycle.table == want.cocycle.table
+                assert all(type(v) is int for row in got.cocycle.table for v in row)
+
+
 def test_system_from_raw_reuses_one_action_and_matches_fresh_builds():
     # two pairs that share H, with G of the same order (so the trivial action
     # has the same alpha on both), and two alphas per pair, interleaved

@@ -145,6 +145,113 @@ def test_enumerate_stdout_on_a_relabelled_table_document(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest()[:32] == "4a7604cbe798005289c77fa0de9eb359"
 
 
+# the writer's oracle: the `enumerate` document as one dict per system, and
+# one json.dumps over the whole document
+def _enumerate_by_documents(args, cfg):
+    from crossedprod.classify import _system_block
+    from crossedprod.cli import _emit, _load_spec
+    from crossedprod.groups import group_to_doc
+
+    h = _load_spec(args.h, cfg)
+    g = _load_spec(args.g, cfg)
+    keys = _system_block(h, g, cfg.max_product_order)._keys
+    n, m = h.order, g.order
+    h_doc, g_doc = group_to_doc(h), group_to_doc(g)
+    systems = [
+        {"h": h_doc, "g": g_doc, "alpha": alpha, "f": f}
+        for alpha, f in zip(
+            keys[:, :m * n].reshape(-1, m, n).tolist(),
+            keys[:, m * n:].reshape(-1, m, m).tolist(),
+        )
+    ]
+    doc = {
+        "command": "enumerate",
+        "h": h_doc,
+        "g": g_doc,
+        "count": len(systems),
+        "systems": systems,
+    }
+
+    def text(d):
+        return f"enumerate: {d['count']} normalized crossed systems on ({h.name}, {g.name})\n"
+
+    _emit(doc, cfg, text)
+
+
+def _assert_enumerate_matches_the_documents(h, g, capsys):
+    from crossedprod.cli import RunConfig, build_parser
+
+    for out_format in ("json", "text"):
+        argv = ["enumerate", "--h", h, "--g", g, "--out", out_format]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        args = build_parser().parse_args(argv)
+        cfg = RunConfig(
+            max_product_order=args.max_order,
+            max_group_order=args.max_group_order,
+            output_format=args.out,
+        )
+        _enumerate_by_documents(args, cfg)
+        assert out == capsys.readouterr().out
+
+
+# (descriptor, order)
+WRITER_CATALOG = [
+    ("cyclic:1", 1), ("cyclic:2", 2), ("cyclic:3", 3), ("cyclic:4", 4), ("cyclic:5", 5),
+    ("cyclic:6", 6), ("cyclic:8", 8), ("product(cyclic:2,cyclic:2)", 4), ("symmetric:3", 6),
+    ("dihedral:8", 8), ("quaternion:8", 8),
+]
+WRITER_PAIRS = [
+    (h, g) for (h, n) in WRITER_CATALOG for (g, m) in WRITER_CATALOG if n * m <= 32
+]
+
+
+@pytest.mark.parametrize("h,g", WRITER_PAIRS)
+def test_enumerate_writer_oracle_catalog_pairs(h, g, capsys):
+    # every pair with |H||G| <= 32, up to (C2xC2, D8) with 188,416 systems
+    _assert_enumerate_matches_the_documents(h, g, capsys)
+
+
+@pytest.mark.parametrize(
+    "h,g", [("cyclic:1", "cyclic:1"), ("cyclic:1", "symmetric:4"), ("symmetric:4", "cyclic:1")]
+)
+def test_enumerate_writer_oracle_trivial_ends(h, g, capsys):
+    # one system: a single action row or a single cocycle row of zeros
+    _assert_enumerate_matches_the_documents(h, g, capsys)
+
+
+def test_enumerate_writer_oracle_named_table_document(tmp_path, capsys):
+    # a relabelled D8 whose document carries a name that JSON must escape
+    from crossedprod.groups import make_group
+
+    d8 = make_group("dihedral:8")
+    perm = [0, 5, 3, 7, 1, 6, 2, 4]
+    table = [[0] * 8 for _ in range(8)]
+    for x in range(8):
+        for y in range(8):
+            table[perm[x]][perm[y]] = perm[d8.table[x][y]]
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"order": 8, "table": table, "name": 'D₈ "relabelled"'}))
+    _assert_enumerate_matches_the_documents(f"table:@{path}", "cyclic:2", capsys)
+    _assert_enumerate_matches_the_documents("cyclic:3", f"table:@{path}", capsys)
+
+
+@pytest.mark.parametrize("out_format", ["json", "text"])
+def test_enumerate_errors_write_nothing_to_stdout(out_format, capsys):
+    code, out, err = run_cli(
+        ["enumerate", "--h", "cyclic:4", "--g", "cyclic:2", "--max-order", "4",
+         "--out", out_format],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err.splitlines()[-1])["error"]["type"] == "cap-exceeded"
+    code, out, err = run_cli(
+        ["enumerate", "--h", "cyclic:4", "--g", "cyclic:x", "--out", out_format], capsys
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err.splitlines()[-1])["error"]["type"] == "input"
+
+
 def test_classify_trivial_g(capsys):
     code, out, _ = run_cli(
         ["classify", "--h", "cyclic:4", "--g", "cyclic:1", "--relation", "iso"], capsys

@@ -33,6 +33,7 @@ from crossedprod.morphisms import (
     induced_map,
     lift_through_inclusion,
     lift_through_projection,
+    morphism_maps,
     specialize_crossed_vs_direct,
     specialize_semidirect_vs_twisted,
     stabilizes_ends,
@@ -304,31 +305,52 @@ def _assert_morphisms_match_the_conditions(sa, sb):
 
 S3 = symmetric_group(3)
 
+# (H, G) whose every ordered pair of systems is checked, and (H, G) checked
+# on sampled pairs of systems
+EVERY_PAIR_GROUPS = [(C2, C2), (C4, C2), (C2, C4), (K4, C2), (C2, K4), (C3, C2), (C2, S3)]
+SAMPLED_PAIR_GROUPS = [(S3, C3), (C3, S3), (cyclic_group(6), C4), (S3, C4)]
 
-@pytest.mark.parametrize(
-    "h, g",
-    [(C2, C2), (C4, C2), (C2, C4), (K4, C2), (C2, K4), (C3, C2), (C2, S3)],
-    ids=lambda grp: grp.name,
-)
-def test_morphism_oracle_every_system_pair(h, g):
+
+def _every_system_pair(h, g):
     systems = enumerate_crossed_systems(h, g)
-    for sa in systems:
-        for sb in systems:
-            _assert_morphisms_match_the_conditions(sa, sb)
+    return [(sa, sb) for sa in systems for sb in systems]
 
 
-@pytest.mark.parametrize(
-    "h, g",
-    [(S3, C3), (C3, S3), (cyclic_group(6), C4), (S3, C4)],
-    ids=lambda grp: grp.name,
-)
-def test_morphism_oracle_sampled_system_pairs(h, g):
+def _sampled_system_pairs(h, g):
     systems = enumerate_crossed_systems(h, g)
     rng = random.Random(17)
     pairs = [(systems[0], systems[-1]), (systems[-1], systems[0])]
-    pairs += [(rng.choice(systems), rng.choice(systems)) for _ in range(10)]
-    for (sa, sb) in pairs:
+    return pairs + [(rng.choice(systems), rng.choice(systems)) for _ in range(10)]
+
+
+@pytest.mark.parametrize("h, g", EVERY_PAIR_GROUPS, ids=lambda grp: grp.name)
+def test_morphism_oracle_every_system_pair(h, g):
+    for (sa, sb) in _every_system_pair(h, g):
         _assert_morphisms_match_the_conditions(sa, sb)
+
+
+@pytest.mark.parametrize("h, g", SAMPLED_PAIR_GROUPS, ids=lambda grp: grp.name)
+def test_morphism_oracle_sampled_system_pairs(h, g):
+    for (sa, sb) in _sampled_system_pairs(h, g):
+        _assert_morphisms_match_the_conditions(sa, sb)
+
+
+def _assert_maps_are_induced(sa, sb):
+    # the psi read off Hom(E_A, E_B) is the map each quadruple induces
+    for q, psi in morphism_maps(sa, sb):
+        assert psi == induced_map(sa, sb, q)
+
+
+@pytest.mark.parametrize("h, g", EVERY_PAIR_GROUPS, ids=lambda grp: grp.name)
+def test_psi_oracle_every_system_pair(h, g):
+    for (sa, sb) in _every_system_pair(h, g):
+        _assert_maps_are_induced(sa, sb)
+
+
+@pytest.mark.parametrize("h, g", SAMPLED_PAIR_GROUPS, ids=lambda grp: grp.name)
+def test_psi_oracle_sampled_system_pairs(h, g):
+    for (sa, sb) in _sampled_system_pairs(h, g):
+        _assert_maps_are_induced(sa, sb)
 
 
 # stabilizing isomorphisms --------------------------------------------------------
