@@ -2,14 +2,13 @@
 
 The backtracking engine (`_search_systems`) fixes the unit row and column of
 the cocycle and the unit action entry (forced by normalization), then
-backtracks over the remaining action entries (drawn from the cached
-automorphism list of H) and cocycle cells, checking every axiom instance as
-soon as its last argument is assigned.  By the first axiom an action is a
-homomorphism G -> Out(H), so action tuples are pruned in Out(H) as they are
-built, and each cocycle cell's domain, a coset of Z(H), is read from the
-Inn(H) table cached on H.  Cells are filled column-major, which pins most
-cells immediately from earlier ones and keeps the engine's search tree close
-to the solution count.
+backtracks over the cocycle cells of each action, checking every axiom
+instance as soon as its last argument is assigned.  By the first axiom an
+action is a homomorphism G -> Out(H), so the actions tried are the lifts of
+those homomorphisms (`_outer_actions`), and each cocycle cell's domain, a
+coset of Z(H), is read from the Inn(H) table cached on H.  Cells are filled
+column-major, which pins most cells immediately from earlier ones and keeps
+the engine's search tree close to the solution count.
 
 For abelian H the cocycles of one action form a group Z^2 under the pointwise
 product, and each eq1 class is a coset f B^2 (H^2 = Z^2 / B^2).  There only
@@ -20,10 +19,17 @@ classes have a closed form (carry cocycles over H^psi, classes H^psi / N(H)),
 so no search runs; any other G runs the engine pinned to the slice
 (`_gauge_slice_classes`).
 
-Either way the systems come as one block per action (`_system_blocks`).
-`_system_block` joins them into the one sorted key block that `classify`,
-`enumerate_crossed_systems` and the CLI read; `enumerate_raw_systems` is a
-per-system reader over the blocks.
+For non-abelian H the systems over one outer action psi: G -> Out(H) are
+one orbit under shifts (the source paper's Schreier-type theorem).  The
+engine runs on the first lift of each psi only, and every other lift's block
+is that block shifted by the t with lift = c_t lift0, in numpy
+(`_lifted_systems`).  The engine over every action stays for the smallest
+pairs (`_LIFT_MIN_LIFTS`, `_ALGEBRAIC_MIN_MAPS`) and as the tests' oracle.
+
+Whichever path runs, the systems come as one block per action
+(`_system_blocks`).  `_system_block` joins them into the one sorted key block
+that `classify`, `enumerate_crossed_systems` and the CLI read;
+`enumerate_raw_systems` is a per-system reader over the blocks.
 
 Both equivalences rest on one law.  eq1 shifts a system by a map t: G -> H
 (`shift_system`, `coboundary_orbit_keys`); eq2 relabels its ends by (eta,
@@ -35,6 +41,8 @@ relabellings.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -65,6 +73,17 @@ DEFAULT_PAIR_CAP = 64
 # which includes a pinned engine pass over the gauge slice (measured before
 # cyclic G had its closed form, `_cyclic_slice_classes`).
 _ALGEBRAIC_MIN_MAPS = 128
+
+# Non-abelian H shifts the engine's block of one lift per outer action onto
+# the others (`_lifted_systems`) from this many lifts per outer action,
+# |Inn(H)|^(|G|-1), on; below it the engine over every action is faster.
+# Measured on 2 CPUs, best of 7 interleaved runs of each whole stream: with
+# 1-6 lifts the engine is faster ((S3, C1), (D10, C1), (D8, C2), (Q8, C2),
+# (S3, C2), (D12, C2), (S3xC2, C2): lift/engine time 1.1-4), except
+# (Q8xC2, C2), 4 lifts, where lifting is 1.24x faster; with 8-18 lifts
+# lifting is faster ((D16, C2), (D10, C2), (D14, C2), (D18, C2): 1.14-1.44x;
+# (D8, C3), (Q8, C3), (S3, C3): 2.5-3.3x), and with 64 lifts about 12x.
+_LIFT_MIN_LIFTS = 8
 
 RELATIONS = ("eq1", "eq2", "iso")
 
@@ -118,6 +137,29 @@ def _aut_tables(h: FiniteGroup):
     return tables
 
 
+def _aut_arrays(h: FiniteGroup):
+    """`(perms, shift, hm, hinv)`: numpy tables over automorphism_group(h), cached on h.
+
+    perms (uint8) holds each automorphism's value table, one per row.
+    shift[i, j] is the first c in H with aut_i = c_c aut_j, c_c the
+    conjugation x -> c x c^-1 (read off `_aut_tables`), and -1 when aut_i and
+    aut_j lie in different cosets of Inn(H).  hm and hinv are H's product and
+    inverse tables in uint8.
+    """
+    arrays = h._cache.get("aut_arrays")
+    if arrays is None:
+        comp, aut_inv, _, conj_of = _aut_tables(h)
+        first = np.array([c[0] if c else -1 for c in conj_of], dtype=np.intp)
+        arrays = (
+            np.array([a.map for a in automorphism_group(h)], dtype=np.uint8),
+            first[np.array(comp, dtype=np.intp)[:, aut_inv]],
+            np.array(h.table, dtype=np.uint8),
+            np.array(h.inverse_table, dtype=np.uint8),
+        )
+        h._cache["aut_arrays"] = arrays
+    return arrays
+
+
 def _outer_actions(h: FiniteGroup, g: FiniteGroup):
     """The action tuples of the crossed systems on (H, G), in lexicographic order.
 
@@ -125,15 +167,43 @@ def _outer_actions(h: FiniteGroup, g: FiniteGroup):
     identity at 1.  The first axiom makes a(g1) a(g2) a(g1 g2)^-1 the
     conjugation by f(g1, g2), so exactly the tuples that are homomorphisms
     G -> Out(H) have a non-empty domain on every cocycle cell.  For abelian H,
-    Out(H) = Aut(H) and these are the homomorphisms G -> Aut(H).
+    Out(H) = Aut(H) and these are the homomorphisms G -> Aut(H); otherwise
+    the stream merges the lifts of each homomorphism (`_lift_products`).
+    """
+    if h.is_abelian:
+        return _outer_homomorphisms(h, g)[0]
+    return heapq.merge(*_lift_products(h, g))
+
+
+def _outer_homomorphisms(h: FiniteGroup, g: FiniteGroup):
+    """`(psis, cosets)`: the homomorphisms psi: G -> Out(H), and Out(H)'s cosets.
+
+    Each coset of Inn(H) is labelled by its least automorphism index
+    (`outer` of `_aut_tables`), and `cosets` maps a label to the coset's
+    indices in ascending order.  `psis` yields each psi as the tuple of its
+    labels, in lexicographic order, searched over the labels alone.
     """
     comp, _, outer, _ = _aut_tables(h)
+    cosets: dict[int, list[int]] = {}
+    for a, label in enumerate(outer):
+        cosets.setdefault(label, []).append(a)
     g_triples = _completion_triples(g)
 
-    def accept(gi: int, al) -> bool:
-        return all(outer[comp[al[x]][al[y]]] == outer[al[xy]] for (x, y, xy) in g_triples[gi])
+    def accept(gi: int, psi) -> bool:
+        return all(outer[comp[psi[x]][psi[y]]] == psi[xy] for (x, y, xy) in g_triples[gi])
 
-    return backtrack([(0,)] + [range(len(comp))] * (g.order - 1), accept)
+    return backtrack([(0,)] + [list(cosets)] * (g.order - 1), accept), cosets
+
+
+def _lift_products(h: FiniteGroup, g: FiniteGroup) -> list:
+    """One iterator per homomorphism psi: G -> Out(H), over its lifts in lexicographic order.
+
+    The lifts of psi are the action tuples with the identity at 1 and any
+    member of the coset psi(g) of Inn(H) at g != 1: the product of those
+    cosets, each in ascending order (`_outer_homomorphisms`).
+    """
+    psis, cosets = _outer_homomorphisms(h, g)
+    return [itertools.product((0,), *(cosets[label] for label in psi[1:])) for psi in psis]
 
 
 def enumerate_raw_systems(
@@ -172,27 +242,55 @@ def _system_blocks(h: FiniteGroup, g: FiniteGroup, cap: int):
     `enumerate_raw_systems`: `block` is a C-contiguous uint8 array of shape
     (k, |G|^2), one row-major cocycle per row, rows in the stream's order.
 
-    For abelian H with at least `_ALGEBRAIC_MIN_MAPS` maps t: G -> H, each
-    block is Z^2, built as the cosets rep B^2 of its H^2 representatives
-    (`_algebraic_systems`).  Every other pair runs the backtracking engine
-    `_search_systems`.  Both give the same blocks.
+    For non-abelian H with at least `_LIFT_MIN_LIFTS` lifts per outer action
+    psi the engine runs on the first lift of each psi only, and every other
+    lift's block is that block shifted onto it (`_lifted_systems`).  For
+    abelian H with at least `_ALGEBRAIC_MIN_MAPS` maps t: G -> H, each block
+    is Z^2, built as the cosets rep B^2 of its H^2 representatives
+    (`_algebraic_systems`).  The smaller pairs of either kind run the
+    backtracking engine over every action (`_search_systems`).  All three
+    give the same blocks.
     """
     _check_pair(h, g, cap)
-    if h.is_abelian and h.order ** (g.order - 1) >= _ALGEBRAIC_MIN_MAPS:
-        return _algebraic_systems(h, g)
+    if h.is_abelian:
+        if h.order ** (g.order - 1) >= _ALGEBRAIC_MIN_MAPS:
+            return _algebraic_systems(h, g)
+    elif len(inner_automorphisms(h)) ** (g.order - 1) >= _LIFT_MIN_LIFTS:
+        return _lifted_systems(h, g)
     return _search_systems(h, g)
 
 
 def _search_systems(h: FiniteGroup, g: FiniteGroup, pinned=()):
-    """The backtracking engine: `_system_blocks`'s blocks, each yielded when
-    its action is done, if not empty.  With `pinned` cells (g1, g2), only the
-    systems with the unit on every pinned cell are kept.
+    """The backtracking engine over every action: `_system_blocks`'s blocks,
+    each yielded when its action is done, if not empty.  With `pinned` cells
+    (g1, g2), only the systems with the unit on every pinned cell are kept.
 
-    Only the homomorphisms G -> Out(H) are tried (`_outer_actions`); the
-    domain of cell (g1, g2) is the ascending tuple of c in H conjugating like
-    a(g1) a(g2) a(g1 g2)^-1, one lookup in the cached Inn(H) table.  A pinned
-    cell's domain is `(0,)`, so a branch dies as soon as a pinned cell is
-    derived non-zero.
+    Only the homomorphisms G -> Out(H) are tried (`_outer_actions`).  The
+    library runs it pinned to the gauge slice (`_engine_slice_classes`), and
+    unpinned on the pairs below its crossovers: abelian H with fewer than
+    `_ALGEBRAIC_MIN_MAPS` maps t, non-abelian H with fewer than
+    `_LIFT_MIN_LIFTS` lifts per outer action.  On larger non-abelian H it is
+    the tests' oracle of `_lifted_systems`, which runs the engine on one
+    action per outer action (`_engine`).
+    """
+    if g.order == 1:   # one action and one system: no automorphism tables
+        yield (0,), np.zeros((1, 1), dtype=np.uint8)
+        return
+    leaf = _engine(h, g, pinned)
+    for alpha in _outer_actions(h, g):
+        block = leaf(alpha)
+        if len(block):
+            yield alpha, block
+
+
+def _engine(h: FiniteGroup, g: FiniteGroup, pinned=()):
+    """`leaf(alpha)`: the engine's block of one action tuple, uint8 rows of
+    shape (k, |G|^2) in the stream's order, k = 0 when no system has it.
+
+    The domain of cell (g1, g2) is the ascending tuple of c in H conjugating
+    like a(g1) a(g2) a(g1 g2)^-1, one lookup in the cached Inn(H) table.  A
+    pinned cell's domain is `(0,)`, so a branch dies as soon as a pinned cell
+    is derived non-zero.
 
     Cocycle cells are filled column-major; for most cells some axiom instance
     pins the value, which is then computed directly instead of searched.  For
@@ -211,11 +309,6 @@ def _search_systems(h: FiniteGroup, g: FiniteGroup, pinned=()):
     hinv = h.inverse_table
     gm = g.table
     fvals = [0] * (m * m)
-    alpha = [0] * m
-
-    if m == 1:
-        yield (0,), np.zeros((1, 1), dtype=np.uint8)
-        return
 
     flat, derive_info, rest_info = _engine_schedule(g, h.is_abelian)
     K = len(flat)
@@ -230,7 +323,7 @@ def _search_systems(h: FiniteGroup, g: FiniteGroup, pinned=()):
 
     CHAIN, DERIVE, FREE = 0, 1, 2
 
-    def alpha_leaf() -> bytearray:
+    def alpha_leaf(alpha) -> bytearray:
         rows = bytearray()
         act = [aut_perms[a] for a in alpha]
         inner = [comp[comp[alpha[g1]][alpha[g2]]][aut_inv[alpha[gm[g1][g2]]]] for (g1, g2) in cells]
@@ -361,11 +454,7 @@ def _search_systems(h: FiniteGroup, g: FiniteGroup, pinned=()):
                 k -= 1
         return rows
 
-    for combo in _outer_actions(h, g):
-        alpha[:] = combo
-        rows = alpha_leaf()
-        if rows:
-            yield tuple(alpha), np.frombuffer(rows, dtype=np.uint8).reshape(-1, m * m)
+    return lambda alpha: np.frombuffer(alpha_leaf(alpha), dtype=np.uint8).reshape(-1, m * m)
 
 
 # `_engine_schedule` builds on the grid for abelian H from this order on.
@@ -642,25 +731,27 @@ def coboundary_orbit_keys(
     read-only broadcast of one row.
     """
     n, m = h.order, g.order
-    hm = np.array(h.table, dtype=np.uint8).ravel()
+    hm = np.array(h.table, dtype=np.uint8)
     hinv = np.array(h.inverse_table, dtype=np.uint8)
     act = np.array(act_rows, dtype=np.uint8).reshape(m, n)
     t = (_all_shifts(n, m) if t_rows is None else np.asarray(t_rows)).astype(np.uint8)
     count = len(t)
     t_inv = hinv[t]
 
-    def mul(a, b):
-        # hm[a, b], elementwise with broadcasting, as one take on the flat table
-        return hm.take(a.astype(np.uint16) * n + b)
-
     if h.is_abelian:
         actions = np.broadcast_to(act.reshape(1, m * n), (count, m * n))
     else:
-        actions = mul(mul(t[:, :, None], act), t_inv[:, :, None]).reshape(count, m * n)
+        actions = _mul(hm, _mul(hm, t[:, :, None], act), t_inv[:, :, None]).reshape(count, m * n)
     f = np.frombuffer(f_flat, dtype=np.uint8).reshape(m, m)
     moved = act.T[t].transpose(0, 2, 1)   # [k, g1, g2] = act(g1)(t(g2))
-    shifted = mul(mul(mul(t[:, :, None], moved), f), t_inv.take(np.array(g.table), axis=1))
+    shifted = _mul(hm, _mul(hm, _mul(hm, t[:, :, None], moved), f), t_inv.take(np.array(g.table), axis=1))
     return actions, shifted.reshape(count, m * m)
+
+
+def _mul(hm: "np.ndarray", a, b) -> "np.ndarray":
+    """hm[a, b] for H's uint8 product table `hm`, elementwise with
+    broadcasting, as one take on the flat table."""
+    return hm.ravel().take(a.astype(np.uint16) * len(hm) + b)
 
 
 def _all_shifts(n: int, m: int) -> "np.ndarray":
@@ -854,9 +945,16 @@ def _cocycle_block(h: FiniteGroup, g: FiniteGroup, act_rows, reps) -> "np.ndarra
     m = g.order
     hm = np.array(h.table, dtype=np.uint8)
     b2 = _coboundary_group(h, g, act_rows)
-    z2 = hm[reps[:, None, :], b2[None, :, :]].reshape(-1, m * m)
-    columns = np.ascontiguousarray(z2.reshape(-1, m, m).transpose(0, 2, 1)).reshape(-1, m * m)
-    return z2[np.argsort(columns.view(f"V{m * m}").ravel())]
+    return _column_sorted(hm[reps[:, None, :], b2[None, :, :]].reshape(1, -1, m * m), m)[0]
+
+
+def _column_sorted(blocks: "np.ndarray", m: int) -> "np.ndarray":
+    """uint8 `blocks` of shape (b, k, |G|^2), each block's rows sorted by the
+    cocycle read column-major (one void-dtype argsort along the rows)."""
+    b, k, width = blocks.shape
+    columns = np.ascontiguousarray(blocks.reshape(b, k, m, m).transpose(0, 1, 3, 2))
+    order = np.argsort(columns.reshape(b, k, width).view(f"V{width}").reshape(b, k), axis=1)
+    return blocks[np.arange(b)[:, None], order]
 
 
 def _algebraic_systems(h: FiniteGroup, g: FiniteGroup):
@@ -869,6 +967,78 @@ def _algebraic_systems(h: FiniteGroup, g: FiniteGroup):
     """
     for alpha, act_rows, reps in _gauge_slice_classes(h, g):
         yield alpha, _cocycle_block(h, g, act_rows, reps)
+
+
+# `_lifted_systems` shifts the blocks of about this many systems at once, so
+# its memory follows one batch, never the stream
+_LIFT_BATCH = 4096
+
+
+def _lifted_systems(h: FiniteGroup, g: FiniteGroup):
+    """`_system_blocks` for non-abelian H: the engine runs once per outer action.
+
+    The systems over one outer action psi: G -> Out(H) are one orbit under
+    shifts (the source paper's Schreier-type theorem; Brown, Cohomology of
+    Groups, IV.6).  The first lift alpha0 of each psi in `_outer_actions`
+    order gets its block from the engine (`_engine`).  Every other lift is
+    alpha = c_t alpha0, t(g) the first c in H with alpha(g) alpha0(g)^-1 =
+    c_t, and the shift by t,
+
+        f(g1, g2) = t(g1) alpha0(g1)(t(g2)) f0(g1, g2) t(g1 g2)^-1
+
+    (`coboundary_orbit_keys`), maps the systems on alpha0 one to one onto
+    those on alpha; a psi whose alpha0 has no system has none on any lift.
+    The lifts are shifted in batches of blocks of one size (`_shift_lifts`)
+    and each block is sorted into the engine's order, so the stream equals
+    `_search_systems`'s.
+    """
+    products = _lift_products(h, g)
+    tagged = heapq.merge(*(zip(lifts, itertools.repeat(p)) for p, lifts in enumerate(products)))
+    leaf = _engine(h, g)
+    bases = [None] * len(products)   # per psi: (alpha0, the engine's block)
+    pending, size = [], 0
+    for alpha, p in tagged:
+        if bases[p] is None:
+            bases[p] = (alpha, leaf(alpha))
+        k = len(bases[p][1])
+        if not k:
+            continue
+        if pending and (k != size or len(pending) * k >= _LIFT_BATCH):
+            yield from _shift_lifts(h, g, pending, bases)
+            pending = []
+        size = k
+        pending.append((alpha, p))
+    if pending:
+        yield from _shift_lifts(h, g, pending, bases)
+
+
+def _shift_lifts(h: FiniteGroup, g: FiniteGroup, pending, bases):
+    """`(alpha, block)` per pending `(alpha, p)`, in order: the block of
+    `bases[p]` = (alpha0, block0) shifted from alpha0 onto alpha
+    (`_lifted_systems`).  Every block0 has the same number of rows.
+
+    t, the left factors t(g1) alpha0(g1)(t(g2)) and the right factors
+    t(g1 g2)^-1 of every lift take a gather or two each, then both products
+    over every row one gather each.
+    """
+    m = g.order
+    perms, shift, hm, hinv = _aut_arrays(h)
+    alphas, tags = zip(*pending)
+    used = {p: j for j, p in enumerate(dict.fromkeys(tags))}
+    which = np.array([used[p] for p in tags], dtype=np.intp)
+    alpha0 = np.array([bases[p][0] for p in used], dtype=np.intp)[which]
+    block0 = np.stack([bases[p][1] for p in used])[which]
+    t = shift[np.array(alphas, dtype=np.intp), alpha0]
+    if (t < 0).any():
+        raise InternalInvariantError("a lift is not an inner shift of its base")
+    count = len(alphas)
+    moved = perms.ravel().take(alpha0[:, :, None] * h.order + t[:, None, :])
+    left = _mul(hm, t[:, :, None], moved).reshape(count, 1, -1)
+    right = hinv[t][:, np.array(g.table, dtype=np.intp)].reshape(count, 1, -1)
+    shifted = _mul(hm, _mul(hm, left, block0), right)
+    if block0.shape[1] > 1:
+        shifted = _column_sorted(shifted, m)
+    return zip(alphas, shifted)
 
 
 def iter_orbit_representatives(h: FiniteGroup, g: FiniteGroup, *, cap: int = DEFAULT_PAIR_CAP):
@@ -884,15 +1054,16 @@ def iter_orbit_representatives(h: FiniteGroup, g: FiniteGroup, *, cap: int = DEF
     slice cocycle not yet marked is yielded and marks its T0-orbit
     (`_gauge_slice_classes`: in closed form for cyclic G, by the pinned
     engine for any other G), so the yield count is the class count.  For
-    non-abelian H every system is yielded, from the engine's blocks (correct,
-    just without reduction).  Orbit members share their product's isomorphism
-    type, which is what bulk consumers rely on.
+    non-abelian H every system is yielded, from the block stream
+    `_system_blocks` (the engine's block per outer action, shifted onto each
+    of its lifts; correct, just without reduction).  Orbit members share
+    their product's isomorphism type, which is what bulk consumers rely on.
     """
-    _check_pair(h, g, cap)
     if h.is_abelian:
+        _check_pair(h, g, cap)
         blocks = ((alpha, reps) for (alpha, _, reps) in _gauge_slice_classes(h, g))
     else:
-        blocks = _search_systems(h, g)
+        blocks = _system_blocks(h, g, cap)
     for alpha, rows in blocks:
         for row in rows:
             yield alpha, row.tobytes()

@@ -13,6 +13,7 @@ from crossedprod.groups import (
     dihedral_group,
     generating_sequence,
     identify_group,
+    inner_automorphisms,
     make_group,
     quaternion_group,
     symmetric_group,
@@ -22,6 +23,7 @@ from crossedprod.classify import (
     DEFAULT_PAIR_CAP,
     _ALGEBRAIC_MIN_MAPS,
     _algebraic_systems,
+    _aut_arrays,
     _aut_tables,
     _coboundary_group,
     _engine_schedule,
@@ -31,6 +33,8 @@ from crossedprod.classify import (
     _engine_slice_classes,
     _gauge_slice_classes,
     _gauge_tree,
+    _lift_products,
+    _lifted_systems,
     _outer_actions,
     _reports,
     _search_systems,
@@ -989,6 +993,11 @@ ENGINE_DIGESTS = [
     ("cyclic:4", "cyclic:8", 24576, "2dbb2cbf00c04a2695ed88e8039ef09e"),
     ("product(cyclic:2,cyclic:2)", "cyclic:8", 40960, "0acb1e5d39139c0819e80df9c3998e8a"),
     ("cyclic:3", "dihedral:8", 4374, "3f866a4b9b8bbdc35ffc69a69130aba6"),
+    # non-abelian H whose blocks are now shifted from one lift per outer
+    # action; recorded on the engine over every action: Z(S3) = 1, and
+    # Z(D8) = C2
+    ("symmetric:3", "symmetric:3", 7776, "0eee58b45ceb21a2e1d62b7d1514fcbb"),
+    ("dihedral:8", "product(cyclic:2,cyclic:2)", 4096, "e38e2dc149ab017305d4dd3c00aa1b11"),
 ]
 
 
@@ -1003,6 +1012,76 @@ def test_engine_without_pinned_cells_emits_the_recorded_stream(hs, gs, count, di
         stream.update(fb)
     assert len(emitted) == count
     assert stream.hexdigest()[:32] == digest
+
+
+# the lifts of each outer action against the engine over every action ------
+
+LIFT_PAIRS = [
+    (h, g)
+    for h in (S3, D8, Q8)
+    for g in [cyclic_group(k) for k in (1, 2, 3, 4, 5, 6, 8)] + [K4, S3, D8, Q8]
+    if h.order * g.order <= 32
+]
+
+
+@pytest.mark.parametrize("h,g", LIFT_PAIRS, ids=lambda x: x.name)
+def test_lift_oracle_lifted_blocks_equal_the_engine_stream(h, g, monkeypatch):
+    classify_mod = importlib.import_module("crossedprod.classify")
+    engine = _records(_search_systems(h, g))
+    assert _records(_system_blocks(h, g, DEFAULT_PAIR_CAP)) == engine
+
+    # below the crossover the library runs the engine; the lifts agree too,
+    # and run the engine once per outer action psi
+    leaves = []
+    make_engine = classify_mod._engine
+
+    def counting_engine(*args):
+        leaf = make_engine(*args)
+
+        def counted(alpha):
+            leaves.append(alpha)
+            return leaf(alpha)
+
+        return counted
+
+    monkeypatch.setattr(classify_mod, "_engine", counting_engine)
+    lifted = list(_lifted_systems(h, g))
+    assert _records(lifted) == engine
+    assert len(leaves) == len(_lift_products(h, g))
+    for (_, block) in lifted:
+        assert block.dtype == np.uint8 and block.flags.c_contiguous and len(block) > 0
+
+
+@pytest.mark.parametrize("h,g", LIFT_PAIRS, ids=lambda x: x.name)
+def test_lift_oracle_counts_per_outer_action(h, g):
+    # each psi: G -> Out(H) has |Inn(H)|^(|G|-1) lifts, and every lift has as
+    # many systems as the first (none when psi does not lift)
+    outer = _aut_tables(h)[2]
+    per_action = Counter(alpha for (alpha, _) in _records(_search_systems(h, g)))
+    lifts_of = {}
+    for alpha in _outer_actions(h, g):
+        lifts_of.setdefault(tuple(outer[a] for a in alpha), []).append(alpha)
+    assert len(lifts_of) == len(_lift_products(h, g))
+    for psi, lifts in lifts_of.items():
+        assert len(lifts) == len(inner_automorphisms(h)) ** (g.order - 1)
+        assert len({per_action[alpha] for alpha in lifts}) == 1, psi
+    assert sum(per_action.values()) == len(_system_block(h, g, DEFAULT_PAIR_CAP))
+
+
+def test_lift_oracle_s3_c8_counts_six_to_the_seventh():
+    # one outer action (Out(S3) = 1), 6^7 lifts, one system each (Z(S3) = 1)
+    h, g = S3, cyclic_group(8)
+    blocks = _system_blocks(h, g, DEFAULT_PAIR_CAP)
+    assert sum(len(block) for (_, block) in blocks) == 279_936 == 6 ** 7
+
+
+def test_internal_invariant_lift_outside_its_base_coset_raises(monkeypatch):
+    classify_mod = importlib.import_module("crossedprod.classify")
+    perms, shift, hm, hinv = _aut_arrays(S3)
+    # no automorphism is an inner shift of another
+    monkeypatch.setattr(classify_mod, "_aut_arrays", lambda h: (perms, np.full_like(shift, -1), hm, hinv))
+    with pytest.raises(InternalInvariantError, match="not an inner shift"):
+        list(_lifted_systems(S3, C3))
 
 
 # criterion 6's catalog: every abelian-H pair with |H||G| <= 32 and at most
