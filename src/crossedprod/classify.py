@@ -26,6 +26,12 @@ is that block shifted by the t with lift = c_t lift0, in numpy
 (`_lifted_systems`).  The engine over every action stays for the smallest
 pairs (`_LIFT_MIN_LIFTS`, `_ALGEBRAIC_MIN_MAPS`) and as the tests' oracle.
 
+The array paths read each group's cached table arrays (`table_array`,
+`inverse_array`), and the uint8 value gathers one uint8 copy of H's tables
+(`_byte_tables`) and of Aut(H)'s value tables (`_aut_perms`).  The engine's
+tables over Aut(H) (`_aut_tables`) are refused, with CapExceededError, for
+an H with more than `_MAX_AUTS` automorphisms.
+
 Whichever path runs, the systems come as one block per action
 (`_system_blocks`).  `_system_block` joins them into the one sorted key block
 that `classify`, `enumerate_crossed_systems` and the CLI read;
@@ -110,6 +116,38 @@ class Equivalence2Witness:
 # enumeration engine -----------------------------------------------------------
 
 
+def _byte_tables(h: FiniteGroup):
+    """`(hm, hinv)`: H's product table and inverse row in uint8, cached on h,
+    the operands of the uint8 value gathers."""
+    tables = h._cache.get("byte_tables")
+    if tables is None:
+        if h.order > 256:
+            raise CapExceededError("uint8 value gathers need |H| <= 256")
+        tables = h.table_array.astype(np.uint8), h.inverse_array.astype(np.uint8)
+        h._cache["byte_tables"] = tables
+    return tables
+
+
+def _aut_perms(x: FiniteGroup) -> "np.ndarray":
+    """automorphism_group(x)'s value tables in uint8, one per row, cached on x.
+
+    automorphism_group is sorted by value table, so the rows ascend as byte
+    strings (`_key_view`).
+    """
+    perms = x._cache.get("aut_perms")
+    if perms is None:
+        perms = np.array([a.map for a in automorphism_group(x)], dtype=np.uint8)
+        x._cache["aut_perms"] = perms
+    return perms
+
+
+# `_aut_tables` refuses H with more automorphisms than this: its composition
+# table has |Aut(H)|^2 entries, read in Python by the action search.  The
+# benchmark tabulates Aut(H) up to Aut(C2xC2xC2), of order 168, and the tests
+# up to Aut(Q8xC2), of order 192.
+_MAX_AUTS = 1024
+
+
 def _aut_tables(h: FiniteGroup):
     """`(comp, aut_inv, outer, conj_of)` over automorphism_group(h), cached on h.
 
@@ -117,21 +155,30 @@ def _aut_tables(h: FiniteGroup):
     aut_i's inverse.  outer[i] labels aut_i's coset of Inn(H) (its least
     index), so outer is the projection Aut(H) -> Out(H).  conj_of[i] is the
     ascending tuple of c in H whose conjugation x -> c x c^-1 is aut_i, empty
-    unless aut_i is inner.
+    unless aut_i is inner.  comp is gathered in numpy, aut_i over every value
+    table for a batch of rows i at a time, and ranked by one `np.searchsorted`
+    in the ascending value tables.  Over `_MAX_AUTS` automorphisms raise
+    CapExceededError before any table is built.
     """
     tables = h._cache.get("aut_tables")
     if tables is None:
-        perms = [a.map for a in automorphism_group(h)]
-        index = automorphism_index(h)
-        comp = [
-            [index[tuple(pi[pj[x]] for x in range(h.order))] for pj in perms]
-            for pi in perms
-        ]
+        auts = automorphism_group(h)
+        count = len(auts)
+        if count > _MAX_AUTS:
+            raise CapExceededError(f"|Aut(H)| = {count} exceeds the automorphism table cap {_MAX_AUTS}")
+        perms = _aut_perms(h)
+        keys = _key_view(perms)
+        step = max(1, (1 << 20) // perms.size)   # rows per gather: about 1 MB of compositions
+        comp = []
+        for i in range(0, count, step):
+            rows = perms[i:i + step, perms].reshape(-1, h.order)
+            comp += np.searchsorted(keys, _key_view(rows)).reshape(-1, count).tolist()
         aut_inv = [row.index(0) for row in comp]
+        index = automorphism_index(h)
         inner = inner_automorphisms(h)
         inn = [index[p] for p in inner]
-        outer = [min(comp[c][a] for c in inn) for a in range(len(perms))]
-        conj_of = [inner.get(p, ()) for p in perms]
+        outer = [min(comp[c][a] for c in inn) for a in range(count)]
+        conj_of = [inner.get(a.map, ()) for a in auts]
         tables = (comp, aut_inv, outer, conj_of)
         h._cache["aut_tables"] = tables
     return tables
@@ -140,22 +187,16 @@ def _aut_tables(h: FiniteGroup):
 def _aut_arrays(h: FiniteGroup):
     """`(perms, shift, hm, hinv)`: numpy tables over automorphism_group(h), cached on h.
 
-    perms (uint8) holds each automorphism's value table, one per row.
-    shift[i, j] is the first c in H with aut_i = c_c aut_j, c_c the
-    conjugation x -> c x c^-1 (read off `_aut_tables`), and -1 when aut_i and
-    aut_j lie in different cosets of Inn(H).  hm and hinv are H's product and
-    inverse tables in uint8.
+    perms is `_aut_perms(h)`.  shift[i, j] is the first c in H with aut_i =
+    c_c aut_j, c_c the conjugation x -> c x c^-1 (read off `_aut_tables`),
+    and -1 when aut_i and aut_j lie in different cosets of Inn(H).  hm and
+    hinv are `_byte_tables(h)`.
     """
     arrays = h._cache.get("aut_arrays")
     if arrays is None:
         comp, aut_inv, _, conj_of = _aut_tables(h)
         first = np.array([c[0] if c else -1 for c in conj_of], dtype=np.intp)
-        arrays = (
-            np.array([a.map for a in automorphism_group(h)], dtype=np.uint8),
-            first[np.array(comp, dtype=np.intp)[:, aut_inv]],
-            np.array(h.table, dtype=np.uint8),
-            np.array(h.inverse_table, dtype=np.uint8),
-        )
+        arrays = (_aut_perms(h), first[np.array(comp, dtype=np.intp)[:, aut_inv]], *_byte_tables(h))
         h._cache["aut_arrays"] = arrays
     return arrays
 
@@ -299,12 +340,11 @@ def _engine(h: FiniteGroup, g: FiniteGroup, pinned=()):
     follow by induction on the word length of the third argument.  A cell that
     no instance pins is FREE and tries its domain in ascending order.  The
     schedule depends on G alone (and on whether H is abelian), so it is built
-    once per G and cached on g (`_engine_schedule`: in numpy over the whole
-    (g1, g2, g3) grid for abelian H and |G| >= 11); per action only its
+    once per G and cached on g (`_engine_schedule`); per action only its
     binding to the action's rows and cell domains runs.
     """
     n, m = h.order, g.order
-    aut_perms = [a.map for a in automorphism_group(h)]
+    auts = automorphism_group(h)
     hm = h.table
     hinv = h.inverse_table
     gm = g.table
@@ -325,7 +365,7 @@ def _engine(h: FiniteGroup, g: FiniteGroup, pinned=()):
 
     def alpha_leaf(alpha) -> bytearray:
         rows = bytearray()
-        act = [aut_perms[a] for a in alpha]
+        act = [auts[a].map for a in alpha]
         inner = [comp[comp[alpha[g1]][alpha[g2]]][aut_inv[alpha[gm[g1][g2]]]] for (g1, g2) in cells]
         domains = [conj_of[a] for a in inner]
         domsets = [domset_of[a] for a in inner]
@@ -457,18 +497,6 @@ def _engine(h: FiniteGroup, g: FiniteGroup, pinned=()):
     return lambda alpha: np.frombuffer(alpha_leaf(alpha), dtype=np.uint8).reshape(-1, m * m)
 
 
-# `_engine_schedule` builds on the grid for abelian H from this order on.
-# Measured on 2 CPUs (median of 301 interleaved runs per group, g3 over
-# `generating_sequence`): the loop is faster up to order 9 (loop/grid time
-# 0.61-0.88), they tie at order 10 (0.98-0.99), and the grid is faster from
-# order 11 on (1.09-1.39 up to order 15, 2.5 on C36).  With every g3, as for
-# non-abelian H, the grid never wins: the loop is faster up to order 9
-# (0.67-0.96), they tie at orders 10-20 (0.91-1.08), and the loop is faster
-# again on S4, C24, C27, C32 and C36 (0.67-0.90), so that schedule is always
-# built by the loop.
-_GRID_MIN_ORDER = 11
-
-
 def _engine_schedule(g: FiniteGroup, abelian_h: bool):
     """`(flat, derive_info, rest_info)`: the engine's cell schedule on G, cached on g.
 
@@ -486,94 +514,40 @@ def _engine_schedule(g: FiniteGroup, abelian_h: bool):
     once derives it: `derive_info[k]` is `(mode, iA, iB, iC, iD, g1)`, mode
     0-3 naming which of the four is cell k, or None if no instance derives
     it.  `rest_info[k]` lists the other instances, in order.
-
-    For abelian H on G of order `_GRID_MIN_ORDER` or more the schedule is
-    built on the whole (g1, g2, g3) grid at once (`_schedule_on_grid`), else
-    by one loop over the instances (`_schedule_by_loop`); both give the same
-    lists.
     """
     key = ("schedule", abelian_h)
     schedule = g._cache.get(key)
     if schedule is None:
         m = g.order
         third = generating_sequence(g) if abelian_h else list(range(1, m))
-        if abelian_h and m >= _GRID_MIN_ORDER:
-            schedule = _schedule_on_grid(g, third)
-        else:
-            schedule = _schedule_by_loop(g, third)
+        gm = g.table
+        number = [-1] * (m * m)   # cell number by flat position, -1 off the cells
+        flat = []
+        for g2 in range(1, m):
+            for g1 in range(1, m):
+                number[g1 * m + g2] = len(flat)
+                flat.append(g1 * m + g2)
+        listed = [[] for _ in flat]
+        for g1 in range(1, m):
+            row1, base1 = gm[g1], g1 * m
+            for g2 in range(1, m):
+                iA, b12, base2, row2 = base1 + g2, row1[g2] * m, g2 * m, gm[g2]
+                for g3 in third:
+                    iB, iC, iD = b12 + g3, base2 + g3, base1 + row2[g3]
+                    listed[max(number[iA], number[iB], number[iC], number[iD])].append((iA, iB, iC, iD, g1))
+        derive_info, rest_info = [], []
+        for target, insts in zip(flat, listed):
+            for k, inst in enumerate(insts):
+                if inst[:4].count(target) == 1:
+                    derive_info.append((inst.index(target), *inst))
+                    rest_info.append(insts[:k] + insts[k + 1:])
+                    break
+            else:
+                derive_info.append(None)
+                rest_info.append(insts)
+        schedule = (flat, derive_info, rest_info)
         g._cache[key] = schedule
     return schedule
-
-
-def _schedule_by_loop(g: FiniteGroup, third):
-    """`_engine_schedule` for the g3 in `third`, one instance at a time."""
-    m = g.order
-    gm = g.table
-    number = [-1] * (m * m)   # cell number by flat position, -1 off the cells
-    flat = []
-    for g2 in range(1, m):
-        for g1 in range(1, m):
-            number[g1 * m + g2] = len(flat)
-            flat.append(g1 * m + g2)
-    listed = [[] for _ in flat]
-    for g1 in range(1, m):
-        row1, base1 = gm[g1], g1 * m
-        for g2 in range(1, m):
-            iA, b12, base2, row2 = base1 + g2, row1[g2] * m, g2 * m, gm[g2]
-            for g3 in third:
-                iB, iC, iD = b12 + g3, base2 + g3, base1 + row2[g3]
-                listed[max(number[iA], number[iB], number[iC], number[iD])].append((iA, iB, iC, iD, g1))
-    derive_info, rest_info = [], []
-    for target, insts in zip(flat, listed):
-        for k, inst in enumerate(insts):
-            if inst[:4].count(target) == 1:
-                derive_info.append((inst.index(target), *inst))
-                rest_info.append(insts[:k] + insts[k + 1:])
-                break
-        else:
-            derive_info.append(None)
-            rest_info.append(insts)
-    return flat, derive_info, rest_info
-
-
-def _schedule_on_grid(g: FiniteGroup, third):
-    """`_engine_schedule` for the g3 in `third`, on the whole (g1, g2, g3) grid.
-
-    Every instance's cell numbers come from one gather, one stable sort by
-    the highest lists them cell by cell, and the deriving instance of each
-    cell is the first in its run that holds the cell once.
-    """
-    m, m1 = g.order, g.order - 1
-    gm = np.array(g.table, dtype=np.intp)
-    r = np.arange(1, m)
-    g1, g2, g3 = r[:, None, None], r[:, None], np.array(third, dtype=np.intp)
-    inst = np.empty((m1, m1, len(third), 5), dtype=np.intp)
-    inst[..., 0] = g1 * m + g2
-    inst[..., 1] = gm[g1, g2] * m + g3
-    inst[..., 2] = g2 * m + g3
-    inst[..., 3] = g1 * m + gm[g2, g3]
-    inst[..., 4] = g1
-    inst = inst.reshape(-1, 5)
-    number = np.full((m, m), -1, dtype=np.intp)
-    number[1:, 1:] = g2 - 1 + m1 * (r - 1)
-    cells = number.ravel()[inst[:, :4]]
-    at = cells.max(axis=1)
-    order = np.argsort(at, kind="stable")
-    inst, cells, at = inst[order], cells[order], at[order]
-    hits = cells == at[:, None]
-    once = np.flatnonzero(hits.sum(axis=1) == 1)
-    first = np.ones(len(once), dtype=bool)
-    first[1:] = at[once[1:]] != at[once[:-1]]
-    chosen = once[first]
-    derive_info = [None] * (m1 * m1)
-    for k, mode, row in zip(at[chosen].tolist(), hits[chosen].argmax(axis=1).tolist(), inst[chosen].tolist()):
-        derive_info[k] = (mode, *row)
-    rest = np.ones(len(inst), dtype=bool)
-    rest[chosen] = False
-    rows = list(map(tuple, inst[rest].tolist()))
-    bounds = np.searchsorted(at[rest], np.arange(m1 * m1 + 1)).tolist()
-    rest_info = [rows[a:b] for a, b in zip(bounds, bounds[1:])]
-    return (g1 * m + g2).T.ravel().tolist(), derive_info, rest_info
 
 
 def system_from_raw(
@@ -674,12 +648,12 @@ def relabel_system(sys: CrossedSystem, eta: Automorphism, gamma: Automorphism) -
 def _relabellings(h: FiniteGroup, g: FiniteGroup):
     """`(eta, eta_inv, gamma_inv)`: value tables of every (eta, gamma) in Aut(H) x Aut(G).
 
-    Row p of each int array, of shape (P, |H|), (P, |H|) and (P, |G|) with
+    Row p of each array, of shape (P, |H|), (P, |H|) and (P, |G|) with
     P = |Aut(H)| |Aut(G)|, is eta_p, eta_p^-1 and gamma_p^-1, with eta
-    outer and gamma inner, both in `automorphism_group` order.
+    outer and gamma inner, both in `automorphism_group` order; eta is uint8
+    (`_aut_perms`), the inverses intp.
     """
-    eta = np.array([a.map for a in automorphism_group(h)], dtype=np.intp)
-    gamma = np.array([a.map for a in automorphism_group(g)], dtype=np.intp)
+    eta, gamma = _aut_perms(h), _aut_perms(g)
     count = len(gamma)
     return (
         np.repeat(eta, count, axis=0),
@@ -731,8 +705,7 @@ def coboundary_orbit_keys(
     read-only broadcast of one row.
     """
     n, m = h.order, g.order
-    hm = np.array(h.table, dtype=np.uint8)
-    hinv = np.array(h.inverse_table, dtype=np.uint8)
+    hm, hinv = _byte_tables(h)
     act = np.array(act_rows, dtype=np.uint8).reshape(m, n)
     t = (_all_shifts(n, m) if t_rows is None else np.asarray(t_rows)).astype(np.uint8)
     count = len(t)
@@ -744,7 +717,7 @@ def coboundary_orbit_keys(
         actions = _mul(hm, _mul(hm, t[:, :, None], act), t_inv[:, :, None]).reshape(count, m * n)
     f = np.frombuffer(f_flat, dtype=np.uint8).reshape(m, m)
     moved = act.T[t].transpose(0, 2, 1)   # [k, g1, g2] = act(g1)(t(g2))
-    shifted = _mul(hm, _mul(hm, _mul(hm, t[:, :, None], moved), f), t_inv.take(np.array(g.table), axis=1))
+    shifted = _mul(hm, _mul(hm, _mul(hm, t[:, :, None], moved), f), t_inv.take(g.table_array, axis=1))
     return actions, shifted.reshape(count, m * m)
 
 
@@ -797,7 +770,7 @@ def _gauge_shifts(h: FiniteGroup, act_rows, gens, edges) -> "np.ndarray":
     they move a cocycle of the gauge slice only within the slice.
     """
     n = h.order
-    hm = np.array(h.table, dtype=np.int64)
+    hm = h.table_array
     act = np.array(act_rows, dtype=np.int64)
     count = n ** len(gens)
     codes = np.arange(count, dtype=np.int64)
@@ -882,7 +855,7 @@ def _engine_slice_classes(h: FiniteGroup, g: FiniteGroup):
     representative per class.
     """
     auts = automorphism_group(h)
-    hm = np.array(h.table, dtype=np.uint8)
+    hm = _byte_tables(h)[0]
     unit = bytes(g.order ** 2)
     gens, edges = _gauge_tree(g)
     for alpha, block in _search_systems(h, g, [(p, s) for (_, p, s) in edges]):
@@ -913,7 +886,7 @@ def _coboundary_group(h: FiniteGroup, g: FiniteGroup, act_rows) -> "np.ndarray":
     follows |B^2|, never the |H|^(|G|-1) maps t.
     """
     m = g.order
-    hm = np.array(h.table, dtype=np.uint8)
+    hm = _byte_tables(h)[0]
     points = [(x, s) for x in range(1, m) for s in generating_sequence(h)]
     t_rows = np.zeros((len(points), m), dtype=np.int64)
     for i, (x, s) in enumerate(points):
@@ -943,7 +916,7 @@ def _cocycle_block(h: FiniteGroup, g: FiniteGroup, act_rows, reps) -> "np.ndarra
     ascending order.
     """
     m = g.order
-    hm = np.array(h.table, dtype=np.uint8)
+    hm = _byte_tables(h)[0]
     b2 = _coboundary_group(h, g, act_rows)
     return _column_sorted(hm[reps[:, None, :], b2[None, :, :]].reshape(1, -1, m * m), m)[0]
 
@@ -1034,7 +1007,7 @@ def _shift_lifts(h: FiniteGroup, g: FiniteGroup, pending, bases):
     count = len(alphas)
     moved = perms.ravel().take(alpha0[:, :, None] * h.order + t[:, None, :])
     left = _mul(hm, t[:, :, None], moved).reshape(count, 1, -1)
-    right = hinv[t][:, np.array(g.table, dtype=np.intp)].reshape(count, 1, -1)
+    right = hinv[t][:, g.table_array].reshape(count, 1, -1)
     shifted = _mul(hm, _mul(hm, left, block0), right)
     if block0.shape[1] > 1:
         shifted = _column_sorted(shifted, m)
@@ -1291,8 +1264,7 @@ def _system_block(h: FiniteGroup, g: FiniteGroup, cap: int) -> SystemSequence:
     """
     n, m = h.order, g.order
     alphas, blocks = zip(*_system_blocks(h, g, cap))
-    perms = np.array([a.map for a in automorphism_group(h)], dtype=np.uint8)
-    actions = perms[np.array(alphas, dtype=np.intp)].reshape(len(alphas), m * n)
+    actions = _aut_perms(h)[np.array(alphas, dtype=np.intp)].reshape(len(alphas), m * n)
     alpha_of = np.repeat(np.arange(len(alphas)), [len(b) for b in blocks])
     keys = np.concatenate([actions[alpha_of], np.concatenate(blocks)], axis=1)
     order = np.argsort(_key_view(keys), kind="stable")
@@ -1368,7 +1340,7 @@ def _reports(h: FiniteGroup, g: FiniteGroup, relations, cap: int) -> dict[str, C
 
     eq1_of = np.full(len(keys), -1, dtype=np.intp)
     if h.is_abelian:
-        hm = np.array(h.table, dtype=np.uint8)
+        hm = _byte_tables(h)[0]
         # the keys hold each action's systems together: B^2 of the last action
         b2_act, b2 = None, None
     else:
@@ -1389,7 +1361,6 @@ def _reports(h: FiniteGroup, g: FiniteGroup, relations, cap: int) -> dict[str, C
     eq1 = _classes(eq1_of, count)
 
     eta, eta_inv, gamma_inv = _relabellings(h, g)
-    eta = eta.astype(np.uint8)
     joined_of = np.full(len(eq1), -1, dtype=np.intp)
     joined = 0
     for c, members in enumerate(eq1):
@@ -1442,7 +1413,6 @@ def classify(
     g: FiniteGroup,
     relation: str,
     *,
-    workers: int = 1,
     max_pair_order: int = DEFAULT_PAIR_CAP,
 ) -> ClassificationReport:
     """Partition Crossed(H, G) under eq1, eq2, or product isomorphism.
@@ -1451,8 +1421,7 @@ def classify(
     lexicographically minimal representative.  eq1 classes are the orbits of
     the maps t: G -> H with t(1) = 1, eq2 classes unions of eq1 classes and
     iso classes unions of eq2 classes (`_reports`), so each relation refines
-    the next by construction.  `workers` is accepted for compatibility and
-    ignored.
+    the next by construction.
     """
     if relation not in RELATIONS:
         raise ValueError(f"relation must be one of {RELATIONS}")

@@ -342,10 +342,8 @@ def cmd_selfcheck(args, cfg: RunConfig) -> int:
         f_rows = [
             [rng.randrange(h.order) for _ in range(g.order)] for _ in range(g.order)
         ]
-        hm = np.array(h.table, dtype=np.int64)
-        gm = np.array(g.table, dtype=np.int64)
         table = product_table_np(
-            hm, gm, np.array(perms, dtype=np.int64), np.array(f_rows, dtype=np.int64)
+            h.table_array, g.table_array, np.array(perms, dtype=np.int64), np.array(f_rows, dtype=np.int64)
         )
         associative = bool(np.array_equal(table[table, :], table[:, table]))
         try:

@@ -28,7 +28,6 @@ from .groups import (
     FiniteGroup,
     Homomorphism,
     Subgroup,
-    automorphism_group,
     cyclic_group,
     identify_group,
     is_homomorphism,
@@ -38,7 +37,7 @@ from .groups import (
     quotient,
     subgroup_as_group,
 )
-from .classify import DEFAULT_PAIR_CAP, iter_orbit_representatives
+from .classify import DEFAULT_PAIR_CAP, _aut_perms, iter_orbit_representatives
 from .products import build_product, product_table_np
 from .systems import CrossedSystem, cocycle, validate_crossed_system, weak_action
 
@@ -258,14 +257,12 @@ def holder_cross_validate(n: int, m: int, *, cap: int = DEFAULT_PAIR_CAP) -> dic
         _collect_type(pres_reps, grp)
 
     h, g = cyclic_group(n), cyclic_group(m)
-    hm = np.array(h.table, dtype=np.int64)
-    gm = np.array(g.table, dtype=np.int64)
-    aut_perms = [np.array(a.map, dtype=np.int64) for a in automorphism_group(h)]
+    perms = _aut_perms(h)
     sys_reps: list[FiniteGroup] = []
     for (alpha_indices, f_bytes) in iter_orbit_representatives(h, g, cap=cap):
-        act = np.stack([aut_perms[a] for a in alpha_indices])
-        f_arr = np.frombuffer(f_bytes, dtype=np.uint8).astype(np.int64).reshape(m, m)
-        table = product_table_np(hm, gm, act, f_arr)
+        act = perms[list(alpha_indices)]
+        f_arr = np.frombuffer(f_bytes, dtype=np.uint8).reshape(m, m)
+        table = product_table_np(h.table_array, g.table_array, act, f_arr)
         grp = FiniteGroup(f"C{n}#C{m}", table, validate=False)
         _collect_type(sys_reps, grp)
 

@@ -82,6 +82,13 @@ def check_table(table: tuple[tuple[int, ...], ...]) -> None:
             raise InvalidTableError("not associative", (x, y, z))
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only intp copy of `values`."""
+    arr = np.array(values, dtype=np.intp)
+    arr.flags.writeable = False
+    return arr
+
+
 @lru_cache(maxsize=None)
 def _power_orders(k: int) -> tuple[int, ...]:
     """The orders k / gcd(j, k) of x^j, j = 1..k-1, for x of order k."""
@@ -92,18 +99,22 @@ class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     `table[x][y]` is the index of x*y; index 0 is the identity.  The table is
-    stored as a tuple of tuples of Python ints.  It may be given as an
-    integer numpy array, converted in one `tolist()`, or as any sequence of
-    rows of integers (lists, tuples, numpy integers), converted entry by
-    entry with `int()`.  Derived data (inverses, element orders,
-    automorphisms, ...) is computed lazily and cached; each cache entry is
-    written once, except `raw_action`, the one-entry action slot of
-    `classify.system_from_raw`.
+    stored twice: as a tuple of tuples of Python ints, which the per-element
+    code reads, and as one read-only intp array (`table_array`), which every
+    array path reads.  It may be given as an integer numpy array, copied into
+    that array, whose `tolist()` gives the tuples, or as any sequence of rows
+    of integers (lists, tuples, numpy integers), converted entry by entry
+    with `int()`, whose array is built on first use.  Derived data (inverses,
+    element orders, automorphisms, ...) is computed lazily and cached; each
+    cache entry is written once, except `raw_action`, the one-entry action
+    slot of `classify.system_from_raw`.
     """
 
     def __init__(self, name, table, *, descriptor=None, validate=True):
+        array = None
         if isinstance(table, np.ndarray) and table.dtype.kind in "iu":
-            table = tuple(map(tuple, table.tolist()))
+            array = _frozen(table)
+            table = tuple(map(tuple, array.tolist()))
         else:
             table = tuple(tuple(map(int, row)) for row in table)
         if validate:
@@ -113,12 +124,14 @@ class FiniteGroup:
         self.order = len(table)
         self.descriptor = descriptor
         self._hash = hash(table)
+        self._array = array
         self._cache: dict = {}
 
     def _renamed(self, name: str) -> "FiniteGroup":
         """A group on this group's table under `name`, with its own empty cache.
 
-        The table tuple and its hash are shared, not rebuilt; no descriptor.
+        The table tuple, its array and its hash are shared, not rebuilt; no
+        descriptor.
         """
         grp = object.__new__(FiniteGroup)
         grp.name = name
@@ -126,6 +139,7 @@ class FiniteGroup:
         grp.order = self.order
         grp.descriptor = None
         grp._hash = self._hash
+        grp._array = self.table_array
         grp._cache = {}
         return grp
 
@@ -159,6 +173,21 @@ class FiniteGroup:
         if inv is None:
             inv = tuple(row.index(0) for row in self.table)
             self._cache["inv"] = inv
+        return inv
+
+    @property
+    def table_array(self) -> np.ndarray:
+        """The table as a read-only intp array, shape (|G|, |G|), cached."""
+        if self._array is None:
+            self._array = _frozen(self.table)
+        return self._array
+
+    @property
+    def inverse_array(self) -> np.ndarray:
+        """`inverse_table` as a read-only intp array, cached."""
+        inv = self._cache.get("inv_array")
+        if inv is None:
+            inv = self._cache["inv_array"] = _frozen(self.inverse_table)
         return inv
 
     def element_order(self, x: int) -> int:
@@ -229,8 +258,7 @@ class FiniteGroup:
                 # column x of the conjugation table holds c x c^-1 for every c,
                 # so its least entry names x's class; classes come in order of
                 # their least element, members ascending
-                t = np.array(self.table, dtype=np.intp)
-                inv = np.array(self.inverse_table, dtype=np.intp)
+                t, inv = self.table_array, self.inverse_array
                 least = t[t, inv[:, None]].min(axis=0)
                 members = np.argsort(least, kind="stable").tolist()
                 ends = np.cumsum(np.unique(least, return_counts=True)[1]).tolist()
@@ -645,7 +673,7 @@ def _completion_triples(g: FiniteGroup) -> list[list[tuple[int, int, int]]]:
                 for b, ab in enumerate(row):
                     out[max(a, b, ab)].append((a, b, ab))
         else:
-            ab = np.array(g.table, dtype=np.intp)
+            ab = g.table_array
             r = np.arange(n)
             last = np.maximum(np.maximum(r[:, None], r), ab).ravel()
             order = np.argsort(last, kind="stable")
@@ -847,7 +875,7 @@ def alternating_group(n: int) -> FiniteGroup:
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """a x b on the pairs (x, y) as x |b| + y."""
     nb = b.order
-    ta, tb = np.array(a.table, dtype=np.intp), np.array(b.table, dtype=np.intp)
+    ta, tb = a.table_array, b.table_array
     size = a.order * nb
     table = (ta[:, None, :, None] * nb + tb[None, :, None, :]).reshape(size, size)
     desc = None

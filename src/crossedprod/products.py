@@ -107,8 +107,7 @@ def build_product(sys: CrossedSystem) -> CrossedProductGroup:
     h, g = sys.h, sys.g
     n = h.order
     raw = product_table_np(
-        np.array(h.table), np.array(g.table),
-        np.array(sys.action.perms), np.array(sys.cocycle.table),
+        h.table_array, g.table_array, np.array(sys.action.perms), np.array(sys.cocycle.table)
     )
     f11inv = h.inv(sys.f(0, 0))
     # swap the packed unit (f(1,1)^-1, 1) with index 0; the swap is an

@@ -25,10 +25,10 @@ from crossedprod.classify import (
     _algebraic_systems,
     _aut_arrays,
     _aut_tables,
+    _byte_tables,
     _coboundary_group,
     _engine_schedule,
-    _schedule_by_loop,
-    _schedule_on_grid,
+    _MAX_AUTS,
     _gauge_shifts,
     _engine_slice_classes,
     _gauge_slice_classes,
@@ -268,14 +268,6 @@ def test_class_representatives_are_lex_minimal():
         rep_idx = rep.representatives[ci]
         assert rep_idx == members[0]
         assert encodings[rep_idx] == min(encodings[i] for i in members)
-
-
-def test_classify_worker_counts_agree():
-    base = classify(C4, C2, "eq1", workers=1)
-    par = classify(C4, C2, "eq1", workers=4)
-    assert base.classes == par.classes
-    assert base.representatives == par.representatives
-    assert base.product_iso_types == par.product_iso_types
 
 
 def test_functor_check_refinement():
@@ -1179,6 +1171,36 @@ def test_every_enumerating_entry_point_enforces_the_cap():
         enumerate_raw_systems(C4, C4, lambda a, fb: None, cap=8)
 
 
+def test_aut_cap_raises_before_any_automorphism_table():
+    # |H||G| = 32 is inside the pair cap, but |Aut(C2^4)| = 20,160 would make
+    # a composition table of 406 M entries
+    h = make_group("product(product(cyclic:2,cyclic:2),product(cyclic:2,cyclic:2))")
+    for call in (lambda: _aut_tables(h), lambda: enumerate_crossed_systems(h, C2)):
+        with pytest.raises(CapExceededError, match="20160"):
+            call()
+    assert not {"aut_tables", "aut_perms"} & set(h._cache)
+
+
+@pytest.mark.parametrize("spec", [
+    "symmetric:3", "dihedral:8", "quaternion:8", "product(cyclic:2,product(cyclic:2,cyclic:2))",
+    "product(quaternion:8,cyclic:2)",
+])
+def test_aut_cap_spares_the_tabulated_groups_and_composes_like_the_maps(spec):
+    h = make_group(spec)
+    perms = [a.map for a in automorphism_group(h)]
+    assert len(perms) <= _MAX_AUTS
+    index = {p: i for i, p in enumerate(perms)}
+    comp = _aut_tables(h)[0]
+    assert comp == [[index[tuple(pi[x] for x in pj)] for pj in perms] for pi in perms]
+
+
+def test_byte_tables_refuse_values_over_a_byte():
+    # C256's tables fit uint8, C257's would wrap
+    assert _byte_tables(cyclic_group(256))[0].dtype == np.uint8
+    with pytest.raises(CapExceededError):
+        _byte_tables(cyclic_group(257))
+
+
 def _scanned_domain(h, a1, a2, a12):
     # reference: every c in H with a1(a2(x)) = c a12(x) c^-1, by |H|^2 checks
     hm, hinv = h.table, h.inverse_table
@@ -1327,12 +1349,8 @@ SCHEDULE_GROUPS = [cyclic_group(k) for k in (2, 3, 4, 5, 6, 8, 9, 12, 18)] + [
 
 @pytest.mark.parametrize("g", SCHEDULE_GROUPS, ids=lambda x: x.name)
 def test_engine_schedule_matches_the_schedule_oracle(g):
-    # the loop and the grid schedule on every group, whichever `_engine_schedule` picks
     for abelian_h in (True, False):
         want = _schedule_by_loops(g, abelian_h)
-        third = generating_sequence(g) if abelian_h else list(range(1, g.order))
-        assert _schedule_by_loop(g, third) == want
-        assert _schedule_on_grid(g, third) == want
         schedule = _engine_schedule(g, abelian_h)
         assert schedule == want
         assert _engine_schedule(g, abelian_h) is schedule
@@ -1344,7 +1362,7 @@ def test_engine_schedule_matches_the_schedule_oracle(g):
 ], ids=lambda x: x.name)
 def test_engine_blocks_match_the_schedule_oracle(h, g, monkeypatch):
     # pinned (the gauge slice's tree cells) and unpinned passes, on the
-    # vectorised schedule and on the loop-built one
+    # library's schedule and on the oracle's
     classify_mod = importlib.import_module("crossedprod.classify")
     for pinned in ((), _tree_cells(g)):
         blocks = _records(_search_systems(h, g, pinned))

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -472,6 +473,19 @@ def test_cap_exceeded_exit_code(capsys):
         ["enumerate", "--h", "cyclic:4", "--g", "cyclic:2", "--max-order", "4"], capsys
     )
     assert code == 2
+    assert json.loads(err.splitlines()[-1])["error"]["type"] == "cap-exceeded"
+
+
+def test_aut_cap_refuses_c2_to_the_4_in_under_a_second(capsys):
+    # the pair cap lets (C2^4, C2) through, |Aut(C2^4)| = 20,160 does not
+    started = time.perf_counter()
+    code, out, err = run_cli(
+        ["enumerate", "--h", "product(product(cyclic:2,cyclic:2),product(cyclic:2,cyclic:2))",
+         "--g", "cyclic:2"],
+        capsys,
+    )
+    assert time.perf_counter() - started < 1
+    assert code == 2 and out == ""
     assert json.loads(err.splitlines()[-1])["error"]["type"] == "cap-exceeded"
 
 

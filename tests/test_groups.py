@@ -1232,3 +1232,55 @@ def test_element_orders_and_triples_match_the_intake_oracle():
                 o: tuple(x for x in g.elements() if orders[x] == o) for o in set(orders)
             }
             assert groups_mod._completion_triples(g) == _triples_by_loops(g.table)
+
+
+def _array_cache_groups():
+    """One group from every constructor, by name."""
+    from crossedprod.products import build_product
+    from crossedprod.systems import trivial_action, trivial_cocycle, validate_crossed_system
+
+    s4 = symmetric_group(4)
+    klein = normal_subgroups(s4)[1]
+    c4, c2 = cyclic_group(4), cyclic_group(2)
+    p = (1, 0, 2)   # C3 with its identity at index 1
+    relabelled = [[p[(p[x] + p[y]) % 3] for y in range(3)] for x in range(3)]
+    return {
+        "cyclic": cyclic_group(6),
+        "presentation": presentation_group(4, 2, 2, 3, "P4.2.2.3"),
+        "dihedral": dihedral_group(10),
+        "quaternion": quaternion_group(),
+        "symmetric": s4,
+        "alternating": alternating_group(4),
+        "direct product": direct_product(symmetric_group(3), c2),
+        "table": table_group(relabelled, renumber=True),
+        "subgroup": subgroup_as_group(klein)[0],
+        "quotient": quotient(s4, klein)[0],
+        "crossed product": build_product(
+            validate_crossed_system(c4, c2, trivial_action(c2, c4), trivial_cocycle(c2, c4))
+        ).group,
+    }
+
+
+@pytest.mark.parametrize("kind", list(_array_cache_groups()))
+def test_array_cache_matches_the_tuples_and_is_read_only(kind):
+    grp = _array_cache_groups()[kind]
+    for arr, want in ((grp.table_array, grp.table), (grp.inverse_array, grp.inverse_table)):
+        assert arr.dtype == np.intp and arr.tolist() == np.array(want).tolist()
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    assert grp.table_array is grp.table_array and grp.inverse_array is grp.inverse_array
+    # a renamed group shares its parent's array, built or not
+    renamed = grp._renamed("R")
+    assert renamed.table_array is grp.table_array and renamed == grp
+    fresh = table_group(grp.table)
+    assert fresh._renamed("R").table_array is fresh.table_array
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+def test_array_cache_is_a_copy_of_the_intake_array(dtype):
+    want = cyclic_group(5)
+    intake = np.array(want.table, dtype=dtype)
+    grp = groups_mod.FiniteGroup("C5", intake, validate=False)
+    intake[:] = 0
+    assert intake.flags.writeable
+    assert grp.table == want.table and np.array_equal(grp.table_array, want.table_array)
