@@ -1,30 +1,31 @@
 """Enumeration of normalized crossed systems and their equivalence classifications.
 
-The backtracking engine (`_search_systems`) fixes the unit row and column of
-the cocycle and the unit action entry (forced by normalization), then
-backtracks over the cocycle cells of each action, checking every axiom
+The backtracking engine (`_engine`) fixes the unit row and column of the
+cocycle and the unit action entry (forced by normalization), then
+backtracks over the cocycle cells of one action, checking every axiom
 instance as soon as its last argument is assigned.  By the first axiom an
 action is a homomorphism G -> Out(H), so the actions tried are the lifts of
-those homomorphisms (`_outer_actions`), and each cocycle cell's domain, a
+those homomorphisms (`_lift_products`), and each cocycle cell's domain, a
 coset of Z(H), is read from the Inn(H) table cached on H.  Cells are filled
 column-major, which pins most cells immediately from earlier ones and keeps
 the engine's search tree close to the solution count.
 
-For abelian H the cocycles of one action form a group Z^2 under the pointwise
-product, and each eq1 class is a coset f B^2 (H^2 = Z^2 / B^2).  There only
-the gauge slice is enumerated, which gives one representative per class, and
-each action's block is those representatives times B^2, sorted into the
-engine's order (`_algebraic_systems`).  For cyclic G the slice and its
-classes have a closed form (carry cocycles over H^psi, classes H^psi / N(H)),
-so no search runs; any other G runs the engine pinned to the slice
-(`_gauge_slice_classes`).
+The systems over one outer action psi: G -> Out(H) are one orbit under
+shifts (the source paper's Schreier-type theorem).  The engine runs on the
+first lift of each psi only, and every other lift's block is that block
+shifted by the t with lift = c_t lift0, in numpy (`_lifted_systems`).  For
+abelian H, Inn(H) = 1, so every action is its own psi and the engine runs
+on each.
 
-For non-abelian H the systems over one outer action psi: G -> Out(H) are
-one orbit under shifts (the source paper's Schreier-type theorem).  The
-engine runs on the first lift of each psi only, and every other lift's block
-is that block shifted by the t with lift = c_t lift0, in numpy
-(`_lifted_systems`).  The engine over every action stays for the smallest
-pairs (`_LIFT_MIN_LIFTS`, `_ALGEBRAIC_MIN_MAPS`) and as the tests' oracle.
+For abelian H with at least `_ALGEBRAIC_MIN_MAPS` maps t the cocycles of
+one action form a group Z^2 under the pointwise product, and each eq1 class
+is a coset f B^2 (H^2 = Z^2 / B^2).  There only the gauge slice is
+enumerated, which gives one representative per class, and each action's
+block is those representatives times B^2, sorted into the engine's order
+(`_algebraic_systems`).  For cyclic G the slice and its classes have a
+closed form (carry cocycles over H^psi, classes H^psi / N(H)), so no search
+runs; any other G runs the engine pinned to the slice
+(`_gauge_slice_classes`).
 
 The array paths read each group's cached table arrays (`table_array`,
 `inverse_array`), and the uint8 value gathers one uint8 copy of H's tables
@@ -74,22 +75,13 @@ from .systems import Cocycle, CrossedSystem, WeakAction
 
 DEFAULT_PAIR_CAP = 64
 
-# Below this many normalized maps t: G -> H, |H|^(|G|-1), the engine's whole
-# search costs less than the fixed per-action work of `_algebraic_systems`,
-# which includes a pinned engine pass over the gauge slice (measured before
-# cyclic G had its closed form, `_cyclic_slice_classes`).
+# Below this many normalized maps t: G -> H, |H|^(|G|-1), an abelian pair
+# runs the engine over every action (`_lifted_systems`): its whole search
+# costs less than the fixed per-action work of `_algebraic_systems`.  Sending
+# those pairs to `_algebraic_systems` too, with cyclic G in closed form,
+# raised `enumerate-bulk` `request_p50_ms` from 0.746 to 0.931 ms (+25 %, 3
+# alternating runs on 2 CPUs).
 _ALGEBRAIC_MIN_MAPS = 128
-
-# Non-abelian H shifts the engine's block of one lift per outer action onto
-# the others (`_lifted_systems`) from this many lifts per outer action,
-# |Inn(H)|^(|G|-1), on; below it the engine over every action is faster.
-# Measured on 2 CPUs, best of 7 interleaved runs of each whole stream: with
-# 1-6 lifts the engine is faster ((S3, C1), (D10, C1), (D8, C2), (Q8, C2),
-# (S3, C2), (D12, C2), (S3xC2, C2): lift/engine time 1.1-4), except
-# (Q8xC2, C2), 4 lifts, where lifting is 1.24x faster; with 8-18 lifts
-# lifting is faster ((D16, C2), (D10, C2), (D14, C2), (D18, C2): 1.14-1.44x;
-# (D8, C3), (Q8, C3), (S3, C3): 2.5-3.3x), and with 64 lifts about 12x.
-_LIFT_MIN_LIFTS = 8
 
 RELATIONS = ("eq1", "eq2", "iso")
 
@@ -185,35 +177,19 @@ def _aut_tables(h: FiniteGroup):
 
 
 def _aut_arrays(h: FiniteGroup):
-    """`(perms, shift, hm, hinv)`: numpy tables over automorphism_group(h), cached on h.
+    """`(perms, shift)`: numpy tables over automorphism_group(h), cached on h.
 
     perms is `_aut_perms(h)`.  shift[i, j] is the first c in H with aut_i =
     c_c aut_j, c_c the conjugation x -> c x c^-1 (read off `_aut_tables`),
-    and -1 when aut_i and aut_j lie in different cosets of Inn(H).  hm and
-    hinv are `_byte_tables(h)`.
+    and -1 when aut_i and aut_j lie in different cosets of Inn(H).
     """
     arrays = h._cache.get("aut_arrays")
     if arrays is None:
         comp, aut_inv, _, conj_of = _aut_tables(h)
         first = np.array([c[0] if c else -1 for c in conj_of], dtype=np.intp)
-        arrays = (_aut_perms(h), first[np.array(comp, dtype=np.intp)[:, aut_inv]], *_byte_tables(h))
+        arrays = (_aut_perms(h), first[np.array(comp, dtype=np.intp)[:, aut_inv]])
         h._cache["aut_arrays"] = arrays
     return arrays
-
-
-def _outer_actions(h: FiniteGroup, g: FiniteGroup):
-    """The action tuples of the crossed systems on (H, G), in lexicographic order.
-
-    A tuple gives one index into automorphism_group(h) per element of G, the
-    identity at 1.  The first axiom makes a(g1) a(g2) a(g1 g2)^-1 the
-    conjugation by f(g1, g2), so exactly the tuples that are homomorphisms
-    G -> Out(H) have a non-empty domain on every cocycle cell.  For abelian H,
-    Out(H) = Aut(H) and these are the homomorphisms G -> Aut(H); otherwise
-    the stream merges the lifts of each homomorphism (`_lift_products`).
-    """
-    if h.is_abelian:
-        return _outer_homomorphisms(h, g)[0]
-    return heapq.merge(*_lift_products(h, g))
 
 
 def _outer_homomorphisms(h: FiniteGroup, g: FiniteGroup):
@@ -254,9 +230,10 @@ def enumerate_raw_systems(
 
     `alpha_indices` indexes into automorphism_group(h) per element of G;
     `f_bytes` is the cocycle table row-major.  Systems are emitted grouped by
-    action assignment, actions in lexicographic index order (`_outer_actions`,
-    the homomorphisms G -> Out(H)), and within one action in lexicographic
-    order of the cocycle read column-major (`g2` outer, `g1` inner).
+    action assignment, actions in lexicographic index order (the lifts of the
+    homomorphisms G -> Out(H), `_lift_products`), and within one action in
+    lexicographic order of the cocycle read column-major (`g2` outer, `g1`
+    inner).
 
     A per-system reader over the block stream `_system_blocks`, which the
     library's own consumers read directly.
@@ -272,8 +249,8 @@ def _check_pair(h: FiniteGroup, g: FiniteGroup, cap: int) -> None:
     n, m = h.order, g.order
     if n * m > cap:
         raise CapExceededError(f"|H|*|G| = {n * m} exceeds cap {cap}")
-    if n >= 256:
-        raise CapExceededError("engine packs cocycle values into bytes; |H| must be < 256")
+    if n > 256:
+        raise CapExceededError("engine packs cocycle values into bytes; |H| must be <= 256")
 
 
 def _system_blocks(h: FiniteGroup, g: FiniteGroup, cap: int):
@@ -283,45 +260,18 @@ def _system_blocks(h: FiniteGroup, g: FiniteGroup, cap: int):
     `enumerate_raw_systems`: `block` is a C-contiguous uint8 array of shape
     (k, |G|^2), one row-major cocycle per row, rows in the stream's order.
 
-    For non-abelian H with at least `_LIFT_MIN_LIFTS` lifts per outer action
-    psi the engine runs on the first lift of each psi only, and every other
-    lift's block is that block shifted onto it (`_lifted_systems`).  For
-    abelian H with at least `_ALGEBRAIC_MIN_MAPS` maps t: G -> H, each block
-    is Z^2, built as the cosets rep B^2 of its H^2 representatives
-    (`_algebraic_systems`).  The smaller pairs of either kind run the
-    backtracking engine over every action (`_search_systems`).  All three
-    give the same blocks.
+    For abelian H with at least `_ALGEBRAIC_MIN_MAPS` maps t: G -> H, each
+    block is Z^2, built as the cosets rep B^2 of its H^2 representatives
+    (`_algebraic_systems`).  Every other pair runs the engine on the first
+    lift of each outer action and shifts its block onto the other lifts
+    (`_lifted_systems`).  Both give the engine's blocks.
     """
     _check_pair(h, g, cap)
-    if h.is_abelian:
-        if h.order ** (g.order - 1) >= _ALGEBRAIC_MIN_MAPS:
-            return _algebraic_systems(h, g)
-    elif len(inner_automorphisms(h)) ** (g.order - 1) >= _LIFT_MIN_LIFTS:
-        return _lifted_systems(h, g)
-    return _search_systems(h, g)
-
-
-def _search_systems(h: FiniteGroup, g: FiniteGroup, pinned=()):
-    """The backtracking engine over every action: `_system_blocks`'s blocks,
-    each yielded when its action is done, if not empty.  With `pinned` cells
-    (g1, g2), only the systems with the unit on every pinned cell are kept.
-
-    Only the homomorphisms G -> Out(H) are tried (`_outer_actions`).  The
-    library runs it pinned to the gauge slice (`_engine_slice_classes`), and
-    unpinned on the pairs below its crossovers: abelian H with fewer than
-    `_ALGEBRAIC_MIN_MAPS` maps t, non-abelian H with fewer than
-    `_LIFT_MIN_LIFTS` lifts per outer action.  On larger non-abelian H it is
-    the tests' oracle of `_lifted_systems`, which runs the engine on one
-    action per outer action (`_engine`).
-    """
     if g.order == 1:   # one action and one system: no automorphism tables
-        yield (0,), np.zeros((1, 1), dtype=np.uint8)
-        return
-    leaf = _engine(h, g, pinned)
-    for alpha in _outer_actions(h, g):
-        block = leaf(alpha)
-        if len(block):
-            yield alpha, block
+        return iter([((0,), np.zeros((1, 1), dtype=np.uint8))])
+    if h.is_abelian and h.order ** (g.order - 1) >= _ALGEBRAIC_MIN_MAPS:
+        return _algebraic_systems(h, g)
+    return _lifted_systems(h, g)
 
 
 def _engine(h: FiniteGroup, g: FiniteGroup, pinned=()):
@@ -342,6 +292,9 @@ def _engine(h: FiniteGroup, g: FiniteGroup, pinned=()):
     schedule depends on G alone (and on whether H is abelian), so it is built
     once per G and cached on g (`_engine_schedule`); per action only its
     binding to the action's rows and cell domains runs.
+
+    Two callers run it: `_lifted_systems` on the first lift of each outer
+    action, and `_engine_slice_classes` pinned to the gauge slice.
     """
     n, m = h.order, g.order
     auts = automorphism_group(h)
@@ -706,19 +659,37 @@ def coboundary_orbit_keys(
     """
     n, m = h.order, g.order
     hm, hinv = _byte_tables(h)
-    act = np.array(act_rows, dtype=np.uint8).reshape(m, n)
+    act = np.asarray(act_rows, dtype=np.uint8).reshape(m, n)
     t = (_all_shifts(n, m) if t_rows is None else np.asarray(t_rows)).astype(np.uint8)
     count = len(t)
-    t_inv = hinv[t]
 
     if h.is_abelian:
         actions = np.broadcast_to(act.reshape(1, m * n), (count, m * n))
     else:
-        actions = _mul(hm, _mul(hm, t[:, :, None], act), t_inv[:, :, None]).reshape(count, m * n)
-    f = np.frombuffer(f_flat, dtype=np.uint8).reshape(m, m)
-    moved = act.T[t].transpose(0, 2, 1)   # [k, g1, g2] = act(g1)(t(g2))
-    shifted = _mul(hm, _mul(hm, _mul(hm, t[:, :, None], moved), f), t_inv.take(g.table_array, axis=1))
-    return actions, shifted.reshape(count, m * m)
+        actions = _mul(hm, _mul(hm, t[:, :, None], act), hinv[t][:, :, None]).reshape(count, m * n)
+    left, right = _shift_factors(h, g, act, np.arange(m), t)
+    return actions, _mul(hm, _mul(hm, left, np.frombuffer(f_flat, dtype=np.uint8)), right)
+
+
+def _shift_factors(h: FiniteGroup, g: FiniteGroup, perms, alpha, t) -> tuple["np.ndarray", "np.ndarray"]:
+    """`(left, right)`: the shift by t sends a cocycle f to left f right.
+
+    Row i of `t`, an integer array of shape (k, |G|), is a map t: G -> H with
+    t(1) = 1.  The action is read off the uint8 value rows `perms`: act(g) is
+    perms[alpha[g]] for every map when `alpha` has shape (|G|,), and
+    perms[alpha[i, g]] for map i when it has shape (k, |G|).  Row i of both
+    outputs, uint8 of shape (k, |G|^2), is read row-major over (g1, g2):
+
+        left  = t(g1) act(g1)(t(g2))
+        right = t(g1 g2)^-1
+    """
+    hm, hinv = _byte_tables(h)
+    shape = (len(t), g.order ** 2)
+    if alpha.ndim == 1:
+        moved = perms[alpha].T[t].transpose(0, 2, 1)   # [i, g1, g2] = act(g1)(t(g2))
+    else:
+        moved = perms.ravel().take(alpha[:, :, None] * h.order + t[:, None, :])
+    return _mul(hm, t[:, :, None], moved).reshape(shape), hinv[t][:, g.table_array].reshape(shape)
 
 
 def _mul(hm: "np.ndarray", a, b) -> "np.ndarray":
@@ -771,7 +742,7 @@ def _gauge_shifts(h: FiniteGroup, act_rows, gens, edges) -> "np.ndarray":
     """
     n = h.order
     hm = h.table_array
-    act = np.array(act_rows, dtype=np.int64)
+    act = np.asarray(act_rows)
     count = n ** len(gens)
     codes = np.arange(count, dtype=np.int64)
     t = np.zeros((count, len(act_rows)), dtype=np.int64)
@@ -785,11 +756,13 @@ def _gauge_shifts(h: FiniteGroup, act_rows, gens, edges) -> "np.ndarray":
 def _gauge_slice_classes(h: FiniteGroup, g: FiniteGroup):
     """Yield `(alpha, act_rows, reps)` per action: one slice cocycle per class f B^2.
 
-    For abelian H, actions in `_outer_actions` order; `reps` holds uint8 rows
-    of shape (r, |G|^2), one row-major cocycle of the gauge slice per class,
-    in the engine's order.  Cyclic G (one generator) reads the classes off in
-    closed form (`_cyclic_slice_classes`); any other G runs the pinned engine
-    (`_engine_slice_classes`).  Both give the same yields.
+    For abelian H, the actions are the homomorphisms G -> Aut(H) in
+    lexicographic order (`_outer_homomorphisms`), and `act_rows` their uint8
+    value rows of shape (|G|, |H|), read off `_aut_perms`.  `reps` holds
+    uint8 rows of shape (r, |G|^2), one row-major cocycle of the gauge slice
+    per class, in the engine's order.  Cyclic G (one generator) reads the
+    classes off in closed form (`_cyclic_slice_classes`); any other G runs
+    the pinned engine (`_engine_slice_classes`).  Both give the same yields.
     """
     gens = generating_sequence(g)
     if len(gens) == 1:
@@ -812,7 +785,7 @@ def _cyclic_slice_classes(h: FiniteGroup, g: FiniteGroup, b: int):
     """
     n, m = h.order, g.order
     hm, gm = h.table, g.table
-    auts = automorphism_group(h)
+    perms = _aut_perms(h)
     log = [0] * m
     x = b
     for k in range(1, m):
@@ -820,9 +793,9 @@ def _cyclic_slice_classes(h: FiniteGroup, g: FiniteGroup, b: int):
         x = gm[x][b]
     logs = np.array(log)
     carry = (logs[:, None] + logs >= m).ravel()
-    for alpha in _outer_actions(h, g):
-        act_rows = [auts[a].map for a in alpha]
-        psi = act_rows[b]
+    for alpha in _outer_homomorphisms(h, g)[0]:
+        act_rows = perms[list(alpha)]
+        psi = act_rows[b].tolist()
         norms = set()
         for s in range(n):
             acc = y = s
@@ -854,12 +827,16 @@ def _engine_slice_classes(h: FiniteGroup, g: FiniteGroup):
     looked up in the sorted block (`_lookup`), so `reps` holds one
     representative per class.
     """
-    auts = automorphism_group(h)
+    perms = _aut_perms(h)
     hm = _byte_tables(h)[0]
     unit = bytes(g.order ** 2)
     gens, edges = _gauge_tree(g)
-    for alpha, block in _search_systems(h, g, [(p, s) for (_, p, s) in edges]):
-        act_rows = [auts[a].map for a in alpha]
+    leaf = _engine(h, g, [(p, s) for (_, p, s) in edges])
+    for alpha in _outer_homomorphisms(h, g)[0]:
+        block = leaf(alpha)
+        if not len(block):
+            continue
+        act_rows = perms[list(alpha)]
         t_rows = _gauge_shifts(h, act_rows, gens, edges)
         _, shifts = coboundary_orbit_keys(h, g, act_rows, unit, t_rows=t_rows)
         keys = _key_view(block)
@@ -934,9 +911,8 @@ def _algebraic_systems(h: FiniteGroup, g: FiniteGroup):
     """`_system_blocks` for abelian H, one Z^2 block per action.
 
     The gauge slice gives the H^2 representatives of each action
-    (`_gauge_slice_classes`); `_cocycle_block` multiplies them
-    by B^2 and sorts the block into the engine's order, so the blocks equal
-    `_search_systems`'s.
+    (`_gauge_slice_classes`); `_cocycle_block` multiplies them by B^2 and
+    sorts the block into the engine's order, so the blocks are the engine's.
     """
     for alpha, act_rows, reps in _gauge_slice_classes(h, g):
         yield alpha, _cocycle_block(h, g, act_rows, reps)
@@ -948,22 +924,23 @@ _LIFT_BATCH = 4096
 
 
 def _lifted_systems(h: FiniteGroup, g: FiniteGroup):
-    """`_system_blocks` for non-abelian H: the engine runs once per outer action.
+    """`_system_blocks` by the engine on one lift per outer action.
 
     The systems over one outer action psi: G -> Out(H) are one orbit under
     shifts (the source paper's Schreier-type theorem; Brown, Cohomology of
-    Groups, IV.6).  The first lift alpha0 of each psi in `_outer_actions`
-    order gets its block from the engine (`_engine`).  Every other lift is
-    alpha = c_t alpha0, t(g) the first c in H with alpha(g) alpha0(g)^-1 =
-    c_t, and the shift by t,
+    Groups, IV.6).  The first lift alpha0 of each psi in lexicographic order
+    (`_lift_products`) gets its block from the engine (`_engine`), which is
+    yielded as it is.  Every other lift is alpha = c_t alpha0, t(g) the first
+    c in H with alpha(g) alpha0(g)^-1 = c_t, and the shift by t,
 
         f(g1, g2) = t(g1) alpha0(g1)(t(g2)) f0(g1, g2) t(g1 g2)^-1
 
-    (`coboundary_orbit_keys`), maps the systems on alpha0 one to one onto
-    those on alpha; a psi whose alpha0 has no system has none on any lift.
-    The lifts are shifted in batches of blocks of one size (`_shift_lifts`)
-    and each block is sorted into the engine's order, so the stream equals
-    `_search_systems`'s.
+    (`_shift_factors`), maps the systems on alpha0 one to one onto those on
+    alpha; a psi whose alpha0 has no system has none on any lift.  The other
+    lifts are shifted in batches of blocks of one size (`_shift_lifts`), each
+    batch yielded before the next base block, so the stream stays in order.
+    For abelian H, Inn(H) = 1: every action is the one lift of its psi, the
+    engine runs on each, and nothing is shifted.
     """
     products = _lift_products(h, g)
     tagged = heapq.merge(*(zip(lifts, itertools.repeat(p)) for p, lifts in enumerate(products)))
@@ -971,16 +948,20 @@ def _lifted_systems(h: FiniteGroup, g: FiniteGroup):
     bases = [None] * len(products)   # per psi: (alpha0, the engine's block)
     pending, size = [], 0
     for alpha, p in tagged:
-        if bases[p] is None:
+        base = bases[p] is None
+        if base:
             bases[p] = (alpha, leaf(alpha))
         k = len(bases[p][1])
         if not k:
             continue
-        if pending and (k != size or len(pending) * k >= _LIFT_BATCH):
+        if pending and (base or k != size or len(pending) * k >= _LIFT_BATCH):
             yield from _shift_lifts(h, g, pending, bases)
             pending = []
-        size = k
-        pending.append((alpha, p))
+        if base:
+            yield bases[p]
+        else:
+            size = k
+            pending.append((alpha, p))
     if pending:
         yield from _shift_lifts(h, g, pending, bases)
 
@@ -988,14 +969,14 @@ def _lifted_systems(h: FiniteGroup, g: FiniteGroup):
 def _shift_lifts(h: FiniteGroup, g: FiniteGroup, pending, bases):
     """`(alpha, block)` per pending `(alpha, p)`, in order: the block of
     `bases[p]` = (alpha0, block0) shifted from alpha0 onto alpha
-    (`_lifted_systems`).  Every block0 has the same number of rows.
+    (`_lifted_systems`) and sorted into the engine's order.  Every block0
+    has the same number of rows.
 
-    t, the left factors t(g1) alpha0(g1)(t(g2)) and the right factors
-    t(g1 g2)^-1 of every lift take a gather or two each, then both products
-    over every row one gather each.
+    The shift factors of every lift take one `_shift_factors`, then both
+    products over every row one gather each.
     """
     m = g.order
-    perms, shift, hm, hinv = _aut_arrays(h)
+    perms, shift = _aut_arrays(h)
     alphas, tags = zip(*pending)
     used = {p: j for j, p in enumerate(dict.fromkeys(tags))}
     which = np.array([used[p] for p in tags], dtype=np.intp)
@@ -1004,11 +985,9 @@ def _shift_lifts(h: FiniteGroup, g: FiniteGroup, pending, bases):
     t = shift[np.array(alphas, dtype=np.intp), alpha0]
     if (t < 0).any():
         raise InternalInvariantError("a lift is not an inner shift of its base")
-    count = len(alphas)
-    moved = perms.ravel().take(alpha0[:, :, None] * h.order + t[:, None, :])
-    left = _mul(hm, t[:, :, None], moved).reshape(count, 1, -1)
-    right = hinv[t][:, g.table_array].reshape(count, 1, -1)
-    shifted = _mul(hm, _mul(hm, left, block0), right)
+    left, right = _shift_factors(h, g, perms, alpha0, t)
+    hm = _byte_tables(h)[0]
+    shifted = _mul(hm, _mul(hm, left[:, None], block0), right[:, None])
     if block0.shape[1] > 1:
         shifted = _column_sorted(shifted, m)
     return zip(alphas, shifted)
@@ -1027,12 +1006,13 @@ def iter_orbit_representatives(h: FiniteGroup, g: FiniteGroup, *, cap: int = DEF
     slice cocycle not yet marked is yielded and marks its T0-orbit
     (`_gauge_slice_classes`: in closed form for cyclic G, by the pinned
     engine for any other G), so the yield count is the class count.  For
-    non-abelian H every system is yielded, from the block stream
-    `_system_blocks` (the engine's block per outer action, shifted onto each
-    of its lifts; correct, just without reduction).  Orbit members share
-    their product's isomorphism type, which is what bulk consumers rely on.
+    non-abelian H, and for G = 1, where each orbit is one system, every
+    system is yielded, from the block stream `_system_blocks` (the engine's
+    block per outer action, shifted onto each of its lifts; correct, just
+    without reduction).  Orbit members share their product's isomorphism
+    type, which is what bulk consumers rely on.
     """
-    if h.is_abelian:
+    if h.is_abelian and g.order > 1:
         _check_pair(h, g, cap)
         blocks = ((alpha, reps) for (alpha, _, reps) in _gauge_slice_classes(h, g))
     else:

@@ -1,3 +1,4 @@
+import heapq
 import importlib
 import random
 from collections import Counter
@@ -27,6 +28,7 @@ from crossedprod.classify import (
     _aut_tables,
     _byte_tables,
     _coboundary_group,
+    _engine,
     _engine_schedule,
     _MAX_AUTS,
     _gauge_shifts,
@@ -35,9 +37,7 @@ from crossedprod.classify import (
     _gauge_tree,
     _lift_products,
     _lifted_systems,
-    _outer_actions,
     _reports,
-    _search_systems,
     _system_block,
     _system_blocks,
     are_equivalent_1,
@@ -776,6 +776,23 @@ def _records(blocks):
     return [(alpha, row.tobytes()) for (alpha, block) in blocks for row in block]
 
 
+def _outer_actions(h, g):
+    """Every action tuple with a non-empty domain on each cocycle cell, in
+    lexicographic order: the lifts of each psi: G -> Out(H), merged."""
+    return heapq.merge(*_lift_products(h, g))
+
+
+def _search_systems(h, g, pinned=()):
+    """The oracle of `_system_blocks`: the engine over every action, each
+    non-empty block in the stream's order.  With `pinned` cells (g1, g2),
+    only the systems with the unit on every pinned cell are kept."""
+    leaf = _engine(h, g, pinned)
+    for alpha in _outer_actions(h, g):
+        block = leaf(alpha)
+        if len(block):
+            yield alpha, block
+
+
 def _raw_systems(h, g, pinned=()):
     """The public stream, or with `pinned` cells the engine's pinned blocks."""
     if pinned:
@@ -889,7 +906,7 @@ def _no_engine(*args):
 def _assert_same_slices(closed, engine):
     assert len(closed) == len(engine) > 0
     for (alpha, act_rows, reps), (alpha_e, act_rows_e, reps_e) in zip(closed, engine):
-        assert alpha == alpha_e and act_rows == act_rows_e
+        assert alpha == alpha_e and np.array_equal(act_rows, act_rows_e)
         assert reps.dtype == reps_e.dtype == np.uint8 and reps.flags.c_contiguous
         assert reps.shape == reps_e.shape and np.array_equal(reps, reps_e)
 
@@ -897,7 +914,7 @@ def _assert_same_slices(closed, engine):
 def _closed_slices(h, g, monkeypatch):
     """`_gauge_slice_classes` with the engine unreachable."""
     with monkeypatch.context() as mp:
-        mp.setattr(importlib.import_module("crossedprod.classify"), "_search_systems", _no_engine)
+        mp.setattr(importlib.import_module("crossedprod.classify"), "_engine", _no_engine)
         return list(_gauge_slice_classes(h, g))
 
 
@@ -1008,22 +1025,41 @@ def test_engine_without_pinned_cells_emits_the_recorded_stream(hs, gs, count, di
 
 # the lifts of each outer action against the engine over every action ------
 
+# Abelian H has one lift per outer action, so below `_ALGEBRAIC_MIN_MAPS`
+# maps t the lifted stream is the engine over every action.  Non-abelian
+# pairs with few lifts per outer action once ran that engine instead of
+# shifting, measured on 2 CPUs, best of 7 interleaved runs of each whole
+# stream, when every lift, the first too, was shifted and sorted: with 1-6
+# lifts the engine was faster ((S3, C1), (D10, C1), (D8, C2), (Q8, C2),
+# (S3, C2), (D12, C2), (S3xC2, C2): lift/engine time 1.1-4), except
+# (Q8xC2, C2), 4 lifts, where lifting was 1.24x faster; with 8-18 lifts
+# lifting was faster ((D16, C2), (D10, C2), (D14, C2), (D18, C2):
+# 1.14-1.44x; (D8, C3), (Q8, C3), (S3, C3): 2.5-3.3x), and with 64 lifts
+# about 12x.  The first lift's block now comes straight from the engine.
 LIFT_PAIRS = [
     (h, g)
-    for h in (S3, D8, Q8)
+    for h in (C2, C3, C4, K4, S3, D8, Q8)
     for g in [cyclic_group(k) for k in (1, 2, 3, 4, 5, 6, 8)] + [K4, S3, D8, Q8]
     if h.order * g.order <= 32
+    and not (h.is_abelian and h.order ** (g.order - 1) >= _ALGEBRAIC_MIN_MAPS)
 ]
+
+
+def _no_shift(*args):
+    raise AssertionError("a lift was shifted")
 
 
 @pytest.mark.parametrize("h,g", LIFT_PAIRS, ids=lambda x: x.name)
 def test_lift_oracle_lifted_blocks_equal_the_engine_stream(h, g, monkeypatch):
     classify_mod = importlib.import_module("crossedprod.classify")
+    # for abelian H every action is its outer action's one lift: none is shifted
+    if h.is_abelian:
+        monkeypatch.setattr(classify_mod, "_shift_lifts", _no_shift)
     engine = _records(_search_systems(h, g))
     assert _records(_system_blocks(h, g, DEFAULT_PAIR_CAP)) == engine
 
-    # below the crossover the library runs the engine; the lifts agree too,
-    # and run the engine once per outer action psi
+    # the lifts run the engine once per outer action psi, for abelian H once
+    # per action
     leaves = []
     make_engine = classify_mod._engine
 
@@ -1040,6 +1076,8 @@ def test_lift_oracle_lifted_blocks_equal_the_engine_stream(h, g, monkeypatch):
     lifted = list(_lifted_systems(h, g))
     assert _records(lifted) == engine
     assert len(leaves) == len(_lift_products(h, g))
+    if h.is_abelian:
+        assert leaves == list(_outer_actions(h, g))
     for (_, block) in lifted:
         assert block.dtype == np.uint8 and block.flags.c_contiguous and len(block) > 0
 
@@ -1069,9 +1107,9 @@ def test_lift_oracle_s3_c8_counts_six_to_the_seventh():
 
 def test_internal_invariant_lift_outside_its_base_coset_raises(monkeypatch):
     classify_mod = importlib.import_module("crossedprod.classify")
-    perms, shift, hm, hinv = _aut_arrays(S3)
+    perms, shift = _aut_arrays(S3)
     # no automorphism is an inner shift of another
-    monkeypatch.setattr(classify_mod, "_aut_arrays", lambda h: (perms, np.full_like(shift, -1), hm, hinv))
+    monkeypatch.setattr(classify_mod, "_aut_arrays", lambda h: (perms, np.full_like(shift, -1)))
     with pytest.raises(InternalInvariantError, match="not an inner shift"):
         list(_lifted_systems(S3, C3))
 

@@ -476,6 +476,28 @@ def test_cap_exceeded_exit_code(capsys):
     assert json.loads(err.splitlines()[-1])["error"]["type"] == "cap-exceeded"
 
 
+def test_byte_cap_admits_h_of_order_256_and_refuses_257(capsys):
+    # cocycle values are packed into bytes: |H| = 256 fits, 257 does not
+    code, out, _ = run_cli(
+        ["enumerate", "--h", "cyclic:256", "--g", "cyclic:1", "--max-order", "256"], capsys
+    )
+    assert code == 0 and '"count":1' in out and json.loads(out)["count"] == 1
+    code, out, _ = run_cli(
+        ["classify", "--h", "cyclic:256", "--g", "cyclic:1", "--max-order", "256",
+         "--relation", "iso"],
+        capsys,
+    )
+    assert code == 0 and json.loads(out)["class_count"] == 1
+    code, out, err = run_cli(
+        ["enumerate", "--h", "cyclic:257", "--g", "cyclic:1", "--max-order", "257",
+         "--max-group-order", "257"],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    error = json.loads(err.splitlines()[-1])["error"]
+    assert error["type"] == "cap-exceeded" and "<= 256" in error["message"]
+
+
 def test_aut_cap_refuses_c2_to_the_4_in_under_a_second(capsys):
     # the pair cap lets (C2^4, C2) through, |Aut(C2^4)| = 20,160 does not
     started = time.perf_counter()
