@@ -17,15 +17,18 @@ shifted by the t with lift = c_t lift0, in numpy (`_lifted_systems`).  For
 abelian H, Inn(H) = 1, so every action is its own psi and the engine runs
 on each.
 
-For abelian H with at least `_ALGEBRAIC_MIN_MAPS` maps t the cocycles of
-one action form a group Z^2 under the pointwise product, and each eq1 class
-is a coset f B^2 (H^2 = Z^2 / B^2).  There only the gauge slice is
-enumerated, which gives one representative per class, and each action's
-block is those representatives times B^2, sorted into the engine's order
-(`_algebraic_systems`).  For cyclic G the slice and its classes have a
-closed form (carry cocycles over H^psi, classes H^psi / N(H)), so no search
-runs; any other G runs the engine pinned to the slice
-(`_gauge_slice_classes`).
+For abelian H the cocycles of one action form a group Z^2 under the
+pointwise product, and each eq1 class is a coset f B^2 (H^2 = Z^2 / B^2).
+There only the gauge slice is enumerated, which gives one representative
+per class, and each action's block is those representatives times B^2,
+sorted into the engine's order, each row tagged by its class
+(`_algebraic_systems`).  No search runs: for cyclic G the slice and its
+classes have a closed form (carry cocycles over H^psi, classes
+H^psi / N(H)); for any other G the slice is the kernel of the cocycle
+equations, solved per prime over Z/p^a by a Howell form
+(`_linear_slice_classes`).  `classify` reads eq1 off the tags; the block
+stream takes this path for abelian pairs with at least
+`_ALGEBRAIC_MIN_MAPS` maps t and runs the engine on smaller ones.
 
 The array paths read each group's cached table arrays (`table_array`,
 `inverse_array`), and the uint8 value gathers one uint8 copy of H's tables
@@ -75,12 +78,15 @@ from .systems import Cocycle, CrossedSystem, WeakAction
 
 DEFAULT_PAIR_CAP = 64
 
-# Below this many normalized maps t: G -> H, |H|^(|G|-1), an abelian pair
-# runs the engine over every action (`_lifted_systems`): its whole search
-# costs less than the fixed per-action work of `_algebraic_systems`.  Sending
-# those pairs to `_algebraic_systems` too, with cyclic G in closed form,
-# raised `enumerate-bulk` `request_p50_ms` from 0.746 to 0.931 ms (+25 %, 3
-# alternating runs on 2 CPUs).
+# Below this many normalized maps t: G -> H, |H|^(|G|-1), the block stream
+# of an abelian pair runs the engine over every action (`_lifted_systems`):
+# its whole search costs less than the fixed per-action work of
+# `_algebraic_systems`.  With the slice solved by linear algebra, the 43
+# abelian catalog pairs below 128 maps (|G| > 1, |H||G| <= 64) drained their
+# streams in 18.5 ms on the engine and 21.6 ms on `_algebraic_systems` (sum
+# of per-pair bests of 30 on fresh groups, 2 CPUs), the smallest 2-2.8x
+# slower: (C3, C2) 88 -> 242 us, (K4, C2) 162 -> 455 us.  `classify` reads
+# every abelian pair through `_algebraic_systems`, for its eq1 tags.
 _ALGEBRAIC_MIN_MAPS = 128
 
 RELATIONS = ("eq1", "eq2", "iso")
@@ -147,33 +153,54 @@ def _aut_tables(h: FiniteGroup):
     aut_i's inverse.  outer[i] labels aut_i's coset of Inn(H) (its least
     index), so outer is the projection Aut(H) -> Out(H).  conj_of[i] is the
     ascending tuple of c in H whose conjugation x -> c x c^-1 is aut_i, empty
-    unless aut_i is inner.  comp is gathered in numpy, aut_i over every value
-    table for a batch of rows i at a time, and ranked by one `np.searchsorted`
-    in the ascending value tables.  Over `_MAX_AUTS` automorphisms raise
+    unless aut_i is inner.  An Aut(H) of one or two elements is written down
+    directly (`_small_aut_tables`); a larger one is composed in numpy
+    (`_composed_aut_tables`).  Over `_MAX_AUTS` automorphisms raise
     CapExceededError before any table is built.
     """
     tables = h._cache.get("aut_tables")
     if tables is None:
-        auts = automorphism_group(h)
-        count = len(auts)
+        count = len(automorphism_group(h))
         if count > _MAX_AUTS:
             raise CapExceededError(f"|Aut(H)| = {count} exceeds the automorphism table cap {_MAX_AUTS}")
-        perms = _aut_perms(h)
-        keys = _key_view(perms)
-        step = max(1, (1 << 20) // perms.size)   # rows per gather: about 1 MB of compositions
-        comp = []
-        for i in range(0, count, step):
-            rows = perms[i:i + step, perms].reshape(-1, h.order)
-            comp += np.searchsorted(keys, _key_view(rows)).reshape(-1, count).tolist()
-        aut_inv = [row.index(0) for row in comp]
-        index = automorphism_index(h)
-        inner = inner_automorphisms(h)
-        inn = [index[p] for p in inner]
-        outer = [min(comp[c][a] for c in inn) for a in range(count)]
-        conj_of = [inner.get(a.map, ()) for a in auts]
-        tables = (comp, aut_inv, outer, conj_of)
+        tables = _small_aut_tables(h, count) if count <= 2 else _composed_aut_tables(h)
         h._cache["aut_tables"] = tables
     return tables
+
+
+def _small_aut_tables(h: FiniteGroup, count: int):
+    """`_aut_tables` for an Aut(H) of `count` <= 2 elements, without composing.
+
+    Inn(H) = H / Z(H) is a subgroup of Aut(H), so it is cyclic and H is
+    abelian: Inn(H) = 1, every coset of it is one automorphism, and every c
+    in H conjugates like the identity.  automorphism_group starts with the
+    identity (the least value table), and a second automorphism is its own
+    inverse.
+    """
+    comp = [[i ^ j for j in range(count)] for i in range(count)]
+    return comp, list(range(count)), list(range(count)), [tuple(h.elements())] + [()] * (count - 1)
+
+
+def _composed_aut_tables(h: FiniteGroup):
+    """`_aut_tables` by composition: comp is gathered in numpy, aut_i over every
+    value table for a batch of rows i at a time, and ranked by one
+    `np.searchsorted` in the ascending value tables."""
+    auts = automorphism_group(h)
+    count = len(auts)
+    perms = _aut_perms(h)
+    keys = _key_view(perms)
+    step = max(1, (1 << 20) // perms.size)   # rows per gather: about 1 MB of compositions
+    comp = []
+    for i in range(0, count, step):
+        rows = perms[i:i + step, perms].reshape(-1, h.order)
+        comp += np.searchsorted(keys, _key_view(rows)).reshape(-1, count).tolist()
+    aut_inv = [row.index(0) for row in comp]
+    index = automorphism_index(h)
+    inner = inner_automorphisms(h)
+    inn = [index[p] for p in inner]
+    outer = [min(comp[c][a] for c in inn) for a in range(count)]
+    conj_of = [inner.get(a.map, ()) for a in auts]
+    return comp, aut_inv, outer, conj_of
 
 
 def _aut_arrays(h: FiniteGroup):
@@ -270,18 +297,16 @@ def _system_blocks(h: FiniteGroup, g: FiniteGroup, cap: int):
     if g.order == 1:   # one action and one system: no automorphism tables
         return iter([((0,), np.zeros((1, 1), dtype=np.uint8))])
     if h.is_abelian and h.order ** (g.order - 1) >= _ALGEBRAIC_MIN_MAPS:
-        return _algebraic_systems(h, g)
+        return ((alpha, block) for (alpha, block, _, _) in _algebraic_systems(h, g))
     return _lifted_systems(h, g)
 
 
-def _engine(h: FiniteGroup, g: FiniteGroup, pinned=()):
+def _engine(h: FiniteGroup, g: FiniteGroup):
     """`leaf(alpha)`: the engine's block of one action tuple, uint8 rows of
     shape (k, |G|^2) in the stream's order, k = 0 when no system has it.
 
     The domain of cell (g1, g2) is the ascending tuple of c in H conjugating
-    like a(g1) a(g2) a(g1 g2)^-1, one lookup in the cached Inn(H) table.  A
-    pinned cell's domain is `(0,)`, so a branch dies as soon as a pinned cell
-    is derived non-zero.
+    like a(g1) a(g2) a(g1 g2)^-1, one lookup in the cached Inn(H) table.
 
     Cocycle cells are filled column-major; for most cells some axiom instance
     pins the value, which is then computed directly instead of searched.  For
@@ -293,8 +318,7 @@ def _engine(h: FiniteGroup, g: FiniteGroup, pinned=()):
     once per G and cached on g (`_engine_schedule`); per action only its
     binding to the action's rows and cell domains runs.
 
-    Two callers run it: `_lifted_systems` on the first lift of each outer
-    action, and `_engine_slice_classes` pinned to the gauge slice.
+    `_lifted_systems` runs it on the first lift of each outer action.
     """
     n, m = h.order, g.order
     auts = automorphism_group(h)
@@ -306,7 +330,6 @@ def _engine(h: FiniteGroup, g: FiniteGroup, pinned=()):
     flat, derive_info, rest_info = _engine_schedule(g, h.is_abelian)
     K = len(flat)
     cells = [divmod(i, m) for i in flat]
-    pinned_pos = [(g2 - 1) * (m - 1) + g1 - 1 for (g1, g2) in pinned]
 
     # a cell's domain is the coset of Z(H) conjugating like a1 a2 a12^-1 (all
     # of H when H is abelian); a full domain needs no membership test (None),
@@ -322,11 +345,6 @@ def _engine(h: FiniteGroup, g: FiniteGroup, pinned=()):
         inner = [comp[comp[alpha[g1]][alpha[g2]]][aut_inv[alpha[gm[g1][g2]]]] for (g1, g2) in cells]
         domains = [conj_of[a] for a in inner]
         domsets = [domset_of[a] for a in inner]
-        for k in pinned_pos:
-            if 0 not in domains[k]:
-                return rows
-            domains[k] = (0,)
-            domsets[k] = {0}
         act_inv: list[tuple[int, ...] | None] = [None] * m
 
         def derive_op(k: int):
@@ -732,46 +750,51 @@ def _gauge_tree(g: FiniteGroup) -> tuple[list[int], list[tuple[int, int, int]]]:
     return gens, edges
 
 
-def _gauge_shifts(h: FiniteGroup, act_rows, gens, edges) -> "np.ndarray":
-    """The maps t of T0 as rows of shape (|H|^len(gens), |G|).
+def _gauge_shifts(h: FiniteGroup, acts, gens, edges) -> "np.ndarray":
+    """The maps t of T0 under each of A actions, uint8 (A, |H|^len(gens), |G|).
 
     T0 holds the maps t: G -> H with t(1) = 1, any values on the generators,
-    and t(p s) = t(p) act(p)(t(s)) on every tree edge: exactly the shifts
-    whose coboundary is the unit on every tree cell (p, s), so for abelian H
-    they move a cocycle of the gauge slice only within the slice.
+    and t(p s) = t(p) act(p)(t(s)) on every tree edge (`_gauge_tree`):
+    exactly the shifts whose coboundary is the unit on every tree cell
+    (p, s), so for abelian H they move a cocycle of the gauge slice only
+    within the slice.  `acts` holds the uint8 value rows (A, |G|, |H|) of
+    the actions; map k takes digit j of k in base |H| on generator j
+    (`_all_shifts`) under every action.
     """
-    n = h.order
-    hm = h.table_array
-    act = np.asarray(act_rows)
-    count = n ** len(gens)
-    codes = np.arange(count, dtype=np.int64)
-    t = np.zeros((count, len(act_rows)), dtype=np.int64)
-    for j, s in enumerate(gens):
-        t[:, s] = (codes // (n ** j)) % n
+    count, m, n = acts.shape
+    hm = _byte_tables(h)[0]
+    rows = acts.reshape(count, m * n)
+    values = _all_shifts(n, len(gens) + 1)[:, 1:]
+    t = np.zeros((count, len(values), m), dtype=np.uint8)
+    t[:, :, gens] = values
     for (x, p, s) in edges:
-        t[:, x] = hm[t[:, p], act[p][t[:, s]]]
+        t[:, :, x] = _mul(hm, t[:, :, p], rows[np.arange(count)[:, None], p * n + t[:, :, s]])
     return t
 
 
 def _gauge_slice_classes(h: FiniteGroup, g: FiniteGroup):
-    """Yield `(alpha, act_rows, reps)` per action: one slice cocycle per class f B^2.
+    """Yield `(alpha, act_rows, reps, orbit)` per action: one slice cocycle per class f B^2.
 
     For abelian H, the actions are the homomorphisms G -> Aut(H) in
     lexicographic order (`_outer_homomorphisms`), and `act_rows` their uint8
     value rows of shape (|G|, |H|), read off `_aut_perms`.  `reps` holds
     uint8 rows of shape (r, |G|^2), one row-major cocycle of the gauge slice
-    per class, in the engine's order.  Cyclic G (one generator) reads the
-    classes off in closed form (`_cyclic_slice_classes`); any other G runs
-    the pinned engine (`_engine_slice_classes`).  Both give the same yields.
+    per class, the class's least slice member in the engine's order, classes
+    ascending.  `orbit` is |B^2| of the action, the size of every class:
+    B^2 is the image of the |H|^(|G|-1) maps t, and its kernel Z^1 lies in
+    T0 (`_gauge_shifts`), so |B^2| = |H|^(|G|-1-#generators) |B0| with B0
+    the coboundaries of T0.  Cyclic G (one generator) reads the classes off
+    in closed form (`_cyclic_slice_classes`); any other G solves the cocycle
+    equations by linear algebra (`_linear_slice_classes`).
     """
     gens = generating_sequence(g)
     if len(gens) == 1:
         return _cyclic_slice_classes(h, g, gens[0])
-    return _engine_slice_classes(h, g)
+    return _linear_slice_classes(h, g)
 
 
 def _cyclic_slice_classes(h: FiniteGroup, g: FiniteGroup, b: int):
-    """`_gauge_slice_classes` for G = <b>, without the engine.
+    """`_gauge_slice_classes` for G = <b>, in closed form.
 
     The gauge tree's cells are (b^k, b) for 0 < k < |G| - 1.  A normalized
     cocycle that is the unit on them is the carry cocycle
@@ -812,76 +835,326 @@ def _cyclic_slice_classes(h: FiniteGroup, g: FiniteGroup, b: int):
                     marked[hm[c][v]] = True
         reps = np.zeros((len(kept), m * m), dtype=np.uint8)
         reps[:, carry] = np.array(kept, dtype=np.uint8)[:, None]
-        yield alpha, act_rows, reps
+        yield alpha, act_rows, reps, n ** (m - 2) * len(norms)
 
 
-def _engine_slice_classes(h: FiniteGroup, g: FiniteGroup):
-    """`_gauge_slice_classes` by the engine, for any G (the closed form's oracle).
+def _abelian_coordinates(h: FiniteGroup):
+    """`(basis, degrees, coords, label_of, primes)`: abelian H as a sum of
+    cyclic groups of prime-power order, cached on h.
 
-    The engine pinned to the unit on the tree cells of `_gauge_tree(g)`
-    gives the gauge slice, one block per action, which meets each class
-    f B^2 in the T0-orbit of any member (`_gauge_shifts`).  A shift
-    multiplies a cocycle by its coboundary, so that orbit is f times the
-    coboundaries of T0, computed once per action.  Within each block, in
-    order, every row not yet marked joins `reps` and marks its T0-orbit,
-    looked up in the sorted block (`_lookup`), so `reps` holds one
-    representative per class.
+    H is the direct sum of the <e_i>, `basis` = [e_i] (uint8), and
+    `degrees[i]` = |e_i|.  For each prime p the e_i of H's p-part are chosen
+    greedily: the least element of largest order whose cyclic group meets the
+    span of the earlier ones trivially (its subgroup of order p lies outside
+    the span).  Such an element generates a direct summand of a complement,
+    so the greedy choice always ends in a basis.  `coords[x]` holds x's
+    coordinates, x = sum c_i e_i with 0 <= c_i < degrees[i], and
+    `label_of` = (labels, strides) maps them back: x = labels[sum c_i
+    strides[i]].  `primes` lists `(p, q, idx)` per prime: the positions idx
+    of its coordinates and q = p^a the largest degree among them.
     """
-    perms = _aut_perms(h)
+    cached = h._cache.get("abelian_coordinates")
+    if cached is None:
+        n, hm = h.order, h.table
+        orders = h.element_orders
+        basis, primes = [], []
+        rest, p = n, 2
+        while rest > 1:
+            if rest % p:
+                p += 1
+                continue
+            part = 1
+            while rest % p == 0:
+                rest, part = rest // p, part * p
+            members = [x for x in range(n) if part % orders[x] == 0]   # H's p-part
+            start, span = len(basis), {0}
+            while len(span) < part:
+                e = max(
+                    (x for x in members if h.power(x, orders[x] // p) not in span),
+                    key=lambda x: (orders[x], -x),
+                )
+                basis.append(e)
+                span = {hm[y][z] for y in span for z in _powers(h, e)}
+            primes.append((p, max(orders[e] for e in basis[start:]), np.arange(start, len(basis))))
+        label_of = [0]
+        for e in basis:
+            label_of = [hm[x][z] for x in label_of for z in _powers(h, e)]
+        degrees = np.array([orders[e] for e in basis], dtype=np.intp)
+        strides = np.array([np.prod(degrees[i + 1:]) for i in range(len(basis))], dtype=np.intp)
+        coords = np.empty((n, len(basis)), dtype=np.intp)
+        coords[label_of] = np.arange(n)[:, None] // strides % degrees
+        labels = (np.array(label_of, dtype=np.uint8), strides)
+        cached = (np.array(basis, dtype=np.uint8), degrees, coords, labels, primes)
+        h._cache["abelian_coordinates"] = cached
+    return cached
+
+
+def _powers(h: FiniteGroup, e: int) -> list[int]:
+    """e^0, e^1, ..., e^(|e| - 1)."""
+    out = [0]
+    for _ in range(h.element_orders[e] - 1):
+        out.append(h.table[out[-1]][e])
+    return out
+
+
+def _slice_plan(g: FiniteGroup):
+    """`(free, levels, checks)`: the gauge slice's cocycle equations on G, cached on g.
+
+    Read off the engine's schedule for abelian H (`_engine_schedule`), whose
+    instances (g1, g2, g3) have a generator as g3, with the unit on the tree
+    cells of `_gauge_tree(g)`.  `free` holds the flat positions of the cells
+    that no instance derives and that are off the tree, in cell order: the
+    slice's unknowns.  Every other cell off the unit row and column is
+    derived, a function of earlier cells.  `levels` groups the derived cells
+    by depth (one deeper than the deepest derived cell they read), so one
+    level is filled at once (`_slice_fill`): per level `(cells, kind, quad,
+    g1)`, the cells' flat positions, the map that turns the residual of the
+    deriving instance into the cell (0: inverse, 1: g1^-1, 2: itself), the
+    flat positions (4, L) of the instance's cells A, B, C, D and its g1.
+    `checks` is `(quad, g1)` of every other instance, each of which must
+    hold; a derived tree cell adds the instance on (cell, 1, 1, 1) with
+    g1 = 1, which holds exactly when the cell is the unit.
+    """
+    plan = g._cache.get("slice_plan")
+    if plan is None:
+        m = g.order
+        flat, derive_info, rest_info = _engine_schedule(g, True)
+        tree = {p * m + s for (_, p, s) in _gauge_tree(g)[1]}
+        free, derived, checks = [], [], []
+        depth = [0] * (m * m)
+        for i, derive, rest in zip(flat, derive_info, rest_info):
+            checks += rest
+            if derive is None:
+                if i not in tree:
+                    free.append(i)
+                continue
+            mode, iA, iB, iC, iD, g1 = derive
+            depth[i] = 1 + max(depth[iA], depth[iB], depth[iC], depth[iD])   # depth[i] is still 0
+            derived.append((depth[i], i, (mode >= 2) + (mode == 3), iA, iB, iC, iD, g1))
+            if i in tree:
+                checks.append((i, 0, 0, 0, 0))
+        derived = _int_rows(derived, 8)
+        derived = derived[np.argsort(derived[:, 0], kind="stable")]
+        levels = [
+            (level[:, 1], level[:, 2], level[:, 3:7].T, level[:, 7])
+            for level in np.split(derived, np.flatnonzero(np.diff(derived[:, 0])) + 1)
+        ]
+        checks = _int_rows(checks, 5)
+        plan = (np.array(free, dtype=np.intp), levels, (checks[:, :4].T, checks[:, 4]))
+        g._cache["slice_plan"] = plan
+    return plan
+
+
+def _int_rows(rows, width: int) -> "np.ndarray":
+    """Tuples of `width` ints as one intp array (len(rows), width)."""
+    return np.fromiter(itertools.chain.from_iterable(rows), dtype=np.intp, count=len(rows) * width).reshape(-1, width)
+
+
+def _slice_fill(h: FiniteGroup, acts, which, levels, rows) -> "np.ndarray":
+    """uint8 `rows` (k, |G|^2), the unit off the free cells, with every
+    derived cell of `_slice_plan` filled in, level by level (in place).
+
+    Row j is read under the action `acts[which[j]]` (`acts`: uint8 value
+    rows (A, |G|, |H|)).  A derived cell is the one unknown of its instance
+    f(g1, g2) f(g1 g2, g3) = g1(f(g2, g3)) f(g1, g2 g3); with the cell still
+    at the unit, the instance's residual A B (g1(C) D)^-1 (`_residual`) is
+    the cell's inverse (modes 0, 1), g1 of the cell (mode 2) or the cell
+    (mode 3), read off one table per (action, g1) of those three maps.
+    """
+    count, m, n = acts.shape
+    after = np.empty((count, m, 3, n), dtype=np.uint8)
+    after[:, :, 0] = _byte_tables(h)[1]
+    after[:, :, 1] = np.argsort(acts, axis=2)
+    after[:, :, 2] = np.arange(n)
+    after = after.ravel()
+    base = which[:, None] * (m * n)
+    for (i, kind, quad, g1) in levels:
+        at = base + g1 * n
+        value = _residual(h, acts, at, rows[:, quad])
+        rows[:, i] = after.take(3 * at + kind * n + value)
+    return rows
+
+
+def _residual(h: FiniteGroup, acts, at, quads) -> "np.ndarray":
+    """A B (g1(C) D)^-1 of instances on uint8 `quads` (k, 4, E), their cells
+    (A, B, C, D) gathered from k rows; the unit where an instance holds.
+    `at` (k, E) is the offset of g1's value row of each row's action in
+    `acts.ravel()` (`_slice_fill`)."""
+    hm, hinv = _byte_tables(h)
+    a, b, c, d = quads.transpose(1, 0, 2)
+    return hm[hm[a, b], hinv[hm[acts.ravel().take(at + c), d]]]
+
+
+def _howell_kernels(mats: "np.ndarray", p: int, q: int) -> list:
+    """Per matrix M of `mats` (A, k, E), the generators of {c : c M = 0 (mod q)},
+    q = p^a, one per row of an intp array (r, k).
+
+    Each [M | 1] is brought to Howell form over Z/q (Storjohann and Mulders,
+    *Fast algorithms for linear algebra modulo N*, ESA 1998), all A at once.
+    Z/q is a chain ring, so a pivot is the entry of least p-valuation in the
+    first column with an entry left, scaled to a power p^v, and clears the
+    rest of its column.  Unless q is prime, the pivot row times p^(a - v),
+    which vanishes on the pivot column, joins the rows still to be reduced.
+    Then the rows that are zero on M's columns span every row of the module
+    that is, so their right-hand parts span the kernel.
+    """
+    count, rows, width = mats.shape
+    work = np.concatenate([mats % q, np.broadcast_to(np.eye(rows, dtype=np.int64), (count, rows, rows))], axis=2)
+    valuation = np.zeros(q, dtype=np.intp)
+    power = p
+    while power < q:
+        valuation[::power] += 1
+        power *= p
+    valuation[0] = q
+    inverse = np.ones(q, dtype=np.int64)   # of each unit mod q
+    for x in range(1, q):
+        if x % p:
+            inverse[x] = pow(x, -1, q)
+    every = np.arange(count)
+    r = 0
+    while True:
+        live = work[:, r:, :width].any(axis=1)
+        if not live.any():
+            break
+        column = work[every, r:, live.argmax(axis=1)]   # an exhausted matrix reads zeros: no change
+        i = valuation[column].argmin(axis=1)
+        entry = column[every, i]
+        step = p ** np.where(entry > 0, valuation[entry], 0)
+        pivot = work[every, r + i] * inverse[entry // step][:, None] % q
+        work[:, r:] = (work[:, r:] - (column // step[:, None])[:, :, None] * pivot[:, None]) % q
+        work[every, r + i] = work[:, r]   # the pivot's own row is now zero
+        work[:, r] = pivot
+        if q > p:
+            work = np.concatenate([work, (pivot * (q // step)[:, None] % q)[:, None]], axis=1)
+        r += 1
+    kept = ~work[:, :, :width].any(axis=2) & work[:, :, width:].any(axis=2)
+    return [block[mask, width:] for block, mask in zip(work, kept)]
+
+
+def _tagged_closure(hm: "np.ndarray", group: "np.ndarray", generators) -> tuple["np.ndarray", "np.ndarray"]:
+    """`(members, tags)`: the group that `generators` generate over `group`.
+
+    `group` (uint8 rows, the unit first) is a subgroup of the pointwise
+    product over H's uint8 table `hm`.  Each generator c adjoins the cosets
+    group c^k up to the first power of c already in the group, so memory
+    follows the result.  `tags[i]` numbers member i's coset of the first
+    `group`: each coset group c^k, k > 0, lies outside the group before it
+    and holds whole cosets of the first group.
+    """
+    tags = np.zeros(len(group), dtype=np.intp)
+    count = 1
+    for c in generators:
+        cosets, labels = [group], [tags]
+        step = hm[group, c]
+        while not (group == step[0]).all(axis=1).any():
+            labels.append(tags + len(cosets) * count)
+            cosets.append(step)
+            step = hm[step, c]
+        if len(cosets) > 1:
+            count *= len(cosets)
+            group, tags = np.concatenate(cosets), np.concatenate(labels)
+    return group, tags
+
+
+def _linear_slice_classes(h: FiniteGroup, g: FiniteGroup):
+    """`_gauge_slice_classes` for any G, by linear algebra over Z/p^a.
+
+    H is a sum of cyclic groups Z/p^a (`_abelian_coordinates`), a cocycle a
+    vector over them, and the gauge slice the solutions of the cocycle
+    equations with the unit on the tree cells (`_slice_plan`).  A slice
+    cocycle is fixed by its free cells, each derived cell being a function
+    of earlier cells, and every equation is linear in them: filling the
+    derived cells of each basis vector (e_i on one free cell) gives every
+    equation's value on it (`_slice_fill`, `_residual`), and per prime the
+    kernel of those values (`_howell_kernels`) gives the slice's generators.
+    A kernel vector c stands for the slice cocycle sum c_j (basis vector j),
+    read off the filled basis vectors in coordinates.  The T0-orbit of a
+    slice cocycle f is f B0, B0 the coboundaries of the maps of T0
+    (`_gauge_shifts`, `_coboundaries`), and the slice is built over B0
+    (`_tagged_closure`), each member tagged by its class.  Sorted by the
+    cocycle read column-major, which is the engine's order, the first
+    member of each tag is its class's representative.  Every action is
+    filled, solved and shifted in the same arrays; only the closure runs
+    per action.
+    """
+    n, m = h.order, g.order
     hm = _byte_tables(h)[0]
-    unit = bytes(g.order ** 2)
+    basis, degrees, coords, (labels, strides), primes = _abelian_coordinates(h)
+    free, levels, (quad, g1) = _slice_plan(g)
     gens, edges = _gauge_tree(g)
-    leaf = _engine(h, g, [(p, s) for (_, p, s) in edges])
-    for alpha in _outer_homomorphisms(h, g)[0]:
-        block = leaf(alpha)
-        if not len(block):
-            continue
-        act_rows = perms[list(alpha)]
-        t_rows = _gauge_shifts(h, act_rows, gens, edges)
-        _, shifts = coboundary_orbit_keys(h, g, act_rows, unit, t_rows=t_rows)
-        keys = _key_view(block)
-        order = np.argsort(keys)
-        sorted_keys = keys[order]
-        marked = np.zeros(len(block), dtype=bool)
-        reps = []
-        for i in range(len(block)):
-            if not marked[i]:
-                marked[order[_lookup(sorted_keys, hm[block[i], shifts])]] = True
-                reps.append(i)
-        yield alpha, act_rows, block[reps]
+    alphas = list(_outer_homomorphisms(h, g)[0])
+    acts = _aut_perms(h)[np.array(alphas, dtype=np.intp)]
+    count, r, k = len(alphas), len(basis), len(free)
+    # basis vector v r + i: e_i on free cell v, the unit elsewhere, under every action
+    seeds = np.zeros((count, k * r, m * m), dtype=np.uint8)
+    seeds[:, np.arange(k * r), np.repeat(free, r)] = np.tile(basis, k)
+    which = np.repeat(np.arange(count), k * r)
+    filled = _slice_fill(h, acts, which, levels, seeds.reshape(-1, m * m))
+    values = coords[_residual(h, acts, (which[:, None] * m + g1) * n, filled[:, quad])]
+    values = values.reshape(count, k, r, len(g1), r)   # action, free cell, e_i, equation, coordinate
+    kernels = [np.zeros((0, k * r), dtype=np.int64)] * count
+    for (p, q, idx) in primes:
+        mats = (values[:, :, idx][..., idx] * (q // degrees[idx])).reshape(count, k * len(idx), len(g1) * len(idx))
+        for a, kernel in enumerate(_howell_kernels(mats, p, q)):
+            vectors = np.zeros((len(kernel), k, r), dtype=np.int64)
+            vectors[:, :, idx] = kernel.reshape(len(kernel), k, len(idx))
+            kernels[a] = np.concatenate([kernels[a], vectors.reshape(len(kernel), k * r)])
+    filled = coords[filled].reshape(count, k * r, m * m, r)
+    shifts = _coboundaries(h, g, acts, _gauge_shifts(h, acts, gens, edges))
+    for a in range(count):
+        b0 = _distinct_rows(shifts[a])
+        digits = np.einsum("kj,jcx->kcx", kernels[a], filled[a]) % degrees
+        members, tags = _tagged_closure(hm, b0, labels[digits @ strides])
+        order = _column_order(members[None], m)[0]
+        _, first = np.unique(tags[order], return_index=True)
+        yield alphas[a], acts[a], members[order[np.sort(first)]], n ** (m - 1 - len(gens)) * len(b0)
+
+
+def _coboundaries(h: FiniteGroup, g: FiniteGroup, acts, t) -> "np.ndarray":
+    """The coboundaries of maps t over abelian H: uint8 (A, k, |G|^2).
+
+    Row j of block a is the row-major table of
+    (g1, g2) -> t(g1) g1(t(g2)) t(g1 g2)^-1 for the map t[a, j] (uint8
+    (A, k, |G|), t(1) = 1) under the action with value rows `acts[a]`
+    (uint8 (A, |G|, |H|)).
+    """
+    count, m, n = acts.shape
+    hm, hinv = _byte_tables(h)
+    at = np.arange(m)[:, None] * n + t[:, :, None, :]   # [a, j, g1, g2]: g1's value row, entry t(g2)
+    moved = acts.reshape(count, m * n)[np.arange(count)[:, None, None, None], at]
+    return hm[hm[t[:, :, :, None], moved], hinv[t[:, :, g.table_array]]].reshape(count, t.shape[1], m * m)
+
+
+def _distinct_rows(rows: "np.ndarray") -> "np.ndarray":
+    """The distinct uint8 rows of `rows`, ascending as byte strings (the unit first)."""
+    return rows[np.unique(_key_view(rows), return_index=True)[1]]
 
 
 def _coboundary_group(h: FiniteGroup, g: FiniteGroup, act_rows) -> "np.ndarray":
     """B^2 of one action over abelian H: uint8 rows of shape (|B^2|, |G|^2).
 
-    Each row is a row-major coboundary table, the unit first.  B^2 is the
-    image of the maps t: G -> H under t -> (t(g1) g1(t(g2)) t(g1 g2)^-1), a
-    homomorphism for abelian H, so it is generated by the coboundaries of the
-    single-point maps (t = s at one x != 1, the unit elsewhere; s runs over
-    `generating_sequence(h)`).  The closure adjoins one generator c at a time
-    as the cosets B c^k up to the first power of c already in B, so memory
-    follows |B^2|, never the |H|^(|G|-1) maps t.
+    Each row is a row-major coboundary table, the unit first, none twice.
+    The maps t: G -> H with t(1) = 1 are the direct sum of T0 (any values on
+    the generators, extended down the gauge tree, `_gauge_shifts`) and W
+    (the unit on the generators).  Coboundary is a homomorphism for abelian
+    H, its kernel Z^1 lies in T0, and a map of W with the unit coboundary
+    is in Z^1, so is the unit: B^2 is the direct sum of B0 = the coboundaries
+    of T0 (|H|^#generators maps, sorted, distinct) and the coboundaries of
+    W, one for each of its |H|^(|G|-1-#generators) maps.
     """
-    m = g.order
+    n, m = h.order, g.order
     hm = _byte_tables(h)[0]
-    points = [(x, s) for x in range(1, m) for s in generating_sequence(h)]
-    t_rows = np.zeros((len(points), m), dtype=np.int64)
-    for i, (x, s) in enumerate(points):
-        t_rows[i, x] = s
-    _, generators = coboundary_orbit_keys(h, g, act_rows, bytes(m * m), t_rows=t_rows)
-    group = np.zeros((1, m * m), dtype=np.uint8)
-    for c in generators:
-        cosets = [group]
-        step = hm[group, c]
-        while not (group == step[0]).all(axis=1).any():
-            cosets.append(step)
-            step = hm[step, c]
-        group = np.concatenate(cosets)
-    return group
+    gens, edges = _gauge_tree(g)
+    acts = np.asarray(act_rows, dtype=np.uint8).reshape(1, m, n)
+    b0 = _distinct_rows(_coboundaries(h, g, acts, _gauge_shifts(h, acts, gens, edges))[0])
+    rest = [x for x in range(1, m) if x not in gens]
+    w = np.zeros((1, n ** len(rest), m), dtype=np.uint8)
+    w[0][:, rest] = _all_shifts(n, len(rest) + 1)[:, 1:]
+    return hm[b0[:, None], _coboundaries(h, g, acts, w)[0][None]].reshape(-1, m * m)
 
 
-def _cocycle_block(h: FiniteGroup, g: FiniteGroup, act_rows, reps) -> "np.ndarray":
-    """Z^2 of one action over abelian H, in the engine's order.
+def _cocycle_block(h: FiniteGroup, g: FiniteGroup, act_rows, reps) -> tuple["np.ndarray", "np.ndarray"]:
+    """`(block, tags)`: Z^2 of one action over abelian H, in the engine's order.
 
     `reps`, uint8 rows of shape (r, |G|^2), holds one row-major cocycle per
     class f B^2 (`_gauge_slice_classes`).
@@ -890,32 +1163,42 @@ def _cocycle_block(h: FiniteGroup, g: FiniteGroup, act_rows, reps) -> "np.ndarra
     are sorted by the cocycle read column-major, which is the engine's cell
     schedule: every derived cell is a function of earlier cells, so two
     systems first differ on a FREE cell, whose domain the engine tries in
-    ascending order.
+    ascending order.  `tags[i]` is the index in `reps` of row i's class.
     """
     m = g.order
     hm = _byte_tables(h)[0]
     b2 = _coboundary_group(h, g, act_rows)
-    return _column_sorted(hm[reps[:, None, :], b2[None, :, :]].reshape(1, -1, m * m), m)[0]
+    rows = hm[reps[:, None, :], b2[None, :, :]].reshape(1, -1, m * m)
+    order = _column_order(rows, m)[0]
+    return rows[0, order], order // len(b2)
+
+
+def _column_order(blocks: "np.ndarray", m: int) -> "np.ndarray":
+    """The order that sorts each block of uint8 `blocks` (b, k, |G|^2) by the
+    cocycle read column-major: one void-dtype argsort along the rows."""
+    b, k, width = blocks.shape
+    columns = np.ascontiguousarray(blocks.reshape(b, k, m, m).transpose(0, 1, 3, 2))
+    return np.argsort(columns.reshape(b, k, width).view(f"V{width}").reshape(b, k), axis=1)
 
 
 def _column_sorted(blocks: "np.ndarray", m: int) -> "np.ndarray":
     """uint8 `blocks` of shape (b, k, |G|^2), each block's rows sorted by the
-    cocycle read column-major (one void-dtype argsort along the rows)."""
-    b, k, width = blocks.shape
-    columns = np.ascontiguousarray(blocks.reshape(b, k, m, m).transpose(0, 1, 3, 2))
-    order = np.argsort(columns.reshape(b, k, width).view(f"V{width}").reshape(b, k), axis=1)
-    return blocks[np.arange(b)[:, None], order]
+    cocycle read column-major (`_column_order`)."""
+    return blocks[np.arange(len(blocks))[:, None], _column_order(blocks, m)]
 
 
 def _algebraic_systems(h: FiniteGroup, g: FiniteGroup):
-    """`_system_blocks` for abelian H, one Z^2 block per action.
+    """Yield `(alpha, block, tags, orbit)` for abelian H, one Z^2 block per action.
 
-    The gauge slice gives the H^2 representatives of each action
-    (`_gauge_slice_classes`); `_cocycle_block` multiplies them by B^2 and
-    sorts the block into the engine's order, so the blocks are the engine's.
+    The gauge slice gives the H^2 representatives of each action and |B^2|
+    (`_gauge_slice_classes`); `_cocycle_block` multiplies the representatives
+    by B^2 and sorts the block into the engine's order, so the blocks are the
+    engine's.  `tags[i]` numbers row i's eq1 class within the action, and
+    each class holds `orbit` rows.
     """
-    for alpha, act_rows, reps in _gauge_slice_classes(h, g):
-        yield alpha, _cocycle_block(h, g, act_rows, reps)
+    for alpha, act_rows, reps, orbit in _gauge_slice_classes(h, g):
+        block, tags = _cocycle_block(h, g, act_rows, reps)
+        yield alpha, block, tags, orbit
 
 
 # `_lifted_systems` shifts the blocks of about this many systems at once, so
@@ -929,41 +1212,48 @@ def _lifted_systems(h: FiniteGroup, g: FiniteGroup):
     The systems over one outer action psi: G -> Out(H) are one orbit under
     shifts (the source paper's Schreier-type theorem; Brown, Cohomology of
     Groups, IV.6).  The first lift alpha0 of each psi in lexicographic order
-    (`_lift_products`) gets its block from the engine (`_engine`), which is
-    yielded as it is.  Every other lift is alpha = c_t alpha0, t(g) the first
-    c in H with alpha(g) alpha0(g)^-1 = c_t, and the shift by t,
+    (`_lift_products`) gets its block from the engine (`_engine`), every
+    base block first, and is yielded as it is.  Every other lift is
+    alpha = c_t alpha0, t(g) the first c in H with alpha(g) alpha0(g)^-1 =
+    c_t, and the shift by t,
 
         f(g1, g2) = t(g1) alpha0(g1)(t(g2)) f0(g1, g2) t(g1 g2)^-1
 
     (`_shift_factors`), maps the systems on alpha0 one to one onto those on
-    alpha; a psi whose alpha0 has no system has none on any lift.  The other
-    lifts are shifted in batches of blocks of one size (`_shift_lifts`), each
-    batch yielded before the next base block, so the stream stays in order.
-    For abelian H, Inn(H) = 1: every action is the one lift of its psi, the
-    engine runs on each, and nothing is shifted.
+    alpha; a psi whose alpha0 has no system has none on any lift.  The lifts
+    are walked in the stream's order and shifted in batches of blocks of one
+    size (`_shift_lifts`), base blocks riding along in their places, so a
+    small pair shifts all its lifts at once.  For abelian H, Inn(H) = 1:
+    every action is the one lift of its psi, the engine runs on each, and
+    nothing is shifted.
     """
-    products = _lift_products(h, g)
-    tagged = heapq.merge(*(zip(lifts, itertools.repeat(p)) for p, lifts in enumerate(products)))
     leaf = _engine(h, g)
-    bases = [None] * len(products)   # per psi: (alpha0, the engine's block)
-    pending, size = [], 0
+    products, bases = [], []   # per psi: its lifts, and (alpha0, the engine's block)
+    for lifts in _lift_products(h, g):
+        alpha0 = next(lifts)
+        bases.append((alpha0, leaf(alpha0)))
+        products.append(itertools.chain([alpha0], lifts))
+    tagged = heapq.merge(*(zip(lifts, itertools.repeat(p)) for p, lifts in enumerate(products)))
+
+    def emit(pending, lifts):
+        shifted = _shift_lifts(h, g, lifts, bases) if lifts else iter(())
+        for alpha, p in pending:
+            yield (alpha, bases[p][1]) if alpha == bases[p][0] else next(shifted)
+
+    pending, lifts, size = [], [], 0   # every pending lift in order, and those to shift
     for alpha, p in tagged:
-        base = bases[p] is None
-        if base:
-            bases[p] = (alpha, leaf(alpha))
-        k = len(bases[p][1])
+        alpha0, block0 = bases[p]
+        k = len(block0)
         if not k:
             continue
-        if pending and (base or k != size or len(pending) * k >= _LIFT_BATCH):
-            yield from _shift_lifts(h, g, pending, bases)
-            pending = []
-        if base:
-            yield bases[p]
-        else:
+        if alpha != alpha0:
+            if lifts and (k != size or len(lifts) * k >= _LIFT_BATCH):
+                yield from emit(pending, lifts)
+                pending, lifts = [], []
             size = k
-            pending.append((alpha, p))
-    if pending:
-        yield from _shift_lifts(h, g, pending, bases)
+            lifts.append((alpha, p))
+        pending.append((alpha, p))
+    yield from emit(pending, lifts)
 
 
 def _shift_lifts(h: FiniteGroup, g: FiniteGroup, pending, bases):
@@ -1002,10 +1292,10 @@ def iter_orbit_representatives(h: FiniteGroup, g: FiniteGroup, *, cap: int = DEF
     BFS spanning tree of G (`_gauge_tree`).  Every orbit meets it, since
     setting t(s) = 1 on the generators and t(p s) = t(p) p(t(s)) f(p, s) down
     the tree moves f into it, and meets it in the T0-orbit of any member
-    (`_gauge_shifts`, |H|^#generators maps instead of |H|^(|G|-1)).  Each
-    slice cocycle not yet marked is yielded and marks its T0-orbit
-    (`_gauge_slice_classes`: in closed form for cyclic G, by the pinned
-    engine for any other G), so the yield count is the class count.  For
+    (`_gauge_shifts`, |H|^#generators maps instead of |H|^(|G|-1)).  The
+    least slice member of each T0-orbit is yielded, orbits ascending
+    (`_gauge_slice_classes`: in closed form for cyclic G, by linear algebra
+    for any other G), so the yield count is the class count.  For
     non-abelian H, and for G = 1, where each orbit is one system, every
     system is yielded, from the block stream `_system_blocks` (the engine's
     block per outer action, shifted onto each of its lifts; correct, just
@@ -1014,7 +1304,7 @@ def iter_orbit_representatives(h: FiniteGroup, g: FiniteGroup, *, cap: int = DEF
     """
     if h.is_abelian and g.order > 1:
         _check_pair(h, g, cap)
-        blocks = ((alpha, reps) for (alpha, _, reps) in _gauge_slice_classes(h, g))
+        blocks = ((alpha, reps) for (alpha, _, reps, _) in _gauge_slice_classes(h, g))
     else:
         blocks = _system_blocks(h, g, cap)
     for alpha, rows in blocks:
@@ -1234,21 +1524,27 @@ class ClassificationReport:
 
 
 def _system_block(h: FiniteGroup, g: FiniteGroup, cap: int) -> SystemSequence:
-    """Every system on (H, G), sorted, as one key block (`SystemSequence`).
+    """Every system on (H, G), sorted, as one key block (`SystemSequence`),
+    from the block stream `_system_blocks` (`_key_block`)."""
+    return _key_block(h, g, *zip(*_system_blocks(h, g, cap)))[0]
 
-    Each action's rows (`_system_blocks`) are repeated over its block and
-    joined with it, so a key is action rows then row-major cocycle.
-    automorphism_group is sorted by value table, so the order of the keys is
-    the order of the raw records (alpha, f_bytes): one sort of the block as
-    fixed-width byte strings gives the library's one order of the systems.
+
+def _key_block(h: FiniteGroup, g: FiniteGroup, alphas, blocks) -> tuple[SystemSequence, "np.ndarray"]:
+    """`(systems, order)`: the blocks of `alphas` as one sorted key block.
+
+    Each action's rows are repeated over its block and joined with it, so a
+    key is action rows then row-major cocycle.  automorphism_group is sorted
+    by value table, so the order of the keys is the order of the raw records
+    (alpha, f_bytes): one sort of the block as fixed-width byte strings gives
+    the library's one order of the systems.  Sorted key i is row order[i] of
+    the blocks joined.
     """
     n, m = h.order, g.order
-    alphas, blocks = zip(*_system_blocks(h, g, cap))
     actions = _aut_perms(h)[np.array(alphas, dtype=np.intp)].reshape(len(alphas), m * n)
     alpha_of = np.repeat(np.arange(len(alphas)), [len(b) for b in blocks])
     keys = np.concatenate([actions[alpha_of], np.concatenate(blocks)], axis=1)
     order = np.argsort(_key_view(keys), kind="stable")
-    return SystemSequence(h, g, list(alphas), alpha_of[order], keys[order])
+    return SystemSequence(h, g, list(alphas), alpha_of[order], keys[order]), order
 
 
 def _key_view(rows: "np.ndarray") -> "np.ndarray":
@@ -1291,16 +1587,19 @@ def _classes(labels: "np.ndarray", count: int) -> list[tuple[int, ...]]:
 def _reports(h: FiniteGroup, g: FiniteGroup, relations, cap: int) -> dict[str, ClassificationReport]:
     """The reports for `relations` on (H, G), from one enumeration.
 
-    The systems are one sorted key block (`_system_block`), and every orbit
-    is found in it by one `np.searchsorted` of its key rows.  The chain
+    The systems are one sorted key block (`_key_block`).  The chain
     eq1 -> eq2 -> iso is built in order, each relation labelling its classes
     in order of their least member:
 
-    - eq1: each system not yet marked opens a class and marks its whole shift
-      orbit.  For abelian H the orbit of f is the coset f B^2, one gather
-      with the action's coboundary group (`_coboundary_group`, built once per
-      action); otherwise it is computed over all maps t in one gather
-      (`coboundary_orbit_keys`).
+    - eq1, abelian H with |G| > 1: the classes are the cosets f B^2, and
+      `_algebraic_systems` builds each action's block as those cosets, with
+      each row tagged by its class.  The tags are carried through the key
+      block's sort and read off; every class must hold exactly |B^2| systems
+      of one action (InternalInvariantError otherwise).
+    - eq1, any other pair: each system not yet marked opens a class and
+      marks its whole shift orbit, computed over all maps t in one gather
+      (`coboundary_orbit_keys`) and found in the key block by one
+      `np.searchsorted` (`_lookup`).
     - eq2: relabellings map eq1 classes onto eq1 classes, and an eq2 witness
       is a relabelling followed by a shift, so each eq1 class not yet joined
       joins the eq1 classes of the |Aut(H)|·|Aut(G)| relabellings of its
@@ -1313,31 +1612,36 @@ def _reports(h: FiniteGroup, g: FiniteGroup, relations, cap: int) -> dict[str, C
     Systems are built only for the eq2 representatives.
     """
     n, m = h.order, g.order
-    systems = _system_block(h, g, cap)
-    keys = systems._keys
-    sorted_keys = _key_view(keys)
     width = m * n
-
-    eq1_of = np.full(len(keys), -1, dtype=np.intp)
-    if h.is_abelian:
-        hm = _byte_tables(h)[0]
-        # the keys hold each action's systems together: B^2 of the last action
-        b2_act, b2 = None, None
+    if h.is_abelian and m > 1:
+        _check_pair(h, g, cap)
+        alphas, blocks, tags, orbits = zip(*_algebraic_systems(h, g))
+        systems, order = _key_block(h, g, alphas, blocks)
+        counts = [len(block) // orbit for block, orbit in zip(blocks, orbits)]
+        starts = np.cumsum([0] + counts[:-1])
+        ids = np.concatenate([t + start for t, start in zip(tags, starts)])[order]
+        count = sum(counts)
+        if not (
+            np.array_equal(np.bincount(ids, minlength=count), np.repeat(orbits, counts))
+            and np.array_equal(np.repeat(np.arange(len(alphas)), counts)[ids], systems._alpha_of)
+        ):
+            raise InternalInvariantError("an eq1 class does not hold |B^2| systems of one action")
+        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        eq1_of = np.argsort(np.argsort(first))[inverse]
+        keys = systems._keys
+        sorted_keys = _key_view(keys)
     else:
+        systems = _system_block(h, g, cap)
+        keys = systems._keys
+        sorted_keys = _key_view(keys)
         t = _all_shifts(n, m)
-    count = 0
-    for i in range(len(keys)):
-        if eq1_of[i] < 0:
-            act, f = keys[i, :width], keys[i, width:]
-            if h.is_abelian:
-                if b2_act is None or not np.array_equal(b2_act, act):
-                    b2_act, b2 = act, _coboundary_group(h, g, act)
-                cocycles = hm[f, b2]
-                actions = np.broadcast_to(act, (len(cocycles), width))
-            else:
-                actions, cocycles = coboundary_orbit_keys(h, g, act, f.tobytes(), t)
-            _mark(eq1_of, _lookup(sorted_keys, np.concatenate([actions, cocycles], axis=1)), count)
-            count += 1
+        eq1_of = np.full(len(keys), -1, dtype=np.intp)
+        count = 0
+        for i in range(len(keys)):
+            if eq1_of[i] < 0:
+                actions, cocycles = coboundary_orbit_keys(h, g, keys[i, :width], keys[i, width:].tobytes(), t)
+                _mark(eq1_of, _lookup(sorted_keys, np.concatenate([actions, cocycles], axis=1)), count)
+                count += 1
     eq1 = _classes(eq1_of, count)
 
     eta, eta_inv, gamma_inv = _relabellings(h, g)

@@ -23,20 +23,27 @@ from crossedprod.groups import (
 from crossedprod.classify import (
     DEFAULT_PAIR_CAP,
     _ALGEBRAIC_MIN_MAPS,
+    _abelian_coordinates,
     _algebraic_systems,
+    _all_shifts,
     _aut_arrays,
+    _aut_perms,
     _aut_tables,
     _byte_tables,
     _coboundary_group,
     _engine,
     _engine_schedule,
     _MAX_AUTS,
+    _composed_aut_tables,
     _gauge_shifts,
-    _engine_slice_classes,
     _gauge_slice_classes,
     _gauge_tree,
+    _key_view,
     _lift_products,
     _lifted_systems,
+    _linear_slice_classes,
+    _lookup,
+    _outer_homomorphisms,
     _reports,
     _system_block,
     _system_blocks,
@@ -383,8 +390,9 @@ def _key_rows(sys):
 
 
 def test_internal_invariant_orbit_leaving_the_systems_raises(monkeypatch):
-    # the kernels the block path calls: relabellings (eq2), shifts (eq1 on
-    # non-abelian H) and the coboundary group (eq1 on abelian H)
+    # the kernels whose rows are looked up in the key block: relabellings
+    # (eq2) and shifts (eq1 on non-abelian H); eq1 on abelian H reads tags
+    # (test_internal_invariant_eq1_tags_*)
     classify_mod = importlib.import_module("crossedprod.classify")
 
     # a key past the last system's, and one before the first (not a system)
@@ -401,10 +409,6 @@ def test_internal_invariant_orbit_leaving_the_systems_raises(monkeypatch):
         with pytest.raises(InternalInvariantError, match="left the systems"):
             classify(S3, C2, "eq1")
         monkeypatch.undo()
-    # a "coboundary" moving f(1, 1) off the unit
-    monkeypatch.setattr(classify_mod, "_coboundary_group", lambda *args: np.array([[1, 0, 0, 0]], np.uint8))
-    with pytest.raises(InternalInvariantError, match="left the systems"):
-        classify(C2, C2, "eq1")
 
 
 def test_internal_invariant_orbit_meeting_another_class_raises(monkeypatch):
@@ -430,13 +434,42 @@ def test_internal_invariant_orbit_meeting_another_class_raises(monkeypatch):
     monkeypatch.setattr(classify_mod, "coboundary_orbit_keys", kernel)
     with pytest.raises(InternalInvariantError, match="met another class"):
         classify(D8, C2, "eq1")
-    monkeypatch.undo()
 
-    # (C3, C2) with the trivial action has the systems f(1, 1) = 0, 1, 2; a
-    # "coboundary group" {0, 1} that is no group joins 0 and 1, then 2 and 0
-    monkeypatch.setattr(classify_mod, "_coboundary_group", lambda *args: np.array([[0, 0, 0, 0], [0, 0, 0, 1]], np.uint8))
-    with pytest.raises(InternalInvariantError, match="met another class"):
-        classify(C3, C2, "eq1")
+
+def test_internal_invariant_eq1_tags_need_b2_sized_classes(monkeypatch):
+    # eq1 on abelian H reads the classes off the tags of the Z^2 blocks, and
+    # every class must hold |B^2| systems, |B^2| counted from T0 by the slice
+    classify_mod = importlib.import_module("crossedprod.classify")
+    fake = np.array([[0, 0, 0, 0], [0, 0, 0, 1]], np.uint8)
+    # (C2, C2): B^2 = 1, so a two-row "coboundary group" puts two systems
+    # in every class; (C3, C2): B^2 = C3 for the trivial action and 1 for
+    # the inversion, and {0, 1} is neither
+    for h, classes in ((C2, 2), (C3, 2)):
+        assert classify(h, C2, "eq1").class_count() == classes
+        monkeypatch.setattr(classify_mod, "_coboundary_group", lambda *args: fake)
+        with pytest.raises(InternalInvariantError, match="does not hold"):
+            classify(h, C2, "eq1")
+        monkeypatch.undo()
+
+
+def test_internal_invariant_eq1_tags_of_one_action(monkeypatch):
+    # the first class of the k-th action's block gets its tags moved by
+    # moves[k]: into another class of the action, past every class, or, on
+    # (C4, C4), whose first two actions have 4 and 2 classes of 16 systems,
+    # swapped between them, which keeps every count but mixes two actions
+    classify_mod = importlib.import_module("crossedprod.classify")
+    cocycle_block = classify_mod._cocycle_block
+    for h, g, moves in ((C2, K4, [1]), (C3, C2, [4]), (C4, C4, [4, -4])):
+        calls = iter(moves)
+
+        def moved_tags(*args, calls=calls):
+            block, tags = cocycle_block(*args)
+            return block, np.where(tags == 0, next(calls, 0), tags)
+
+        monkeypatch.setattr(classify_mod, "_cocycle_block", moved_tags)
+        with pytest.raises(InternalInvariantError, match="does not hold"):
+            classify(h, g, "eq1")
+        monkeypatch.undo()
 
 
 def test_classify_builds_no_relabelled_systems(monkeypatch):
@@ -782,11 +815,31 @@ def _outer_actions(h, g):
     return heapq.merge(*_lift_products(h, g))
 
 
+def _pinned_engine(h, g, pinned=()):
+    """`_engine(h, g)` with the unit forced on the `pinned` cells (g1, g2).
+
+    Each pinned cell gets one more instance checked when it is assigned,
+    f(g1, g2) f(1, 1) = id(f(1, 1)) f(1, 1), which holds exactly when the
+    cell is the unit, so a branch dies as soon as a pinned cell is the unit
+    no longer.  The schedule is patched only while the engine binds it.
+    """
+    classify_mod = importlib.import_module("crossedprod.classify")
+    schedule = classify_mod._engine_schedule
+    flat, derive_info, rest_info = schedule(g, h.is_abelian)
+    cells = {g1 * g.order + g2 for (g1, g2) in pinned}
+    rest_info = [rest + [(i, 0, 0, 0, 0)] if i in cells else rest for i, rest in zip(flat, rest_info)]
+    classify_mod._engine_schedule = lambda *args: (flat, derive_info, rest_info)
+    try:
+        return _engine(h, g)
+    finally:
+        classify_mod._engine_schedule = schedule
+
+
 def _search_systems(h, g, pinned=()):
     """The oracle of `_system_blocks`: the engine over every action, each
     non-empty block in the stream's order.  With `pinned` cells (g1, g2),
     only the systems with the unit on every pinned cell are kept."""
-    leaf = _engine(h, g, pinned)
+    leaf = _pinned_engine(h, g, pinned)
     for alpha in _outer_actions(h, g):
         block = leaf(alpha)
         if len(block):
@@ -873,10 +926,12 @@ def test_gauge_shifts_keep_the_slice():
         gens, edges = _gauge_tree(g)
         cells = [p * m + s for (_, p, s) in edges]
         slice_systems = set(_raw_systems(h, g, [(p, s) for (_, p, s) in edges]))
+        values = _all_shifts(h.order, len(gens) + 1)[:, 1:]
         for (alpha, fb) in slice_systems:
             act_rows = [automorphism_group(h)[a].map for a in alpha]
-            t_rows = _gauge_shifts(h, act_rows, gens, edges)
+            t_rows = _gauge_shifts(h, np.array([act_rows], dtype=np.uint8), gens, edges)[0]
             assert t_rows.shape == (h.order ** len(gens), m) and not t_rows[:, 0].any()
+            assert np.array_equal(t_rows[:, gens], values)
             _, cocycles = coboundary_orbit_keys(h, g, act_rows, fb, t_rows=t_rows)
             assert not cocycles[:, cells].any()
             assert {(alpha, row.tobytes()) for row in cocycles} <= slice_systems
@@ -903,12 +958,49 @@ def _no_engine(*args):
     raise AssertionError("the engine ran")
 
 
+def _engine_slice_classes(h, g):
+    """The oracle of `_gauge_slice_classes`, by the engine, for any G.
+
+    The engine pinned to the unit on the tree cells of `_gauge_tree(g)`
+    (`_pinned_engine`) gives the gauge slice, one block per action, which
+    meets each class f B^2 in the T0-orbit of any member.  A shift
+    multiplies a cocycle by its coboundary, so that orbit is f times the
+    coboundaries of every map of T0 (`_gauge_shifts`).  Within each block,
+    in order, every row not yet marked joins `reps` and marks its T0-orbit,
+    looked up in the sorted block (`_lookup`).  The class size is |B^2|
+    (`_coboundary_group`).
+    """
+    perms = _aut_perms(h)
+    hm = _byte_tables(h)[0]
+    unit = bytes(g.order ** 2)
+    gens, edges = _gauge_tree(g)
+    leaf = _pinned_engine(h, g, [(p, s) for (_, p, s) in edges])
+    for alpha in _outer_homomorphisms(h, g)[0]:
+        block = leaf(alpha)
+        if not len(block):
+            continue
+        act_rows = perms[list(alpha)]
+        t_rows = _gauge_shifts(h, act_rows[None], gens, edges)[0]
+        _, shifts = coboundary_orbit_keys(h, g, act_rows, unit, t_rows=t_rows)
+        keys = _key_view(block)
+        order = np.argsort(keys)
+        sorted_keys = keys[order]
+        marked = np.zeros(len(block), dtype=bool)
+        reps = []
+        for i in range(len(block)):
+            if not marked[i]:
+                marked[order[_lookup(sorted_keys, hm[block[i], shifts])]] = True
+                reps.append(i)
+        yield alpha, act_rows, block[reps], len(_coboundary_group(h, g, act_rows))
+
+
 def _assert_same_slices(closed, engine):
     assert len(closed) == len(engine) > 0
-    for (alpha, act_rows, reps), (alpha_e, act_rows_e, reps_e) in zip(closed, engine):
+    for (alpha, act_rows, reps, orbit), (alpha_e, act_rows_e, reps_e, orbit_e) in zip(closed, engine):
         assert alpha == alpha_e and np.array_equal(act_rows, act_rows_e)
         assert reps.dtype == reps_e.dtype == np.uint8 and reps.flags.c_contiguous
         assert reps.shape == reps_e.shape and np.array_equal(reps, reps_e)
+        assert orbit == orbit_e
 
 
 def _closed_slices(h, g, monkeypatch):
@@ -941,15 +1033,15 @@ def test_cyclic_slice_oracle_relabelled_cyclic_g(monkeypatch):
     # element 1 is old 5, a generator: the closed form reads discrete logs
     logs = _relabelled(c6, [0, 4, 5, 2, 3, 1])
     assert generating_sequence(logs) == [1]
-    # element 1 is old 3, of order 2: two generators, so the engine runs
+    # element 1 is old 3, of order 2: two generators, so linear algebra runs
     fallback = _relabelled(c6, [0, 3, 2, 1, 4, 5])
     assert generating_sequence(fallback) == [1, 2]
     for h in (C2, C3, C4, K4, cyclic_group(7)):
         _assert_same_slices(_closed_slices(h, logs, monkeypatch), list(_engine_slice_classes(h, logs)))
         want = list(_engine_slice_classes(h, fallback))
         _assert_same_slices(list(_gauge_slice_classes(h, fallback)), want)
-        assert sum(len(reps) for (_, _, reps) in want) == sum(
-            len(reps) for (_, _, reps) in _gauge_slice_classes(h, c6)
+        assert sum(len(reps) for (_, _, reps, _) in want) == sum(
+            len(reps) for (_, _, reps, _) in _gauge_slice_classes(h, c6)
         )
 
 
@@ -1131,17 +1223,136 @@ def test_algebraic_blocks_equal_the_engine_stream(h, g):
     m = g.order
     engine = list(_search_systems(h, g))
     built = list(_algebraic_systems(h, g))
-    assert _records(built) == _records(engine)
+    assert _records([(alpha, block) for (alpha, block, _, _) in built]) == _records(engine)
 
     per_action = Counter(alpha for (alpha, _) in _records(engine))
     blocks = list(_gauge_slice_classes(h, g))
-    assert [alpha for (alpha, _, _) in blocks] == list(per_action)
-    for (alpha, act_rows, reps) in blocks:
+    assert [alpha for (alpha, _, _, _) in blocks] == list(per_action)
+    hm = _byte_tables(h)[0]
+    for (alpha, act_rows, reps, orbit), (_, block, tags, orbit_b) in zip(blocks, built):
         b2 = _coboundary_group(h, g, act_rows)
         _, coboundaries = coboundary_orbit_keys(h, g, act_rows, bytes(m * m))
         assert {row.tobytes() for row in b2} == {row.tobytes() for row in coboundaries}
-        assert len({row.tobytes() for row in b2}) == len(b2)
+        assert len({row.tobytes() for row in b2}) == len(b2) == orbit == orbit_b
         assert per_action[alpha] == len(reps) * len(b2)
+        # row i lies in the class of reps[tags[i]]: it differs from it by a coboundary
+        assert np.array_equal(np.bincount(tags, minlength=len(reps)), [orbit] * len(reps))
+        inverse = _byte_tables(h)[1]
+        moved = hm[block, inverse[reps[tags]]]
+        assert {row.tobytes() for row in moved} <= {row.tobytes() for row in b2}
+
+
+# the linear slice against the pinned engine ----------------------------------
+
+# every abelian-H pair of criterion 6's catalog with |G| > 1, and pairs whose
+# pinned engine still finishes in seconds
+LINEAR_SLICE_PAIRS = [
+    (h, g) for h in _CATALOG for g in _CATALOG if h.is_abelian and g.order > 1 and h.order * g.order <= 32
+] + [
+    (C2, make_group(d))
+    for d in (
+        "product(cyclic:4,cyclic:4)",
+        "product(product(cyclic:2,cyclic:2),product(cyclic:2,cyclic:2))",
+        "product(cyclic:2,cyclic:8)",
+    )
+] + [(K4, C2_3), (C3, make_group("product(cyclic:3,cyclic:3)"))]
+
+
+def _linear_slices(h, g, monkeypatch):
+    """`_linear_slice_classes` (on any G, cyclic too) with the engine unreachable."""
+    with monkeypatch.context() as mp:
+        mp.setattr(importlib.import_module("crossedprod.classify"), "_engine", _no_engine)
+        return list(_linear_slice_classes(h, g))
+
+
+@pytest.mark.parametrize("h,g", LINEAR_SLICE_PAIRS, ids=lambda x: x.name)
+def test_linear_slice_oracle_equals_the_pinned_engine(h, g, monkeypatch):
+    _assert_same_slices(_linear_slices(h, g, monkeypatch), list(_engine_slice_classes(h, g)))
+
+
+def test_linear_slice_oracle_relabelled_abelian_h(monkeypatch):
+    # H's element order is not the order of any coordinates: the slice is
+    # sorted by the labels, whatever the basis
+    for base, new_of in (
+        (make_group("product(cyclic:2,cyclic:4)"), [0, 5, 3, 7, 1, 6, 2, 4]),
+        (cyclic_group(6), [0, 4, 1, 5, 3, 2]),
+    ):
+        h = _relabelled(base, new_of)
+        basis, degrees, coords, _, _ = _abelian_coordinates(h)
+        assert sorted(h.elements(), key=lambda x: tuple(coords[x])) != list(h.elements())
+        assert [h.element_orders[e] for e in basis] == degrees.tolist()
+        for g in (K4, S3, C4):
+            if h.order * g.order <= 32:
+                _assert_same_slices(_linear_slices(h, g, monkeypatch), list(_engine_slice_classes(h, g)))
+
+
+@pytest.mark.parametrize("spec,count", [
+    ("product(cyclic:2,cyclic:2)", 8),
+    ("product(cyclic:2,cyclic:4)", 8),
+    ("product(cyclic:2,cyclic:6)", 8),
+    ("product(cyclic:4,cyclic:4)", 8),
+    ("product(cyclic:2,cyclic:8)", 8),
+    ("product(cyclic:2,cyclic:16)", 8),
+    ("product(cyclic:4,cyclic:8)", 8),
+    ("product(cyclic:2,product(cyclic:2,cyclic:2))", 2 ** 6),
+    ("product(product(cyclic:2,cyclic:2),product(cyclic:2,cyclic:2))", 2 ** 10),
+    ("product(cyclic:2,product(product(cyclic:2,cyclic:2),product(cyclic:2,cyclic:2)))", 2 ** 15),
+    ("product(cyclic:2,product(cyclic:4,cyclic:4))", 2 ** 6),
+])
+def test_linear_slice_oracle_kunneth_counts_on_c2(spec, count):
+    # Aut(C2) = 1, so the one action is trivial, and by Kunneth over F_2 a
+    # product of k cyclic groups of even order has H^2(-, C2) = F_2^(k + k(k-1)/2)
+    g = make_group(spec)
+    assert len(generating_sequence(g)) > 1
+    assert sum(1 for _ in iter_orbit_representatives(C2, g)) == count
+
+
+def _eq1_by_orbits(h, g):
+    """eq1 classes as `_reports` found them before the tags: each system not
+    yet marked opens a class and marks its orbit, f B^2 for abelian H
+    (`_coboundary_group`, once per action) and every shift otherwise."""
+    n, m = h.order, g.order
+    keys = _system_block(h, g, DEFAULT_PAIR_CAP)._keys
+    sorted_keys = _key_view(keys)
+    width = m * n
+    hm = _byte_tables(h)[0]
+    class_of = np.full(len(keys), -1)
+    count, b2_act = 0, None
+    for i in range(len(keys)):
+        if class_of[i] < 0:
+            act, f = keys[i, :width], keys[i, width:]
+            if h.is_abelian:
+                if b2_act is None or not np.array_equal(b2_act, act):
+                    b2_act, b2 = act, _coboundary_group(h, g, act)
+                cocycles = hm[f, b2]
+                actions = np.broadcast_to(act, (len(cocycles), width))
+            else:
+                actions, cocycles = coboundary_orbit_keys(h, g, act, f.tobytes(), _all_shifts(n, m))
+            members = _lookup(sorted_keys, np.concatenate([actions, cocycles], axis=1))
+            assert (class_of[members] < 0).all()
+            class_of[members] = count
+            count += 1
+    return [tuple(np.flatnonzero(class_of == c).tolist()) for c in range(count)]
+
+
+@pytest.mark.parametrize("h,g", [
+    (h, g) for h in _CATALOG for g in _CATALOG if h.is_abelian and h.order * g.order <= 32
+], ids=lambda x: x.name)
+def test_eq1_tags_oracle_equal_the_orbit_marking(h, g):
+    assert classify(h, g, "eq1").classes == _eq1_by_orbits(h, g)
+
+
+@pytest.mark.parametrize("spec", [
+    *(f"cyclic:{k}" for k in (1, 2, 3, 4, 5, 6, 8)),
+    "product(cyclic:2,cyclic:2)", "symmetric:3", "dihedral:8", "quaternion:8",
+    "product(cyclic:2,product(cyclic:2,cyclic:2))", "product(cyclic:2,cyclic:4)",
+])
+def test_aut_tables_oracle_small_aut_equals_the_composed_tables(spec):
+    # an Aut(H) of one or two elements is written down without composing
+    h = make_group(spec)
+    tables = _aut_tables(h)
+    assert (len(automorphism_group(h)) <= 2) == ("aut_perms" not in h._cache)
+    assert tables == _composed_aut_tables(h)
 
 
 # the per-system path that the block stream replaced, kept as its oracle
