@@ -19,15 +19,17 @@ on each.
 
 For abelian H the cocycles of one action form a group Z^2 under the
 pointwise product, and each eq1 class is a coset f B^2 (H^2 = Z^2 / B^2).
-There only the gauge slice is enumerated, which gives one representative
-per class, and each action's block is those representatives times B^2,
-sorted into the engine's order, each row tagged by its class
-(`_algebraic_systems`).  No search runs: for cyclic G the slice and its
-classes have a closed form (carry cocycles over H^psi, classes
-H^psi / N(H)); for any other G the slice is the kernel of the cocycle
-equations, solved per prime over Z/p^a by a Howell form
-(`_linear_slice_classes`).  `classify` reads eq1 off the tags; the block
-stream takes this path for abelian pairs with at least
+Z^2 is the direct product of the gauge slice (the cocycles that are the
+unit on a spanning tree of G) and delta(W), the coboundaries of the maps
+t that are the unit on the generators.  So only the slice is enumerated,
+each member tagged by its class, and each action's block is the slice
+times delta(W), sorted into the engine's order, each row carrying its
+member's tag (`_algebraic_systems`); B^2 itself is never built.  No search
+runs: for cyclic G the slice and its classes have a closed form (carry
+cocycles over H^psi, classes H^psi / N(H)); for any other G the slice is
+the kernel of the cocycle equations, solved per prime over Z/p^a by a
+Howell form (`_linear_slice_classes`).  `classify` reads eq1 off the tags;
+the block stream takes this path for abelian pairs with at least
 `_ALGEBRAIC_MIN_MAPS` maps t and runs the engine on smaller ones.
 
 The array paths read each group's cached table arrays (`table_array`,
@@ -85,8 +87,11 @@ DEFAULT_PAIR_CAP = 64
 # abelian catalog pairs below 128 maps (|G| > 1, |H||G| <= 64) drained their
 # streams in 18.5 ms on the engine and 21.6 ms on `_algebraic_systems` (sum
 # of per-pair bests of 30 on fresh groups, 2 CPUs), the smallest 2-2.8x
-# slower: (C3, C2) 88 -> 242 us, (K4, C2) 162 -> 455 us.  `classify` reads
-# every abelian pair through `_algebraic_systems`, for its eq1 tags.
+# slower: (C3, C2) 88 -> 242 us, (K4, C2) 162 -> 455 us.  With every
+# abelian pair on `_algebraic_systems`, the `enumerate-bulk` benchmark's
+# `request_p50_ms` went 0.76 -> 1.03 ms (+35 %, 6 of 6 alternating pairs of
+# runs), past its 25 % bound.  `classify` reads every abelian pair through
+# `_algebraic_systems`, for its eq1 tags.
 _ALGEBRAIC_MIN_MAPS = 128
 
 RELATIONS = ("eq1", "eq2", "iso")
@@ -773,20 +778,27 @@ def _gauge_shifts(h: FiniteGroup, acts, gens, edges) -> "np.ndarray":
 
 
 def _gauge_slice_classes(h: FiniteGroup, g: FiniteGroup):
-    """Yield `(alpha, act_rows, reps, orbit)` per action: one slice cocycle per class f B^2.
+    """Yield `(alpha, act_rows, members, tags, orbit)` per action: the gauge
+    slice, each member tagged by its class f B^2.
 
     For abelian H, the actions are the homomorphisms G -> Aut(H) in
     lexicographic order (`_outer_homomorphisms`), and `act_rows` their uint8
-    value rows of shape (|G|, |H|), read off `_aut_perms`.  `reps` holds
-    uint8 rows of shape (r, |G|^2), one row-major cocycle of the gauge slice
-    per class, the class's least slice member in the engine's order, classes
-    ascending.  `orbit` is |B^2| of the action, the size of every class:
+    value rows of shape (|G|, |H|), read off `_aut_perms`.  `members` holds
+    the action's whole gauge slice, uint8 rows of shape (s, |G|^2), one
+    row-major cocycle each, in the engine's order.  `tags[i]` is the index
+    of member i's class in order of first appearance, so the first member
+    of each tag is its class's least slice member.  B0, the coboundaries of
+    T0 (`_gauge_shifts`), lies in the slice, and each class meets it in a
+    coset f B0.  `orbit` is |B^2| of the action, the size of every class:
     B^2 is the image of the |H|^(|G|-1) maps t, and its kernel Z^1 lies in
-    T0 (`_gauge_shifts`), so |B^2| = |H|^(|G|-1-#generators) |B0| with B0
-    the coboundaries of T0.  Cyclic G (one generator) reads the classes off
-    in closed form (`_cyclic_slice_classes`); any other G solves the cocycle
-    equations by linear algebra (`_linear_slice_classes`).
+    T0, so |B^2| = |H|^(|G|-1-#generators) |B0|.  Cyclic G (one generator)
+    reads the classes off in closed form (`_cyclic_slice_classes`); any
+    other G solves the cocycle equations by linear algebra
+    (`_linear_slice_classes`).
     """
+    # The closed form stays for cyclic G: with the Howell form on cyclic G
+    # too, the `holder-sweep` benchmark's `wall_s` went 0.082 -> 0.176 s and
+    # its `request_p50_ms` 0.42 -> 1.05 ms (6 of 6 alternating pairs of runs).
     gens = generating_sequence(g)
     if len(gens) == 1:
         return _cyclic_slice_classes(h, g, gens[0])
@@ -804,7 +816,7 @@ def _cyclic_slice_classes(h: FiniteGroup, g: FiniteGroup, b: int):
     c in H^psi ascending.  A map t of T0 with t(b) = s has coboundary f_N(s),
     N(s) = s psi(s) ... psi^(|G|-1)(s), so the classes are the cosets of
     N(H) in H^psi (H^2 = H^psi / N(H), K. S. Brown, Cohomology of Groups,
-    III.1 and IV.6): each c not yet marked is kept and marks c N(H).
+    III.1 and IV.6): each c not yet tagged opens a class and tags c N(H).
     """
     n, m = h.order, g.order
     hm, gm = h.table, g.table
@@ -826,16 +838,19 @@ def _cyclic_slice_classes(h: FiniteGroup, g: FiniteGroup, b: int):
                 y = psi[y]
                 acc = hm[acc][y]
             norms.add(acc)
-        marked = [False] * n
-        kept = []
+        tag_of = [-1] * n
+        fixed, tags, classes = [], [], 0
         for c in range(n):
-            if psi[c] == c and not marked[c]:
-                kept.append(c)
-                for v in norms:
-                    marked[hm[c][v]] = True
-        reps = np.zeros((len(kept), m * m), dtype=np.uint8)
-        reps[:, carry] = np.array(kept, dtype=np.uint8)[:, None]
-        yield alpha, act_rows, reps, n ** (m - 2) * len(norms)
+            if psi[c] == c:
+                if tag_of[c] < 0:
+                    for v in norms:
+                        tag_of[hm[c][v]] = classes
+                    classes += 1
+                fixed.append(c)
+                tags.append(tag_of[c])
+        members = np.zeros((len(fixed), m * m), dtype=np.uint8)
+        members[:, carry] = np.array(fixed, dtype=np.uint8)[:, None]
+        yield alpha, act_rows, members, np.array(tags), n ** (m - 2) * len(norms)
 
 
 def _abelian_coordinates(h: FiniteGroup):
@@ -1070,10 +1085,10 @@ def _linear_slice_classes(h: FiniteGroup, g: FiniteGroup):
     A kernel vector c stands for the slice cocycle sum c_j (basis vector j),
     read off the filled basis vectors in coordinates.  The T0-orbit of a
     slice cocycle f is f B0, B0 the coboundaries of the maps of T0
-    (`_gauge_shifts`, `_coboundaries`), and the slice is built over B0
-    (`_tagged_closure`), each member tagged by its class.  Sorted by the
-    cocycle read column-major, which is the engine's order, the first
-    member of each tag is its class's representative.  Every action is
+    (`_gauge_shifts`, `_shift_factors`), and the slice is built over B0
+    (`_tagged_closure`), each member tagged by its class.  The slice is
+    sorted by the cocycle read column-major, which is the engine's order,
+    and its tags renumbered in order of first appearance.  Every action is
     filled, solved and shifted in the same arrays; only the closure runs
     per action.
     """
@@ -1083,7 +1098,8 @@ def _linear_slice_classes(h: FiniteGroup, g: FiniteGroup):
     free, levels, (quad, g1) = _slice_plan(g)
     gens, edges = _gauge_tree(g)
     alphas = list(_outer_homomorphisms(h, g)[0])
-    acts = _aut_perms(h)[np.array(alphas, dtype=np.intp)]
+    alpha_rows = np.array(alphas, dtype=np.intp)
+    acts = _aut_perms(h)[alpha_rows]
     count, r, k = len(alphas), len(basis), len(free)
     # basis vector v r + i: e_i on free cell v, the unit elsewhere, under every action
     seeds = np.zeros((count, k * r, m * m), dtype=np.uint8)
@@ -1100,29 +1116,22 @@ def _linear_slice_classes(h: FiniteGroup, g: FiniteGroup):
             vectors[:, :, idx] = kernel.reshape(len(kernel), k, len(idx))
             kernels[a] = np.concatenate([kernels[a], vectors.reshape(len(kernel), k * r)])
     filled = coords[filled].reshape(count, k * r, m * m, r)
-    shifts = _coboundaries(h, g, acts, _gauge_shifts(h, acts, gens, edges))
+    t = _gauge_shifts(h, acts, gens, edges)
+    left, right = _shift_factors(h, g, _aut_perms(h), np.repeat(alpha_rows, t.shape[1], axis=0), t.reshape(-1, m))
+    shifts = _mul(hm, left, right).reshape(count, -1, m * m)   # the coboundary of each map of T0
     for a in range(count):
         b0 = _distinct_rows(shifts[a])
         digits = np.einsum("kj,jcx->kcx", kernels[a], filled[a]) % degrees
         members, tags = _tagged_closure(hm, b0, labels[digits @ strides])
         order = _column_order(members[None], m)[0]
-        _, first = np.unique(tags[order], return_index=True)
-        yield alphas[a], acts[a], members[order[np.sort(first)]], n ** (m - 1 - len(gens)) * len(b0)
+        orbit = n ** (m - 1 - len(gens)) * len(b0)
+        yield alphas[a], acts[a], members[order], _by_first_appearance(tags[order]), orbit
 
 
-def _coboundaries(h: FiniteGroup, g: FiniteGroup, acts, t) -> "np.ndarray":
-    """The coboundaries of maps t over abelian H: uint8 (A, k, |G|^2).
-
-    Row j of block a is the row-major table of
-    (g1, g2) -> t(g1) g1(t(g2)) t(g1 g2)^-1 for the map t[a, j] (uint8
-    (A, k, |G|), t(1) = 1) under the action with value rows `acts[a]`
-    (uint8 (A, |G|, |H|)).
-    """
-    count, m, n = acts.shape
-    hm, hinv = _byte_tables(h)
-    at = np.arange(m)[:, None] * n + t[:, :, None, :]   # [a, j, g1, g2]: g1's value row, entry t(g2)
-    moved = acts.reshape(count, m * n)[np.arange(count)[:, None, None, None], at]
-    return hm[hm[t[:, :, :, None], moved], hinv[t[:, :, g.table_array]]].reshape(count, t.shape[1], m * m)
+def _by_first_appearance(labels: "np.ndarray") -> "np.ndarray":
+    """Integer `labels` renumbered 0, 1, ... in order of first appearance."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
 
 
 def _distinct_rows(rows: "np.ndarray") -> "np.ndarray":
@@ -1130,47 +1139,31 @@ def _distinct_rows(rows: "np.ndarray") -> "np.ndarray":
     return rows[np.unique(_key_view(rows), return_index=True)[1]]
 
 
-def _coboundary_group(h: FiniteGroup, g: FiniteGroup, act_rows) -> "np.ndarray":
-    """B^2 of one action over abelian H: uint8 rows of shape (|B^2|, |G|^2).
+def _cocycle_block(h: FiniteGroup, g: FiniteGroup, act_rows, members, tags) -> tuple["np.ndarray", "np.ndarray"]:
+    """`(block, tags)`: Z^2 of one action over abelian H, in the engine's order.
 
-    Each row is a row-major coboundary table, the unit first, none twice.
-    The maps t: G -> H with t(1) = 1 are the direct sum of T0 (any values on
-    the generators, extended down the gauge tree, `_gauge_shifts`) and W
-    (the unit on the generators).  Coboundary is a homomorphism for abelian
-    H, its kernel Z^1 lies in T0, and a map of W with the unit coboundary
-    is in Z^1, so is the unit: B^2 is the direct sum of B0 = the coboundaries
-    of T0 (|H|^#generators maps, sorted, distinct) and the coboundaries of
-    W, one for each of its |H|^(|G|-1-#generators) maps.
+    `members` (uint8 rows (s, |G|^2)) is the action's gauge slice and `tags`
+    numbers each member's class (`_gauge_slice_classes`).  Z^2 is the direct
+    product of the slice and delta(W), W the maps t with t(1) = 1 that are
+    the unit on the generators: a shift by a map of W moves any cocycle into
+    the slice, and only the unit map of W has its coboundary there (both
+    down the gauge tree).  So the block is one table lookup with no
+    duplicates, delta(W) taken through `_shift_factors`, and each row, in
+    its member's class since delta(W) lies in B^2, carries its tag.  The
+    rows are sorted by the cocycle read column-major, which is the engine's
+    cell schedule: every derived cell is a function of earlier cells, so two
+    systems first differ on a FREE cell, whose domain the engine tries in
+    ascending order.
     """
     n, m = h.order, g.order
     hm = _byte_tables(h)[0]
-    gens, edges = _gauge_tree(g)
-    acts = np.asarray(act_rows, dtype=np.uint8).reshape(1, m, n)
-    b0 = _distinct_rows(_coboundaries(h, g, acts, _gauge_shifts(h, acts, gens, edges))[0])
-    rest = [x for x in range(1, m) if x not in gens]
-    w = np.zeros((1, n ** len(rest), m), dtype=np.uint8)
-    w[0][:, rest] = _all_shifts(n, len(rest) + 1)[:, 1:]
-    return hm[b0[:, None], _coboundaries(h, g, acts, w)[0][None]].reshape(-1, m * m)
-
-
-def _cocycle_block(h: FiniteGroup, g: FiniteGroup, act_rows, reps) -> tuple["np.ndarray", "np.ndarray"]:
-    """`(block, tags)`: Z^2 of one action over abelian H, in the engine's order.
-
-    `reps`, uint8 rows of shape (r, |G|^2), holds one row-major cocycle per
-    class f B^2 (`_gauge_slice_classes`).
-    Z^2 is the disjoint union of the cosets rep B^2 (`_coboundary_group`), one
-    table lookup with no duplicates.  The rows, uint8 of shape (|Z^2|, |G|^2),
-    are sorted by the cocycle read column-major, which is the engine's cell
-    schedule: every derived cell is a function of earlier cells, so two
-    systems first differ on a FREE cell, whose domain the engine tries in
-    ascending order.  `tags[i]` is the index in `reps` of row i's class.
-    """
-    m = g.order
-    hm = _byte_tables(h)[0]
-    b2 = _coboundary_group(h, g, act_rows)
-    rows = hm[reps[:, None, :], b2[None, :, :]].reshape(1, -1, m * m)
+    rest = [x for x in range(1, m) if x not in generating_sequence(g)]
+    w = np.zeros((n ** len(rest), m), dtype=np.uint8)
+    w[:, rest] = _all_shifts(n, len(rest) + 1)[:, 1:]
+    delta_w = _mul(hm, *_shift_factors(h, g, act_rows, np.arange(m), w))
+    rows = hm[members[:, None], delta_w[None]].reshape(1, -1, m * m)
     order = _column_order(rows, m)[0]
-    return rows[0, order], order // len(b2)
+    return rows[0, order], tags[order // len(delta_w)]
 
 
 def _column_order(blocks: "np.ndarray", m: int) -> "np.ndarray":
@@ -1190,14 +1183,14 @@ def _column_sorted(blocks: "np.ndarray", m: int) -> "np.ndarray":
 def _algebraic_systems(h: FiniteGroup, g: FiniteGroup):
     """Yield `(alpha, block, tags, orbit)` for abelian H, one Z^2 block per action.
 
-    The gauge slice gives the H^2 representatives of each action and |B^2|
-    (`_gauge_slice_classes`); `_cocycle_block` multiplies the representatives
-    by B^2 and sorts the block into the engine's order, so the blocks are the
-    engine's.  `tags[i]` numbers row i's eq1 class within the action, and
-    each class holds `orbit` rows.
+    The gauge slice gives each action's slice, tagged by class, and |B^2|
+    (`_gauge_slice_classes`); `_cocycle_block` multiplies the slice by
+    delta(W) and sorts the block into the engine's order, so the blocks are
+    the engine's.  `tags[i]` numbers row i's eq1 class within the action,
+    and each class holds `orbit` rows.
     """
-    for alpha, act_rows, reps, orbit in _gauge_slice_classes(h, g):
-        block, tags = _cocycle_block(h, g, act_rows, reps)
+    for alpha, act_rows, members, tags, orbit in _gauge_slice_classes(h, g):
+        block, tags = _cocycle_block(h, g, act_rows, members, tags)
         yield alpha, block, tags, orbit
 
 
@@ -1293,21 +1286,25 @@ def iter_orbit_representatives(h: FiniteGroup, g: FiniteGroup, *, cap: int = DEF
     setting t(s) = 1 on the generators and t(p s) = t(p) p(t(s)) f(p, s) down
     the tree moves f into it, and meets it in the T0-orbit of any member
     (`_gauge_shifts`, |H|^#generators maps instead of |H|^(|G|-1)).  The
-    least slice member of each T0-orbit is yielded, orbits ascending
-    (`_gauge_slice_classes`: in closed form for cyclic G, by linear algebra
-    for any other G), so the yield count is the class count.  For
-    non-abelian H, and for G = 1, where each orbit is one system, every
-    system is yielded, from the block stream `_system_blocks` (the engine's
-    block per outer action, shifted onto each of its lifts; correct, just
-    without reduction).  Orbit members share their product's isomorphism
-    type, which is what bulk consumers rely on.
+    least slice member of each T0-orbit, the first member of its tag, is
+    yielded, orbits ascending (`_gauge_slice_classes`: in closed form for
+    cyclic G, by linear algebra for any other G), so the yield count is the
+    class count.  For non-abelian H, and for G = 1, where each orbit is one
+    system, every system is yielded, from the block stream `_system_blocks`
+    (the engine's block per outer action, shifted onto each of its lifts;
+    correct, just without reduction).  Orbit members share their product's
+    isomorphism type, which is what bulk consumers rely on.
     """
     if h.is_abelian and g.order > 1:
         _check_pair(h, g, cap)
-        blocks = ((alpha, reps) for (alpha, _, reps, _) in _gauge_slice_classes(h, g))
-    else:
-        blocks = _system_blocks(h, g, cap)
-    for alpha, rows in blocks:
+        for alpha, _, members, tags, _ in _gauge_slice_classes(h, g):
+            classes = 0
+            for i, tag in enumerate(tags.tolist()):
+                if tag == classes:   # the tags number the classes in order of first appearance
+                    classes += 1
+                    yield alpha, members[i].tobytes()
+        return
+    for alpha, rows in _system_blocks(h, g, cap):
         for row in rows:
             yield alpha, row.tobytes()
 
@@ -1626,8 +1623,7 @@ def _reports(h: FiniteGroup, g: FiniteGroup, relations, cap: int) -> dict[str, C
             and np.array_equal(np.repeat(np.arange(len(alphas)), counts)[ids], systems._alpha_of)
         ):
             raise InternalInvariantError("an eq1 class does not hold |B^2| systems of one action")
-        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-        eq1_of = np.argsort(np.argsort(first))[inverse]
+        eq1_of = _by_first_appearance(ids)
         keys = systems._keys
         sorted_keys = _key_view(keys)
     else:

@@ -375,9 +375,9 @@ def build_parser() -> _Parser:
     Every call returns the same parser: `main` only parses with it, which
     leaves it unchanged, so in-process callers skip rebuilding the argparse
     tree on each call.  A one-shot CLI process builds it once either way.
-    Each subcommand's `cmd_*` function is bound (`set_defaults(func=...)`)
-    when the parser is first built, so replacing a `cmd_*` attribute of this
-    module afterwards does not change what `main` calls.
+    The parser binds no `cmd_*` function: `main` looks up
+    `cmd_<subcommand>` in this module on every call, so replacing a `cmd_*`
+    attribute after the parser is built changes what `main` calls.
     """
     parser = _Parser(prog="crossedprod", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -394,36 +394,29 @@ def build_parser() -> _Parser:
     p = sub.add_parser("enumerate", parents=[common], help="list all normalized crossed systems")
     p.add_argument("--h", required=True, metavar="SPEC")
     p.add_argument("--g", required=True, metavar="SPEC")
-    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("classify", parents=[common], help="partition systems under an equivalence")
     p.add_argument("--h", required=True, metavar="SPEC")
     p.add_argument("--g", required=True, metavar="SPEC")
     p.add_argument("--relation", choices=("eq1", "eq2", "iso"), required=True)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("build", parents=[common], help="build the product group of a system document")
     p.add_argument("--system", required=True, metavar="@FILE")
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("decompose", parents=[common], help="decompose a group into simple leaves")
     p.add_argument("--group", required=True, metavar="SPEC")
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("morphisms", parents=[common], help="enumerate morphisms between two products")
     p.add_argument("--system-a", required=True, metavar="@FILE")
     p.add_argument("--system-b", required=True, metavar="@FILE")
-    p.set_defaults(func=cmd_morphisms)
 
     p = sub.add_parser("holder", parents=[common], help="cyclic-by-cyclic presentation enumeration")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--dedupe", action="store_true")
-    p.set_defaults(func=cmd_holder)
 
     p = sub.add_parser("selfcheck", parents=[common], help="random associativity cross-check")
     p.add_argument("--samples", type=_positive_int, default=1000)
-    p.set_defaults(func=cmd_selfcheck)
 
     return parser
 
@@ -448,7 +441,7 @@ def main(argv=None) -> int:
         seed=args.seed,
     )
     try:
-        return args.func(args, cfg)
+        return globals()[f"cmd_{args.command}"](args, cfg)
     except CapExceededError as exc:
         _error_doc("cap-exceeded", exc)
         return EXIT_CAP

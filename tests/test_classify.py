@@ -30,7 +30,6 @@ from crossedprod.classify import (
     _aut_perms,
     _aut_tables,
     _byte_tables,
-    _coboundary_group,
     _engine,
     _engine_schedule,
     _MAX_AUTS,
@@ -441,15 +440,28 @@ def test_internal_invariant_eq1_tags_need_b2_sized_classes(monkeypatch):
     # every class must hold |B^2| systems, |B^2| counted from T0 by the slice
     classify_mod = importlib.import_module("crossedprod.classify")
     fake = np.array([[0, 0, 0, 0], [0, 0, 0, 1]], np.uint8)
-    # (C2, C2): B^2 = 1, so a two-row "coboundary group" puts two systems
-    # in every class; (C3, C2): B^2 = C3 for the trivial action and 1 for
-    # the inversion, and {0, 1} is neither
+    slices = classify_mod._gauge_slice_classes
+
+    def two_row_delta_w(*args):
+        # `_cocycle_block` takes delta(W) as left * right
+        return fake, np.zeros_like(fake)
+
+    def doubled_orbit(h, g):
+        for (*rest, orbit) in slices(h, g):
+            yield (*rest, 2 * orbit)
+
+    # G = C2 is generated by its one non-unit element, so W and delta(W) are
+    # the unit alone: a two-row delta(W) puts twice |B^2| systems in the
+    # blocks, and a doubled |B^2| half as many per class as counted.
+    # (C2, C2): B^2 = 1; (C3, C2): B^2 = C3 for the trivial action and 1 for
+    # the inversion
     for h, classes in ((C2, 2), (C3, 2)):
         assert classify(h, C2, "eq1").class_count() == classes
-        monkeypatch.setattr(classify_mod, "_coboundary_group", lambda *args: fake)
-        with pytest.raises(InternalInvariantError, match="does not hold"):
-            classify(h, C2, "eq1")
-        monkeypatch.undo()
+        for name, fault in (("_shift_factors", two_row_delta_w), ("_gauge_slice_classes", doubled_orbit)):
+            monkeypatch.setattr(classify_mod, name, fault)
+            with pytest.raises(InternalInvariantError, match="does not hold"):
+                classify(h, C2, "eq1")
+            monkeypatch.undo()
 
 
 def test_internal_invariant_eq1_tags_of_one_action(monkeypatch):
@@ -958,6 +970,14 @@ def _no_engine(*args):
     raise AssertionError("the engine ran")
 
 
+def _b2_by_definition(h, g, act_rows):
+    """B^2 of one action over abelian H by definition: the distinct
+    coboundaries of every map t: G -> H with t(1) = 1, the shifts of the
+    unit cocycle (`coboundary_orbit_keys`), ascending as byte strings."""
+    _, coboundaries = coboundary_orbit_keys(h, g, act_rows, bytes(g.order ** 2))
+    return np.unique(coboundaries, axis=0)
+
+
 def _engine_slice_classes(h, g):
     """The oracle of `_gauge_slice_classes`, by the engine, for any G.
 
@@ -966,9 +986,9 @@ def _engine_slice_classes(h, g):
     meets each class f B^2 in the T0-orbit of any member.  A shift
     multiplies a cocycle by its coboundary, so that orbit is f times the
     coboundaries of every map of T0 (`_gauge_shifts`).  Within each block,
-    in order, every row not yet marked joins `reps` and marks its T0-orbit,
+    in order, every row not yet tagged opens a class and tags its T0-orbit,
     looked up in the sorted block (`_lookup`).  The class size is |B^2|
-    (`_coboundary_group`).
+    (`_b2_by_definition`).
     """
     perms = _aut_perms(h)
     hm = _byte_tables(h)[0]
@@ -985,22 +1005,29 @@ def _engine_slice_classes(h, g):
         keys = _key_view(block)
         order = np.argsort(keys)
         sorted_keys = keys[order]
-        marked = np.zeros(len(block), dtype=bool)
-        reps = []
+        tags = np.full(len(block), -1)
+        classes = 0
         for i in range(len(block)):
-            if not marked[i]:
-                marked[order[_lookup(sorted_keys, hm[block[i], shifts])]] = True
-                reps.append(i)
-        yield alpha, act_rows, block[reps], len(_coboundary_group(h, g, act_rows))
+            if tags[i] < 0:
+                tags[order[_lookup(sorted_keys, hm[block[i], shifts])]] = classes
+                classes += 1
+        yield alpha, act_rows, block, tags, len(_b2_by_definition(h, g, act_rows))
 
 
 def _assert_same_slices(closed, engine):
     assert len(closed) == len(engine) > 0
-    for (alpha, act_rows, reps, orbit), (alpha_e, act_rows_e, reps_e, orbit_e) in zip(closed, engine):
+    for (alpha, act_rows, members, tags, orbit), theirs in zip(closed, engine):
+        alpha_e, act_rows_e, members_e, tags_e, orbit_e = theirs
         assert alpha == alpha_e and np.array_equal(act_rows, act_rows_e)
-        assert reps.dtype == reps_e.dtype == np.uint8 and reps.flags.c_contiguous
-        assert reps.shape == reps_e.shape and np.array_equal(reps, reps_e)
+        assert members.dtype == members_e.dtype == np.uint8 and members.flags.c_contiguous
+        assert members.shape == members_e.shape and np.array_equal(members, members_e)
+        assert np.array_equal(tags, tags_e)
         assert orbit == orbit_e
+
+
+def _class_count(slices):
+    """The number of classes f B^2 over every action of `_gauge_slice_classes`."""
+    return sum(int(tags.max()) + 1 for (_, _, _, tags, _) in slices)
 
 
 def _closed_slices(h, g, monkeypatch):
@@ -1040,9 +1067,7 @@ def test_cyclic_slice_oracle_relabelled_cyclic_g(monkeypatch):
         _assert_same_slices(_closed_slices(h, logs, monkeypatch), list(_engine_slice_classes(h, logs)))
         want = list(_engine_slice_classes(h, fallback))
         _assert_same_slices(list(_gauge_slice_classes(h, fallback)), want)
-        assert sum(len(reps) for (_, _, reps, _) in want) == sum(
-            len(reps) for (_, _, reps, _) in _gauge_slice_classes(h, c6)
-        )
+        assert _class_count(want) == _class_count(_gauge_slice_classes(h, c6))
 
 
 # (yields, sha256 prefix) of iter_orbit_representatives over every (C_n, C_m)
@@ -1085,8 +1110,8 @@ ENGINE_DIGESTS = [
     ("symmetric:3", "cyclic:4", 216, "2c450887fb7c6e6f3c611406a8aa3da1"),
     ("symmetric:3", "cyclic:3", 36, "0af2550c445f888092ffd105ff7a8d13"),
     ("quaternion:8", "product(cyclic:2,cyclic:2)", 10240, "74df26f51e785d794ab2f6878f28a312"),
-    # heavy abelian H, whose Z^2 blocks are now built from H^2 representatives
-    # and B^2; recorded on the backtracking engine
+    # heavy abelian H, whose Z^2 blocks are now built as the gauge slice
+    # times delta(W); recorded on the backtracking engine
     ("cyclic:4", "quaternion:8", 40960, "065b58b176af5e609f431cfb4dd9f331"),
     ("product(cyclic:2,cyclic:2)", "quaternion:8", 90112, "11c2dfac6e63e04a1b64fba1959b8454"),
     ("cyclic:4", "dihedral:8", 81920, "b328d0db3a2ea1a38ca444d760f106ca"),
@@ -1220,26 +1245,52 @@ ALGEBRAIC_PAIRS = [
 
 @pytest.mark.parametrize("h,g", ALGEBRAIC_PAIRS, ids=lambda x: x.name)
 def test_algebraic_blocks_equal_the_engine_stream(h, g):
-    m = g.order
     engine = list(_search_systems(h, g))
     built = list(_algebraic_systems(h, g))
     assert _records([(alpha, block) for (alpha, block, _, _) in built]) == _records(engine)
 
     per_action = Counter(alpha for (alpha, _) in _records(engine))
     blocks = list(_gauge_slice_classes(h, g))
-    assert [alpha for (alpha, _, _, _) in blocks] == list(per_action)
-    hm = _byte_tables(h)[0]
-    for (alpha, act_rows, reps, orbit), (_, block, tags, orbit_b) in zip(blocks, built):
-        b2 = _coboundary_group(h, g, act_rows)
-        _, coboundaries = coboundary_orbit_keys(h, g, act_rows, bytes(m * m))
-        assert {row.tobytes() for row in b2} == {row.tobytes() for row in coboundaries}
-        assert len({row.tobytes() for row in b2}) == len(b2) == orbit == orbit_b
+    assert [alpha for (alpha, _, _, _, _) in blocks] == list(per_action)
+    hm, inverse = _byte_tables(h)
+    for (alpha, act_rows, members, slice_tags, orbit), (_, block, tags, orbit_b) in zip(blocks, built):
+        b2 = _b2_by_definition(h, g, act_rows)
+        assert len(b2) == orbit == orbit_b
+        # the first member of each tag is its class's representative
+        classes, firsts = np.unique(slice_tags, return_index=True)
+        assert np.array_equal(classes, np.arange(len(classes))) and (np.diff(firsts) > 0).all()
+        reps = members[firsts]
         assert per_action[alpha] == len(reps) * len(b2)
         # row i lies in the class of reps[tags[i]]: it differs from it by a coboundary
         assert np.array_equal(np.bincount(tags, minlength=len(reps)), [orbit] * len(reps))
-        inverse = _byte_tables(h)[1]
         moved = hm[block, inverse[reps[tags]]]
         assert {row.tobytes() for row in moved} <= {row.tobytes() for row in b2}
+
+
+@pytest.mark.parametrize("h,g", ALGEBRAIC_PAIRS, ids=lambda x: x.name)
+def test_slice_oracle_z2_is_the_slice_times_delta_w(h, g):
+    # W: the maps t with t(1) = 1 that are the unit on the generators.  Z^2
+    # is the direct product of the gauge slice and delta(W), and B^2 is B0
+    # delta(W), B0 the coboundaries of T0 (`_gauge_shifts`); every side is
+    # computed here by definition, through `coboundary_orbit_keys`
+    n, m = h.order, g.order
+    unit = bytes(m * m)
+    gens, edges = _gauge_tree(g)
+    rest = [x for x in range(1, m) if x not in gens]
+    w = np.zeros((n ** len(rest), m), dtype=np.intp)
+    w[:, rest] = _all_shifts(n, len(rest) + 1)[:, 1:]
+    per_action = Counter(alpha for (alpha, _) in _records(_search_systems(h, g)))
+    hm = _byte_tables(h)[0]
+    slices = list(_gauge_slice_classes(h, g))
+    assert [alpha for (alpha, _, _, _, _) in slices] == list(per_action)
+    for alpha, act_rows, members, _, _ in slices:
+        _, delta_w = coboundary_orbit_keys(h, g, act_rows, unit, t_rows=w)
+        _, b0 = coboundary_orbit_keys(h, g, act_rows, unit, t_rows=_gauge_shifts(h, act_rows[None], gens, edges)[0])
+        assert len({row.tobytes() for row in delta_w}) == len(w)
+        assert {row.tobytes() for row in members} & {row.tobytes() for row in delta_w} == {unit}
+        assert len(members) * len(delta_w) == per_action[alpha]
+        product = hm[b0[:, None], delta_w[None]].reshape(-1, m * m)
+        assert np.array_equal(np.unique(product, axis=0), _b2_by_definition(h, g, act_rows))
 
 
 # the linear slice against the pinned engine ----------------------------------
@@ -1310,7 +1361,7 @@ def test_linear_slice_oracle_kunneth_counts_on_c2(spec, count):
 def _eq1_by_orbits(h, g):
     """eq1 classes as `_reports` found them before the tags: each system not
     yet marked opens a class and marks its orbit, f B^2 for abelian H
-    (`_coboundary_group`, once per action) and every shift otherwise."""
+    (`_b2_by_definition`, once per action) and every shift otherwise."""
     n, m = h.order, g.order
     keys = _system_block(h, g, DEFAULT_PAIR_CAP)._keys
     sorted_keys = _key_view(keys)
@@ -1323,7 +1374,7 @@ def _eq1_by_orbits(h, g):
             act, f = keys[i, :width], keys[i, width:]
             if h.is_abelian:
                 if b2_act is None or not np.array_equal(b2_act, act):
-                    b2_act, b2 = act, _coboundary_group(h, g, act)
+                    b2_act, b2 = act, _b2_by_definition(h, g, act)
                 cocycles = hm[f, b2]
                 actions = np.broadcast_to(act, (len(cocycles), width))
             else:

@@ -447,6 +447,24 @@ def test_parser_is_built_once_and_reused(capsys):
     assert code == 0 and json.loads(out)["count"] == 2
 
 
+def test_main_calls_a_cmd_function_replaced_after_the_parser_is_built(monkeypatch, capsys, tmp_path):
+    # a wrapper installed after the cached parser exists (a tracer, say)
+    # still sees the calls: `main` looks the function up on every call
+    from crossedprod import cli
+
+    cli.build_parser()
+    calls = []
+
+    def replacement(args, cfg):
+        calls.append(args.system)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_build", replacement)
+    path = tmp_path / "system.json"
+    assert run_cli(["build", "--system", f"@{path}"], capsys)[0] == 0
+    assert calls == [f"@{path}"]
+
+
 def test_internal_invariant_exit_code(monkeypatch, capsys):
     from crossedprod import cli
     from crossedprod.errors import InternalInvariantError
