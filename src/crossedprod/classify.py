@@ -75,7 +75,7 @@ from .groups import (
     isomorphic,
 )
 from .morphisms import _require_same_groups, iter_stabilizing_maps, iter_stabilizing_rows
-from .products import build_product, cached_product
+from .products import cached_product, product_table_np
 from .systems import Cocycle, CrossedSystem, WeakAction
 
 DEFAULT_PAIR_CAP = 64
@@ -1581,6 +1581,19 @@ def _classes(labels: "np.ndarray", count: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _key_row_product(h: FiniteGroup, g: FiniteGroup, row: "np.ndarray") -> FiniteGroup:
+    """The product group of the system with key `row`, read off the row.
+
+    Its table is `build_product`'s: a normalized system has f(1, 1) = 1, so
+    the packed unit is already index 0 and the unit swap is the identity.
+    """
+    n, m = h.order, g.order
+    table = product_table_np(
+        h.table_array, g.table_array, row[:m * n].reshape(m, n), row[m * n:].reshape(m, m)
+    )
+    return FiniteGroup(f"{h.name}#{g.name}", table, validate=False)
+
+
 def _reports(h: FiniteGroup, g: FiniteGroup, relations, cap: int) -> dict[str, ClassificationReport]:
     """The reports for `relations` on (H, G), from one enumeration.
 
@@ -1605,8 +1618,9 @@ def _reports(h: FiniteGroup, g: FiniteGroup, relations, cap: int) -> dict[str, C
       of class representatives only: an eq2 witness induces a product
       isomorphism (`equivalence2_map`).
 
-    Product types are named once per eq2 class, which holds one product type.
-    Systems are built only for the eq2 representatives.
+    Product types are named once per eq2 class, which holds one product type,
+    on the product of the class's representative, read straight off its key
+    row (`_key_row_product`): no `CrossedSystem` is built.
     """
     n, m = h.order, g.order
     width = m * n
@@ -1654,7 +1668,7 @@ def _reports(h: FiniteGroup, g: FiniteGroup, relations, cap: int) -> dict[str, C
             joined += 1
     eq2_of = joined_of[eq1_of]
     eq2 = _classes(eq2_of, joined)
-    products = [build_product(systems[ms[0]]).group for ms in eq2]
+    products = [_key_row_product(h, g, keys[ms[0]]) for ms in eq2]
     names = [identify_group(p) for p in products]
     chain = {"eq1": (eq1, [names[k] for k in joined_of.tolist()]), "eq2": (eq2, names)}
     if "iso" in relations:

@@ -269,13 +269,24 @@ class FiniteGroup:
         return classes
 
     def fingerprint(self) -> tuple:
-        """Cheap isomorphism invariant: order profile, center size, class sizes."""
+        """Cheap isomorphism invariant, cached: (order, sorted element orders,
+        centre size, sorted class sizes, number of distinct squares).
+
+        The centre and the classes come from one commutation count: row x of
+        `t == t.T` holds |C(x)| true entries, and x's class has |G| / |C(x)|
+        members, so the k elements in classes of size s make k / s classes,
+        and the central elements are those in classes of size 1.  The squares
+        tell C4:C4 (3) from Q8xC2 (2), which tie on the other four fields.
+        """
         fp = self._cache.get("fp")
         if fp is None:
-            orders = tuple(sorted(self.element_orders))
-            zsize = len(center(self).elements)
-            csizes = tuple(sorted(len(c) for c in self.conjugacy_classes()))
-            fp = (self.order, orders, zsize, csizes)
+            n, t = self.order, self.table_array
+            held = np.bincount(n // (t == t.T).sum(axis=1)).tolist()
+            csizes: list[int] = []
+            for s, k in enumerate(held[1:], 1):
+                csizes += [s] * (k // s)
+            squares = len(set(t.diagonal().tolist()))
+            fp = (n, tuple(sorted(self.element_orders)), held[1], tuple(csizes), squares)
             self._cache["fp"] = fp
         return fp
 
@@ -1047,11 +1058,11 @@ def _abelian_invariant_name(g: FiniteGroup) -> str | None:
 def _named_candidates(order: int) -> tuple[tuple[str, FiniteGroup], ...]:
     """The named non-abelian groups of one order, in the order tried.
 
-    Built once per order, so each candidate's fingerprint, classes and
-    generator plan are cached on it across `identify_group` calls.  A
-    candidate isomorphic to an earlier one (D6 to S3, S3xC2 to D12, S3xC6 to
-    D12xC3, ...) is dropped: the earlier one matches first, so its name could
-    never be returned.
+    Built once per order, so each candidate's fingerprint and generator plan
+    are cached on it across `identify_group` calls, whose searches walk the
+    candidate's plan.  A candidate isomorphic to an earlier one (D6 to S3,
+    S3xC2 to D12, S3xC6 to D12xC3, ...) is dropped: the earlier one matches
+    first, so its name could never be returned.
     """
     out = []
     if order == 8:
@@ -1083,8 +1094,12 @@ def _named_candidates(order: int) -> tuple[tuple[str, FiniteGroup], ...]:
 def identify_group(g: FiniteGroup) -> str:
     """A human-readable isomorphism-type name, exact for the common catalog.
 
-    Groups outside the catalog get a deterministic fallback tag built from the
-    element-order profile, so distinct types rarely share a name.
+    A non-abelian g is matched against `_named_candidates` in order by
+    `isomorphic(cand, g)`: after the fingerprint filter the search maps the
+    candidate onto g, so it walks the candidate's cached generator plan and g
+    needs no plan of its own.  Groups outside the catalog get a deterministic
+    fallback tag built from the element-order profile, so distinct types
+    rarely share a name.
     """
     if g.order == 1:
         return "C1"
@@ -1092,7 +1107,7 @@ def identify_group(g: FiniteGroup) -> str:
     if name is not None:
         return name
     for cand_name, cand in _named_candidates(g.order):
-        if isomorphic(g, cand):
+        if isomorphic(cand, g):
             return cand_name
     counts: dict[int, int] = {}
     for k in g.element_orders:

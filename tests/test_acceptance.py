@@ -320,19 +320,21 @@ DECOMPOSE_CATALOG = (
 )
 
 
+DECOMPOSE_EXTRAS = [
+    alternating_group(4),
+    presentation_group(3, 4, 0, 2, "Dic3"),
+    presentation_group(8, 2, 0, 5, "M16"),
+    presentation_group(8, 2, 0, 3, "SD16"),
+    presentation_group(8, 2, 4, 7, "Q16"),
+    presentation_group(5, 4, 0, 2, "F20"),
+    presentation_group(7, 3, 0, 2, "F21"),
+    presentation_group(3, 8, 0, 2, "C3:C8"),
+]
+
+
 def test_criterion_7_decomposition_soundness():
     started = time.perf_counter()
-    extras = [
-        alternating_group(4),
-        presentation_group(3, 4, 0, 2, "Dic3"),
-        presentation_group(8, 2, 0, 5, "M16"),
-        presentation_group(8, 2, 0, 3, "SD16"),
-        presentation_group(8, 2, 4, 7, "Q16"),
-        presentation_group(5, 4, 0, 2, "F20"),
-        presentation_group(7, 3, 0, 2, "F21"),
-        presentation_group(3, 8, 0, 2, "C3:C8"),
-    ]
-    groups = [make_group(spec) for spec in DECOMPOSE_CATALOG] + extras
+    groups = [make_group(spec) for spec in DECOMPOSE_CATALOG] + DECOMPOSE_EXTRAS
     assert all(g.order <= 24 for g in groups)
 
     def walk(node):

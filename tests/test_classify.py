@@ -37,6 +37,7 @@ from crossedprod.classify import (
     _gauge_shifts,
     _gauge_slice_classes,
     _gauge_tree,
+    _key_row_product,
     _key_view,
     _lift_products,
     _lifted_systems,
@@ -764,6 +765,21 @@ def test_block_classification_matches_the_object_oracle(hs, gs):
         assert rep.representatives == [ms[0] for ms in classes]
         assert rep.product_iso_types == names
     assert reports["eq1"].systems == systems
+
+
+def test_key_row_products_are_the_built_products():
+    # classify names each eq2 class on the product read off its key row; on
+    # every criterion-6 catalog pair that is build_product's table, so the
+    # unit swap it skips is the identity
+    for h in _CATALOG:
+        for g in _CATALOG:
+            if h.order * g.order > 32:
+                continue
+            report = classify(h, g, "eq2")
+            for i in report.representatives:
+                built = build_product(report.systems[i]).group
+                read = _key_row_product(h, g, report.systems._keys[i])
+                assert read.table == built.table and read.name == built.name, (h.name, g.name, i)
 
 
 def test_report_systems_are_a_lazy_sequence(monkeypatch):

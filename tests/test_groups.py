@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -277,14 +278,21 @@ def _renumbered(grp, seed):
 
 
 def _assert_iso_decisions_match_the_search(groups) -> tuple[int, int]:
-    """Check `isomorphic` on every pair of equal order; (pairs, isomorphic pairs)."""
+    """Check `isomorphic` and `are_isomorphic` on every pair of equal order
+    against the unfiltered witness search; (pairs, isomorphic pairs).
+
+    Isomorphic groups must share their fingerprint, so a field that is not an
+    invariant fails here."""
     by_order: dict = {}
     for grp in groups:
         by_order.setdefault(grp.order, []).append(grp)
     pairs = hits = 0
     for same in by_order.values():
         for a, b in itertools.combinations_with_replacement(same, 2):
-            want = are_isomorphic(a, b) is not None
+            want = next(_isomorphisms(a, b), None) is not None
+            if want:
+                assert a.fingerprint() == b.fingerprint(), (a.name, b.name)
+            assert (are_isomorphic(a, b) is not None) == want, (a.name, b.name)
             assert isomorphic(a, b) == isomorphic(b, a) == want, (a.name, b.name)
             pairs += 1
             hits += want
@@ -306,15 +314,24 @@ def test_iso_decision_oracle_presentations():
     groups = _presentation_groups()
     pairs, hits = _assert_iso_decisions_match_the_search(groups)
     assert len(groups) == 1193 and 0 < hits < pairs
-    # non-abelian pairs whose fingerprints tie: the search has the last word
-    for a, b in (
-        (presentation_group(4, 4, 0, 3, "C4:C4"), make_group("product(quaternion:8,cyclic:2)")),
-        (presentation_group(4, 8, 0, 3, "P4.8.0.3"), presentation_group(8, 4, 0, 5, "P8.4.0.5")),
-        (presentation_group(8, 4, 0, 3, "P8.4.0.3"), presentation_group(8, 4, 0, 7, "P8.4.0.7")),
+    # non-abelian pairs that tie on order profile, centre and class sizes:
+    # the number of distinct squares tells them apart
+    for a, b, squares in (
+        (presentation_group(4, 4, 0, 3, "C4:C4"), make_group("product(quaternion:8,cyclic:2)"), (3, 2)),
+        (presentation_group(4, 8, 0, 3, "P4.8.0.3"), presentation_group(8, 4, 0, 5, "P8.4.0.5"), (6, 8)),
+        (presentation_group(8, 4, 0, 3, "P8.4.0.3"), presentation_group(8, 4, 0, 7, "P8.4.0.7"), (6, 5)),
     ):
         assert not a.is_abelian and not b.is_abelian
-        assert a.fingerprint() == b.fingerprint()
+        assert a.fingerprint()[:4] == b.fingerprint()[:4]
+        assert (a.fingerprint()[4], b.fingerprint()[4]) == squares
         assert are_isomorphic(a, b) is None and not isomorphic(a, b)
+    # a pair of order 64 whose whole fingerprints tie: the search has the last word
+    a = direct_product(cyclic_group(2), presentation_group(8, 4, 0, 5, "P8.4.0.5"))
+    b = direct_product(cyclic_group(4), presentation_group(4, 4, 2, 3, "P4.4.2.3"))
+    assert not a.is_abelian and not b.is_abelian
+    assert a.fingerprint() == b.fingerprint() and a.fingerprint()[4] == 8
+    assert next(_isomorphisms(a, b), None) is None
+    assert are_isomorphic(a, b) is None and not isomorphic(a, b)
 
 
 def test_iso_decision_oracle_relabelled():
@@ -1089,8 +1106,6 @@ DIGEST_PAIR_NAMES = {
 
 
 def test_identify_group_names_are_unchanged_without_isomorphic_candidates():
-    from collections import Counter
-
     from crossedprod.classify import classify, enumerate_crossed_systems
     from crossedprod.products import build_product
 
@@ -1102,6 +1117,67 @@ def test_identify_group_names_are_unchanged_without_isomorphic_candidates():
         reps = classify(h, g, "eq1").representatives
         names = Counter(identify_group(build_product(systems[i]).group) for i in reps)
         assert names == Counter(expected), (hs, gs)
+
+
+# the naming that the commutation-count fingerprint and the candidate-side
+# search replaced, kept as their oracle: the fingerprint read off the
+# conjugacy classes and the centre, without the square count, and every
+# search started from the group being named
+
+
+def _class_table_fingerprint(g):
+    return (
+        g.order,
+        tuple(sorted(g.element_orders)),
+        len(center(g).elements),
+        tuple(sorted(len(c) for c in g.conjugacy_classes())),
+    )
+
+
+def _isomorphic_from_the_group(g, cand) -> bool:
+    if g.order != cand.order:
+        return False
+    if g == cand:
+        return True
+    if g.is_abelian != cand.is_abelian:
+        return False
+    if g.is_abelian:
+        return sorted(g.element_orders) == sorted(cand.element_orders)
+    if _class_table_fingerprint(g) != _class_table_fingerprint(cand):
+        return False
+    return next(_isomorphisms(g, cand), None) is not None
+
+
+def _identify_by_class_tables(g) -> str:
+    if g.order == 1:
+        return "C1"
+    name = groups_mod._abelian_invariant_name(g)
+    if name is not None:
+        return name
+    for cand_name, cand in groups_mod._named_candidates(g.order):
+        if _isomorphic_from_the_group(g, cand):
+            return cand_name
+    counts = sorted(Counter(g.element_orders).items())
+    return f"G{g.order}({','.join(f'{k}^{v}' for k, v in counts if k > 1)})"
+
+
+def test_naming_oracle_class_tables_and_group_side_search():
+    from crossedprod.classify import classify
+    from crossedprod.products import build_product
+    from test_acceptance import DECOMPOSE_CATALOG, DECOMPOSE_EXTRAS
+
+    groups = CATALOG + [make_group(s) for s in DECOMPOSE_CATALOG] + DECOMPOSE_EXTRAS
+    groups += _presentation_groups()
+    for (hs, gs) in DIGEST_PAIR_NAMES:
+        h, g = make_group(hs), make_group(gs)
+        report = classify(h, g, "eq2")
+        products = [build_product(report.systems[i]).group for i in report.representatives]
+        assert report.product_iso_types == [_identify_by_class_tables(p) for p in products], (hs, gs)
+        groups += products
+    assert len(groups) > 1193 + len(DECOMPOSE_CATALOG)
+    for grp in groups:
+        assert grp.fingerprint()[:4] == _class_table_fingerprint(grp), grp.name
+        assert identify_group(grp) == _identify_by_class_tables(grp), grp.name
 
 
 # the per-entry table intake, the multiply-until-1 order loop, the nested-loop
