@@ -4,9 +4,10 @@ The backtracking engine (`_engine`) fixes the unit row and column of the
 cocycle and the unit action entry (forced by normalization), then
 backtracks over the cocycle cells of one action, checking every axiom
 instance as soon as its last argument is assigned.  By the first axiom an
-action is a homomorphism G -> Out(H), so the actions tried are the lifts of
-those homomorphisms (`_lift_products`), and each cocycle cell's domain, a
-coset of Z(H), is read from the Inn(H) table cached on H.  Cells are filled
+action is a homomorphism G -> Out(H) lifted to Aut(H), so the actions tried
+are the lifts (`_lift_products`) of `enumerate_homomorphisms(G, Out(H))`
+(`_outer_homomorphisms`), and each cocycle cell's domain, a coset of Z(H),
+is read from the Inn(H) table cached on H.  Cells are filled
 column-major, which pins most cells immediately from earlier ones and keeps
 the engine's search tree close to the solution count.
 
@@ -34,9 +35,9 @@ the block stream takes this path for abelian pairs with at least
 
 The array paths read each group's cached table arrays (`table_array`,
 `inverse_array`), and the uint8 value gathers one uint8 copy of H's tables
-(`_byte_tables`) and of Aut(H)'s value tables (`_aut_perms`).  The engine's
-tables over Aut(H) (`_aut_tables`) are refused, with CapExceededError, for
-an H with more than `_MAX_AUTS` automorphisms.
+(`_byte_tables`) and of Aut(H)'s value tables (`_aut_perms`).  Aut(H) and
+Out(H) are groups on their tables (`_aut_tables`), refused, with
+CapExceededError, for an H with more than `_MAX_AUTS` automorphisms.
 
 Whichever path runs, the systems come as one block per action
 (`_system_blocks`).  `_system_block` joins them into the one sorted key block
@@ -64,10 +65,9 @@ from .errors import CapExceededError, InternalInvariantError
 from .groups import (
     Automorphism,
     FiniteGroup,
-    _completion_triples,
     automorphism_group,
     automorphism_index,
-    backtrack,
+    enumerate_homomorphisms,
     generating_sequence,
     identify_group,
     inner_automorphisms,
@@ -144,68 +144,58 @@ def _aut_perms(x: FiniteGroup) -> "np.ndarray":
     return perms
 
 
-# `_aut_tables` refuses H with more automorphisms than this: its composition
-# table has |Aut(H)|^2 entries, read in Python by the action search.  The
-# benchmark tabulates Aut(H) up to Aut(C2xC2xC2), of order 168, and the tests
-# up to Aut(Q8xC2), of order 192.
+# `_aut_tables` refuses H with more automorphisms than this: Aut(H) is held as
+# a group on its |Aut(H)|^2 composition table, which the engine reads in
+# Python.  The benchmark tabulates Aut(H) up to Aut(C2xC2xC2), of order 168,
+# and the tests up to Aut(D64), of order 512.
 _MAX_AUTS = 1024
 
 
 def _aut_tables(h: FiniteGroup):
-    """`(comp, aut_inv, outer, conj_of)` over automorphism_group(h), cached on h.
+    """`(aut, out, outer, conj_of)`: Aut(H) and Out(H) as groups, cached on h.
 
-    comp[i][j] is the index of (aut_i after aut_j) and aut_inv[i] that of
-    aut_i's inverse.  outer[i] labels aut_i's coset of Inn(H) (its least
-    index), so outer is the projection Aut(H) -> Out(H).  conj_of[i] is the
-    ascending tuple of c in H whose conjugation x -> c x c^-1 is aut_i, empty
-    unless aut_i is inner.  An Aut(H) of one or two elements is written down
-    directly (`_small_aut_tables`); a larger one is composed in numpy
-    (`_composed_aut_tables`).  Over `_MAX_AUTS` automorphisms raise
-    CapExceededError before any table is built.
+    Element i of `aut` is automorphism_group(h)[i], and i j is aut_i after
+    aut_j: the table is gathered in numpy, aut_i over every value table for a
+    batch of rows i at a time, and ranked by one `np.searchsorted` in the
+    ascending value tables.  `out` is Aut(H) / Inn(H), its cosets numbered in
+    order of their least index as `quotient` numbers them, read off the same
+    table, and `outer` the projection aut -> out as a value table; for
+    abelian H, Inn(H) = 1, so `out` is `aut` and `outer` the identity.
+    conj_of[i] is the ascending tuple of c in H whose conjugation
+    x -> c x c^-1 is aut_i, empty unless aut_i is inner.  Over `_MAX_AUTS`
+    automorphisms raise CapExceededError before any table is built.
     """
     tables = h._cache.get("aut_tables")
     if tables is None:
-        count = len(automorphism_group(h))
+        auts = automorphism_group(h)
+        count = len(auts)
         if count > _MAX_AUTS:
             raise CapExceededError(f"|Aut(H)| = {count} exceeds the automorphism table cap {_MAX_AUTS}")
-        tables = _small_aut_tables(h, count) if count <= 2 else _composed_aut_tables(h)
+        perms = _aut_perms(h)
+        keys = _key_view(perms)
+        step = max(1, (1 << 20) // perms.size)   # rows per gather: about 1 MB of compositions
+        comp = np.concatenate([
+            np.searchsorted(keys, _key_view(perms[i:i + step, perms].reshape(-1, h.order)))
+            for i in range(0, count, step)
+        ]).reshape(count, count)
+        aut = FiniteGroup(f"Aut({h.name})", comp, validate=False)
+        inner = inner_automorphisms(h)
+        if h.is_abelian:
+            out, outer = aut, tuple(range(count))
+        else:
+            # row c of comp[inn] is c_c aut_a over every a, so its column
+            # minima are the least index of each automorphism's coset, and
+            # the cosets' least members, numbered in order, are Out(H)
+            index = automorphism_index(h)
+            least = comp[[index[p] for p in inner]].min(axis=0)
+            firsts = least == np.arange(count)
+            proj = (np.cumsum(firsts) - 1)[least]
+            reps = np.flatnonzero(firsts)
+            out = FiniteGroup(f"Out({h.name})", proj[comp[reps][:, reps]], validate=False)
+            outer = tuple(proj.tolist())
+        tables = aut, out, outer, [inner.get(a.map, ()) for a in auts]
         h._cache["aut_tables"] = tables
     return tables
-
-
-def _small_aut_tables(h: FiniteGroup, count: int):
-    """`_aut_tables` for an Aut(H) of `count` <= 2 elements, without composing.
-
-    Inn(H) = H / Z(H) is a subgroup of Aut(H), so it is cyclic and H is
-    abelian: Inn(H) = 1, every coset of it is one automorphism, and every c
-    in H conjugates like the identity.  automorphism_group starts with the
-    identity (the least value table), and a second automorphism is its own
-    inverse.
-    """
-    comp = [[i ^ j for j in range(count)] for i in range(count)]
-    return comp, list(range(count)), list(range(count)), [tuple(h.elements())] + [()] * (count - 1)
-
-
-def _composed_aut_tables(h: FiniteGroup):
-    """`_aut_tables` by composition: comp is gathered in numpy, aut_i over every
-    value table for a batch of rows i at a time, and ranked by one
-    `np.searchsorted` in the ascending value tables."""
-    auts = automorphism_group(h)
-    count = len(auts)
-    perms = _aut_perms(h)
-    keys = _key_view(perms)
-    step = max(1, (1 << 20) // perms.size)   # rows per gather: about 1 MB of compositions
-    comp = []
-    for i in range(0, count, step):
-        rows = perms[i:i + step, perms].reshape(-1, h.order)
-        comp += np.searchsorted(keys, _key_view(rows)).reshape(-1, count).tolist()
-    aut_inv = [row.index(0) for row in comp]
-    index = automorphism_index(h)
-    inner = inner_automorphisms(h)
-    inn = [index[p] for p in inner]
-    outer = [min(comp[c][a] for c in inn) for a in range(count)]
-    conj_of = [inner.get(a.map, ()) for a in auts]
-    return comp, aut_inv, outer, conj_of
 
 
 def _aut_arrays(h: FiniteGroup):
@@ -217,9 +207,9 @@ def _aut_arrays(h: FiniteGroup):
     """
     arrays = h._cache.get("aut_arrays")
     if arrays is None:
-        comp, aut_inv, _, conj_of = _aut_tables(h)
+        aut, _, _, conj_of = _aut_tables(h)
         first = np.array([c[0] if c else -1 for c in conj_of], dtype=np.intp)
-        arrays = (_aut_perms(h), first[np.array(comp, dtype=np.intp)[:, aut_inv]])
+        arrays = (_aut_perms(h), first[aut.table_array[:, aut.inverse_array]])
         h._cache["aut_arrays"] = arrays
     return arrays
 
@@ -227,21 +217,18 @@ def _aut_arrays(h: FiniteGroup):
 def _outer_homomorphisms(h: FiniteGroup, g: FiniteGroup):
     """`(psis, cosets)`: the homomorphisms psi: G -> Out(H), and Out(H)'s cosets.
 
-    Each coset of Inn(H) is labelled by its least automorphism index
-    (`outer` of `_aut_tables`), and `cosets` maps a label to the coset's
-    indices in ascending order.  `psis` yields each psi as the tuple of its
-    labels, in lexicographic order, searched over the labels alone.
+    `psis` lists each psi as its value table into `out` of `_aut_tables`, in
+    lexicographic order (`enumerate_homomorphisms`), and `cosets[k]` the
+    automorphism indices of coset k of Inn(H) in ascending order.  Cosets
+    are numbered in order of their least index, so the order of the psis is
+    that of their tuples of least indices.  For abelian H each psi is an
+    action, its values automorphism indices.
     """
-    comp, _, outer, _ = _aut_tables(h)
-    cosets: dict[int, list[int]] = {}
-    for a, label in enumerate(outer):
-        cosets.setdefault(label, []).append(a)
-    g_triples = _completion_triples(g)
-
-    def accept(gi: int, psi) -> bool:
-        return all(outer[comp[psi[x]][psi[y]]] == psi[xy] for (x, y, xy) in g_triples[gi])
-
-    return backtrack([(0,)] + [list(cosets)] * (g.order - 1), accept), cosets
+    _, out, outer, _ = _aut_tables(h)
+    cosets: list[list[int]] = [[] for _ in range(out.order)]
+    for a, k in enumerate(outer):
+        cosets[k].append(a)
+    return [psi.map for psi in enumerate_homomorphisms(g, out)], cosets
 
 
 def _lift_products(h: FiniteGroup, g: FiniteGroup) -> list:
@@ -339,7 +326,8 @@ def _engine(h: FiniteGroup, g: FiniteGroup):
     # a cell's domain is the coset of Z(H) conjugating like a1 a2 a12^-1 (all
     # of H when H is abelian); a full domain needs no membership test (None),
     # which lets derived cells chain
-    comp, aut_inv, _, conj_of = _aut_tables(h)
+    aut, _, _, conj_of = _aut_tables(h)
+    comp, aut_inv = aut.table, aut.inverse_table
     domset_of = [None if len(d) == n else frozenset(d) for d in conj_of]
 
     CHAIN, DERIVE, FREE = 0, 1, 2

@@ -166,13 +166,21 @@ def cmd_classify(args, cfg: RunConfig) -> int:
     started = time.perf_counter()
     report = classify(h, g, args.relation, max_pair_order=cfg.max_product_order)
     elapsed = time.perf_counter() - started
+    n, m = h.order, g.order
+    h_doc, g_doc = group_to_doc(h), group_to_doc(g)
     classes = []
     for ci, members in enumerate(report.classes):
-        rep_sys = report.systems[report.representatives[ci]]
+        # the representative's document is read off its key row, as `enumerate` writes it
+        key = report.systems._keys[report.representatives[ci]]
         classes.append(
             {
                 "members": list(members),
-                "representative": system_to_doc(rep_sys),
+                "representative": {
+                    "h": h_doc,
+                    "g": g_doc,
+                    "alpha": key[:m * n].reshape(m, n).tolist(),
+                    "f": key[m * n:].reshape(m, m).tolist(),
+                },
                 "product": {
                     "name": report.product_iso_types[ci],
                     "order": h.order * g.order,
@@ -181,8 +189,8 @@ def cmd_classify(args, cfg: RunConfig) -> int:
         )
     doc = {
         "command": "classify",
-        "h": group_to_doc(h),
-        "g": group_to_doc(g),
+        "h": h_doc,
+        "g": g_doc,
         "relation": report.relation,
         "system_count": len(report.systems),
         "class_count": len(report.classes),

@@ -22,13 +22,6 @@ from .errors import (
 
 DEFAULT_MAX_GROUP_ORDER = 256
 
-# `_completion_triples` is built in numpy from this order on, by a loop below
-# it.  Measured on 2 CPUs (median of 301 interleaved runs per group): the
-# loop is faster on every group of order 7 and 8 (loop/numpy time
-# 0.79-0.95), they tie at order 9 (1.00-1.03), and numpy is faster from
-# order 10 on (1.11-1.40 up to order 15, 3.0 on C36).
-_TRIPLES_NUMPY_MIN_ORDER = 9
-
 # table validation ----------------------------------------------------------
 
 
@@ -489,13 +482,16 @@ def inner_automorphisms(g: FiniteGroup) -> dict[tuple[int, ...], tuple[int, ...]
     """
     inner = g._cache.get("inner")
     if inner is None:
-        t = g.table
-        inv = g.inverse_table
-        found: dict[tuple[int, ...], list[int]] = {}
-        for c in g.elements():
-            ci = inv[c]
-            found.setdefault(tuple(t[t[c][x]][ci] for x in g.elements()), []).append(c)
-        inner = {perm: tuple(cs) for perm, cs in found.items()}
+        if g.is_abelian:   # every conjugation is the identity
+            inner = {tuple(g.elements()): tuple(g.elements())}
+        else:
+            t = g.table
+            inv = g.inverse_table
+            found: dict[tuple[int, ...], list[int]] = {}
+            for c in g.elements():
+                ci = inv[c]
+                found.setdefault(tuple(t[t[c][x]][ci] for x in g.elements()), []).append(c)
+            inner = {perm: tuple(cs) for perm, cs in found.items()}
         g._cache["inner"] = inner
     return inner
 
@@ -671,27 +667,20 @@ def backtrack(domains, accept):
 def _completion_triples(g: FiniteGroup) -> list[list[tuple[int, int, int]]]:
     """For each index k: the pairs (a, b, ab) of G whose largest index is k, cached on g.
 
-    Each list is in row-major order of (a, b): from order
-    `_TRIPLES_NUMPY_MIN_ORDER` on, one stable sort of the flat (a, b) grid by
-    max(a, b, ab).
+    Each list is in row-major order of (a, b): one stable sort of the flat
+    (a, b) grid by max(a, b, ab).
     """
     out = g._cache.get("triples")
     if out is None:
         n = g.order
-        if n < _TRIPLES_NUMPY_MIN_ORDER:
-            out = [[] for _ in range(n)]
-            for a, row in enumerate(g.table):
-                for b, ab in enumerate(row):
-                    out[max(a, b, ab)].append((a, b, ab))
-        else:
-            ab = g.table_array
-            r = np.arange(n)
-            last = np.maximum(np.maximum(r[:, None], r), ab).ravel()
-            order = np.argsort(last, kind="stable")
-            a, b = np.divmod(order, n)
-            triples = list(zip(a.tolist(), b.tolist(), ab.ravel()[order].tolist()))
-            bounds = np.searchsorted(last[order], np.arange(n + 1)).tolist()
-            out = [triples[start:end] for start, end in zip(bounds, bounds[1:])]
+        ab = g.table_array
+        r = np.arange(n)
+        last = np.maximum(np.maximum(r[:, None], r), ab).ravel()
+        order = np.argsort(last, kind="stable")
+        a, b = np.divmod(order, n)
+        triples = list(zip(a.tolist(), b.tolist(), ab.ravel()[order].tolist()))
+        bounds = np.searchsorted(last[order], np.arange(n + 1)).tolist()
+        out = [triples[start:end] for start, end in zip(bounds, bounds[1:])]
         g._cache["triples"] = out
     return out
 

@@ -8,8 +8,12 @@ import pytest
 
 from crossedprod.errors import CapExceededError, InternalInvariantError
 from crossedprod.groups import (
+    Subgroup,
+    _completion_triples,
+    alternating_group,
     are_isomorphic,
     automorphism_group,
+    backtrack,
     cyclic_group,
     dihedral_group,
     generating_sequence,
@@ -17,6 +21,7 @@ from crossedprod.groups import (
     inner_automorphisms,
     make_group,
     quaternion_group,
+    quotient,
     symmetric_group,
     table_group,
 )
@@ -33,7 +38,6 @@ from crossedprod.classify import (
     _engine,
     _engine_schedule,
     _MAX_AUTS,
-    _composed_aut_tables,
     _gauge_shifts,
     _gauge_slice_classes,
     _gauge_tree,
@@ -1409,19 +1413,6 @@ def test_eq1_tags_oracle_equal_the_orbit_marking(h, g):
     assert classify(h, g, "eq1").classes == _eq1_by_orbits(h, g)
 
 
-@pytest.mark.parametrize("spec", [
-    *(f"cyclic:{k}" for k in (1, 2, 3, 4, 5, 6, 8)),
-    "product(cyclic:2,cyclic:2)", "symmetric:3", "dihedral:8", "quaternion:8",
-    "product(cyclic:2,product(cyclic:2,cyclic:2))", "product(cyclic:2,cyclic:4)",
-])
-def test_aut_tables_oracle_small_aut_equals_the_composed_tables(spec):
-    # an Aut(H) of one or two elements is written down without composing
-    h = make_group(spec)
-    tables = _aut_tables(h)
-    assert (len(automorphism_group(h)) <= 2) == ("aut_perms" not in h._cache)
-    assert tables == _composed_aut_tables(h)
-
-
 # the per-system path that the block stream replaced, kept as its oracle
 def _visited_systems(h, g):
     """Raw records collected one per system through `visit`, then sorted."""
@@ -1436,10 +1427,10 @@ NON_ABELIAN_ENGINE_PAIRS = [
     for (hs, gs, _, _) in ENGINE_DIGESTS
     if not make_group(hs).is_abelian
 ]
-ORACLE_PAIRS = SLICE_PAIRS + NON_ABELIAN_ENGINE_PAIRS + [(C4, cyclic_group(1))]
+STREAM_ORACLE_PAIRS = SLICE_PAIRS + NON_ABELIAN_ENGINE_PAIRS + [(C4, cyclic_group(1))]
 
 
-@pytest.mark.parametrize("h,g", ORACLE_PAIRS, ids=lambda x: x.name)
+@pytest.mark.parametrize("h,g", STREAM_ORACLE_PAIRS, ids=lambda x: x.name)
 def test_system_block_matches_the_visit_oracle(h, g):
     raws = _visited_systems(h, g)
     perms = [a.map for a in automorphism_group(h)]
@@ -1498,6 +1489,9 @@ def test_aut_cap_raises_before_any_automorphism_table():
 
 
 @pytest.mark.parametrize("spec", [
+    # groups with one or two automorphisms (C1, C2, C3, C4, C6) are composed too
+    *(f"cyclic:{k}" for k in (1, 2, 3, 4, 5, 6, 8)),
+    "product(cyclic:2,cyclic:2)", "product(cyclic:2,cyclic:4)",
     "symmetric:3", "dihedral:8", "quaternion:8", "product(cyclic:2,product(cyclic:2,cyclic:2))",
     "product(quaternion:8,cyclic:2)",
 ])
@@ -1506,8 +1500,71 @@ def test_aut_cap_spares_the_tabulated_groups_and_composes_like_the_maps(spec):
     perms = [a.map for a in automorphism_group(h)]
     assert len(perms) <= _MAX_AUTS
     index = {p: i for i, p in enumerate(perms)}
-    comp = _aut_tables(h)[0]
-    assert comp == [[index[tuple(pi[x] for x in pj)] for pj in perms] for pi in perms]
+    aut, out, outer, conj_of = _aut_tables(h)
+    assert aut.table == tuple(tuple(index[tuple(pi[x] for x in pj)] for pj in perms) for pi in perms)
+    assert aut.inverse_table == tuple(index[a.inverse_automorphism().map] for a in automorphism_group(h))
+    assert conj_of == [inner_automorphisms(h).get(p, ()) for p in perms]
+    if h.is_abelian:
+        assert out is aut and outer == tuple(range(len(perms)))
+
+
+def _outer_homomorphisms_by_triples(h, g):
+    """The action search before Out(H) was a group, kept as its oracle.
+
+    Each coset of Inn(H) is labelled by its least automorphism index, and
+    the psi: G -> Out(H) are searched over those labels by a backtrack over
+    every element of G, checking each completion triple (x, y, xy) on the
+    composition table of Aut(H).  Returns the psi as label tuples, in
+    lexicographic order, and a dict from each label to its coset's indices.
+    """
+    comp = _aut_tables(h)[0].table
+    index = {a.map: i for i, a in enumerate(automorphism_group(h))}
+    inn = [index[p] for p in inner_automorphisms(h)]
+    outer = [min(comp[c][a] for c in inn) for a in range(len(comp))]
+    cosets = {}
+    for a, label in enumerate(outer):
+        cosets.setdefault(label, []).append(a)
+    g_triples = _completion_triples(g)
+
+    def accept(gi, psi):
+        return all(outer[comp[psi[x]][psi[y]]] == psi[xy] for (x, y, xy) in g_triples[gi])
+
+    return list(backtrack([(0,)] + [list(cosets)] * (g.order - 1), accept)), cosets
+
+
+# every H of the catalog of test_groups.py against the G of the lift tests
+# inside the pair cap, which includes (C2^3, D8) and (C2^3, Q8), and
+# (Q8xC2, C4)
+ACTION_SEARCH_G = [cyclic_group(k) for k in range(1, 9)] + [
+    K4, S3, D8, Q8, make_group("product(cyclic:2,cyclic:4)"),
+]
+ACTION_SEARCH_PAIRS = [
+    (h, [g for g in ACTION_SEARCH_G if h.order * g.order <= DEFAULT_PAIR_CAP])
+    for h in [
+        *(cyclic_group(k) for k in (1, 2, 3, 4, 5, 6, 8, 12)),
+        K4, make_group("product(cyclic:2,cyclic:4)"), make_group("product(cyclic:2,product(cyclic:2,cyclic:2))"),
+        S3, symmetric_group(4), D8, dihedral_group(10), dihedral_group(12), Q8, alternating_group(4),
+        make_group("product(cyclic:8,cyclic:8)"), dihedral_group(64),
+    ]
+] + [(make_group("product(quaternion:8,cyclic:2)"), [C4])]
+
+
+@pytest.mark.parametrize("h,gs", ACTION_SEARCH_PAIRS, ids=[h.name for (h, _) in ACTION_SEARCH_PAIRS])
+def test_action_search_oracle_equals_the_completion_triple_backtrack(h, gs):
+    if len(automorphism_group(h)) > _MAX_AUTS:   # Aut(C8xC8) has 1,536 elements
+        with pytest.raises(CapExceededError):
+            _aut_tables(h)
+        return
+    aut, out, outer, _ = _aut_tables(h)
+    q, proj = quotient(aut, Subgroup(aut, tuple(sorted(
+        i for i, a in enumerate(automorphism_group(h)) if a.map in inner_automorphisms(h)
+    ))))
+    assert out.table == q.table and outer == proj.map
+    for g in gs:
+        psis, cosets = _outer_homomorphisms(h, g)
+        want_psis, want_cosets = _outer_homomorphisms_by_triples(h, g)
+        assert [tuple(cosets[k][0] for k in psi) for psi in psis] == want_psis, g.name
+        assert {coset[0]: coset for coset in cosets} == want_cosets, g.name
 
 
 def test_byte_tables_refuse_values_over_a_byte():
@@ -1535,7 +1592,8 @@ def test_outer_actions_are_the_tuples_with_non_empty_scanned_domains(hs, gs):
 
     h, g = make_group(hs), make_group(gs)
     perms = [a.map for a in automorphism_group(h)]
-    comp, aut_inv, _, conj_of = _aut_tables(h)
+    aut, _, _, conj_of = _aut_tables(h)
+    comp, aut_inv = aut.table, aut.inverse_table
     cells = [(g1, g2) for g1 in range(1, g.order) for g2 in range(1, g.order)]
     expected = []
     for rest in itertools.product(range(len(perms)), repeat=g.order - 1):
