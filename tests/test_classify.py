@@ -1489,9 +1489,6 @@ def test_aut_cap_raises_before_any_automorphism_table():
 
 
 @pytest.mark.parametrize("spec", [
-    # groups with one or two automorphisms (C1, C2, C3, C4, C6) are composed too
-    *(f"cyclic:{k}" for k in (1, 2, 3, 4, 5, 6, 8)),
-    "product(cyclic:2,cyclic:2)", "product(cyclic:2,cyclic:4)",
     "symmetric:3", "dihedral:8", "quaternion:8", "product(cyclic:2,product(cyclic:2,cyclic:2))",
     "product(quaternion:8,cyclic:2)",
 ])
@@ -1506,6 +1503,55 @@ def test_aut_cap_spares_the_tabulated_groups_and_composes_like_the_maps(spec):
     assert conj_of == [inner_automorphisms(h).get(p, ()) for p in perms]
     if h.is_abelian:
         assert out is aut and outer == tuple(range(len(perms)))
+
+
+def _small_aut_tables(h, count):
+    """The closed form of `(comp, aut_inv, outer, conj_of)` for an Aut(H) of
+    `count` <= 2 elements, kept as an oracle.
+
+    Inn(H) = H / Z(H) is a subgroup of Aut(H), so it is cyclic and H is
+    abelian: Inn(H) = 1, every coset of it is one automorphism, and every c
+    in H conjugates like the identity.  automorphism_group starts with the
+    identity (the least value table), and a second automorphism is its own
+    inverse.
+    """
+    comp = [[i ^ j for j in range(count)] for i in range(count)]
+    return comp, list(range(count)), list(range(count)), [tuple(h.elements())] + [()] * (count - 1)
+
+
+def _composed_aut_tables(h):
+    """`(comp, aut_inv, outer, conj_of)` by composing the value tables in
+    Python: comp[i][j] is the index of aut_i after aut_j, and outer[a] the
+    least index in the coset of Inn(H) that holds aut_a."""
+    perms = [a.map for a in automorphism_group(h)]
+    index = {p: i for i, p in enumerate(perms)}
+    comp = [[index[tuple(pi[x] for x in pj)] for pj in perms] for pi in perms]
+    inner = inner_automorphisms(h)
+    inn = [index[p] for p in inner]
+    outer = [min(comp[c][a] for c in inn) for a in range(len(perms))]
+    return comp, [row.index(0) for row in comp], outer, [inner.get(p, ()) for p in perms]
+
+
+@pytest.mark.parametrize("spec", [
+    *(f"cyclic:{k}" for k in (1, 2, 3, 4, 5, 6, 8)),
+    "product(cyclic:2,cyclic:2)", "symmetric:3", "dihedral:8", "quaternion:8",
+    "product(cyclic:2,product(cyclic:2,cyclic:2))", "product(cyclic:2,cyclic:4)",
+])
+def test_aut_tables_oracle_small_aut_equals_the_composed_tables(spec):
+    # an Aut(H) of one or two elements is written down without composing (C1,
+    # C2, C3, C4, C6), and the library's Aut(H) and Out(H) equal the Python
+    # composition at every size, Out(H)'s cosets numbered by least index
+    h = make_group(spec)
+    comp, aut_inv, least, conj_of = _composed_aut_tables(h)
+    if len(comp) <= 2:
+        assert _small_aut_tables(h, len(comp)) == (comp, aut_inv, least, conj_of)
+    aut, out, outer, lib_conj_of = _aut_tables(h)
+    reps = sorted(set(least))
+    assert aut.table == tuple(map(tuple, comp))
+    assert aut.inverse_table == tuple(aut_inv)
+    assert outer == tuple(reps.index(c) for c in least)
+    assert out.table == tuple(tuple(reps.index(least[comp[a][b]]) for b in reps) for a in reps)
+    assert lib_conj_of == conj_of
 
 
 def _outer_homomorphisms_by_triples(h, g):
