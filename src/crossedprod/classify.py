@@ -11,12 +11,14 @@ is read from the Inn(H) table cached on H.  Cells are filled
 column-major, which pins most cells immediately from earlier ones and keeps
 the engine's search tree close to the solution count.
 
-The systems over one outer action psi: G -> Out(H) are one orbit under
-shifts (the source paper's Schreier-type theorem).  The engine runs on the
-first lift of each psi only, and every other lift's block is that block
-shifted by the t with lift = c_t lift0, in numpy (`_lifted_systems`).  For
-abelian H, Inn(H) = 1, so every action is its own psi and the engine runs
-on each.
+The block stream has one path per kind of H, whatever the pair's size.
+For non-abelian H the systems over one outer action psi: G -> Out(H) are
+one orbit under shifts (the source paper's Schreier-type theorem).  The
+engine runs on the first lift of each psi only, and every other lift's
+block is that block shifted by the t with lift = c_t lift0, in numpy
+(`_lifted_systems`).  Abelian H runs no engine.  Its abelian mode (the
+generator-only schedule and its CHAIN steps) stays as the input of the
+gauge slice's equations (`_slice_plan`) and as the tests' oracle.
 
 For abelian H the cocycles of one action form a group Z^2 under the
 pointwise product, and each eq1 class is a coset f B^2 (H^2 = Z^2 / B^2).
@@ -29,9 +31,8 @@ member's tag (`_algebraic_systems`); B^2 itself is never built.  No search
 runs: for cyclic G the slice and its classes have a closed form (carry
 cocycles over H^psi, classes H^psi / N(H)); for any other G the slice is
 the kernel of the cocycle equations, solved per prime over Z/p^a by a
-Howell form (`_linear_slice_classes`).  `classify` reads eq1 off the tags;
-the block stream takes this path for abelian pairs with at least
-`_ALGEBRAIC_MIN_MAPS` maps t and runs the engine on smaller ones.
+Howell form (`_linear_slice_classes`).  `classify` reads eq1 off the tags,
+and the block stream takes this path for every abelian pair with |G| > 1.
 
 The array paths read each group's cached table arrays (`table_array`,
 `inverse_array`), and the uint8 value gathers one uint8 copy of H's tables
@@ -79,20 +80,6 @@ from .products import cached_product, product_table_np
 from .systems import Cocycle, CrossedSystem, WeakAction
 
 DEFAULT_PAIR_CAP = 64
-
-# Below this many normalized maps t: G -> H, |H|^(|G|-1), the block stream
-# of an abelian pair runs the engine over every action (`_lifted_systems`):
-# its whole search costs less than the fixed per-action work of
-# `_algebraic_systems`.  With the slice solved by linear algebra, the 43
-# abelian catalog pairs below 128 maps (|G| > 1, |H||G| <= 64) drained their
-# streams in 18.5 ms on the engine and 21.6 ms on `_algebraic_systems` (sum
-# of per-pair bests of 30 on fresh groups, 2 CPUs), the smallest 2-2.8x
-# slower: (C3, C2) 88 -> 242 us, (K4, C2) 162 -> 455 us.  With every
-# abelian pair on `_algebraic_systems`, the `enumerate-bulk` benchmark's
-# `request_p50_ms` went 0.76 -> 1.03 ms (+35 %, 6 of 6 alternating pairs of
-# runs), past its 25 % bound.  `classify` reads every abelian pair through
-# `_algebraic_systems`, for its eq1 tags.
-_ALGEBRAIC_MIN_MAPS = 128
 
 RELATIONS = ("eq1", "eq2", "iso")
 
@@ -279,16 +266,16 @@ def _system_blocks(h: FiniteGroup, g: FiniteGroup, cap: int):
     `enumerate_raw_systems`: `block` is a C-contiguous uint8 array of shape
     (k, |G|^2), one row-major cocycle per row, rows in the stream's order.
 
-    For abelian H with at least `_ALGEBRAIC_MIN_MAPS` maps t: G -> H, each
-    block is Z^2, built as the cosets rep B^2 of its H^2 representatives
-    (`_algebraic_systems`).  Every other pair runs the engine on the first
-    lift of each outer action and shifts its block onto the other lifts
-    (`_lifted_systems`).  Both give the engine's blocks.
+    One path per kind of H.  For abelian H each block is Z^2, the gauge
+    slice times delta(W), with no search (`_algebraic_systems`).
+    Non-abelian H runs the engine on the first lift of each outer action and
+    shifts its block onto the other lifts (`_lifted_systems`).  Both give
+    the engine's blocks.  G = 1 has one action and one system.
     """
     _check_pair(h, g, cap)
     if g.order == 1:   # one action and one system: no automorphism tables
         return iter([((0,), np.zeros((1, 1), dtype=np.uint8))])
-    if h.is_abelian and h.order ** (g.order - 1) >= _ALGEBRAIC_MIN_MAPS:
+    if h.is_abelian:
         return ((alpha, block) for (alpha, block, _, _) in _algebraic_systems(h, g))
     return _lifted_systems(h, g)
 
@@ -712,12 +699,11 @@ def _mul(hm: "np.ndarray", a, b) -> "np.ndarray":
 def _all_shifts(n: int, m: int) -> "np.ndarray":
     """Every map t: G -> H with t(1) = 1, one per row of shape (|H|^(|G|-1), |G|).
 
-    Row k has, at element gi > 0, digit gi - 1 of k in base |H|.
+    Row k has, at element gi > 0, digit gi - 1 of k in base |H|: the grid of
+    `np.indices`, whose last axis varies fastest, read right to left.
     """
-    codes = np.arange(n ** (m - 1), dtype=np.intp)
-    t = np.zeros((len(codes), m), dtype=np.intp)
-    for gi in range(1, m):
-        t[:, gi] = (codes // (n ** (gi - 1))) % n
+    t = np.zeros((n ** (m - 1), m), dtype=np.intp)
+    t[:, :0:-1] = np.indices((n,) * (m - 1)).reshape(m - 1, n ** (m - 1)).T
     return t
 
 
@@ -808,17 +794,16 @@ def _cyclic_slice_classes(h: FiniteGroup, g: FiniteGroup, b: int):
     """
     n, m = h.order, g.order
     hm, gm = h.table, g.table
-    perms = _aut_perms(h)
+    alphas = _outer_homomorphisms(h, g)[0]   # first: it refuses an H over `_MAX_AUTS`
     log = [0] * m
     x = b
     for k in range(1, m):
         log[x] = k
         x = gm[x][b]
     logs = np.array(log)
-    carry = (logs[:, None] + logs >= m).ravel()
-    for alpha in _outer_homomorphisms(h, g)[0]:
-        act_rows = perms[list(alpha)]
-        psi = act_rows[b].tolist()
+    carry = (logs[:, None] + logs >= m).ravel().astype(np.uint8)
+    acts = _aut_perms(h)[np.array(alphas, dtype=np.intp).reshape(-1, m)]
+    for alpha, act_rows, psi in zip(alphas, acts, acts[:, b].tolist()):
         norms = set()
         for s in range(n):
             acc = y = s
@@ -836,8 +821,7 @@ def _cyclic_slice_classes(h: FiniteGroup, g: FiniteGroup, b: int):
                     classes += 1
                 fixed.append(c)
                 tags.append(tag_of[c])
-        members = np.zeros((len(fixed), m * m), dtype=np.uint8)
-        members[:, carry] = np.array(fixed, dtype=np.uint8)[:, None]
+        members = np.array(fixed, dtype=np.uint8)[:, None] * carry
         yield alpha, act_rows, members, np.array(tags), n ** (m - 2) * len(norms)
 
 
@@ -883,7 +867,7 @@ def _abelian_coordinates(h: FiniteGroup):
         for e in basis:
             label_of = [hm[x][z] for x in label_of for z in _powers(h, e)]
         degrees = np.array([orders[e] for e in basis], dtype=np.intp)
-        strides = np.array([np.prod(degrees[i + 1:]) for i in range(len(basis))], dtype=np.intp)
+        strides = n // np.cumprod(degrees)   # the product of the later degrees
         coords = np.empty((n, len(basis)), dtype=np.intp)
         coords[label_of] = np.arange(n)[:, None] // strides % degrees
         labels = (np.array(label_of, dtype=np.uint8), strides)
@@ -910,20 +894,21 @@ def _slice_plan(g: FiniteGroup):
     slice's unknowns.  Every other cell off the unit row and column is
     derived, a function of earlier cells.  `levels` groups the derived cells
     by depth (one deeper than the deepest derived cell they read), so one
-    level is filled at once (`_slice_fill`): per level `(cells, kind, quad,
-    g1)`, the cells' flat positions, the map that turns the residual of the
-    deriving instance into the cell (0: inverse, 1: g1^-1, 2: itself), the
-    flat positions (4, L) of the instance's cells A, B, C, D and its g1.
-    `checks` is `(quad, g1)` of every other instance, each of which must
-    hold; a derived tree cell adds the instance on (cell, 1, 1, 1) with
-    g1 = 1, which holds exactly when the cell is the unit.
+    level is filled at once (`_slice_fill`): per level `(cells, quad, g1,
+    after)`, the cells' flat positions, the flat positions (4, L) of the
+    deriving instance's cells A, B, C, D, its g1, and 3 g1 + kind, kind the
+    map that turns the instance's residual into the cell (0: inverse, 1:
+    g1^-1, 2: itself).  `checks` is `(quad, g1)` of every other instance,
+    each of which must hold; a derived tree cell adds the instance on
+    (cell, 1, 1, 1) with g1 = 1, which holds exactly when the cell is the
+    unit.
     """
     plan = g._cache.get("slice_plan")
     if plan is None:
         m = g.order
         flat, derive_info, rest_info = _engine_schedule(g, True)
         tree = {p * m + s for (_, p, s) in _gauge_tree(g)[1]}
-        free, derived, checks = [], [], []
+        free, checks, by_depth = [], [], []
         depth = [0] * (m * m)
         for i, derive, rest in zip(flat, derive_info, rest_info):
             checks += rest
@@ -932,25 +917,20 @@ def _slice_plan(g: FiniteGroup):
                     free.append(i)
                 continue
             mode, iA, iB, iC, iD, g1 = derive
-            depth[i] = 1 + max(depth[iA], depth[iB], depth[iC], depth[iD])   # depth[i] is still 0
-            derived.append((depth[i], i, (mode >= 2) + (mode == 3), iA, iB, iC, iD, g1))
+            d = depth[i] = 1 + max(depth[iA], depth[iB], depth[iC], depth[iD])   # depth[i] is still 0
+            if d > len(by_depth):
+                by_depth.append([])
+            by_depth[d - 1].append((i, iA, iB, iC, iD, g1, 3 * g1 + (mode >= 2) + (mode == 3)))
             if i in tree:
                 checks.append((i, 0, 0, 0, 0))
-        derived = _int_rows(derived, 8)
-        derived = derived[np.argsort(derived[:, 0], kind="stable")]
         levels = [
-            (level[:, 1], level[:, 2], level[:, 3:7].T, level[:, 7])
-            for level in np.split(derived, np.flatnonzero(np.diff(derived[:, 0])) + 1)
+            (level[:, 0], level[:, 1:5].T, level[:, 5], level[:, 6])
+            for level in (np.array(cells, dtype=np.intp) for cells in by_depth)
         ]
-        checks = _int_rows(checks, 5)
+        checks = np.array(checks, dtype=np.intp).reshape(-1, 5)
         plan = (np.array(free, dtype=np.intp), levels, (checks[:, :4].T, checks[:, 4]))
         g._cache["slice_plan"] = plan
     return plan
-
-
-def _int_rows(rows, width: int) -> "np.ndarray":
-    """Tuples of `width` ints as one intp array (len(rows), width)."""
-    return np.fromiter(itertools.chain.from_iterable(rows), dtype=np.intp, count=len(rows) * width).reshape(-1, width)
 
 
 def _slice_fill(h: FiniteGroup, acts, which, levels, rows) -> "np.ndarray":
@@ -971,10 +951,9 @@ def _slice_fill(h: FiniteGroup, acts, which, levels, rows) -> "np.ndarray":
     after[:, :, 2] = np.arange(n)
     after = after.ravel()
     base = which[:, None] * (m * n)
-    for (i, kind, quad, g1) in levels:
-        at = base + g1 * n
-        value = _residual(h, acts, at, rows[:, quad])
-        rows[:, i] = after.take(3 * at + kind * n + value)
+    for (i, quad, g1, table) in levels:
+        value = _residual(h, acts, base + g1 * n, rows[:, quad])
+        rows[:, i] = after.take(3 * base + table * n + value)
     return rows
 
 
@@ -1002,61 +981,58 @@ def _howell_kernels(mats: "np.ndarray", p: int, q: int) -> list:
     that is, so their right-hand parts span the kernel.
     """
     count, rows, width = mats.shape
-    work = np.concatenate([mats % q, np.broadcast_to(np.eye(rows, dtype=np.int64), (count, rows, rows))], axis=2)
-    valuation = np.zeros(q, dtype=np.intp)
-    power = p
-    while power < q:
-        valuation[::power] += 1
-        power *= p
-    valuation[0] = q
-    inverse = np.ones(q, dtype=np.int64)   # of each unit mod q
-    for x in range(1, q):
-        if x % p:
-            inverse[x] = pow(x, -1, q)
+    work = np.zeros((count, rows, width + rows), dtype=np.int64)
+    work[:, :, :width] = mats % q
+    work[:, :, width:] = np.eye(rows, dtype=np.int64)
+    # per entry x of Z/q: its p-valuation v (q at 0, which no pivot takes), p^v,
+    # and the inverse of the unit x / p^v
+    valuation = [q] + [next(v for v in range(q) if x % p ** (v + 1)) for x in range(1, q)]
+    step = np.array([1] + [p ** v for v in valuation[1:]])
+    unit_inverse = np.array([pow(x // int(step[x]), -1, q) if x else 1 for x in range(q)])
+    valuation = np.array(valuation)
     every = np.arange(count)
     r = 0
     while True:
-        live = work[:, r:, :width].any(axis=1)
+        rest = work[:, r:]
+        live = rest[:, :, :width].any(axis=1)
         if not live.any():
             break
-        column = work[every, r:, live.argmax(axis=1)]   # an exhausted matrix reads zeros: no change
+        column = rest[every, :, live.argmax(axis=1)]   # an exhausted matrix reads zeros: no change
         i = valuation[column].argmin(axis=1)
         entry = column[every, i]
-        step = p ** np.where(entry > 0, valuation[entry], 0)
-        pivot = work[every, r + i] * inverse[entry // step][:, None] % q
-        work[:, r:] = (work[:, r:] - (column // step[:, None])[:, :, None] * pivot[:, None]) % q
-        work[every, r + i] = work[:, r]   # the pivot's own row is now zero
-        work[:, r] = pivot
+        pivot = rest[every, i] * unit_inverse[entry][:, None] % q
+        if q > p:   # the pivot is p^v, and its column holds multiples of p^v
+            column //= step[entry][:, None]
+        rest -= column[:, :, None] * pivot[:, None]
+        rest %= q
+        rest[every, i] = rest[:, 0]   # the pivot's own row is now zero
+        rest[:, 0] = pivot
         if q > p:
-            work = np.concatenate([work, (pivot * (q // step)[:, None] % q)[:, None]], axis=1)
+            work = np.concatenate([work, (pivot * (q // step[entry])[:, None] % q)[:, None]], axis=1)
         r += 1
     kept = ~work[:, :, :width].any(axis=2) & work[:, :, width:].any(axis=2)
     return [block[mask, width:] for block, mask in zip(work, kept)]
 
 
-def _tagged_closure(hm: "np.ndarray", group: "np.ndarray", generators) -> tuple["np.ndarray", "np.ndarray"]:
-    """`(members, tags)`: the group that `generators` generate over `group`.
+def _closure(hm: "np.ndarray", group: "np.ndarray", generators) -> "np.ndarray":
+    """The group that the uint8 rows `generators` generate over `group`.
 
     `group` (uint8 rows, the unit first) is a subgroup of the pointwise
     product over H's uint8 table `hm`.  Each generator c adjoins the cosets
     group c^k up to the first power of c already in the group, so memory
-    follows the result.  `tags[i]` numbers member i's coset of the first
-    `group`: each coset group c^k, k > 0, lies outside the group before it
-    and holds whole cosets of the first group.
+    follows the result.  Each coset group c^k, k > 0, lies outside the group
+    before it and holds whole cosets of the first `group`, in runs: member i
+    lies in coset i // len(group) of the first group.
     """
-    tags = np.zeros(len(group), dtype=np.intp)
-    count = 1
     for c in generators:
-        cosets, labels = [group], [tags]
+        cosets = [group]
         step = hm[group, c]
         while not (group == step[0]).all(axis=1).any():
-            labels.append(tags + len(cosets) * count)
             cosets.append(step)
             step = hm[step, c]
         if len(cosets) > 1:
-            count *= len(cosets)
-            group, tags = np.concatenate(cosets), np.concatenate(labels)
-    return group, tags
+            group = np.concatenate(cosets)
+    return group
 
 
 def _linear_slice_classes(h: FiniteGroup, g: FiniteGroup):
@@ -1064,56 +1040,56 @@ def _linear_slice_classes(h: FiniteGroup, g: FiniteGroup):
 
     H is a sum of cyclic groups Z/p^a (`_abelian_coordinates`), a cocycle a
     vector over them, and the gauge slice the solutions of the cocycle
-    equations with the unit on the tree cells (`_slice_plan`).  A slice
-    cocycle is fixed by its free cells, each derived cell being a function
-    of earlier cells, and every equation is linear in them: filling the
-    derived cells of each basis vector (e_i on one free cell) gives every
-    equation's value on it (`_slice_fill`, `_residual`), and per prime the
-    kernel of those values (`_howell_kernels`) gives the slice's generators.
-    A kernel vector c stands for the slice cocycle sum c_j (basis vector j),
-    read off the filled basis vectors in coordinates.  The T0-orbit of a
-    slice cocycle f is f B0, B0 the coboundaries of the maps of T0
-    (`_gauge_shifts`, `_shift_factors`), and the slice is built over B0
-    (`_tagged_closure`), each member tagged by its class.  The slice is
+    equations with the unit on the tree cells (`_slice_plan`).  The slice is
+    the direct sum of its parts in H's p-parts, each solved on its own.  A
+    slice cocycle is fixed by its free cells, each derived cell being a
+    function of earlier cells, and every equation is linear in them:
+    filling the derived cells of each basis vector (e_i of the p-part on
+    one free cell) gives every equation's value on it (`_slice_fill`,
+    `_residual`), and the kernel of those values (`_howell_kernels`) gives
+    the slice's generators.  A kernel vector c stands for the slice cocycle
+    sum c_j (basis vector j), read off the filled basis vectors in
+    coordinates.  H = 1 has no p-part: its slice is the unit cocycle.  The
+    T0-orbit of a slice cocycle f is f B0, B0 the coboundaries of the maps
+    of T0 (`_gauge_shifts`, `_shift_factors`), and the slice is built over
+    B0 (`_closure`), so each run of |B0| members is a class.  The slice is
     sorted by the cocycle read column-major, which is the engine's order,
-    and its tags renumbered in order of first appearance.  Every action is
-    filled, solved and shifted in the same arrays; only the closure runs
-    per action.
+    and its classes numbered in order of first appearance.  Every action is
+    filled, solved and shifted in the same arrays; only the closure runs per
+    action.
     """
     n, m = h.order, g.order
     hm = _byte_tables(h)[0]
     basis, degrees, coords, (labels, strides), primes = _abelian_coordinates(h)
-    free, levels, (quad, g1) = _slice_plan(g)
     gens, edges = _gauge_tree(g)
-    alphas = list(_outer_homomorphisms(h, g)[0])
+    alphas = _outer_homomorphisms(h, g)[0]
     alpha_rows = np.array(alphas, dtype=np.intp)
     acts = _aut_perms(h)[alpha_rows]
-    count, r, k = len(alphas), len(basis), len(free)
-    # basis vector v r + i: e_i on free cell v, the unit elsewhere, under every action
-    seeds = np.zeros((count, k * r, m * m), dtype=np.uint8)
-    seeds[:, np.arange(k * r), np.repeat(free, r)] = np.tile(basis, k)
-    which = np.repeat(np.arange(count), k * r)
-    filled = _slice_fill(h, acts, which, levels, seeds.reshape(-1, m * m))
-    values = coords[_residual(h, acts, (which[:, None] * m + g1) * n, filled[:, quad])]
-    values = values.reshape(count, k, r, len(g1), r)   # action, free cell, e_i, equation, coordinate
-    kernels = [np.zeros((0, k * r), dtype=np.int64)] * count
+    count = len(alphas)
+    generators = [[] for _ in alphas]   # per action, per prime: the slice's generators
     for (p, q, idx) in primes:
-        mats = (values[:, :, idx][..., idx] * (q // degrees[idx])).reshape(count, k * len(idx), len(g1) * len(idx))
+        free, levels, (quad, g1) = _slice_plan(g)   # in the loop: H = 1 builds no plan
+        k, r = len(free), len(idx)
+        # row (a k + v) r + i: e_i of the p-part on free cell v, the unit elsewhere, under action a
+        seeds = np.zeros((count, k, r, m * m), dtype=np.uint8)
+        seeds[:, np.arange(k)[:, None], np.arange(r), free[:, None]] = basis[idx]
+        which = np.repeat(np.arange(count), k * r)
+        filled = _slice_fill(h, acts, which, levels, seeds.reshape(-1, m * m))
+        values = coords[_residual(h, acts, (which[:, None] * m + g1) * n, filled[:, quad])][..., idx]
+        mats = (values * (q // degrees[idx])).reshape(count, k * r, len(g1) * r)   # equation e, coordinate j at e r + j
+        filled = coords[filled][..., idx].reshape(count, k * r, m * m * r)
         for a, kernel in enumerate(_howell_kernels(mats, p, q)):
-            vectors = np.zeros((len(kernel), k, r), dtype=np.int64)
-            vectors[:, :, idx] = kernel.reshape(len(kernel), k, len(idx))
-            kernels[a] = np.concatenate([kernels[a], vectors.reshape(len(kernel), k * r)])
-    filled = coords[filled].reshape(count, k * r, m * m, r)
+            digits = (kernel @ filled[a]).reshape(len(kernel), m * m, r) % degrees[idx]
+            generators[a].append(labels[digits @ strides[idx]])
     t = _gauge_shifts(h, acts, gens, edges)
     left, right = _shift_factors(h, g, _aut_perms(h), np.repeat(alpha_rows, t.shape[1], axis=0), t.reshape(-1, m))
     shifts = _mul(hm, left, right).reshape(count, -1, m * m)   # the coboundary of each map of T0
     for a in range(count):
-        b0 = _distinct_rows(shifts[a])
-        digits = np.einsum("kj,jcx->kcx", kernels[a], filled[a]) % degrees
-        members, tags = _tagged_closure(hm, b0, labels[digits @ strides])
+        b0 = np.unique(_key_view(shifts[a])).view(np.uint8).reshape(-1, m * m)   # ascending: the unit first
+        members = _closure(hm, b0, itertools.chain.from_iterable(generators[a]))
         order = _column_order(members[None], m)[0]
         orbit = n ** (m - 1 - len(gens)) * len(b0)
-        yield alphas[a], acts[a], members[order], _by_first_appearance(tags[order]), orbit
+        yield alphas[a], acts[a], members[order], _by_first_appearance(order // len(b0)), orbit
 
 
 def _by_first_appearance(labels: "np.ndarray") -> "np.ndarray":
@@ -1122,36 +1098,47 @@ def _by_first_appearance(labels: "np.ndarray") -> "np.ndarray":
     return np.argsort(np.argsort(first))[inverse]
 
 
-def _distinct_rows(rows: "np.ndarray") -> "np.ndarray":
-    """The distinct uint8 rows of `rows`, ascending as byte strings (the unit first)."""
-    return rows[np.unique(_key_view(rows), return_index=True)[1]]
+def _cocycle_blocks(h: FiniteGroup, g: FiniteGroup, batch, w):
+    """Yield `(alpha, block, tags, orbit)` per action of `batch`, the
+    `_gauge_slice_classes` items of some actions: Z^2 of each, in the
+    engine's order.
 
-
-def _cocycle_block(h: FiniteGroup, g: FiniteGroup, act_rows, members, tags) -> tuple["np.ndarray", "np.ndarray"]:
-    """`(block, tags)`: Z^2 of one action over abelian H, in the engine's order.
-
-    `members` (uint8 rows (s, |G|^2)) is the action's gauge slice and `tags`
-    numbers each member's class (`_gauge_slice_classes`).  Z^2 is the direct
-    product of the slice and delta(W), W the maps t with t(1) = 1 that are
-    the unit on the generators: a shift by a map of W moves any cocycle into
-    the slice, and only the unit map of W has its coboundary there (both
-    down the gauge tree).  So the block is one table lookup with no
-    duplicates, delta(W) taken through `_shift_factors`, and each row, in
-    its member's class since delta(W) lies in B^2, carries its tag.  The
-    rows are sorted by the cocycle read column-major, which is the engine's
-    cell schedule: every derived cell is a function of earlier cells, so two
-    systems first differ on a FREE cell, whose domain the engine tries in
-    ascending order.
+    Z^2 is the direct product of the gauge slice and delta(W), W the maps t
+    with t(1) = 1 that are the unit on the generators, one per row of `w`: a
+    shift by a map of W moves any cocycle into the slice, and only the unit
+    map of W has its coboundary there (both down the gauge tree).  So the
+    blocks are one table lookup with no duplicates, delta(W) taken under
+    every action at once, and each row, in its member's class since delta(W)
+    lies in B^2, carries its tag.  The rows are sorted by action, then by the
+    cocycle read column-major, the engine's cell schedule: every derived cell
+    is a function of earlier cells, so two systems first differ on a FREE
+    cell, whose domain the engine tries in ascending order.
     """
-    n, m = h.order, g.order
-    hm = _byte_tables(h)[0]
-    rest = [x for x in range(1, m) if x not in generating_sequence(g)]
-    w = np.zeros((n ** len(rest), m), dtype=np.uint8)
-    w[:, rest] = _all_shifts(n, len(rest) + 1)[:, 1:]
-    delta_w = _mul(hm, *_shift_factors(h, g, act_rows, np.arange(m), w))
-    rows = hm[members[:, None], delta_w[None]].reshape(1, -1, m * m)
-    order = _column_order(rows, m)[0]
-    return rows[0, order], tags[order // len(delta_w)]
+    if not batch:
+        return
+    m = g.order
+    hm, hinv = _byte_tables(h)
+    alphas, acts, members, tags, orbits = zip(*batch)
+    count, d = len(batch), len(w)
+    # t(g1) act(g1)(t(g2)) t(g1 g2)^-1 for each t of W: the outer factors are
+    # the same under every action, the middle one is act[g1, t(g2)]
+    outer = _mul(hm, w[:, :, None], hinv[w][:, g.table_array])
+    delta_w = _mul(hm, outer, np.stack(acts)[:, :, w].transpose(0, 2, 1, 3)).reshape(count, d, m * m)
+    sizes = [len(x) for x in members]
+    owner = np.repeat(np.arange(count), sizes)
+    rows = _mul(hm, np.concatenate(members)[:, None], delta_w[owner]).reshape(-1, m * m)
+    # the sort key: the action's number (two bytes, big-endian: a batch holds at
+    # most `_BATCH` actions), then the cells column-major
+    keys = np.empty((len(rows), 2 + m * m), dtype=np.uint8)
+    keys[:, :2] = np.repeat(owner, d).astype(">u2")[:, None].view(np.uint8)
+    keys[:, 2:].reshape(-1, m, m)[...] = rows.reshape(-1, m, m).transpose(0, 2, 1)
+    order = np.argsort(keys.view(f"V{2 + m * m}").ravel())
+    block, row_tags = rows[order], np.concatenate(tags)[order // d]
+    start = 0
+    for alpha, size, orbit in zip(alphas, sizes, orbits):
+        end = start + size * d
+        yield alpha, block[start:end], row_tags[start:end], orbit
+        start = end
 
 
 def _column_order(blocks: "np.ndarray", m: int) -> "np.ndarray":
@@ -1162,29 +1149,37 @@ def _column_order(blocks: "np.ndarray", m: int) -> "np.ndarray":
     return np.argsort(columns.reshape(b, k, width).view(f"V{width}").reshape(b, k), axis=1)
 
 
-def _column_sorted(blocks: "np.ndarray", m: int) -> "np.ndarray":
-    """uint8 `blocks` of shape (b, k, |G|^2), each block's rows sorted by the
-    cocycle read column-major (`_column_order`)."""
-    return blocks[np.arange(len(blocks))[:, None], _column_order(blocks, m)]
+# The block paths build about this many systems at once (`_algebraic_systems`
+# multiplies slices by delta(W), `_lifted_systems` shifts blocks), so their
+# memory follows one batch, never the stream
+_BATCH = 4096
 
 
 def _algebraic_systems(h: FiniteGroup, g: FiniteGroup):
     """Yield `(alpha, block, tags, orbit)` for abelian H, one Z^2 block per action.
 
     The gauge slice gives each action's slice, tagged by class, and |B^2|
-    (`_gauge_slice_classes`); `_cocycle_block` multiplies the slice by
-    delta(W) and sorts the block into the engine's order, so the blocks are
-    the engine's.  `tags[i]` numbers row i's eq1 class within the action,
-    and each class holds `orbit` rows.
+    (`_gauge_slice_classes`); `_cocycle_blocks` multiplies the slices of a
+    batch of actions, about `_BATCH` systems, by delta(W) and sorts each
+    block into the engine's order, so the blocks are the engine's.
+    `tags[i]` numbers row i's eq1 class within the action, and each class
+    holds `orbit` rows.  W, the maps that are the unit on the generators, is
+    the same for every action: its rows take every value off the generators
+    (`_all_shifts`).
     """
-    for alpha, act_rows, members, tags, orbit in _gauge_slice_classes(h, g):
-        block, tags = _cocycle_block(h, g, act_rows, members, tags)
-        yield alpha, block, tags, orbit
-
-
-# `_lifted_systems` shifts the blocks of about this many systems at once, so
-# its memory follows one batch, never the stream
-_LIFT_BATCH = 4096
+    n, m = h.order, g.order
+    gens = generating_sequence(g)
+    rest = [x for x in range(1, m) if x not in gens]
+    w = np.zeros((n ** len(rest), m), dtype=np.uint8)
+    w[:, rest] = _all_shifts(n, len(rest) + 1)[:, 1:]
+    batch, size = [], 0
+    for item in _gauge_slice_classes(h, g):
+        batch.append(item)
+        size += len(item[2]) * len(w)
+        if size >= _BATCH:
+            yield from _cocycle_blocks(h, g, batch, w)
+            batch, size = [], 0
+    yield from _cocycle_blocks(h, g, batch, w)
 
 
 def _lifted_systems(h: FiniteGroup, g: FiniteGroup):
@@ -1204,9 +1199,10 @@ def _lifted_systems(h: FiniteGroup, g: FiniteGroup):
     alpha; a psi whose alpha0 has no system has none on any lift.  The lifts
     are walked in the stream's order and shifted in batches of blocks of one
     size (`_shift_lifts`), base blocks riding along in their places, so a
-    small pair shifts all its lifts at once.  For abelian H, Inn(H) = 1:
-    every action is the one lift of its psi, the engine runs on each, and
-    nothing is shifted.
+    small pair shifts all its lifts at once.  The library runs it for
+    non-abelian H only.  For abelian H, the tests' oracle, Inn(H) = 1: every
+    action is the one lift of its psi, the engine runs on each, and nothing
+    is shifted.
     """
     leaf = _engine(h, g)
     products, bases = [], []   # per psi: its lifts, and (alpha0, the engine's block)
@@ -1228,7 +1224,7 @@ def _lifted_systems(h: FiniteGroup, g: FiniteGroup):
         if not k:
             continue
         if alpha != alpha0:
-            if lifts and (k != size or len(lifts) * k >= _LIFT_BATCH):
+            if lifts and (k != size or len(lifts) * k >= _BATCH):
                 yield from emit(pending, lifts)
                 pending, lifts = [], []
             size = k
@@ -1260,7 +1256,7 @@ def _shift_lifts(h: FiniteGroup, g: FiniteGroup, pending, bases):
     hm = _byte_tables(h)[0]
     shifted = _mul(hm, _mul(hm, left[:, None], block0), right[:, None])
     if block0.shape[1] > 1:
-        shifted = _column_sorted(shifted, m)
+        shifted = shifted[np.arange(len(shifted))[:, None], _column_order(shifted, m)]
     return zip(alphas, shifted)
 
 

@@ -453,6 +453,9 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         _error_doc("cap-exceeded", exc)
         return EXIT_CAP
+    except MemoryError as exc:   # a request inside the caps whose arrays do not fit
+        _error_doc("out-of-memory", MemoryError(str(exc) or "out of memory"))
+        return EXIT_CAP
     except InternalInvariantError as exc:
         _error_doc("internal-invariant", exc)
         return EXIT_INTERNAL

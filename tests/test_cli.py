@@ -1,3 +1,4 @@
+import importlib
 import json
 import subprocess
 import sys
@@ -30,6 +31,22 @@ def test_enumerate_c2_c2(capsys):
     assert doc["count"] == 2
     assert doc["systems"][0]["f"] == [[0, 0], [0, 0]]
     assert doc["systems"][1]["f"] == [[0, 0], [0, 1]]
+
+
+def test_enumerate_out_of_memory_is_a_json_error_with_exit_2(capsys, monkeypatch):
+    # (C3, C16) is inside the pair cap, but it has 4 * 3^14 systems; here the
+    # block stream raises MemoryError without allocating
+    classify_mod = importlib.import_module("crossedprod.classify")
+    numpy_message = "Unable to allocate 1.14 GiB for an array with shape (4782969, 256) and data type uint8"
+    for error, message in ((MemoryError(numpy_message), numpy_message), (MemoryError(), "out of memory")):
+
+        def exhausted(*args, error=error):
+            raise error
+
+        monkeypatch.setattr(classify_mod, "_system_blocks", exhausted)
+        code, out, err = run_cli(["enumerate", "--h", "cyclic:3", "--g", "cyclic:16"], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": {"type": "out-of-memory", "message": message}}
 
 
 def test_enumerate_trivial_h(capsys):
