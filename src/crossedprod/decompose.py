@@ -14,6 +14,7 @@ into a tree of simple leaves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
@@ -199,6 +200,33 @@ def decompose_abelian(e: FiniteGroup) -> DecompositionTree:
 # cyclic-by-cyclic enumeration ---------------------------------------------------
 
 
+def _holder_pairs(n: int, m: int) -> list[tuple[int, int]]:
+    """Every (i, j) with j^m = 1 and i(j-1) = 0 mod n, ordered by (i, j): for
+    each such j, i runs over the multiples of n / gcd(j - 1, n)."""
+    return sorted(
+        (i, j)
+        for j in range(n)
+        if pow(j, m, n) == 1 % n
+        for i in range(0, n, n // gcd(j - 1, n))
+    )
+
+
+def _orbit_firsts(n: int, m: int, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The first pair of each key (j, gcd(i, d_j)), in order (see
+    `holder_enumerate`): b -> b a^k moves i by the multiples of S_j, which
+    are those of d_j mod n, and the units mod n act on Z/d_j with the orbits
+    gcd(i, d_j) = c."""
+    d = {j: gcd(sum(pow(j, t, n) for t in range(m)), n) for j in {j for (_, j) in pairs}}
+    seen: set[tuple[int, int]] = set()
+    firsts = []
+    for (i, j) in pairs:
+        key = (j, gcd(i, d[j]))
+        if key not in seen:
+            seen.add(key)
+            firsts.append((i, j))
+    return firsts
+
+
 def holder_enumerate(
     n: int, m: int, *, dedupe: bool = False, cap: int = DEFAULT_PAIR_CAP
 ) -> list[tuple[int, int, FiniteGroup]]:
@@ -207,25 +235,30 @@ def holder_enumerate(
     The group is generated by a, b subject to a^n = 1, b^m = a^i, b^-1 a b = a^j,
     materialized as a table on exponent pairs.  For n = 1 the relations
     degenerate and the single pair (0, 0) presents the cyclic group of order m.
-    For m = 1, b = a^i never carries, so every pair (i, 1) presents C_n: its
-    table is built once, and each pair's group shares it under its own name
-    and with its own cache.  With dedupe=True only the first representative
-    of each isomorphism class is kept.
+    Two substitutions of generators, a -> a^u (u a unit mod n) and b -> b a^k,
+    move (i, j) to (u^-1 i, j) and to (i + k S_j, j), S_j = sum_{t<m} j^t;
+    so pairs with one key (j, gcd(i, d_j)), d_j = gcd(S_j, n), present
+    isomorphic groups.  For m = 1, d_j = 1 and every pair (i, 1) presents C_n:
+    its table is built once, and each pair's group shares it under its own
+    name and with its own cache.  With dedupe=True only the first pair of
+    each key is built, and of those only the first representative of each
+    isomorphism class is kept.
     """
     if n < 1 or m < 1:
         raise InvalidDescriptorError("orders must be positive")
     if n * m > cap:
         raise CapExceededError(f"n*m = {n * m} exceeds cap {cap}")
+    pairs = _holder_pairs(n, m)
+    if dedupe:
+        pairs = _orbit_firsts(n, m, pairs)
     out: list[tuple[int, int, FiniteGroup]] = []
-    for i in range(n):
-        for j in range(n):
-            if (i * (j - 1)) % n == 0 and pow(j, m, n) == 1 % n:
-                name = f"P{n}.{m}.{i}.{j}"
-                if m == 1 and out:
-                    grp = out[0][2]._renamed(name)
-                else:
-                    grp = presentation_group(n, m, i, j, name)
-                out.append((i, j, grp))
+    for (i, j) in pairs:
+        name = f"P{n}.{m}.{i}.{j}"
+        if m == 1 and out:
+            grp = out[0][2]._renamed(name)
+        else:
+            grp = presentation_group(n, m, i, j, name)
+        out.append((i, j, grp))
     if dedupe:
         reps: list[FiniteGroup] = []
         kept = []
@@ -246,15 +279,16 @@ def holder_cross_validate(n: int, m: int, *, cap: int = DEFAULT_PAIR_CAP) -> dic
     """Compare isomorphism types from the presentation list and from full
     crossed-system enumeration over (Cn, Cm); the two sets must coincide.
 
-    Orbits under end-stabilizing shifts share a product type, so only orbit
-    representatives are typed on the enumeration side.  Each type is named
-    once: when the two sets match, the system side's names are the
-    presentation side's.
+    Both sides type one representative per orbit.  On the presentation side
+    the orbits are those of the generator substitutions a -> a^u and
+    b -> b a^k, keyed by (j, gcd(i, d_j)) (see `holder_enumerate`): one table
+    is built per key, and the first pair of each isomorphism type is the
+    first of its orbit.  On the enumeration side, orbits under
+    end-stabilizing shifts share a product type.  Each type is named once:
+    when the two sets match, the system side's names are the presentation
+    side's.
     """
-    pres = holder_enumerate(n, m, cap=cap)
-    pres_reps: list[FiniteGroup] = []
-    for (_, _, grp) in pres:
-        _collect_type(pres_reps, grp)
+    pres_reps = [grp for (_, _, grp) in holder_enumerate(n, m, dedupe=True, cap=cap)]
 
     h, g = cyclic_group(n), cyclic_group(m)
     perms = _aut_perms(h)
@@ -273,7 +307,7 @@ def holder_cross_validate(n: int, m: int, *, cap: int = DEFAULT_PAIR_CAP) -> dic
     report = {
         "n": n,
         "m": m,
-        "presentation_pair_count": len(pres),
+        "presentation_pair_count": len(_holder_pairs(n, m)),
         "presentation_types": pres_types,
         # matched types are in bijection, and a name is an isomorphism invariant
         "system_types": list(pres_types) if matched else sorted(identify_group(t) for t in sys_reps),

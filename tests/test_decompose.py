@@ -1,4 +1,5 @@
 import importlib
+import math
 
 import pytest
 
@@ -16,8 +17,10 @@ from crossedprod.groups import (
     dihedral_group,
     identify_group,
     is_homomorphism,
+    isomorphic,
     make_group,
     normal_subgroups,
+    presentation_group,
     quaternion_group,
     quotient,
     subgroup_as_group,
@@ -349,9 +352,84 @@ def test_holder_cross_validate_reports_match_the_recorded_digest():
     digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()[:32]
     assert digest == HOLDER_REPORTS_DIGEST
 
-def test_holder_type_mismatch_is_internal_invariant_error(monkeypatch):
+
+# the same over every (n, m) with n m <= 64
+HOLDER_REPORTS_DIGEST_64 = "653b5cbc2b77506b3b1da8beb87db36f"
+HOLDER_PAIRS_64 = [(n, m) for n in range(1, 65) for m in range(1, 65) if n * m <= 64]
+
+
+def _holder_pairs_by_scan(n, m):
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if (i * (j - 1)) % n == 0 and pow(j, m, n) == 1 % n
+    ]
+
+
+def test_holder_cross_validate_reports_match_the_recorded_digest_64():
+    import hashlib
+    import json
+
+    reports = [holder_cross_validate(n, m) for (n, m) in HOLDER_PAIRS_64]
+    assert len(reports) == 280 and all(rep["match"] for rep in reports)
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()[:32]
+    assert digest == HOLDER_REPORTS_DIGEST_64
+
+
+def test_holder_orbit_oracle_every_pair_is_its_orbit_firsts_type():
+    # oracle: every pair is built and typed on its own
+    for (n, m) in HOLDER_PAIRS_64:
+        pairs = holder_enumerate(n, m)
+        assert [(i, j) for (i, j, _) in pairs] == _holder_pairs_by_scan(n, m)
+        first = {}
+        for (i, j, grp) in pairs:
+            s_j = sum(j**t for t in range(m))
+            key = (j, math.gcd(i, math.gcd(s_j, n)))
+            first.setdefault(key, grp)
+            assert are_isomorphic(first[key], grp) is not None, (n, m, i, j)
+        reps = []
+        for (_, _, grp) in pairs:
+            if not any(isomorphic(r, grp) for r in reps):
+                reps.append(grp)
+        rep = holder_cross_validate(n, m)
+        assert rep["presentation_pair_count"] == len(pairs)
+        assert rep["presentation_types"] == sorted(identify_group(t) for t in reps)
+        kept = holder_enumerate(n, m, dedupe=True)
+        assert [grp.name for (_, _, grp) in kept] == [grp.name for grp in reps]
+
+
+def test_holder_builds_one_presentation_table_per_orbit(monkeypatch):
     # the package exports the function `decompose`, which hides the module
     decompose_mod = importlib.import_module("crossedprod.decompose")
-    monkeypatch.setattr(decompose_mod, "holder_enumerate", lambda n, m, cap: [])
+    built = []
+
+    def counted(n, m, i, j, name):
+        built.append((n, m, i, j))
+        return presentation_group(n, m, i, j, name)
+
+    monkeypatch.setattr(decompose_mod, "presentation_group", counted)
+    holder_cross_validate(4, 2)
+    assert built == [(4, 2, 0, 1), (4, 2, 0, 3), (4, 2, 1, 1), (4, 2, 2, 3)]
+    built.clear()
+    for (n, m) in HOLDER_PAIRS_64:
+        holder_cross_validate(n, m)
+    assert len(built) == len(set(built)) == 571
+    built.clear()
+    holder_enumerate(4, 2, dedupe=True)
+    assert len(built) == 4
+
+
+def test_holder_type_mismatch_is_internal_invariant_error(monkeypatch):
+    # the presentation side of (4, 2) yields C2xC2xC2 where Q8 belongs: the
+    # type counts agree, and the mismatch is one type the systems never give
+    decompose_mod = importlib.import_module("crossedprod.decompose")
+    real = decompose_mod.holder_enumerate
+    wrong = make_group("product(cyclic:2,product(cyclic:2,cyclic:2))")
+
+    def swapped(n, m, **kw):
+        return [(i, j, wrong if (i, j) == (2, 3) else grp) for (i, j, grp) in real(n, m, **kw)]
+
+    monkeypatch.setattr(decompose_mod, "holder_enumerate", swapped)
     with pytest.raises(InternalInvariantError):
-        holder_cross_validate(2, 2)
+        holder_cross_validate(4, 2)
