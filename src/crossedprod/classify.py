@@ -658,7 +658,7 @@ def coboundary_orbit_keys(
     n, m = h.order, g.order
     hm, hinv = _byte_tables(h)
     act = np.asarray(act_rows, dtype=np.uint8).reshape(m, n)
-    t = (_all_shifts(n, m) if t_rows is None else np.asarray(t_rows)).astype(np.uint8)
+    t = (_all_shifts(n, m) if t_rows is None else np.asarray(t_rows)).astype(np.uint8, copy=False)
     count = len(t)
 
     if h.is_abelian:
@@ -692,18 +692,33 @@ def _shift_factors(h: FiniteGroup, g: FiniteGroup, perms, alpha, t) -> tuple["np
 
 def _mul(hm: "np.ndarray", a, b) -> "np.ndarray":
     """hm[a, b] for H's uint8 product table `hm`, elementwise with
-    broadcasting, as one take on the flat table."""
-    return hm.ravel().take(a.astype(np.uint16) * len(hm) + b)
+    broadcasting, as takes on the flat table.
+
+    The flat index a |H| + b is formed in uint16 (a, b < |H| <= 256).  `take`
+    copies its index to intp, 8 bytes a cell, so a gather of more than
+    `_CHUNK` cells takes into its uint8 output one flat chunk of `_CHUNK`
+    cells at a time, and only a chunk is ever copied.
+    """
+    flat = hm.ravel()
+    index = np.add(a.astype(np.uint16) * len(hm), b, dtype=np.uint16, casting="unsafe")
+    if index.size <= _CHUNK:
+        return flat.take(index)
+    out = np.empty(index.shape, dtype=np.uint8)
+    cells, target = index.reshape(-1), out.reshape(-1)
+    for start in range(0, len(cells), _CHUNK):
+        flat.take(cells[start:start + _CHUNK], out=target[start:start + _CHUNK])
+    return out
 
 
 def _all_shifts(n: int, m: int) -> "np.ndarray":
-    """Every map t: G -> H with t(1) = 1, one per row of shape (|H|^(|G|-1), |G|).
+    """Every map t: G -> H with t(1) = 1, one per uint8 row (|H| <= 256) of
+    shape (|H|^(|G|-1), |G|).
 
     Row k has, at element gi > 0, digit gi - 1 of k in base |H|: the grid of
     `np.indices`, whose last axis varies fastest, read right to left.
     """
-    t = np.zeros((n ** (m - 1), m), dtype=np.intp)
-    t[:, :0:-1] = np.indices((n,) * (m - 1)).reshape(m - 1, n ** (m - 1)).T
+    t = np.zeros((n ** (m - 1), m), dtype=np.uint8)
+    t[:, :0:-1] = np.indices((n,) * (m - 1), dtype=np.uint8).reshape(m - 1, n ** (m - 1)).T
     return t
 
 
@@ -1106,37 +1121,55 @@ def _cocycle_blocks(h: FiniteGroup, g: FiniteGroup, batch, w):
     Z^2 is the direct product of the gauge slice and delta(W), W the maps t
     with t(1) = 1 that are the unit on the generators, one per row of `w`: a
     shift by a map of W moves any cocycle into the slice, and only the unit
-    map of W has its coboundary there (both down the gauge tree).  So the
-    blocks are one table lookup with no duplicates, delta(W) taken under
-    every action at once, and each row, in its member's class since delta(W)
-    lies in B^2, carries its tag.  The rows are sorted by action, then by the
-    cocycle read column-major, the engine's cell schedule: every derived cell
-    is a function of earlier cells, so two systems first differ on a FREE
-    cell, whose domain the engine tries in ascending order.
+    map of W has its coboundary there (both down the gauge tree).  So each
+    block is one table lookup with no duplicates, the action's slice against
+    its own delta(W) (delta(W) taken under every action at once), and each
+    row, in its member's class since delta(W) lies in B^2, carries its tag.
+    The rows are sorted by action, then by the cocycle read column-major, the
+    engine's cell schedule: every derived cell is a function of earlier
+    cells, so two systems first differ on a FREE cell, whose domain the
+    engine tries in ascending order.  Each lookup is copied into the sort
+    keys as it is made and the blocks are read back off the sorted keys, so
+    the batch never holds its rows beside its keys; delta(W) is built about
+    `_CHUNK` cells at a time.
     """
     if not batch:
         return
     m = g.order
     hm, hinv = _byte_tables(h)
     alphas, acts, members, tags, orbits = zip(*batch)
-    count, d = len(batch), len(w)
-    # t(g1) act(g1)(t(g2)) t(g1 g2)^-1 for each t of W: the outer factors are
-    # the same under every action, the middle one is act[g1, t(g2)]
-    outer = _mul(hm, w[:, :, None], hinv[w][:, g.table_array])
-    delta_w = _mul(hm, outer, np.stack(acts)[:, :, w].transpose(0, 2, 1, 3)).reshape(count, d, m * m)
-    sizes = [len(x) for x in members]
-    owner = np.repeat(np.arange(count), sizes)
-    rows = _mul(hm, np.concatenate(members)[:, None], delta_w[owner]).reshape(-1, m * m)
+    d = len(w)
+    # t(g1) act(g1)(t(g2)) t(g1 g2)^-1 for each t of W, cells column-major
+    # (t, g2, g1): the outer factors are the same under every action, the
+    # middle one is act[g1, t(g2)]
+    stacked = np.stack(acts)
+    delta_w = np.empty((len(batch), d, m, m), dtype=np.uint8)
+    step = max(1, _CHUNK // (m * m))
+    for lo in range(0, d, step):
+        part = w[lo:lo + step]
+        outer = _mul(hm, part[:, None, :], hinv[part][:, g.table_array.T])
+        delta_w[:, lo:lo + step] = _mul(hm, outer, stacked[:, :, part].transpose(0, 2, 3, 1))
+    counts = [len(x) for x in members]
     # the sort key: the action's number (two bytes, big-endian: a batch holds at
     # most `_BATCH` actions), then the cells column-major
-    keys = np.empty((len(rows), 2 + m * m), dtype=np.uint8)
-    keys[:, :2] = np.repeat(owner, d).astype(">u2")[:, None].view(np.uint8)
-    keys[:, 2:].reshape(-1, m, m)[...] = rows.reshape(-1, m, m).transpose(0, 2, 1)
+    keys = np.empty((sum(counts) * d, 2 + m * m), dtype=np.uint8)
+    keys[:, :2] = np.repeat(np.arange(len(batch), dtype=">u2"), np.multiply(counts, d))[:, None].view(np.uint8)
+    cells = keys[:, 2:].reshape(-1, d, m, m)   # [member, t, g2, g1]
+    # the slice members, cells column-major
+    columns = np.ascontiguousarray(np.concatenate(members).reshape(-1, m, m).transpose(0, 2, 1))[:, None]
+    if cells.size <= _CHUNK:   # one lookup: a batch of small blocks would pay a gather per action
+        cells[...] = _mul(hm, columns, delta_w[np.repeat(np.arange(len(batch)), counts)])
+    else:
+        start = 0
+        for count, delta in zip(counts, delta_w):
+            cells[start:start + count] = _mul(hm, columns[start:start + count], delta)
+            start += count
     order = np.argsort(keys.view(f"V{2 + m * m}").ravel())
-    block, row_tags = rows[order], np.concatenate(tags)[order // d]
+    block = keys.take(order, axis=0)[:, 2:].reshape(-1, m, m).transpose(0, 2, 1).reshape(-1, m * m)
+    row_tags = np.concatenate(tags)[order // d]
     start = 0
-    for alpha, size, orbit in zip(alphas, sizes, orbits):
-        end = start + size * d
+    for alpha, count, orbit in zip(alphas, counts, orbits):
+        end = start + count * d
         yield alpha, block[start:end], row_tags[start:end], orbit
         start = end
 
@@ -1145,6 +1178,7 @@ def _column_order(blocks: "np.ndarray", m: int) -> "np.ndarray":
     """The order that sorts each block of uint8 `blocks` (b, k, |G|^2) by the
     cocycle read column-major: one void-dtype argsort along the rows."""
     b, k, width = blocks.shape
+    # the slice members, cells column-major
     columns = np.ascontiguousarray(blocks.reshape(b, k, m, m).transpose(0, 1, 3, 2))
     return np.argsort(columns.reshape(b, k, width).view(f"V{width}").reshape(b, k), axis=1)
 
@@ -1153,6 +1187,10 @@ def _column_order(blocks: "np.ndarray", m: int) -> "np.ndarray":
 # multiplies slices by delta(W), `_lifted_systems` shifts blocks), so their
 # memory follows one batch, never the stream
 _BATCH = 4096
+# The uint8 gathers work on about this many cells at a time: `_mul` takes a
+# larger gather in flat chunks of this size, so its intp index copy stays one
+# chunk, and `_cocycle_blocks` builds delta(W) in pieces of this size
+_CHUNK = 1 << 16
 
 
 def _algebraic_systems(h: FiniteGroup, g: FiniteGroup):

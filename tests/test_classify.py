@@ -1,6 +1,7 @@
 import heapq
 import importlib
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -34,6 +35,7 @@ from crossedprod.classify import (
     _aut_perms,
     _aut_tables,
     _byte_tables,
+    _CHUNK,
     _engine,
     _engine_schedule,
     _MAX_AUTS,
@@ -46,6 +48,7 @@ from crossedprod.classify import (
     _lifted_systems,
     _linear_slice_classes,
     _lookup,
+    _mul,
     _outer_homomorphisms,
     _reports,
     _system_block,
@@ -1315,6 +1318,51 @@ def test_slice_oracle_z2_is_the_slice_times_delta_w(h, g):
         assert len(members) * len(delta_w) == per_action[alpha]
         product = hm[b0[:, None], delta_w[None]].reshape(-1, m * m)
         assert np.array_equal(np.unique(product, axis=0), _b2_by_definition(h, g, act_rows))
+
+
+# the uint8 gather and the memory of the block builders -----------------------
+
+def test_mul_oracle_chunked_gather_equals_fancy_indexing():
+    # `_mul` is hm[a, b]; a gather of more than `_CHUNK` cells takes into its
+    # output chunk by chunk, so sizes below, at and above the chunk, broadcast
+    # operands, uint8 and intp operands and empty arrays all meet fancy
+    # indexing.  |H| = 256 puts the flat index at the top of uint16
+    rng = np.random.default_rng(0)
+    for h in (S3, cyclic_group(256)):
+        hm = _byte_tables(h)[0]
+        for size in (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3):
+            for dtype in (np.uint8, np.intp):
+                a, b = rng.integers(0, h.order, (2, size)).astype(dtype)
+                for x, y in ((a, b), (a, b.astype(np.uint8)), (a[:, None], b[None, :3]), (a[None, :5], b[:, None])):
+                    got = _mul(hm, x, y)
+                    assert got.dtype == np.uint8 and np.array_equal(got, hm[x, y])
+        # a broadcast onto more than a chunk from two small operands
+        x = rng.integers(0, h.order, (_CHUNK // 64 + 1, 1, 8), dtype=np.uint8)
+        y = rng.integers(0, h.order, (1, 64, 8), dtype=np.uint8)
+        assert np.array_equal(_mul(hm, x, y), hm[x, y])
+        empty = np.zeros((3, 0), dtype=np.uint8)
+        assert _mul(hm, empty, empty[:1]).shape == (3, 0)
+
+
+@pytest.mark.parametrize(
+    "hs,gs,bound_mib",
+    [("cyclic:2", "cyclic:16", 48), ("product(cyclic:2,cyclic:2)", "dihedral:8", 24)],
+)
+def test_system_blocks_peak_memory_is_bounded(hs, gs, bound_mib):
+    # tracemalloc sees numpy's buffers.  Draining the blocks holds about 4.5
+    # bytes per cell of the largest batch: its sort keys, delta(W), and one
+    # action's uint16 index and lookup.  The largest blocks are 8 and 4 MiB,
+    # so an intp copy of a whole index (8 bytes a cell) breaks the bounds
+    h, g = make_group(hs), make_group(gs)
+    _aut_tables(h)   # cached on h, like every table over Aut(H)
+    tracemalloc.start()
+    try:
+        for _ in _system_blocks(h, g, DEFAULT_PAIR_CAP):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2 ** 20
 
 
 # the linear slice against the pinned engine ----------------------------------
