@@ -5,7 +5,7 @@ cocycle and the unit action entry (forced by normalization), then
 backtracks over the cocycle cells of one action, checking every axiom
 instance as soon as its last argument is assigned.  By the first axiom an
 action is a homomorphism G -> Out(H) lifted to Aut(H), so the actions tried
-are the lifts (`_lift_products`) of `enumerate_homomorphisms(G, Out(H))`
+are the lifts (`_lift_products`) of `homomorphism_maps(G, Out(H))`
 (`_outer_homomorphisms`), and each cocycle cell's domain, a coset of Z(H),
 is read from the Inn(H) table cached on H.  Cells are filled
 column-major, which pins most cells immediately from earlier ones and keeps
@@ -68,8 +68,8 @@ from .groups import (
     FiniteGroup,
     automorphism_group,
     automorphism_index,
-    enumerate_homomorphisms,
     generating_sequence,
+    homomorphism_maps,
     identify_group,
     inner_automorphisms,
     is_homomorphism,
@@ -205,7 +205,7 @@ def _outer_homomorphisms(h: FiniteGroup, g: FiniteGroup):
     """`(psis, cosets)`: the homomorphisms psi: G -> Out(H), and Out(H)'s cosets.
 
     `psis` lists each psi as its value table into `out` of `_aut_tables`, in
-    lexicographic order (`enumerate_homomorphisms`), and `cosets[k]` the
+    lexicographic order (`homomorphism_maps`), and `cosets[k]` the
     automorphism indices of coset k of Inn(H) in ascending order.  Cosets
     are numbered in order of their least index, so the order of the psis is
     that of their tuples of least indices.  For abelian H each psi is an
@@ -215,7 +215,7 @@ def _outer_homomorphisms(h: FiniteGroup, g: FiniteGroup):
     cosets: list[list[int]] = [[] for _ in range(out.order)]
     for a, k in enumerate(outer):
         cosets[k].append(a)
-    return [psi.map for psi in enumerate_homomorphisms(g, out)], cosets
+    return homomorphism_maps(g, out), cosets
 
 
 def _lift_products(h: FiniteGroup, g: FiniteGroup) -> list:

@@ -10,6 +10,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from operator import itemgetter
 
 import numpy as np
 
@@ -432,22 +433,37 @@ class Subgroup:
 def closure(g: FiniteGroup, elems) -> tuple[int, ...]:
     """Subgroup generated by `elems`, as a sorted element tuple.
 
-    A breadth-first search from the identity by right multiplication with the
-    non-identity `elems`: in a finite group every element of the subgroup is a
-    positive word in them, so this costs O(|result| * |elems|).
+    Dimino's algorithm (Butler, Fundamental Algorithms for Permutation
+    Groups): the `elems` are taken in turn, and one already in the subgroup K
+    built so far is skipped.  The first, s, gives the cycle s, s^2, ..., 1.
+    Each later one makes <K, s> a union of cosets r K, walked breadth-first
+    from K: each generator t used so far times each coset rep r either lies
+    in a coset already listed or starts a new one, since t (r k) = (t r) k.
+    That is one product per element of the result plus one per rep and
+    generator used, so a conjugacy class costs only its few members that
+    are not yet in the subgroup.
     """
-    gens = set(elems)
-    gens.discard(0)
     table = g.table
     known = {0}
-    queue = [0]
-    for a in queue:  # grows while it is walked: breadth-first
-        row = table[a]
-        for s in gens:
-            c = row[s]
-            if c not in known:
+    gens: list[int] = []
+    for s in elems:
+        if s in known:
+            continue
+        gens.append(s)
+        if len(known) == 1:
+            c = table[0][s]  # s, as the table holds it
+            while c:
                 known.add(c)
-                queue.append(c)
+                c = table[c][s]
+            continue
+        coset = itemgetter(*known)  # r K, read off the row of r
+        reps = [0]  # K itself, whose walk reaches s K first
+        for r in reps:  # grows while it is walked: breadth-first
+            for t in gens:
+                c = table[t][r]
+                if c not in known:
+                    known.update(coset(table[c]))
+                    reps.append(c)
     return tuple(sorted(known))
 
 
@@ -506,9 +522,23 @@ def centralizer(g: FiniteGroup, elems) -> Subgroup:
 
 
 def _product_set(g: FiniteGroup, a, b) -> tuple[int, ...]:
-    """The sorted set {x y : x in a, y in b}; for normal a and b, their join."""
+    """The sorted product set NM of a normal subgroup N = a and a subgroup
+    M = b; for normal M, their join.
+
+    NM = MN is the union of the cosets y N, y in M, and y N = y' N whenever
+    y lies in y' N: so a coset (the row of y read on N) is added only for a
+    y not yet covered, one product per element of the result.  A trivial N
+    gives M itself.
+    """
+    if len(a) == 1:
+        return tuple(sorted(b))
     table = g.table
-    return tuple(sorted({table[x][y] for x in a for y in b}))
+    coset = itemgetter(*a)
+    covered = set(a)
+    for y in b:
+        if y not in covered:
+            covered.update(coset(table[y]))
+    return tuple(sorted(covered))
 
 
 def normal_subgroups(g: FiniteGroup) -> list[Subgroup]:
@@ -518,8 +548,10 @@ def normal_subgroups(g: FiniteGroup) -> list[Subgroup]:
     contains, and the join of normal N and M is the product set NM.  So the
     lattice is the trivial group closed under N -> NM, over the distinct
     closures M of the non-trivial classes that are not inside N (Holt, Eick,
-    O'Brien, Handbook of Computational Group Theory).  The element
-    tuples are cached on the group.
+    O'Brien, Handbook of Computational Group Theory).  Each closure is one
+    `closure` call on its class, and each join NM the union of the cosets
+    y N, y in M (`_product_set`).  The element tuples are cached on the
+    group.
     """
     lattice = g._cache.get("normal")
     if lattice is None:
@@ -541,14 +573,16 @@ def normal_subgroups(g: FiniteGroup) -> list[Subgroup]:
 
 
 def subgroup_as_group(sub: Subgroup) -> tuple[FiniteGroup, Homomorphism]:
-    """Re-index a subgroup as a standalone group plus its inclusion map."""
+    """Re-index a subgroup as a standalone group plus its inclusion map.
+
+    Element k of the new group is the k-th smallest element of the subgroup,
+    so its table is the parent's block on the subgroup's rows and columns,
+    each entry replaced by its rank (`np.searchsorted`).
+    """
     parent = sub.parent
     elems = sub.elements
-    pos = {v: i for i, v in enumerate(elems)}
-    table = [
-        [pos[parent.table[a][b]] for b in elems]
-        for a in elems
-    ]
+    idx = np.array(elems, dtype=np.intp)
+    table = np.searchsorted(idx, parent.table_array[idx[:, None], idx])
     grp = FiniteGroup(f"{parent.name}<{len(elems)}>", table, validate=False)
     incl = Homomorphism(grp, parent, elems)
     return grp, incl
@@ -560,23 +594,14 @@ def quotient(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, Homomorphism]:
         raise NotNormalError("subgroup of a different group")
     if not n.is_normal():
         raise NotNormalError(f"{n.elements} is not normal in {g.name}")
-    members = set(n.elements)
-    coset_of = [-1] * g.order
-    reps: list[int] = []
-    for x in g.elements():
-        if coset_of[x] >= 0:
-            continue
-        idx = len(reps)
-        reps.append(x)
-        for s in members:
-            coset_of[g.mul(x, s)] = idx
-    # element 0 is scanned first, so coset 0 is the subgroup itself
-    table = [
-        [coset_of[g.mul(a, b)] for b in reps]
-        for a in reps
-    ]
-    q = FiniteGroup(f"{g.name}/{len(members)}", table, validate=False)
-    proj = Homomorphism(g, q, tuple(coset_of))
+    # row x of the gather is the coset x N; its least element is its rep,
+    # and cosets are numbered by rep, so coset 0 is the subgroup itself
+    t = g.table_array
+    least = t[:, np.array(n.elements, dtype=np.intp)].min(axis=1)
+    reps = np.unique(least)
+    coset_of = np.searchsorted(reps, least)
+    q = FiniteGroup(f"{g.name}/{n.order}", coset_of[t[reps[:, None], reps]], validate=False)
+    proj = Homomorphism(g, q, tuple(coset_of.tolist()))
     return q, proj
 
 
@@ -715,15 +740,20 @@ def _generator_images(src: FiniteGroup, dst: FiniteGroup, images_of, *, injectiv
         yield tuple(phi)
 
 
-def enumerate_homomorphisms(src: FiniteGroup, dst: FiniteGroup) -> list[Homomorphism]:
-    """All homomorphisms src -> dst, by generator-image backtracking."""
+def homomorphism_maps(src: FiniteGroup, dst: FiniteGroup) -> list[tuple[int, ...]]:
+    """The value tables of all homomorphisms src -> dst, sorted, by
+    generator-image backtracking."""
     src_orders, dst_orders = src.element_orders, dst.element_orders
 
     def images_of(gen: int) -> list[int]:
         return [y for y, k in enumerate(dst_orders) if src_orders[gen] % k == 0]
 
-    results = sorted(_generator_images(src, dst, images_of))
-    return [Homomorphism(src, dst, m) for m in results]
+    return sorted(_generator_images(src, dst, images_of))
+
+
+def enumerate_homomorphisms(src: FiniteGroup, dst: FiniteGroup) -> list[Homomorphism]:
+    """All homomorphisms src -> dst, in the order of `homomorphism_maps`."""
+    return [Homomorphism(src, dst, m) for m in homomorphism_maps(src, dst)]
 
 
 def _isomorphisms(g1: FiniteGroup, g2: FiniteGroup):
@@ -839,15 +869,18 @@ def _permutation_table(perms: "np.ndarray") -> "np.ndarray":
     """The table of the permutations in `perms`, one per row in ascending
     lexicographic order and closed under composition; p q is p after q.
 
-    One gather composes every pair; a lookup by the base-n code of each
-    product (ascending with the rows) ranks it.
+    Each product is ranked by a lookup of its base-n code w . (p q), which
+    ascends with the rows.  Since (p q)[i] = p[q[i]], that code is
+    sum_v p[v] w[q^-1(v)]: one integer matmul of the rows against the
+    weights permuted by every inverse.  (A float64 matmul would be faster
+    on S5 but calls BLAS, whose first call allocates its buffers: about
+    0.3 MB more peak memory in every process that builds one of these.)
     """
     k, n = perms.shape
     weights = n ** np.arange(n - 1, -1, -1)
     rank = np.zeros(n ** n, dtype=np.intp)
     rank[perms @ weights] = np.arange(k)
-    products = perms[np.arange(k)[:, None, None], perms[None, :, :]]  # [p, q, i] = p[q[i]]
-    return rank[products @ weights]
+    return rank[perms @ weights[np.argsort(perms, axis=1)].T]
 
 
 def _permutations(n: int) -> "np.ndarray":

@@ -5,7 +5,7 @@ Morphisms between two products over the same (H, G) correspond to quadruples
 homomorphism, subject to five compatibility conditions.  Only s is assumed
 multiplicative; u is constrained by condition 3 instead.  By that
 correspondence the quadruples are read off Hom(E_A, E_B) of the two products,
-found by `groups.enumerate_homomorphisms`.  The other searches here are calls
+found by `groups.homomorphism_maps`.  The other searches here are calls
 of the shared kernel `groups.backtrack`: one candidate list per unknown value,
 and an `accept` check that tests each condition instance as soon as its
 arguments are assigned.
@@ -25,7 +25,7 @@ from .groups import (
     Homomorphism,
     _completion_triples,
     backtrack,
-    enumerate_homomorphisms,
+    homomorphism_maps,
 )
 from .products import (
     cached_product,
@@ -244,14 +244,14 @@ def morphism_maps(
     g_at = [prodA.encode(0, g) for g in g_grp.elements()]
     pair = prodB.pair_of_index
     results: list[tuple[MorphismQuadruple, tuple[int, ...]]] = []
-    for psi in enumerate_homomorphisms(prodA.group, prodB.group):
-        us = [pair[psi.map[i]] for i in h_at]
-        rv = [pair[psi.map[i]] for i in g_at]
+    for psi in homomorphism_maps(prodA.group, prodB.group):
+        us = [pair[psi[i]] for i in h_at]
+        rv = [pair[psi[i]] for i in g_at]
         s = Homomorphism(h_grp, g_grp, tuple(p[1] for p in us))
         q = MorphismQuadruple(
             tuple(p[0] for p in us), tuple(p[0] for p in rv), tuple(p[1] for p in rv), s
         )
-        results.append((q, psi.map))
+        results.append((q, psi))
     results.sort(key=lambda item: item[0].key())
     return results
 
@@ -436,10 +436,8 @@ def specialize_semidirect_vs_twisted(
     h_triples = _completion_triples(h)
     g_triples = _completion_triples(g)
     reduced: set[tuple] = set()
-    for s_hom in enumerate_homomorphisms(h, g):
-        s = s_hom.map
-        for v_hom in enumerate_homomorphisms(g, g):
-            v = v_hom.map
+    for s in homomorphism_maps(h, g):
+        for v in homomorphism_maps(g, g):
             if any(
                 gm[v[x]][s[y]] != gm[s[act[x][y]]][v[x]]
                 for x in range(m)
@@ -495,10 +493,8 @@ def specialize_crossed_vs_direct(sys: CrossedSystem) -> list[MorphismQuadruple]:
     n, m = h.order, g.order
     g_triples = _completion_triples(g)
     reduced: set[tuple] = set()
-    for s_hom in enumerate_homomorphisms(h, g):
-        s = s_hom.map
-        for u_hom in enumerate_homomorphisms(h, h):
-            u = u_hom.map
+    for s in homomorphism_maps(h, g):
+        for u in homomorphism_maps(h, h):
             v = [0] * m
             r = [0] * m
 
@@ -546,8 +542,7 @@ def find_retraction_pair(
     act = sys.action.perms
     f = sys.cocycle.table
     x_triples = _completion_triples(x)
-    for r_hom in enumerate_homomorphisms(x, sys.g):
-        r = r_hom.map
+    for r in homomorphism_maps(x, sys.g):
         if any(r[v[g]] != g for g in sys.g.elements()):
             continue
         if any(r[u.map[h]] != 0 for h in sys.h.elements()):
@@ -584,7 +579,7 @@ def find_retraction_pair(
         domains = [(0,)] + [sys.h.elements()] * (x.order - 1)
         found = next(backtrack(domains, accept), None)
         if found is not None:
-            return r_hom, found
+            return Homomorphism(x, sys.g, r), found
     return None
 
 
@@ -607,8 +602,7 @@ def find_section_pair(
     fiber: list[list[int]] = [[] for _ in sys.g.elements()]
     for a in x.elements():
         fiber[v.map[a]].append(a)
-    for r_hom in enumerate_homomorphisms(sys.h, x):
-        r = r_hom.map
+    for r in homomorphism_maps(sys.h, x):
         if any(u[r[h]] != h for h in sys.h.elements()):
             continue
         if any(v.map[r[h]] != 0 for h in sys.h.elements()):
@@ -641,5 +635,5 @@ def find_section_pair(
 
         found = next(backtrack(cand_per_g, accept), None)
         if found is not None:
-            return r_hom, found
+            return Homomorphism(sys.h, x, r), found
     return None

@@ -320,6 +320,29 @@ def test_decompose_quaternion(capsys):
     assert doc["tree"]["normal_part"]["order"] == 4
 
 
+# (group, sha256 prefix of `decompose` stdout): the benchmark's four large
+# decompose requests and two small ones, recorded from the lattice that
+# joined normal subgroups by full product sets and closed classes by a
+# breadth-first search over every generator
+DECOMPOSE_DIGESTS = [
+    ("symmetric:5", "5287f5d9eb342b97f5665f0eff1640fa"),
+    ("product(symmetric:3,dihedral:8)", "b4107bb3891e74689fcf32b0359cf4eb"),
+    ("dihedral:64", "fb4d22aff603dadf2dfe44dbd5b268ed"),
+    ("product(cyclic:2,symmetric:4)", "dbea8c27f69604491494ad17eccd27e3"),
+    ("quaternion:8", "73ffd1731e7731f4d3b971348c8ef6fe"),
+    ("cyclic:12", "f4b31901532029d4ada0e19a3bb6b07d"),
+]
+
+
+@pytest.mark.parametrize("group,digest", DECOMPOSE_DIGESTS)
+def test_decompose_stdout_matches_the_recorded_digest(group, digest, capsys):
+    import hashlib
+
+    code, out, _ = run_cli(["decompose", "--group", group], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:32] == digest
+
+
 def test_morphisms_command(tmp_path, capsys):
     triv = {
         "h": "cyclic:2",

@@ -27,6 +27,7 @@ from crossedprod.groups import (
     direct_product,
     enumerate_homomorphisms,
     generating_sequence,
+    homomorphism_maps,
     identify_group,
     inner_automorphisms,
     inverse,
@@ -704,8 +705,11 @@ def test_homomorphisms_match_the_all_pairs_reference():
     groups = SEARCH_GROUPS + [_relabelled(g, 3) for g in SEARCH_GROUPS[8:]]
     for src in groups:
         for dst in groups:
-            homs = [h.map for h in enumerate_homomorphisms(src, dst)]
-            assert homs == _reference_homomorphisms(src, dst), (src.name, dst.name)
+            maps = homomorphism_maps(src, dst)
+            assert maps == _reference_homomorphisms(src, dst), (src.name, dst.name)
+            homs = enumerate_homomorphisms(src, dst)
+            assert [h.map for h in homs] == maps
+            assert all(type(h) is groups_mod.Homomorphism and (h.source, h.target) == (src, dst) for h in homs)
 
 
 @pytest.mark.parametrize("grp", CATALOG, ids=lambda g: g.name)
@@ -743,6 +747,31 @@ def test_closure_matches_the_pairwise_reference_on_random_subsets():
                 assert closure(g, elems) == _pairwise_closure(g, elems)
                 checked += 1
     assert checked == 240
+
+
+def test_closure_oracle_generator_skipping_equals_pairwise_closure():
+    # every conjugacy class, and random generator lists of up to 2 |G|
+    # elements with repeats, so that most of them are already inside the
+    # subgroup built so far and are skipped; also the identity alone and
+    # all of G, forwards and backwards
+    rng = random.Random(29)
+    base = CATALOG + [symmetric_group(5), alternating_group(5)]
+    checked = 0
+    for grp in base:
+        for g in (grp, _relabelled(grp, 5)):
+            lists = [list(cls) for cls in g.conjugacy_classes()]
+            lists += [[0], list(g.elements()), list(reversed(g.elements()))]
+            for _ in range(6):
+                size = rng.randrange(2 * g.order + 1)
+                lists.append([rng.randrange(g.order) for _ in range(size)])
+            for elems in lists:
+                assert closure(g, elems) == _pairwise_closure(g, elems), (g.name, elems)
+                assert closure(g, iter(elems)) == closure(g, tuple(reversed(elems)))
+                # numpy integers in, Python ints out
+                got = closure(g, np.array(elems, dtype=np.intp))
+                assert got == _pairwise_closure(g, elems) and _all_python_ints([got])
+                checked += 1
+    assert checked == 772
 
 
 def _normal_subgroups_by_pairwise_closure(g):
@@ -1350,6 +1379,81 @@ def test_array_cache_matches_the_tuples_and_is_read_only(kind):
     assert renamed.table_array is grp.table_array and renamed == grp
     fresh = table_group(grp.table)
     assert fresh._renamed("R").table_array is fresh.table_array
+
+
+# the dict and loop bodies of `subgroup_as_group` and `quotient`, and the
+# (k, k, n) gather of `_permutation_table`, which the array re-indexing and
+# the code matmul replaced, kept as their oracles
+
+
+def _subgroup_as_group_by_dict(sub):
+    parent = sub.parent
+    elems = sub.elements
+    pos = {v: i for i, v in enumerate(elems)}
+    table = [[pos[parent.table[a][b]] for b in elems] for a in elems]
+    grp = groups_mod.FiniteGroup(f"{parent.name}<{len(elems)}>", table, validate=False)
+    return grp, groups_mod.Homomorphism(grp, parent, elems)
+
+
+def _quotient_by_coset_scan(g, n):
+    members = set(n.elements)
+    coset_of = [-1] * g.order
+    reps = []
+    for x in g.elements():
+        if coset_of[x] >= 0:
+            continue
+        idx = len(reps)
+        reps.append(x)
+        for s in members:
+            coset_of[g.mul(x, s)] = idx
+    table = [[coset_of[g.mul(a, b)] for b in reps] for a in reps]
+    q = groups_mod.FiniteGroup(f"{g.name}/{len(members)}", table, validate=False)
+    return q, groups_mod.Homomorphism(g, q, tuple(coset_of))
+
+
+def _permutation_table_by_gather(perms):
+    k, n = perms.shape
+    weights = n ** np.arange(n - 1, -1, -1)
+    rank = np.zeros(n ** n, dtype=np.intp)
+    rank[perms @ weights] = np.arange(k)
+    products = perms[np.arange(k)[:, None, None], perms[None, :, :]]  # [p, q, i] = p[q[i]]
+    return rank[products @ weights]
+
+
+def _assert_same_group_and_map(got, want):
+    (grp, hom), (ref, ref_hom) = got, want
+    assert (grp.name, grp.order, grp.table) == (ref.name, ref.order, ref.table)
+    assert _all_python_ints(grp.table)
+    assert grp.table_array.dtype == np.intp and np.array_equal(grp.table_array, ref.table_array)
+    assert (hom.source, hom.target, hom.map) == (ref_hom.source, ref_hom.target, ref_hom.map)
+    assert type(hom.map) is tuple and set(map(type, hom.map)) == {int}
+
+
+def test_reindex_oracle_subgroups_and_quotients_match_the_dict_loops():
+    groups = _lattice_groups() + [symmetric_group(n) for n in (1, 2)]
+    groups += [alternating_group(n) for n in (1, 2, 3)]
+    checked = 0
+    for g in groups:
+        for n in normal_subgroups(g):
+            sub, quo = subgroup_as_group(n), quotient(g, n)
+            # each new group holds the re-indexed array, not a rebuild of it
+            assert sub[0]._array is not None and quo[0]._array is not None
+            _assert_same_group_and_map(sub, _subgroup_as_group_by_dict(n))
+            _assert_same_group_and_map(quo, _quotient_by_coset_scan(g, n))
+            checked += 1
+    assert checked == 380
+
+
+def test_permutation_table_oracle_matmul_equals_the_gather():
+    for n in range(1, 6):
+        perms = groups_mod._permutations(n)
+        a, b = np.triu_indices(n, 1)
+        even = perms[(perms[:, a] > perms[:, b]).sum(axis=1) % 2 == 0]
+        for rows, grp in ((perms, symmetric_group(n)), (even, alternating_group(n))):
+            table = groups_mod._permutation_table(rows)
+            want = _permutation_table_by_gather(rows)
+            assert table.dtype == want.dtype == np.intp
+            assert np.array_equal(table, want) and grp.table == tuple(map(tuple, want.tolist()))
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
