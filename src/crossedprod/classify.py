@@ -17,8 +17,8 @@ one orbit under shifts (the source paper's Schreier-type theorem).  The
 engine runs on the first lift of each psi only, and every other lift's
 block is that block shifted by the t with lift = c_t lift0, in numpy
 (`_lifted_systems`).  Abelian H runs no engine.  Its abelian mode (the
-generator-only schedule and its CHAIN steps) stays as the input of the
-gauge slice's equations (`_slice_plan`) and as the tests' oracle.
+generator-only schedule and its CHAIN steps) stays as the tests' oracle
+for the blocks and for the gauge slice's equations (`_slice_plan`).
 
 For abelian H the cocycles of one action form a group Z^2 under the
 pointwise product, and each eq1 class is a coset f B^2 (H^2 = Z^2 / B^2).
@@ -29,10 +29,14 @@ each member tagged by its class, and each action's block is the slice
 times delta(W), sorted into the engine's order, each row carrying its
 member's tag (`_algebraic_systems`); B^2 itself is never built.  No search
 runs: for cyclic G the slice and its classes have a closed form (carry
-cocycles over H^psi, classes H^psi / N(H)); for any other G the slice is
-the kernel of the cocycle equations, solved per prime over Z/p^a by a
-Howell form (`_linear_slice_classes`).  `classify` reads eq1 off the tags,
-and the block stream takes this path for every abelian pair with |G| > 1.
+cocycles over H^psi, classes H^psi / N(H)).  For any other G the slice is
+the set of solutions of the cocycle equations in its free cells: a small
+pair fills in every value of them and keeps the rows on which every
+equation holds (`_enumerated_slice_classes`), and a larger one solves the
+equations per prime over Z/p^a by a Howell form, the slices and classes of
+a batch of actions built in the same arrays (`_linear_slice_classes`).
+`classify` reads eq1 off the tags, and the block stream takes this path
+for every abelian pair with |G| > 1.
 
 The array paths read each group's cached table arrays (`table_array`,
 `inverse_array`), and the uint8 value gathers one uint8 copy of H's tables
@@ -55,8 +59,10 @@ relabellings.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -723,25 +729,28 @@ def _all_shifts(n: int, m: int) -> "np.ndarray":
 
 
 def _gauge_tree(g: FiniteGroup) -> tuple[list[int], list[tuple[int, int, int]]]:
-    """A BFS spanning tree of G's Cayley graph over `generating_sequence(g)`.
+    """A BFS spanning tree of G's Cayley graph over `generating_sequence(g)`, cached on g.
 
     Returns `(gens, edges)`: the generators are the depth-1 elements, and
     every element x at depth >= 2 has one edge (x, p, s) with x = p s, p != 1
     at depth one less and s a generator, listed in BFS order.
     """
-    gens = generating_sequence(g)
-    gm = g.table
-    seen = {0, *gens}
-    order = list(gens)
-    edges: list[tuple[int, int, int]] = []
-    for p in order:  # grows while it is walked: breadth-first
-        for s in gens:
-            x = gm[p][s]
-            if x not in seen:
-                seen.add(x)
-                order.append(x)
-                edges.append((x, p, s))
-    return gens, edges
+    tree = g._cache.get("gauge_tree")
+    if tree is None:
+        gens = generating_sequence(g)
+        gm = g.table
+        seen = {0, *gens}
+        order = list(gens)
+        edges: list[tuple[int, int, int]] = []
+        for p in order:  # grows while it is walked: breadth-first
+            for s in gens:
+                x = gm[p][s]
+                if x not in seen:
+                    seen.add(x)
+                    order.append(x)
+                    edges.append((x, p, s))
+        tree = g._cache["gauge_tree"] = (gens, edges)
+    return tree
 
 
 def _gauge_shifts(h: FiniteGroup, acts, gens, edges) -> "np.ndarray":
@@ -753,7 +762,8 @@ def _gauge_shifts(h: FiniteGroup, acts, gens, edges) -> "np.ndarray":
     (p, s), so for abelian H they move a cocycle of the gauge slice only
     within the slice.  `acts` holds the uint8 value rows (A, |G|, |H|) of
     the actions; map k takes digit j of k in base |H| on generator j
-    (`_all_shifts`) under every action.
+    (`_all_shifts`) under every action.  The edges of one depth of the tree
+    are filled at once.
     """
     count, m, n = acts.shape
     hm = _byte_tables(h)[0]
@@ -761,8 +771,17 @@ def _gauge_shifts(h: FiniteGroup, acts, gens, edges) -> "np.ndarray":
     values = _all_shifts(n, len(gens) + 1)[:, 1:]
     t = np.zeros((count, len(values), m), dtype=np.uint8)
     t[:, :, gens] = values
-    for (x, p, s) in edges:
-        t[:, :, x] = _mul(hm, t[:, :, p], rows[np.arange(count)[:, None], p * n + t[:, :, s]])
+    depth = dict.fromkeys(gens, 1)
+    levels: list[list[tuple[int, int, int]]] = []
+    for (x, p, s) in edges:   # breadth-first: each depth in one run
+        depth[x] = depth[p] + 1
+        if depth[x] > len(levels) + 1:
+            levels.append([])
+        levels[-1].append((x, p, s))
+    every = np.arange(count)[:, None, None]
+    for level in levels:
+        x, p, s = np.array(level).T
+        t[:, :, x] = _mul(hm, t[:, :, p], rows[every, p * n + t[:, :, s]])
     return t
 
 
@@ -781,9 +800,13 @@ def _gauge_slice_classes(h: FiniteGroup, g: FiniteGroup):
     coset f B0.  `orbit` is |B^2| of the action, the size of every class:
     B^2 is the image of the |H|^(|G|-1) maps t, and its kernel Z^1 lies in
     T0, so |B^2| = |H|^(|G|-1-#generators) |B0|.  Cyclic G (one generator)
-    reads the classes off in closed form (`_cyclic_slice_classes`); any
-    other G solves the cocycle equations by linear algebra
-    (`_linear_slice_classes`).
+    reads the classes off in closed form (`_cyclic_slice_classes`).  On any
+    other G, a pair whose residuals, one per check of `_slice_plan` for
+    every value of its free cells under every action, fit one `_CHUNK` of
+    cells is enumerated (`_enumerated_slice_classes`), and a larger one
+    solves the cocycle equations by linear algebra
+    (`_linear_slice_classes`): on fresh pairs the enumeration was the faster
+    of the two up to about 1.5 chunks (CHANGES.md).
     """
     # The closed form stays for cyclic G: with the Howell form on cyclic G
     # too, the `holder-sweep` benchmark's `wall_s` went 0.082 -> 0.176 s and
@@ -791,7 +814,12 @@ def _gauge_slice_classes(h: FiniteGroup, g: FiniteGroup):
     gens = generating_sequence(g)
     if len(gens) == 1:
         return _cyclic_slice_classes(h, g, gens[0])
-    return _linear_slice_classes(h, g)
+    alphas = _outer_homomorphisms(h, g)[0]
+    if h.order > 1:
+        free, _, (_, g1) = _slice_plan(g)
+        if len(alphas) * h.order ** len(free) * len(g1) <= _CHUNK:
+            return _enumerated_slice_classes(h, g, alphas)
+    return _linear_slice_classes(h, g, alphas)
 
 
 def _cyclic_slice_classes(h: FiniteGroup, g: FiniteGroup, b: int):
@@ -902,156 +930,214 @@ def _powers(h: FiniteGroup, e: int) -> list[int]:
 def _slice_plan(g: FiniteGroup):
     """`(free, levels, checks)`: the gauge slice's cocycle equations on G, cached on g.
 
-    Read off the engine's schedule for abelian H (`_engine_schedule`), whose
-    instances (g1, g2, g3) have a generator as g3, with the unit on the tree
-    cells of `_gauge_tree(g)`.  `free` holds the flat positions of the cells
-    that no instance derives and that are off the tree, in cell order: the
-    slice's unknowns.  Every other cell off the unit row and column is
-    derived, a function of earlier cells.  `levels` groups the derived cells
-    by depth (one deeper than the deepest derived cell they read), so one
-    level is filled at once (`_slice_fill`): per level `(cells, quad, g1,
-    after)`, the cells' flat positions, the flat positions (4, L) of the
-    deriving instance's cells A, B, C, D, its g1, and 3 g1 + kind, kind the
-    map that turns the instance's residual into the cell (0: inverse, 1:
-    g1^-1, 2: itself).  `checks` is `(quad, g1)` of every other instance,
-    each of which must hold; a derived tree cell adds the instance on
-    (cell, 1, 1, 1) with g1 = 1, which holds exactly when the cell is the
-    unit.
+    The equations are the engine's for abelian H, with the unit on the tree
+    cells of `_gauge_tree(g)`, listed here without compiling the engine's
+    schedule (`_engine_schedule`, the tests' oracle of this plan).  The
+    cells (g1, g2) off the unit row and column are numbered column-major,
+    and an instance (g1, g2, g3), g3 a generator,
+    f(g1, g2) f(g1 g2, g3) = g1(f(g2, g3)) f(g1, g2 g3), is listed at the
+    highest-numbered of its four cells, in (g1, g2, g3) order; the first
+    instance listed at a cell that holds the cell once derives it.  `free`
+    holds the flat positions g1 |G| + g2 of the cells that no instance
+    derives and that are off the tree, in cell order: the slice's unknowns.
+    Every other cell off the unit row and column is derived, a function of
+    earlier cells.  `levels` groups the derived cells by depth (one deeper
+    than the deepest derived cell they read), so one level is filled at
+    once (`_slice_fill`): per level `(cells, quad, g1, after)`, the cells'
+    flat positions, the flat positions (4, L) of the deriving instance's
+    cells A, B, C, D, its g1, and 3 g1 + kind, kind the map that turns the
+    instance's residual into the cell (0: inverse, 1: g1^-1, 2: itself).
+    `checks` is `(quad, g1)` of every other instance, each of which must
+    hold, in the order they are listed; a derived tree cell adds, after its
+    own, the instance on (cell, 1, 1, 1) with g1 = 1, which holds exactly
+    when the cell is the unit.  The plan is a few Python loops over the
+    |G|^2 |generators| instances: on fresh groups of order 4-8, which the
+    benchmark's abelian pairs use, that cost 23-90 us against about 70-105
+    us for the same work as numpy calls (on D16, 380 against 194 us).
     """
     plan = g._cache.get("slice_plan")
     if plan is None:
         m = g.order
-        flat, derive_info, rest_info = _engine_schedule(g, True)
+        gm = g.table
+        gens = generating_sequence(g)
         tree = {p * m + s for (_, p, s) in _gauge_tree(g)[1]}
+        number = [-1] * (m * m)   # cell number by flat position, -1 off the cells
+        flat = []
+        for g2 in range(1, m):
+            for g1 in range(1, m):
+                number[g1 * m + g2] = len(flat)
+                flat.append(g1 * m + g2)
+        listed = [[] for _ in flat]
+        for g1 in range(1, m):
+            row1, base1 = gm[g1], g1 * m
+            for g2 in range(1, m):
+                iA, b12, base2, row2 = base1 + g2, row1[g2] * m, g2 * m, gm[g2]
+                for g3 in gens:
+                    iB, iC, iD = b12 + g3, base2 + g3, base1 + row2[g3]
+                    listed[max(number[iA], number[iB], number[iC], number[iD])].append((iA, iB, iC, iD, g1))
         free, checks, by_depth = [], [], []
         depth = [0] * (m * m)
-        for i, derive, rest in zip(flat, derive_info, rest_info):
-            checks += rest
+        for i, insts in zip(flat, listed):
+            derive = None
+            for inst in insts:
+                # the cells A = (g1, g2) and C = (g2, g3) coincide at
+                # g1 = g2 = g3; no other two cells of an instance do
+                if derive is None and not inst[0] == inst[2] == i:
+                    derive = inst
+                else:
+                    checks.extend(inst)
             if derive is None:
                 if i not in tree:
                     free.append(i)
                 continue
-            mode, iA, iB, iC, iD, g1 = derive
+            iA, iB, iC, iD, g1 = derive
+            kind = 0 if i in (iA, iB) else 1 if i == iC else 2
             d = depth[i] = 1 + max(depth[iA], depth[iB], depth[iC], depth[iD])   # depth[i] is still 0
             if d > len(by_depth):
                 by_depth.append([])
-            by_depth[d - 1].append((i, iA, iB, iC, iD, g1, 3 * g1 + (mode >= 2) + (mode == 3)))
+            by_depth[d - 1].extend((i, iA, iB, iC, iD, g1, 3 * g1 + kind))
             if i in tree:
-                checks.append((i, 0, 0, 0, 0))
+                checks.extend((i, 0, 0, 0, 0))
         levels = [
-            (level[:, 0], level[:, 1:5].T, level[:, 5], level[:, 6])
-            for level in (np.array(cells, dtype=np.intp) for cells in by_depth)
+            (level[0], level[1:5], level[5], level[6])
+            for level in (np.array(cells, dtype=np.intp).reshape(-1, 7).T for cells in by_depth)
         ]
-        checks = np.array(checks, dtype=np.intp).reshape(-1, 5)
-        plan = (np.array(free, dtype=np.intp), levels, (checks[:, :4].T, checks[:, 4]))
+        checks = np.array(checks, dtype=np.intp).reshape(-1, 5).T
+        plan = (np.array(free, dtype=np.intp), levels, (checks[:4], checks[4]))
         g._cache["slice_plan"] = plan
     return plan
 
 
 def _slice_fill(h: FiniteGroup, acts, which, levels, rows) -> "np.ndarray":
-    """uint8 `rows` (k, |G|^2), the unit off the free cells, with every
-    derived cell of `_slice_plan` filled in, level by level (in place).
+    """intp `rows` (k, |G|^2) of H's elements, the unit off the free cells,
+    with every derived cell of `_slice_plan` filled in, level by level (in
+    place).
 
-    Row j is read under the action `acts[which[j]]` (`acts`: uint8 value
+    Row j is read under the action `acts[which[j]]` (`acts`: intp value
     rows (A, |G|, |H|)).  A derived cell is the one unknown of its instance
     f(g1, g2) f(g1 g2, g3) = g1(f(g2, g3)) f(g1, g2 g3); with the cell still
     at the unit, the instance's residual A B (g1(C) D)^-1 (`_residual`) is
     the cell's inverse (modes 0, 1), g1 of the cell (mode 2) or the cell
     (mode 3), read off one table per (action, g1) of those three maps.
     """
+    if not levels:
+        return rows
     count, m, n = acts.shape
-    after = np.empty((count, m, 3, n), dtype=np.uint8)
-    after[:, :, 0] = _byte_tables(h)[1]
+    after = np.empty((count, m, 3, n), dtype=np.intp)
+    after[:, :, 0] = h.inverse_array
     after[:, :, 1] = np.argsort(acts, axis=2)
     after[:, :, 2] = np.arange(n)
     after = after.ravel()
     base = which[:, None] * (m * n)
+    base3 = 3 * base
     for (i, quad, g1, table) in levels:
         value = _residual(h, acts, base + g1 * n, rows[:, quad])
-        rows[:, i] = after.take(3 * base + table * n + value)
+        value += base3
+        value += table * n
+        rows[:, i] = after.take(value)
     return rows
 
 
 def _residual(h: FiniteGroup, acts, at, quads) -> "np.ndarray":
-    """A B (g1(C) D)^-1 of instances on uint8 `quads` (k, 4, E), their cells
+    """A B (g1(C) D)^-1 of instances on intp `quads` (k, 4, E), their cells
     (A, B, C, D) gathered from k rows; the unit where an instance holds.
     `at` (k, E) is the offset of g1's value row of each row's action in
-    `acts.ravel()` (`_slice_fill`)."""
-    hm, hinv = _byte_tables(h)
+    `acts.ravel()` (`_slice_fill`).  It is x y^-1 for x = A B and
+    y = g1(C) D; each product and quotient is a take on a flat table at
+    x |H| + y (`_flat_tables`), all in intp: fancy indexing by two
+    small-integer arrays costs about twice as much per call."""
+    n = h.order
+    product, quotient = _flat_tables(h)
     a, b, c, d = quads.transpose(1, 0, 2)
-    return hm[hm[a, b], hinv[hm[acts.ravel().take(at + c), d]]]
+    right = acts.ravel().take(at + c)
+    right *= n
+    right += d
+    left = product.take(a * n + b)
+    left *= n
+    left += product.take(right)
+    return quotient.take(left)
 
 
-def _howell_kernels(mats: "np.ndarray", p: int, q: int) -> list:
-    """Per matrix M of `mats` (A, k, E), the generators of {c : c M = 0 (mod q)},
-    q = p^a, one per row of an intp array (r, k).
+def _flat_tables(h: FiniteGroup):
+    """`(product, quotient)`: x y and x y^-1 at x |H| + y, flat intp arrays
+    cached on h, the tables of `_residual`."""
+    tables = h._cache.get("flat_tables")
+    if tables is None:
+        t = h.table_array
+        tables = h._cache["flat_tables"] = (t.ravel(), t[:, h.inverse_array].ravel())
+    return tables
 
-    Each [M | 1] is brought to Howell form over Z/q (Storjohann and Mulders,
-    *Fast algorithms for linear algebra modulo N*, ESA 1998), all A at once.
-    Z/q is a chain ring, so a pivot is the entry of least p-valuation in the
-    first column with an entry left, scaled to a power p^v, and clears the
-    rest of its column.  Unless q is prime, the pivot row times p^(a - v),
-    which vanishes on the pivot column, joins the rows still to be reduced.
-    Then the rows that are zero on M's columns span every row of the module
-    that is, so their right-hand parts span the kernel.
+
+@functools.lru_cache(maxsize=None)
+def _chain_ring(p: int, q: int):
+    """`(valuation, step, unit_inverse, annihilator)` over Z/q, q = p^a, one
+    entry per x in Z/q: its p-valuation v (q at 0, which no pivot takes),
+    p^v, the inverse of the unit x / p^v, and p^(a - v) (1 at 0)."""
+    valuation = [q] + [next(v for v in range(q) if x % p ** (v + 1)) for x in range(1, q)]
+    step = [1] + [p ** v for v in valuation[1:]]
+    unit_inverse = [pow(x // step[x], -1, q) if x else 1 for x in range(q)]
+    annihilator = [q // s if x else 1 for x, s in enumerate(step)]
+    return tuple(np.array(t) for t in (valuation, step, unit_inverse, annihilator))
+
+
+def _kernel_bases(mats: "np.ndarray", p: int, q: int, moduli) -> tuple["np.ndarray", "np.ndarray"]:
+    """`(kernel, orders)`: per matrix M of `mats` (A, k, E), the module
+    {c : c M = 0 (mod q)}, q = p^a, with unique coordinates.
+
+    Unknown i is taken mod moduli[i], a power of p dividing q, and row i of
+    each M times moduli[i] must vanish mod q.  Every such c is
+    sum_i x_i kernel[a, i] (mod moduli) for exactly one x with
+    0 <= x_i < orders[a, i]; kernel is an intp array (A, R, k), and a row of
+    order 1 takes no digit.  Each [M | D], D the diagonal of q / moduli, is
+    reduced to Howell form over Z/q (Storjohann and Mulders, *Fast
+    algorithms for linear algebra modulo N*, ESA 1998), all A at once, one
+    pivot of each matrix per pass.  Z/q is a
+    chain ring, so a pivot is the entry of least p-valuation in the first
+    column with an entry left, scaled to a power p^v, and clears the rest of
+    its column; its row leaves the rows still to be reduced and is replaced
+    by itself times p^(a - v), which vanishes on the pivot column (the zero
+    row when q is prime).  Over the field Z/p the rows that are zero on M's
+    columns are a basis of the kernel, so the reduction stops there.  Unless
+    q is prime it runs over the identity's columns too: the pivot rows that
+    are zero on M then form a Howell basis of the kernel, its pivots p^v in
+    increasing columns, and the coordinates x_i < p^(a - v) are unique.
+    The right-hand part of a row of [M | D] zero on M is (q / moduli) c for
+    a kernel member c, so dividing by q / moduli reads c, and c and
+    c + moduli_i e_i, one member, have one right-hand part.
     """
     count, rows, width = mats.shape
-    work = np.zeros((count, rows, width + rows), dtype=np.int64)
+    span = width if q == p else width + rows
+    valuation, step, unit_inverse, annihilator = _chain_ring(p, q)
+    work = np.zeros((count, rows, width + rows), dtype=np.intp)
     work[:, :, :width] = mats % q
-    work[:, :, width:] = np.eye(rows, dtype=np.int64)
-    # per entry x of Z/q: its p-valuation v (q at 0, which no pivot takes), p^v,
-    # and the inverse of the unit x / p^v
-    valuation = [q] + [next(v for v in range(q) if x % p ** (v + 1)) for x in range(1, q)]
-    step = np.array([1] + [p ** v for v in valuation[1:]])
-    unit_inverse = np.array([pow(x // int(step[x]), -1, q) if x else 1 for x in range(q)])
-    valuation = np.array(valuation)
+    work[:, np.arange(rows), width + np.arange(rows)] = q // moduli
     every = np.arange(count)
-    r = 0
-    while True:
-        rest = work[:, r:]
-        live = rest[:, :, :width].any(axis=1)
-        if not live.any():
-            break
-        column = rest[every, :, live.argmax(axis=1)]   # an exhausted matrix reads zeros: no change
+    kernel, orders = [np.zeros((count, 0, rows), dtype=np.intp)], [np.zeros((count, 0), dtype=np.intp)]
+    for _ in range(span):   # each pass takes one pivot column of each matrix, in increasing columns
+        col = np.logical_or.reduce(work[:, :, :span], axis=1).argmax(axis=1)
+        column = work[every, :, col]
         i = valuation[column].argmin(axis=1)
-        entry = column[every, i]
-        pivot = rest[every, i] * unit_inverse[entry][:, None] % q
-        if q > p:   # the pivot is p^v, and its column holds multiples of p^v
-            column //= step[entry][:, None]
-        rest -= column[:, :, None] * pivot[:, None]
-        rest %= q
-        rest[every, i] = rest[:, 0]   # the pivot's own row is now zero
-        rest[:, 0] = pivot
+        entry = column[every, i]   # 0 once a matrix is reduced: then nothing changes
+        if not np.count_nonzero(entry):
+            break
+        pivot = work[every, i] * unit_inverse[entry, None] % q
         if q > p:
-            work = np.concatenate([work, (pivot * (q // step[entry])[:, None] % q)[:, None]], axis=1)
-        r += 1
-    kept = ~work[:, :, :width].any(axis=2) & work[:, :, width:].any(axis=2)
-    return [block[mask, width:] for block, mask in zip(work, kept)]
+            column //= step[entry, None]
+            kernel.append(pivot[:, None, width:])
+            orders.append(np.where(col >= width, annihilator[entry], 1)[:, None])
+        work -= column[:, :, None] * pivot[:, None]
+        work %= q
+        work[every, i] = pivot * annihilator[entry, None] % q
+    rest = work[:, :, width:]
+    kernel[0], orders[0] = rest, np.where(np.logical_or.reduce(rest, axis=2), q, 1)
+    if q == p:
+        return rest, orders[0]
+    return np.concatenate(kernel, axis=1) // (q // moduli), np.concatenate(orders, axis=1)
 
 
-def _closure(hm: "np.ndarray", group: "np.ndarray", generators) -> "np.ndarray":
-    """The group that the uint8 rows `generators` generate over `group`.
-
-    `group` (uint8 rows, the unit first) is a subgroup of the pointwise
-    product over H's uint8 table `hm`.  Each generator c adjoins the cosets
-    group c^k up to the first power of c already in the group, so memory
-    follows the result.  Each coset group c^k, k > 0, lies outside the group
-    before it and holds whole cosets of the first `group`, in runs: member i
-    lies in coset i // len(group) of the first group.
-    """
-    for c in generators:
-        cosets = [group]
-        step = hm[group, c]
-        while not (group == step[0]).all(axis=1).any():
-            cosets.append(step)
-            step = hm[step, c]
-        if len(cosets) > 1:
-            group = np.concatenate(cosets)
-    return group
-
-
-def _linear_slice_classes(h: FiniteGroup, g: FiniteGroup):
-    """`_gauge_slice_classes` for any G, by linear algebra over Z/p^a.
+def _linear_slice_classes(h: FiniteGroup, g: FiniteGroup, alphas):
+    """`_gauge_slice_classes` for any G and the actions `alphas`, by linear
+    algebra over Z/p^a (the path of the pairs too large to enumerate).
 
     H is a sum of cyclic groups Z/p^a (`_abelian_coordinates`), a cocycle a
     vector over them, and the gauge slice the solutions of the cocycle
@@ -1061,50 +1147,243 @@ def _linear_slice_classes(h: FiniteGroup, g: FiniteGroup):
     function of earlier cells, and every equation is linear in them:
     filling the derived cells of each basis vector (e_i of the p-part on
     one free cell) gives every equation's value on it (`_slice_fill`,
-    `_residual`), and the kernel of those values (`_howell_kernels`) gives
-    the slice's generators.  A kernel vector c stands for the slice cocycle
-    sum c_j (basis vector j), read off the filled basis vectors in
-    coordinates.  H = 1 has no p-part: its slice is the unit cocycle.  The
-    T0-orbit of a slice cocycle f is f B0, B0 the coboundaries of the maps
-    of T0 (`_gauge_shifts`, `_shift_factors`), and the slice is built over
-    B0 (`_closure`), so each run of |B0| members is a class.  The slice is
-    sorted by the cocycle read column-major, which is the engine's order,
-    and its classes numbered in order of first appearance.  Every action is
-    filled, solved and shifted in the same arrays; only the closure runs per
-    action.
+    `_residual`), and the kernel of those values (`_kernel_bases`) is the
+    p-part of the slice, each member one sum of the kernel's rows with one
+    digit per row.  Each kernel row, times the filled basis vectors in
+    coordinates, is a slice cocycle; the rows of every p-part together give
+    the whole slice, digit by digit.  H = 1 has no p-part and builds no
+    plan: its slice is the unit cocycle.  Every action is filled and solved
+    in the same arrays, and the members and classes of a batch of actions,
+    about `_BATCH` members, are built at once (`_slice_batch`).
+    """
+    n, m = h.order, g.order
+    basis, degrees, coords, _, primes = _abelian_coordinates(h)
+    acts = _aut_perms(h)[np.array(alphas, dtype=np.intp)]
+    count = len(alphas)
+    if not primes:   # H = 1: each slice is the unit cocycle alone, and B^2 = 1
+        for alpha, act in zip(alphas, acts):
+            yield alpha, act, np.zeros((1, m * m), dtype=np.uint8), np.zeros(1, dtype=np.intp), 1
+        return
+    free, levels, (quad, g1) = _slice_plan(g)
+    cocycles, orders = [], []
+    wide = acts.astype(np.intp)
+    k = len(free)
+    for (p, q, idx) in primes:
+        r = len(idx)
+        # row (a k + v) r + i: e_i of the p-part on free cell v, the unit elsewhere, under action a
+        seeds = np.zeros((count, k, r, m * m), dtype=np.intp)
+        seeds[:, np.arange(k)[:, None], np.arange(r), free[:, None]] = basis[idx]
+        which = np.repeat(np.arange(count), k * r)
+        filled = _slice_fill(h, wide, which, levels, seeds.reshape(-1, m * m))
+        values = coords[_residual(h, wide, (which[:, None] * m + g1) * n, filled[:, quad])][..., idx]
+        mats = (values * (q // degrees[idx])).reshape(count, k * r, len(g1) * r)   # equation e, coordinate j at e r + j
+        kernel, order = _kernel_bases(mats, p, q, np.tile(degrees[idx], k))
+        # each kernel row's cocycle, in H's coordinates: the p-parts' coordinates are disjoint
+        rows = np.zeros((count, len(order[0]), m * m, len(basis)), dtype=np.intp)
+        sums = kernel @ coords[filled][..., idx].reshape(count, k * r, m * m * r)
+        rows[..., idx] = sums.reshape(rows.shape[:3] + (r,))
+        cocycles.append(rows)
+        orders.append(order)
+    cocycle, order = (x[0] if len(x) == 1 else np.concatenate(x, axis=1) for x in (cocycles, orders))
+    sizes = [math.prod(x) for x in order.tolist()]
+    start = 0
+    while start < count:
+        end, total = start + 1, sizes[start]
+        while end < count and total + sizes[end] <= _BATCH:
+            total += sizes[end]
+            end += 1
+        batch = slice(start, end)
+        yield from _slice_batch(h, g, alphas[batch], acts[batch], cocycle[batch], order[batch], free)
+        start = end
+
+
+def _enumerated_slice_classes(h: FiniteGroup, g: FiniteGroup, alphas):
+    """`_gauge_slice_classes` for any G and the actions `alphas`, by checking
+    every value of the free cells.
+
+    The slice of an action is the set of assignments of H's elements to
+    the k free cells of `_slice_plan` whose filled-in cocycle
+    (`_slice_fill`) passes every check (`_residual` the unit).  For abelian
+    H the fill and the residuals are homomorphisms of the free cells'
+    values, so the free cells are split in two halves, only the |H|^(k/2)
+    assignments of each half (the unit on the other) are filled in, under
+    every action at once, and the residuals of an assignment are the
+    product of its halves' residuals, the unit where the second half's are
+    the first's inverses: one comparison checks all |H|^k.  The
+    assignments are numbered with the first free cell most significant, so
+    each slice comes in the engine's order with no sort (two members first
+    differ on a free cell), and a member's position is read off the number
+    its free cells spell in base |H|: each member times the coboundary of
+    every map of T0 (B0 on the free cells, `_free_coboundaries`) is found by
+    one gather, the least position found is its class's first member,
+    and the slice size over the class count is |B0|.  No coordinates of H,
+    kernel or sort are needed, but the gather grows with |H|^k, so
+    `_gauge_slice_classes` takes this path only on pairs whose |H|^k
+    residuals of every check under every action fit one `_CHUNK` of cells.
     """
     n, m = h.order, g.order
     hm = _byte_tables(h)[0]
-    basis, degrees, coords, (labels, strides), primes = _abelian_coordinates(h)
-    gens, edges = _gauge_tree(g)
-    alphas = _outer_homomorphisms(h, g)[0]
-    alpha_rows = np.array(alphas, dtype=np.intp)
-    acts = _aut_perms(h)[alpha_rows]
-    count = len(alphas)
-    generators = [[] for _ in alphas]   # per action, per prime: the slice's generators
-    for (p, q, idx) in primes:
-        free, levels, (quad, g1) = _slice_plan(g)   # in the loop: H = 1 builds no plan
-        k, r = len(free), len(idx)
-        # row (a k + v) r + i: e_i of the p-part on free cell v, the unit elsewhere, under action a
-        seeds = np.zeros((count, k, r, m * m), dtype=np.uint8)
-        seeds[:, np.arange(k)[:, None], np.arange(r), free[:, None]] = basis[idx]
-        which = np.repeat(np.arange(count), k * r)
-        filled = _slice_fill(h, acts, which, levels, seeds.reshape(-1, m * m))
-        values = coords[_residual(h, acts, (which[:, None] * m + g1) * n, filled[:, quad])][..., idx]
-        mats = (values * (q // degrees[idx])).reshape(count, k * r, len(g1) * r)   # equation e, coordinate j at e r + j
-        filled = coords[filled][..., idx].reshape(count, k * r, m * m * r)
-        for a, kernel in enumerate(_howell_kernels(mats, p, q)):
-            digits = (kernel @ filled[a]).reshape(len(kernel), m * m, r) % degrees[idx]
-            generators[a].append(labels[digits @ strides[idx]])
-    t = _gauge_shifts(h, acts, gens, edges)
-    left, right = _shift_factors(h, g, _aut_perms(h), np.repeat(alpha_rows, t.shape[1], axis=0), t.reshape(-1, m))
-    shifts = _mul(hm, left, right).reshape(count, -1, m * m)   # the coboundary of each map of T0
-    for a in range(count):
-        b0 = np.unique(_key_view(shifts[a])).view(np.uint8).reshape(-1, m * m)   # ascending: the unit first
-        members = _closure(hm, b0, itertools.chain.from_iterable(generators[a]))
-        order = _column_order(members[None], m)[0]
-        orbit = n ** (m - 1 - len(gens)) * len(b0)
-        yield alphas[a], acts[a], members[order], _by_first_appearance(order // len(b0)), orbit
+    acts = _aut_perms(h)[np.array(alphas, dtype=np.intp)]
+    free, levels, (quad, g1) = _slice_plan(g)
+    count, k = len(alphas), len(free)
+    # an assignment is the product of one assignment of each half of the
+    # free cells, the unit on the other half; the fill and the checks are
+    # homomorphisms of the free cells' values (H is abelian), so only the
+    # halves are filled, and an assignment's residuals are its halves'
+    # residuals multiplied
+    k1 = k - k // 2
+    first, second = n ** k1, n ** (k - k1)
+    place = n ** np.arange(k - 1, -1, -1)
+    seeds = np.zeros((count, first + second, m * m), dtype=np.intp)
+    seeds[:, :first, free[:k1]] = np.arange(first)[:, None] // place[k - k1:] % n
+    seeds[:, first:, free[k1:]] = np.arange(second)[:, None] // place[k1:] % n
+    which = np.repeat(np.arange(count), first + second)
+    wide = acts.astype(np.intp)
+    filled = _slice_fill(h, wide, which, levels, seeds.reshape(-1, m * m))
+    residual = _residual(h, wide, (which[:, None] * m + g1) * n, filled[:, quad]).reshape(count, first + second, -1)
+    # two halves' residuals multiply to the unit where the second's are the first's inverses
+    held = (h.inverse_array.take(residual[:, :first, None]) == residual[:, None, first:]).all(axis=3)
+    action_of, i, j = held.nonzero()   # assignment i of the first half times j of the second
+    number = (action_of * first + i) * second + j   # action a n^k + the digits the free cells spell
+    halves = filled.reshape(count, first + second, m * m)
+    rows = _flat_tables(h)[0].take(halves[action_of, i] * n + halves[action_of, first + j]).astype(np.uint8)
+    total = len(number)
+    position = np.full(count * n ** k, -1, dtype=np.intp)
+    position[number] = np.arange(total)
+    b0 = _free_coboundaries(h, g, acts, free)
+    members = rows[:, free]
+    least = np.empty(total, dtype=np.intp)
+    step = max(1, _CHUNK // (max(k, 1) * b0.shape[1]))
+    for lo in range(0, total, step):
+        owner = action_of[lo:lo + step]
+        found = position[owner[:, None] * n ** k + hm[members[lo:lo + step, None], b0[owner]] @ place]
+        least[lo:lo + step] = found.min(axis=1)
+    if least.min(initial=0) < 0:
+        raise InternalInvariantError("a coboundary of T0 left the gauge slice")
+    return _tagged_slices(h, g, alphas, acts, rows, action_of, least)
+
+
+def _free_coboundaries(h: FiniteGroup, g: FiniteGroup, acts, free) -> "np.ndarray":
+    """B0 on the `free` cells: uint8 (A, |T0|, k), the coboundary
+    t(g1) g1(t(g2)) t(g1 g2)^-1 at each free cell (g1, g2) of every map t of
+    T0 (`_gauge_shifts`) under each of the A actions `acts`."""
+    hm, hinv = _byte_tables(h)
+    t = _gauge_shifts(h, acts, *_gauge_tree(g))
+    g1, g2 = np.divmod(free, g.order)
+    moved = acts[np.arange(len(acts))[:, None, None], g1, t[:, :, g2]]
+    return hm[hm[t[:, :, g1], moved], hinv[t[:, :, g.table_array[g1, g2]]]]
+
+
+def _tagged_slices(h: FiniteGroup, g: FiniteGroup, alphas, acts, rows, action_of, least):
+    """The `_gauge_slice_classes` items of a batch of actions, from their
+    slice members `rows`, each action's in the engine's order, the member's
+    action `action_of` and `least`, the position of its class's first
+    member.  Numbering the first members in order gives the tags, in order
+    of first appearance; the classes are the cosets of B0 in the slice, so
+    |B0| is the slice's size over its class count."""
+    count, total = len(alphas), len(rows)
+    sizes = np.bincount(action_of, minlength=count)
+    starts = np.cumsum(sizes) - sizes
+    firsts = least == np.arange(total)
+    seen = np.cumsum(firsts)
+    tags = seen[least] - seen[starts][action_of]
+    classes = np.bincount(action_of, weights=firsts, minlength=count).astype(np.intp)
+    scale = h.order ** (g.order - 1 - len(generating_sequence(g)))
+    return [
+        (alpha, acts[a], rows[start:start + size], tags[start:start + size], scale * int(size // classes[a]))
+        for a, (alpha, start, size) in enumerate(zip(alphas, starts.tolist(), sizes.tolist()))
+    ]
+
+
+def _slice_batch(h: FiniteGroup, g: FiniteGroup, alphas, acts, cocycle, order, free):
+    """The `_gauge_slice_classes` items of a batch of actions, from the
+    cocycles of their kernel rows in H's coordinates, `cocycle`
+    (A, R, |G|^2, |basis|), and the rows' `order` (A, R).
+
+    Member j of action a has digit i = (j - start_a) // (the product of the
+    later orders) % order[a, i], and is sum_i digit_i cocycle[a, i].  Two
+    slice members first differ on a free cell, each derived cell being a
+    function of earlier cells, so one sort of every member by its action's
+    number (two bytes, big-endian) then its `free` cells puts each slice in
+    the engine's order.  B0, the coboundaries of the maps of T0
+    (`_free_coboundaries`), lies in the slice, and a class is a coset f B0:
+    each member times every distinct element of its action's B0 is looked
+    up among the sorted members, and the least position found is its
+    class's first member.  Numbering the first members in order gives the tags, in
+    order of first appearance, and B0's own distinct positions give |B0|.
+    The gathers work on about `_CHUNK` cells at a time.
+    """
+    m = g.order
+    hm = _byte_tables(h)[0]
+    _, degrees, _, (labels, strides), _ = _abelian_coordinates(h)
+    count, k = len(order), len(free)
+    sizes = order.prod(axis=1)
+    starts = np.cumsum(sizes) - sizes
+    action_of = np.repeat(np.arange(count), sizes)
+    total = len(action_of)
+    cocycle = cocycle.reshape(count, order.shape[1], m * m * len(degrees))
+    if count == 1 and total * cocycle.shape[2] <= _CHUNK:   # one small slice: one product
+        rows = _digit_sums(cocycle[0], order[0], h, m)
+    elif count == 1:
+        # one large slice: member j N_low + i is A_j B_i, A and B the sums
+        # over the first and the last kernel rows, each about sqrt(|slice|)
+        # of them (`_digit_sums`), joined by one product
+        split, low = order.shape[1], 1
+        while split and low * low < total:
+            split -= 1
+            low *= int(order[0, split])
+        high, low = (_digit_sums(cocycle[0, part], order[0, part], h, m) for part in (slice(split), slice(split, None)))
+        rows = _mul(hm, high[:, None], low[None]).reshape(total, m * m)
+    else:
+        # several small slices, about `_BATCH` members: each member's digits
+        # times its own action's rows, one member per row of a product
+        later = np.cumprod(order[:, ::-1], axis=1)[:, ::-1] // order
+        digits = (np.arange(total) - starts[action_of])[:, None] // later[action_of] % order[action_of]
+        rows = np.empty((total, m * m), dtype=np.uint8)
+        step = max(1, _CHUNK // cocycle[0].size)
+        for lo in range(0, total, step):
+            cells = (digits[lo:lo + step, None] @ cocycle[action_of[lo:lo + step]])[:, 0]
+            rows[lo:lo + step] = labels[cells.reshape(len(cells), m * m, len(degrees)) % degrees @ strides]
+    keys = np.empty((total, 2 + k), dtype=np.uint8)
+    keys[:, :2] = action_of.astype(">u2")[:, None].view(np.uint8)
+    keys[:, 2:] = rows[:, free]
+    order = np.argsort(_key_view(keys))
+    keys, rows = keys[order], rows[order]
+    sorted_keys = _key_view(keys)
+    members = keys[:, 2:]
+
+    # B0 on the free cells under each action, the coboundary of every map of
+    # T0, found among the members; each action's distinct ones, padded with
+    # its unit (its first member)
+    coboundaries = _free_coboundaries(h, g, acts, free)
+    b0 = np.empty(coboundaries.shape[:2] + (2 + k,), dtype=np.uint8)
+    b0[:, :, :2] = keys[starts, None, :2]
+    b0[:, :, 2:] = coboundaries
+    distinct = np.zeros(total, dtype=bool)
+    distinct[_lookup(sorted_keys, b0.reshape(-1, 2 + k))] = True
+    b0 = distinct.nonzero()[0]
+    owner = action_of[b0]
+    b0_count = np.bincount(owner, minlength=count)
+    padded = np.repeat(starts[:, None], b0_count.max(), axis=1)
+    padded[owner, np.arange(len(b0)) - (np.cumsum(b0_count) - b0_count)[owner]] = b0
+    least = np.empty(total, dtype=np.intp)
+    step = max(1, _CHUNK // ((2 + k) * padded.shape[1]))
+    for lo in range(0, total, step):
+        query = np.repeat(keys[lo:lo + step, None], padded.shape[1], axis=1)
+        query[:, :, 2:] = hm[members[lo:lo + step, None], members[padded[action_of[lo:lo + step]]]]
+        least[lo:lo + step] = _lookup(sorted_keys, query.reshape(-1, 2 + k)).reshape(len(query), -1).min(axis=1)
+    return _tagged_slices(h, g, alphas, acts, rows, action_of, least)
+
+
+def _digit_sums(cocycle, order, h: FiniteGroup, m: int) -> "np.ndarray":
+    """uint8 rows (prod(order), |G|^2): every sum_i x_i cocycle[i] with
+    0 <= x_i < order[i], x read in mixed radix (the first row most
+    significant), `cocycle` (R, |G|^2 |basis|) in H's coordinates
+    (`_abelian_coordinates`), each sum as labels."""
+    _, degrees, _, (labels, strides), _ = _abelian_coordinates(h)
+    later = order[::-1].cumprod()[::-1] // order
+    digits = np.arange(math.prod(order.tolist()))[:, None] // later % order
+    return labels[(digits @ cocycle).reshape(len(digits), m * m, len(degrees)) % degrees @ strides]
 
 
 def _by_first_appearance(labels: "np.ndarray") -> "np.ndarray":
@@ -1142,7 +1421,7 @@ def _cocycle_blocks(h: FiniteGroup, g: FiniteGroup, batch, w):
     # t(g1) act(g1)(t(g2)) t(g1 g2)^-1 for each t of W, cells column-major
     # (t, g2, g1): the outer factors are the same under every action, the
     # middle one is act[g1, t(g2)]
-    stacked = np.stack(acts)
+    stacked = np.array(acts)
     delta_w = np.empty((len(batch), d, m, m), dtype=np.uint8)
     step = max(1, _CHUNK // (m * m))
     for lo in range(0, d, step):
@@ -1158,7 +1437,7 @@ def _cocycle_blocks(h: FiniteGroup, g: FiniteGroup, batch, w):
     # the slice members, cells column-major
     columns = np.ascontiguousarray(np.concatenate(members).reshape(-1, m, m).transpose(0, 2, 1))[:, None]
     if cells.size <= _CHUNK:   # one lookup: a batch of small blocks would pay a gather per action
-        cells[...] = _mul(hm, columns, delta_w[np.repeat(np.arange(len(batch)), counts)])
+        cells[...] = _mul(hm, columns, np.repeat(delta_w, counts, axis=0))
     else:
         start = 0
         for count, delta in zip(counts, delta_w):

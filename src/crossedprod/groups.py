@@ -595,11 +595,13 @@ def quotient(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, Homomorphism]:
     if not n.is_normal():
         raise NotNormalError(f"{n.elements} is not normal in {g.name}")
     # row x of the gather is the coset x N; its least element is its rep,
-    # and cosets are numbered by rep, so coset 0 is the subgroup itself
+    # and cosets are numbered by rep, so coset 0 is the subgroup itself: a
+    # rep y has least[y] == y, and counting the reps up to y numbers them
     t = g.table_array
     least = t[:, np.array(n.elements, dtype=np.intp)].min(axis=1)
-    reps = np.unique(least)
-    coset_of = np.searchsorted(reps, least)
+    firsts = least == np.arange(g.order)
+    reps = firsts.nonzero()[0]
+    coset_of = firsts.cumsum()[least] - 1
     q = FiniteGroup(f"{g.name}/{n.order}", coset_of[t[reps[:, None], reps]], validate=False)
     proj = Homomorphism(g, q, tuple(coset_of.tolist()))
     return q, proj

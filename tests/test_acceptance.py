@@ -284,13 +284,9 @@ def test_criterion_6_center_and_abelianness_formulas():
                 act = np.stack([aut_perms[a] for a in alpha])
                 f_arr = np.frombuffer(fb, dtype=np.uint8).astype(np.int64).reshape(g.order, g.order)
                 table = product_table_np(hm, gm, act, f_arr)
-                # direct scans on the raw table
+                # direct scans on the raw table: the centre is the rows that commute with every column
                 commutes = table == table.T
-                direct_center = {
-                    (int(idx % n), int(idx // n))
-                    for idx in range(table.shape[0])
-                    if commutes[idx].all()
-                }
+                direct_center = {(idx % n, idx // n) for idx in np.flatnonzero(commutes.all(axis=1)).tolist()}
                 direct_abelian = bool(commutes.all())
                 sys_obj = system_from_raw(h, g, alpha, fb)
                 if center_pairs(sys_obj) != direct_center:

@@ -1,5 +1,6 @@
 import heapq
 import importlib
+import itertools
 import random
 import tracemalloc
 from collections import Counter
@@ -38,12 +39,14 @@ from crossedprod.classify import (
     _CHUNK,
     _engine,
     _engine_schedule,
+    _enumerated_slice_classes,
     _MAX_AUTS,
     _gauge_shifts,
     _gauge_slice_classes,
     _gauge_tree,
     _key_row_product,
     _key_view,
+    _kernel_bases,
     _lift_products,
     _lifted_systems,
     _linear_slice_classes,
@@ -51,6 +54,8 @@ from crossedprod.classify import (
     _mul,
     _outer_homomorphisms,
     _reports,
+    _shift_factors,
+    _slice_plan,
     _system_block,
     _system_blocks,
     are_equivalent_1,
@@ -1385,7 +1390,7 @@ def _linear_slices(h, g, monkeypatch):
     """`_linear_slice_classes` (on any G, cyclic too) with the engine unreachable."""
     with monkeypatch.context() as mp:
         mp.setattr(importlib.import_module("crossedprod.classify"), "_engine", _no_engine)
-        return list(_linear_slice_classes(h, g))
+        return list(_linear_slice_classes(h, g, _outer_homomorphisms(h, g)[0]))
 
 
 @pytest.mark.parametrize("h,g", LINEAR_SLICE_PAIRS, ids=lambda x: x.name)
@@ -1428,6 +1433,325 @@ def test_linear_slice_oracle_kunneth_counts_on_c2(spec, count):
     g = make_group(spec)
     assert len(generating_sequence(g)) > 1
     assert sum(1 for _ in iter_orbit_representatives(C2, g)) == count
+
+
+# the solve, plan and closure that the array slice replaced, kept as its oracles
+
+def _howell_kernels_by_pivots(mats, p, q):
+    """Per matrix M of `mats` (A, k, E), generators of {c : c M = 0 (mod q)},
+    q = p^a, one per row of an intp array (r, k): [M | 1] brought to Howell
+    form over Z/q on M's columns, all A at once, each new pivot row times
+    p^(a - v) joining the rows still to be reduced (the library's solve
+    before `_kernel_bases`)."""
+    count, rows, width = mats.shape
+    work = np.zeros((count, rows, width + rows), dtype=np.int64)
+    work[:, :, :width] = mats % q
+    work[:, :, width:] = np.eye(rows, dtype=np.int64)
+    valuation = [q] + [next(v for v in range(q) if x % p ** (v + 1)) for x in range(1, q)]
+    step = np.array([1] + [p ** v for v in valuation[1:]])
+    unit_inverse = np.array([pow(x // int(step[x]), -1, q) if x else 1 for x in range(q)])
+    valuation = np.array(valuation)
+    every = np.arange(count)
+    r = 0
+    while True:
+        rest = work[:, r:]
+        live = rest[:, :, :width].any(axis=1)
+        if not live.any():
+            break
+        column = rest[every, :, live.argmax(axis=1)]
+        i = valuation[column].argmin(axis=1)
+        entry = column[every, i]
+        pivot = rest[every, i] * unit_inverse[entry][:, None] % q
+        if q > p:
+            column //= step[entry][:, None]
+        rest -= column[:, :, None] * pivot[:, None]
+        rest %= q
+        rest[every, i] = rest[:, 0]
+        rest[:, 0] = pivot
+        if q > p:
+            work = np.concatenate([work, (pivot * (q // step[entry])[:, None] % q)[:, None]], axis=1)
+        r += 1
+    kept = ~work[:, :, :width].any(axis=2) & work[:, :, width:].any(axis=2)
+    return [block[mask, width:] for block, mask in zip(work, kept)]
+
+
+def _span(generators, moduli):
+    """Every sum of integer multiples of the rows of `generators`, entry i
+    taken mod moduli[i], as a set of tuples."""
+    span = {tuple([0] * len(moduli))}
+    for row in np.asarray(generators).reshape(-1, len(moduli)):
+        new = set(span)
+        frontier = span
+        while frontier:
+            frontier = {tuple((np.add(x, row) % moduli).tolist()) for x in frontier} - new
+            new |= frontier
+        span = new
+    return span
+
+
+def _kernel_oracle_batch(p, q, rows, width, rng):
+    """A batch of matrices over Z/q: zero, the identity's first rows (full
+    rank), one row repeated with multiples (rank 1), random, and random with
+    every entry a multiple of p (no unit: rank over Z/p zero)."""
+    eye = np.zeros((rows, width), dtype=np.int64)
+    eye[np.arange(min(rows, width)), np.arange(min(rows, width))] = 1
+    one = rng.integers(0, q, width)
+    return np.stack([
+        np.zeros((rows, width), dtype=np.int64),
+        eye,
+        np.outer(rng.integers(0, q, rows), one) % q,
+        rng.integers(0, q, (rows, width)),
+        p * rng.integers(0, q, (rows, width)) % q,
+    ])
+
+
+@pytest.mark.parametrize("p,a", [(p, a) for p in (2, 3, 5) for a in (1, 2, 3)])
+def test_kernel_oracle_howell_pivots_span_the_kernel_bases(p, a):
+    # the new solve spans the same rows as the old one, over Z/p^a, on zero,
+    # full-rank and mixed-rank matrices in one batch, with unique coordinates
+    q = p ** a
+    rng = np.random.default_rng(p * 10 + a)
+    for rows, width in ((3, 4), (2, 5)):
+        if q ** rows > 20_000:
+            continue
+        mats = _kernel_oracle_batch(p, q, rows, width, rng)
+        moduli = np.full(rows, q)
+        kernel, orders = _kernel_bases(mats, p, q, moduli)
+        assert kernel.shape[:2] == orders.shape and kernel.shape[2] == rows
+        for m, want, basis, order in zip(mats, _howell_kernels_by_pivots(mats, p, q), kernel, orders):
+            span = _span(want, moduli)
+            assert span == _span(basis[order > 1], moduli)   # a row of order 1 takes no digit
+            assert int(np.prod(order)) == len(span)   # every digit vector names its own member
+            assert not (basis[order > 1] @ m % q).any()
+
+
+def test_kernel_oracle_moduli_below_q_by_brute_force():
+    # unknowns of order d < q: c and c + d e_i are one member, so the
+    # coordinates run over the product of the Z/d_i; checked against every c
+    rng = np.random.default_rng(7)
+    for p, q, moduli in ((2, 4, (4, 2, 2)), (2, 8, (8, 2, 4)), (3, 9, (3, 9)), (5, 25, (5, 25))):
+        moduli = np.array(moduli)
+        rows = len(moduli)
+        # row i of M times d_i vanishes mod q: its entries are multiples of q / d_i
+        mats = np.stack([
+            (q // moduli)[:, None] * rng.integers(0, q, (rows, 5)) % q for _ in range(4)
+        ] + [np.zeros((rows, 5), dtype=np.int64)])
+        kernel, orders = _kernel_bases(mats, p, q, moduli)
+        for m, basis, order in zip(mats, kernel, orders):
+            want = {c for c in itertools.product(*map(range, moduli)) if not (np.array(c) @ m % q).any()}
+            got = [tuple((x @ basis % moduli).tolist()) for x in itertools.product(*map(range, order))]
+            assert len(got) == len(set(got)) and set(got) == want
+
+
+def _slice_plan_by_the_engine_schedule(g):
+    """`_slice_plan` read off the engine's abelian schedule (`_engine_schedule`),
+    as the library built it before the plan was listed on its own."""
+    m = g.order
+    flat, derive_info, rest_info = _engine_schedule(g, True)
+    tree = {p * m + s for (_, p, s) in _gauge_tree(g)[1]}
+    free, checks, by_depth = [], [], []
+    depth = [0] * (m * m)
+    for i, derive, rest in zip(flat, derive_info, rest_info):
+        checks += rest
+        if derive is None:
+            if i not in tree:
+                free.append(i)
+            continue
+        mode, iA, iB, iC, iD, g1 = derive
+        d = depth[i] = 1 + max(depth[iA], depth[iB], depth[iC], depth[iD])
+        if d > len(by_depth):
+            by_depth.append([])
+        by_depth[d - 1].append((i, iA, iB, iC, iD, g1, 3 * g1 + (mode >= 2) + (mode == 3)))
+        if i in tree:
+            checks.append((i, 0, 0, 0, 0))
+    levels = [
+        (level[:, 0], level[:, 1:5].T, level[:, 5], level[:, 6])
+        for level in (np.array(cells, dtype=np.intp) for cells in by_depth)
+    ]
+    checks = np.array(checks, dtype=np.intp).reshape(-1, 5)
+    return np.array(free, dtype=np.intp), levels, (checks[:, :4].T, checks[:, 4])
+
+
+SLICE_PLAN_GROUPS = _CATALOG + [
+    make_group(d)
+    for d in (
+        "product(cyclic:4,cyclic:4)",
+        "product(product(cyclic:2,cyclic:2),product(cyclic:2,cyclic:2))",
+        "product(cyclic:2,cyclic:8)",
+        "product(cyclic:3,cyclic:3)",
+        "symmetric:4",
+        "dihedral:12",
+    )
+] + [C2_3]
+
+
+@pytest.mark.parametrize("g", SLICE_PLAN_GROUPS, ids=lambda x: x.name)
+def test_slice_plan_oracle_engine_schedule(g):
+    # the plan listed on its own equals the plan read off the engine's
+    # schedule: the same free cells and levels, and the same checks
+    free, levels, (quad, g1) = _slice_plan(table_group(g.table, name=g.name))
+    want_free, want_levels, (want_quad, want_g1) = _slice_plan_by_the_engine_schedule(g)
+    assert np.array_equal(free, want_free) and free.dtype == np.intp
+    assert len(levels) == len(want_levels)
+    for level, want in zip(levels, want_levels):
+        assert all(np.array_equal(x, y) and x.dtype == np.intp for x, y in zip(level, want))
+    assert np.array_equal(quad, want_quad) and np.array_equal(g1, want_g1)
+
+
+def _closure(hm, group, generators):
+    """The group the uint8 rows `generators` generate over `group` (the unit
+    first): each generator c adjoins the cosets group c^k up to the first
+    power of c already in it, so member i lies in coset i // len(group) of
+    the first group."""
+    for c in generators:
+        cosets = [group]
+        step = hm[group, c]
+        while not (group == step[0]).all(axis=1).any():
+            cosets.append(step)
+            step = hm[step, c]
+        if len(cosets) > 1:
+            group = np.concatenate(cosets)
+    return group
+
+
+def _slice_fill_by_tables(h, acts, which, levels, rows):
+    """uint8 `rows` (k, |G|^2), the unit off the free cells, with every
+    derived cell of the plan filled in level by level off H's tables, row j
+    under the action `acts[which[j]]` (the library's fill before it took
+    flat intp indices)."""
+    if not levels:
+        return rows
+    count, m, n = acts.shape
+    after = np.empty((count, m, 3, n), dtype=np.uint8)
+    after[:, :, 0] = _byte_tables(h)[1]
+    after[:, :, 1] = np.argsort(acts, axis=2)
+    after[:, :, 2] = np.arange(n)
+    after = after.ravel()
+    base = which[:, None] * (m * n)
+    for (i, quad, g1, table) in levels:
+        value = _residual_by_tables(h, acts, base + g1 * n, rows[:, quad])
+        rows[:, i] = after.take(3 * base + table * n + value)
+    return rows
+
+
+def _residual_by_tables(h, acts, at, quads):
+    """A B (g1(C) D)^-1 of instances on uint8 `quads` (k, 4, E), by fancy
+    indexing of H's uint8 tables; `at` (k, E) is the offset of g1's value
+    row of each row's action in `acts.ravel()`."""
+    hm, hinv = _byte_tables(h)
+    a, b, c, d = quads.transpose(1, 0, 2)
+    return hm[hm[a, b], hinv[hm[acts.ravel().take(at + c), d]]]
+
+
+def _closure_slice_classes(h, g):
+    """`_linear_slice_classes` as the library built it per action: the fill
+    off H's uint8 tables, the old solve's generators
+    (`_howell_kernels_by_pivots`), and each action's B0 deduplicated, closed
+    over them (`_closure`), sorted column-major and tagged by first
+    appearance."""
+    n, m = h.order, g.order
+    hm = _byte_tables(h)[0]
+    basis, degrees, coords, (labels, strides), primes = _abelian_coordinates(h)
+    gens, edges = _gauge_tree(g)
+    alphas = _outer_homomorphisms(h, g)[0]
+    alpha_rows = np.array(alphas, dtype=np.intp)
+    acts = _aut_perms(h)[alpha_rows]
+    count = len(alphas)
+    generators = [[] for _ in alphas]
+    for (p, q, idx) in primes:
+        free, levels, (quad, g1) = _slice_plan_by_the_engine_schedule(g)
+        k, r = len(free), len(idx)
+        seeds = np.zeros((count, k, r, m * m), dtype=np.uint8)
+        seeds[:, np.arange(k)[:, None], np.arange(r), free[:, None]] = basis[idx]
+        which = np.repeat(np.arange(count), k * r)
+        filled = _slice_fill_by_tables(h, acts, which, levels, seeds.reshape(-1, m * m))
+        values = coords[_residual_by_tables(h, acts, (which[:, None] * m + g1) * n, filled[:, quad])][..., idx]
+        mats = (values * (q // degrees[idx])).reshape(count, k * r, len(g1) * r)
+        filled = coords[filled][..., idx].reshape(count, k * r, m * m * r)
+        for a, kernel in enumerate(_howell_kernels_by_pivots(mats, p, q)):
+            digits = (kernel @ filled[a]).reshape(len(kernel), m * m, r) % degrees[idx]
+            generators[a].append(labels[digits @ strides[idx]])
+    t = _gauge_shifts(h, acts, gens, edges)
+    left, right = _shift_factors(h, g, _aut_perms(h), np.repeat(alpha_rows, t.shape[1], axis=0), t.reshape(-1, m))
+    shifts = _mul(hm, left, right).reshape(count, -1, m * m)
+    for a in range(count):
+        b0 = np.unique(_key_view(shifts[a])).view(np.uint8).reshape(-1, m * m)
+        members = _closure(hm, b0, itertools.chain.from_iterable(generators[a]))
+        columns = np.ascontiguousarray(members.reshape(-1, m, m).transpose(0, 2, 1)).reshape(len(members), -1)
+        order = np.argsort(_key_view(columns))
+        _, first, inverse = np.unique(order // len(b0), return_index=True, return_inverse=True)
+        yield alphas[a], acts[a], members[order], np.argsort(np.argsort(first))[inverse], n ** (m - 1 - len(gens)) * len(b0)
+
+
+@pytest.mark.parametrize("g", [g for g in _CATALOG if g.order > 1], ids=lambda x: x.name)
+def test_linear_slice_oracle_per_action_closure_on_every_catalog_g(g, monkeypatch):
+    # every abelian H with |H||G| <= 32, and C2 and C3 on every G: the
+    # slices built in arrays equal the per-action closures, members, tags
+    # and |B^2| alike
+    for h in [x for x in _CATALOG if x.is_abelian and (x.order * g.order <= 32 or x.order <= 3)]:
+        _assert_same_slices(_linear_slices(h, g, monkeypatch), list(_closure_slice_classes(h, g)))
+
+
+def _enumerated_slices(h, g, monkeypatch):
+    """`_enumerated_slice_classes` with the engine and the kernel solve unreachable."""
+    with monkeypatch.context() as mp:
+        mod = importlib.import_module("crossedprod.classify")
+        mp.setattr(mod, "_engine", _no_engine)
+        mp.setattr(mod, "_kernel_bases", _no_engine)
+        return list(_enumerated_slice_classes(h, g, _outer_homomorphisms(h, g)[0]))
+
+
+def _check_cells(h, g):
+    """The residuals `_enumerated_slice_classes` checks on (H, G): one per
+    check for every value of the free cells under every action."""
+    free, _, (_, g1) = _slice_plan(g)
+    return len(_outer_homomorphisms(h, g)[0]) * h.order ** len(free) * len(g1)
+
+
+@pytest.mark.parametrize("g", [g for g in _CATALOG if g.order > 1], ids=lambda x: x.name)
+def test_slice_enumeration_oracle_equals_the_linear_slice_on_every_catalog_g(g, monkeypatch):
+    # every abelian H whose residuals fit four chunks, so past the
+    # crossover too, H = 1 and relabelled H included: the slices filled from
+    # every value of the free cells equal the linear algebra's, members,
+    # tags and |B^2| alike
+    relabelled = [
+        _relabelled(make_group("product(cyclic:2,cyclic:4)"), [0, 5, 3, 7, 1, 6, 2, 4]),
+        _relabelled(cyclic_group(6), [0, 4, 1, 5, 3, 2]),
+    ]
+    for h in [x for x in _CATALOG if x.is_abelian] + relabelled:
+        if _check_cells(h, g) <= 4 * _CHUNK:
+            _assert_same_slices(_enumerated_slices(h, g, monkeypatch), _linear_slices(h, g, monkeypatch))
+
+
+def test_gauge_slice_enumerates_exactly_where_the_residuals_fit_a_chunk(monkeypatch):
+    # the benchmark's abelian pairs over non-cyclic G are enumerated; a pair
+    # whose residuals exceed `_CHUNK` cells is solved by linear algebra
+    mod = importlib.import_module("crossedprod.classify")
+    small = [(K4, K4), (C2, D8), (C2, Q8), (C3, S3), (C2, K4), (C2, C2_3)]
+    large = [(C3, D8), (cyclic_group(8), K4), (C2, make_group("dihedral:12"))]
+    assert all(_check_cells(h, g) <= _CHUNK for h, g in small)
+    assert all(_check_cells(h, g) > _CHUNK for h, g in large)
+    for pairs, unreachable in ((small, "_linear_slice_classes"), (large, "_enumerated_slice_classes")):
+        with monkeypatch.context() as mp:
+            mp.setattr(mod, unreachable, _no_engine)
+            for h, g in pairs:
+                assert list(_gauge_slice_classes(h, g))
+
+
+def test_internal_invariant_slice_enumeration_needs_b0_in_the_slice(monkeypatch):
+    # T0's coboundaries must be slice members: a map off T0 (here 1 on a
+    # derived cell of the tree walk) has a coboundary that is no member
+    mod = importlib.import_module("crossedprod.classify")
+    gauge_shifts = mod._gauge_shifts
+
+    def off_t0(h, acts, gens, edges):
+        t = gauge_shifts(h, acts, gens, edges)
+        t[:, :, edges[-1][0]] = 1
+        return t
+
+    monkeypatch.setattr(mod, "_gauge_shifts", off_t0)
+    with pytest.raises(InternalInvariantError, match="left the gauge slice"):
+        list(_enumerated_slice_classes(C2, D8, _outer_homomorphisms(C2, D8)[0]))
 
 
 def _eq1_by_orbits(h, g):
