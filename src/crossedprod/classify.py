@@ -1,42 +1,40 @@
 """Enumeration of normalized crossed systems and their equivalence classifications.
 
-The backtracking engine (`_engine`) fixes the unit row and column of the
-cocycle and the unit action entry (forced by normalization), then
-backtracks over the cocycle cells of one action, checking every axiom
-instance as soon as its last argument is assigned.  By the first axiom an
-action is a homomorphism G -> Out(H) lifted to Aut(H), so the actions tried
-are the lifts (`_lift_products`) of `homomorphism_maps(G, Out(H))`
-(`_outer_homomorphisms`), and each cocycle cell's domain, a coset of Z(H),
-is read from the Inn(H) table cached on H.  Cells are filled
-column-major, which pins most cells immediately from earlier ones and keeps
-the engine's search tree close to the solution count.
+The systems come as one block per action (`_system_blocks`): actions in
+lexicographic order of their automorphism indices, and within one action
+the cocycles in lexicographic order read column-major, the stream's order.
+By the first axiom an action is a homomorphism psi: G -> Out(H) lifted to
+Aut(H) (`_outer_homomorphisms`, `_lift_products`), and each cocycle cell
+lies in one coset of Z(H), read from the Inn(H) table cached on H.
 
-The block stream has one path per kind of H, whatever the pair's size.
-For non-abelian H the systems over one outer action psi: G -> Out(H) are
-one orbit under shifts (the source paper's Schreier-type theorem).  The
-engine runs on the first lift of each psi only, and every other lift's
-block is that block shifted by the t with lift = c_t lift0, in numpy
-(`_lifted_systems`).  Abelian H runs no engine.  Its abelian mode (the
-generator-only schedule and its CHAIN steps) stays as the tests' oracle
-for the blocks and for the gauge slice's equations (`_slice_plan`).
+One path serves every H (`_tagged_blocks`).  Over the first lift alpha0 of
+psi the systems are f0 Z^2(G, Z(H)), f0 any one of them and Z(H) a G-module
+under alpha0, and their eq1 classes are H^2(G, Z(H)) (K. S. Brown,
+Cohomology of Groups, IV.6).  f0 is the first member of each cell's coset,
+corrected by a cochain into Z(H) that linear algebra finds; a psi with no
+f0 has no system (`_central_actions`).  The systems over one psi are one
+orbit under shifts (the source paper's Schreier-type theorem), so every
+other lift's block is the first one shifted by the t with lift = c_t
+alpha0, in numpy (`_lifted_systems`).  For abelian H, Z(H) = H, f0 = 1, and
+every action is the one lift of its psi.
 
-For abelian H the cocycles of one action form a group Z^2 under the
-pointwise product, and each eq1 class is a coset f B^2 (H^2 = Z^2 / B^2).
-Z^2 is the direct product of the gauge slice (the cocycles that are the
-unit on a spanning tree of G) and delta(W), the coboundaries of the maps
-t that are the unit on the generators.  So only the slice is enumerated,
-each member tagged by its class, and each action's block is the slice
-times delta(W), sorted into the engine's order, each row carrying its
-member's tag (`_algebraic_systems`); B^2 itself is never built.  No search
-runs: for cyclic G the slice and its classes have a closed form (carry
-cocycles over H^psi, classes H^psi / N(H)).  For any other G the slice is
+The cocycles of the module form a group Z^2 under the pointwise product,
+and each eq1 class in it is a coset f B^2 (H^2 = Z^2 / B^2).  Z^2 is the
+direct product of the gauge slice (the cocycles that are the unit on a
+spanning tree of G) and delta(W), the coboundaries of the maps t that are
+the unit on the generators.  So only the slice is enumerated, each member
+tagged by its class, and each block is the slice times delta(W), carried
+by f0 and sorted into the stream's order, each row carrying its member's
+tag (`_central_blocks`); B^2 itself is never built.  No search runs: for
+cyclic G the slice and its classes have a closed form (carry cocycles over
+the fixed points, classes modulo the norms).  For any other G the slice is
 the set of solutions of the cocycle equations in its free cells: a small
 pair fills in every value of them and keeps the rows on which every
 equation holds (`_enumerated_slice_classes`), and a larger one solves the
 equations per prime over Z/p^a by a Howell form, the slices and classes of
 a batch of actions built in the same arrays (`_linear_slice_classes`).
-`classify` reads eq1 off the tags, and the block stream takes this path
-for every abelian pair with |G| > 1.
+`classify` reads eq1 off the tags, and `iter_orbit_representatives` yields
+f0 times the first slice member of each tag.
 
 The array paths read each group's cached table arrays (`table_array`,
 `inverse_array`), and the uint8 value gathers one uint8 copy of H's tables
@@ -44,9 +42,8 @@ The array paths read each group's cached table arrays (`table_array`,
 Out(H) are groups on their tables (`_aut_tables`), refused, with
 CapExceededError, for an H with more than `_MAX_AUTS` automorphisms.
 
-Whichever path runs, the systems come as one block per action
-(`_system_blocks`).  `_system_block` joins them into the one sorted key block
-that `classify`, `enumerate_crossed_systems` and the CLI read;
+`_system_block` joins the blocks into the one sorted key block that
+`classify`, `enumerate_crossed_systems` and the CLI read;
 `enumerate_raw_systems` is a per-system reader over the blocks.
 
 Both equivalences rest on one law.  eq1 shifts a system by a map t: G -> H
@@ -63,6 +60,7 @@ import functools
 import heapq
 import itertools
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -74,12 +72,14 @@ from .groups import (
     FiniteGroup,
     automorphism_group,
     automorphism_index,
+    center,
     generating_sequence,
     homomorphism_maps,
     identify_group,
     inner_automorphisms,
     is_homomorphism,
     isomorphic,
+    subgroup_as_group,
 )
 from .morphisms import _require_same_groups, iter_stabilizing_maps, iter_stabilizing_rows
 from .products import cached_product, product_table_np
@@ -109,7 +109,7 @@ class Equivalence2Witness:
     t: tuple[int, ...]
 
 
-# enumeration engine -----------------------------------------------------------
+# enumeration -----------------------------------------------------------------
 
 
 def _byte_tables(h: FiniteGroup):
@@ -138,9 +138,10 @@ def _aut_perms(x: FiniteGroup) -> "np.ndarray":
 
 
 # `_aut_tables` refuses H with more automorphisms than this: Aut(H) is held as
-# a group on its |Aut(H)|^2 composition table, which the engine reads in
-# Python.  The benchmark tabulates Aut(H) up to Aut(C2xC2xC2), of order 168,
-# and the tests up to Aut(D64), of order 512.
+# a group on its |Aut(H)|^2 composition table, which every pair over H builds
+# and gathers from (Out(H), and the cosets of Z(H) that hold the cocycle
+# cells, `_aut_arrays`).  The benchmark tabulates Aut(H) up to
+# Aut(C2xC2xC2), of order 168, and the tests up to Aut(D64), of order 512.
 _MAX_AUTS = 1024
 
 
@@ -217,22 +218,31 @@ def _outer_homomorphisms(h: FiniteGroup, g: FiniteGroup):
     that of their tuples of least indices.  For abelian H each psi is an
     action, its values automorphism indices.
     """
-    _, out, outer, _ = _aut_tables(h)
-    cosets: list[list[int]] = [[] for _ in range(out.order)]
-    for a, k in enumerate(outer):
-        cosets[k].append(a)
-    return homomorphism_maps(g, out), cosets
+    return homomorphism_maps(g, _aut_tables(h)[1]), _inner_cosets(h)
 
 
-def _lift_products(h: FiniteGroup, g: FiniteGroup) -> list:
-    """One iterator per homomorphism psi: G -> Out(H), over its lifts in lexicographic order.
+def _inner_cosets(h: FiniteGroup) -> list[list[int]]:
+    """The cosets of Inn(H) in Aut(H), numbered as `out` of `_aut_tables`
+    numbers them, each as its ascending automorphism indices; cached on h."""
+    cosets = h._cache.get("inner_cosets")
+    if cosets is None:
+        _, out, outer, _ = _aut_tables(h)
+        cosets = h._cache["inner_cosets"] = [[] for _ in range(out.order)]
+        for a, k in enumerate(outer):
+            cosets[k].append(a)
+    return cosets
 
-    The lifts of psi are the action tuples with the identity at 1 and any
-    member of the coset psi(g) of Inn(H) at g != 1: the product of those
-    cosets, each in ascending order (`_outer_homomorphisms`).
+
+def _lift_products(h: FiniteGroup, alphas) -> list:
+    """One iterator per action alpha0 of `alphas`, over every lift of its
+    outer action in lexicographic order.
+
+    The lifts are the action tuples with the identity at 1 and any member
+    of the coset of Inn(H) that holds alpha0(g) at g != 1: the product of
+    those cosets, each in ascending order (`_inner_cosets`).
     """
-    psis, cosets = _outer_homomorphisms(h, g)
-    return [itertools.product((0,), *(cosets[label] for label in psi[1:])) for psi in psis]
+    outer, cosets = _aut_tables(h)[2], _inner_cosets(h)
+    return [itertools.product((0,), *(cosets[outer[a]] for a in alpha[1:])) for alpha in alphas]
 
 
 def enumerate_raw_systems(
@@ -243,9 +253,9 @@ def enumerate_raw_systems(
     `alpha_indices` indexes into automorphism_group(h) per element of G;
     `f_bytes` is the cocycle table row-major.  Systems are emitted grouped by
     action assignment, actions in lexicographic index order (the lifts of the
-    homomorphisms G -> Out(H), `_lift_products`), and within one action in
-    lexicographic order of the cocycle read column-major (`g2` outer, `g1`
-    inner).
+    homomorphisms G -> Out(H) that carry systems, `_lift_products`), and
+    within one action in lexicographic order of the cocycle read
+    column-major (`g2` outer, `g1` inner).
 
     A per-system reader over the block stream `_system_blocks`, which the
     library's own consumers read directly.
@@ -262,7 +272,7 @@ def _check_pair(h: FiniteGroup, g: FiniteGroup, cap: int) -> None:
     if n * m > cap:
         raise CapExceededError(f"|H|*|G| = {n * m} exceeds cap {cap}")
     if n > 256:
-        raise CapExceededError("engine packs cocycle values into bytes; |H| must be <= 256")
+        raise CapExceededError("the blocks pack cocycle values into bytes; |H| must be <= 256")
 
 
 def _system_blocks(h: FiniteGroup, g: FiniteGroup, cap: int):
@@ -272,247 +282,20 @@ def _system_blocks(h: FiniteGroup, g: FiniteGroup, cap: int):
     `enumerate_raw_systems`: `block` is a C-contiguous uint8 array of shape
     (k, |G|^2), one row-major cocycle per row, rows in the stream's order.
 
-    One path per kind of H.  For abelian H each block is Z^2, the gauge
-    slice times delta(W), with no search (`_algebraic_systems`).
-    Non-abelian H runs the engine on the first lift of each outer action and
-    shifts its block onto the other lifts (`_lifted_systems`).  Both give
-    the engine's blocks.  G = 1 has one action and one system.
+    The `_tagged_blocks` items without their tags: the first lift of each
+    outer action gets f0 Z^2(G, Z(H)) with no search, and the other lifts
+    its shifts.  G = 1 has one action and one system.
     """
     _check_pair(h, g, cap)
-    if g.order == 1:   # one action and one system: no automorphism tables
-        return iter([((0,), np.zeros((1, 1), dtype=np.uint8))])
-    if h.is_abelian:
-        return ((alpha, block) for (alpha, block, _, _) in _algebraic_systems(h, g))
-    return _lifted_systems(h, g)
-
-
-def _engine(h: FiniteGroup, g: FiniteGroup):
-    """`leaf(alpha)`: the engine's block of one action tuple, uint8 rows of
-    shape (k, |G|^2) in the stream's order, k = 0 when no system has it.
-
-    The domain of cell (g1, g2) is the ascending tuple of c in H conjugating
-    like a(g1) a(g2) a(g1 g2)^-1, one lookup in the cached Inn(H) table.
-
-    Cocycle cells are filled column-major; for most cells some axiom instance
-    pins the value, which is then computed directly instead of searched.  For
-    abelian H (where the weak action is forced to be multiplicative) only
-    instances whose third argument is a generator of G are scheduled: the rest
-    follow by induction on the word length of the third argument.  A cell that
-    no instance pins is FREE and tries its domain in ascending order.  The
-    schedule depends on G alone (and on whether H is abelian), so it is built
-    once per G and cached on g (`_engine_schedule`); per action only its
-    binding to the action's rows and cell domains runs.
-
-    `_lifted_systems` runs it on the first lift of each outer action.
-    """
-    n, m = h.order, g.order
-    auts = automorphism_group(h)
-    hm = h.table
-    hinv = h.inverse_table
-    gm = g.table
-    fvals = [0] * (m * m)
-
-    flat, derive_info, rest_info = _engine_schedule(g, h.is_abelian)
-    K = len(flat)
-    cells = [divmod(i, m) for i in flat]
-
-    # a cell's domain is the coset of Z(H) conjugating like a1 a2 a12^-1 (all
-    # of H when H is abelian); a full domain needs no membership test (None),
-    # which lets derived cells chain
-    aut, _, _, conj_of = _aut_tables(h)
-    comp, aut_inv = aut.table, aut.inverse_table
-    domset_of = [None if len(d) == n else frozenset(d) for d in conj_of]
-
-    CHAIN, DERIVE, FREE = 0, 1, 2
-
-    def alpha_leaf(alpha) -> bytearray:
-        rows = bytearray()
-        act = [auts[a].map for a in alpha]
-        inner = [comp[comp[alpha[g1]][alpha[g2]]][aut_inv[alpha[gm[g1][g2]]]] for (g1, g2) in cells]
-        domains = [conj_of[a] for a in inner]
-        domsets = [domset_of[a] for a in inner]
-        act_inv: list[tuple[int, ...] | None] = [None] * m
-
-        def derive_op(k: int):
-            mode, iA, iB, iC, iD, g1 = derive_info[k]
-            if mode == 2 and act_inv[g1] is None:
-                inv_row = [0] * n
-                for src, dst in enumerate(act[g1]):
-                    inv_row[dst] = src
-                act_inv[g1] = tuple(inv_row)
-            return (flat[k], mode, iA, iB, iC, iD, act[g1], act_inv[g1])
-
-        def bind(insts):
-            return [(iA, iB, iC, iD, act[g1]) for (iA, iB, iC, iD, g1) in insts]
-
-        # compile the cell schedule: maximal runs of always-succeeding derived
-        # cells collapse into single chain steps with no choice point
-        steps: list[tuple] = []
-        k = 0
-        while k < K:
-            derivable = derive_info[k] is not None
-            if derivable and not rest_info[k] and domsets[k] is None:
-                ops = []
-                while (
-                    k < K
-                    and derive_info[k] is not None
-                    and not rest_info[k]
-                    and domsets[k] is None
-                ):
-                    ops.append(derive_op(k))
-                    k += 1
-                steps.append((CHAIN, ops))
-            elif derivable:
-                steps.append((DERIVE, flat[k], derive_op(k), bind(rest_info[k]), domsets[k]))
-                k += 1
-            else:
-                steps.append((FREE, flat[k], domains[k], len(domains[k]), bind(rest_info[k])))
-                k += 1
-        nsteps = len(steps)
-        fv = fvals
-        ptr = [0] * (nsteps + 1)
-        k = 0
-        while k >= 0:
-            if k == nsteps:
-                rows.extend(fv)
-                k -= 1
-                continue
-            step = steps[k]
-            kind = step[0]
-            if kind == CHAIN:
-                if ptr[k] == 0:
-                    ptr[k] = 1
-                    for (i, mode, iA, iB, iC, iD, a1, a1inv) in step[1]:
-                        if mode == 0:
-                            fv[i] = hm[hm[a1[fv[iC]]][fv[iD]]][hinv[fv[iB]]]
-                        elif mode == 1:
-                            fv[i] = hm[hinv[fv[iA]]][hm[a1[fv[iC]]][fv[iD]]]
-                        elif mode == 2:
-                            fv[i] = a1inv[hm[hm[fv[iA]][fv[iB]]][hinv[fv[iD]]]]
-                        else:
-                            fv[i] = hm[hinv[a1[fv[iC]]]][hm[fv[iA]][fv[iB]]]
-                    k += 1
-                    if k < nsteps:
-                        ptr[k] = 0
-                    continue
-                ptr[k] = 0
-                k -= 1
-                continue
-            if kind == DERIVE:
-                _, i, der, rests, dset = step
-                if ptr[k] == 0:
-                    ptr[k] = 1
-                    (_, mode, iA, iB, iC, iD, a1, a1inv) = der
-                    if mode == 0:
-                        val = hm[hm[a1[fv[iC]]][fv[iD]]][hinv[fv[iB]]]
-                    elif mode == 1:
-                        val = hm[hinv[fv[iA]]][hm[a1[fv[iC]]][fv[iD]]]
-                    elif mode == 2:
-                        val = a1inv[hm[hm[fv[iA]][fv[iB]]][hinv[fv[iD]]]]
-                    else:
-                        val = hm[hinv[a1[fv[iC]]]][hm[fv[iA]][fv[iB]]]
-                    if dset is None or val in dset:
-                        fv[i] = val
-                        good = True
-                        for (jA, jB, jC, jD, b1) in rests:
-                            if hm[fv[jA]][fv[jB]] != hm[b1[fv[jC]]][fv[jD]]:
-                                good = False
-                                break
-                        if good:
-                            k += 1
-                            if k < nsteps:
-                                ptr[k] = 0
-                            continue
-                ptr[k] = 0
-                fv[i] = 0
-                k -= 1
-                continue
-            _, i, dom, nd, checks = step
-            p = ptr[k]
-            advanced = False
-            while p < nd:
-                fv[i] = dom[p]
-                p += 1
-                good = True
-                for (jA, jB, jC, jD, b1) in checks:
-                    if hm[fv[jA]][fv[jB]] != hm[b1[fv[jC]]][fv[jD]]:
-                        good = False
-                        break
-                if good:
-                    ptr[k] = p
-                    k += 1
-                    if k < nsteps:
-                        ptr[k] = 0
-                    advanced = True
-                    break
-            if not advanced:
-                ptr[k] = 0
-                fv[i] = 0
-                k -= 1
-        return rows
-
-    return lambda alpha: np.frombuffer(alpha_leaf(alpha), dtype=np.uint8).reshape(-1, m * m)
-
-
-def _engine_schedule(g: FiniteGroup, abelian_h: bool):
-    """`(flat, derive_info, rest_info)`: the engine's cell schedule on G, cached on g.
-
-    The cells (g1, g2) off the unit row and column are numbered column-major
-    (g2 outer), cell k at flat position `flat[k]` = g1 |G| + g2.  An axiom
-    instance (g1, g2, g3), none of them the unit, is
-
-        f(g1, g2) f(g1 g2, g3) = g1(f(g2, g3)) f(g1, g2 g3)
-
-    written `(iA, iB, iC, iD, g1)` with the flat positions of its four cells,
-    and is listed at the highest-numbered cell it involves (a cell in the
-    unit row or column holds the unit), in (g1, g2, g3) order.  For abelian
-    H only the instances whose g3 is in `generating_sequence(g)` are listed.
-    Of the instances listed at cell k, the first that holds cell k exactly
-    once derives it: `derive_info[k]` is `(mode, iA, iB, iC, iD, g1)`, mode
-    0-3 naming which of the four is cell k, or None if no instance derives
-    it.  `rest_info[k]` lists the other instances, in order.
-    """
-    key = ("schedule", abelian_h)
-    schedule = g._cache.get(key)
-    if schedule is None:
-        m = g.order
-        third = generating_sequence(g) if abelian_h else list(range(1, m))
-        gm = g.table
-        number = [-1] * (m * m)   # cell number by flat position, -1 off the cells
-        flat = []
-        for g2 in range(1, m):
-            for g1 in range(1, m):
-                number[g1 * m + g2] = len(flat)
-                flat.append(g1 * m + g2)
-        listed = [[] for _ in flat]
-        for g1 in range(1, m):
-            row1, base1 = gm[g1], g1 * m
-            for g2 in range(1, m):
-                iA, b12, base2, row2 = base1 + g2, row1[g2] * m, g2 * m, gm[g2]
-                for g3 in third:
-                    iB, iC, iD = b12 + g3, base2 + g3, base1 + row2[g3]
-                    listed[max(number[iA], number[iB], number[iC], number[iD])].append((iA, iB, iC, iD, g1))
-        derive_info, rest_info = [], []
-        for target, insts in zip(flat, listed):
-            for k, inst in enumerate(insts):
-                if inst[:4].count(target) == 1:
-                    derive_info.append((inst.index(target), *inst))
-                    rest_info.append(insts[:k] + insts[k + 1:])
-                    break
-            else:
-                derive_info.append(None)
-                rest_info.append(insts)
-        schedule = (flat, derive_info, rest_info)
-        g._cache[key] = schedule
-    return schedule
+    return map(operator.itemgetter(0, 1), _tagged_blocks(h, g))
 
 
 def system_from_raw(
     h: FiniteGroup, g: FiniteGroup, alpha_indices: tuple[int, ...], f_flat
 ) -> CrossedSystem:
-    """Materialize an engine record; validity is guaranteed by construction.
+    """Materialize a raw record; validity is guaranteed by construction.
 
-    `f_flat` is the row-major cocycle table: the engine's bytes, which
+    `f_flat` is the row-major cocycle table: a block row's bytes, which
     already iterate as ints, or any sequence of integers.  One pass over it
     cuts the rows.
 
@@ -785,15 +568,16 @@ def _gauge_shifts(h: FiniteGroup, acts, gens, edges) -> "np.ndarray":
     return t
 
 
-def _gauge_slice_classes(h: FiniteGroup, g: FiniteGroup):
+def _gauge_slice_classes(h: FiniteGroup, g: FiniteGroup, alphas, acts):
     """Yield `(alpha, act_rows, members, tags, orbit)` per action: the gauge
     slice, each member tagged by its class f B^2.
 
-    For abelian H, the actions are the homomorphisms G -> Aut(H) in
-    lexicographic order (`_outer_homomorphisms`), and `act_rows` their uint8
-    value rows of shape (|G|, |H|), read off `_aut_perms`.  `members` holds
+    H is abelian, the module of coefficients, and the actions are
+    homomorphisms G -> Aut(H): `acts` holds their uint8 value rows
+    (A, |G|, |H|), one `act_rows` each, and `alphas` names them, passed
+    through in order (`_central_actions`).  `members` holds
     the action's whole gauge slice, uint8 rows of shape (s, |G|^2), one
-    row-major cocycle each, in the engine's order.  `tags[i]` is the index
+    row-major cocycle each, in the stream's order.  `tags[i]` is the index
     of member i's class in order of first appearance, so the first member
     of each tag is its class's least slice member.  B0, the coboundaries of
     T0 (`_gauge_shifts`), lies in the slice, and each class meets it in a
@@ -813,23 +597,22 @@ def _gauge_slice_classes(h: FiniteGroup, g: FiniteGroup):
     # its `request_p50_ms` 0.42 -> 1.05 ms (6 of 6 alternating pairs of runs).
     gens = generating_sequence(g)
     if len(gens) == 1:
-        return _cyclic_slice_classes(h, g, gens[0])
-    alphas = _outer_homomorphisms(h, g)[0]
+        return _cyclic_slice_classes(h, g, gens[0], alphas, acts)
     if h.order > 1:
         free, _, (_, g1) = _slice_plan(g)
         if len(alphas) * h.order ** len(free) * len(g1) <= _CHUNK:
-            return _enumerated_slice_classes(h, g, alphas)
-    return _linear_slice_classes(h, g, alphas)
+            return _enumerated_slice_classes(h, g, alphas, acts)
+    return _linear_slice_classes(h, g, alphas, acts)
 
 
-def _cyclic_slice_classes(h: FiniteGroup, g: FiniteGroup, b: int):
+def _cyclic_slice_classes(h: FiniteGroup, g: FiniteGroup, b: int, alphas, acts):
     """`_gauge_slice_classes` for G = <b>, in closed form.
 
     The gauge tree's cells are (b^k, b) for 0 < k < |G| - 1.  A normalized
     cocycle that is the unit on them is the carry cocycle
     f_c(b^x, b^y) = c^[x + y >= |G|] (0 <= x, y < |G|), and f_c is a cocycle
     exactly when c is in H^psi, the elements fixed by psi = act(b).  The
-    engine's order reads the first carry cell first, so the slice is f_c for
+    stream's order reads the first carry cell first, so the slice is f_c for
     c in H^psi ascending.  A map t of T0 with t(b) = s has coboundary f_N(s),
     N(s) = s psi(s) ... psi^(|G|-1)(s), so the classes are the cosets of
     N(H) in H^psi (H^2 = H^psi / N(H), K. S. Brown, Cohomology of Groups,
@@ -837,7 +620,6 @@ def _cyclic_slice_classes(h: FiniteGroup, g: FiniteGroup, b: int):
     """
     n, m = h.order, g.order
     hm, gm = h.table, g.table
-    alphas = _outer_homomorphisms(h, g)[0]   # first: it refuses an H over `_MAX_AUTS`
     log = [0] * m
     x = b
     for k in range(1, m):
@@ -845,7 +627,6 @@ def _cyclic_slice_classes(h: FiniteGroup, g: FiniteGroup, b: int):
         x = gm[x][b]
     logs = np.array(log)
     carry = (logs[:, None] + logs >= m).ravel().astype(np.uint8)
-    acts = _aut_perms(h)[np.array(alphas, dtype=np.intp).reshape(-1, m)]
     for alpha, act_rows, psi in zip(alphas, acts, acts[:, b].tolist()):
         norms = set()
         for s in range(n):
@@ -930,9 +711,9 @@ def _powers(h: FiniteGroup, e: int) -> list[int]:
 def _slice_plan(g: FiniteGroup):
     """`(free, levels, checks)`: the gauge slice's cocycle equations on G, cached on g.
 
-    The equations are the engine's for abelian H, with the unit on the tree
-    cells of `_gauge_tree(g)`, listed here without compiling the engine's
-    schedule (`_engine_schedule`, the tests' oracle of this plan).  The
+    The equations are the cocycle axioms for abelian H, with the unit on the
+    tree cells of `_gauge_tree(g)`; the tests read the same plan off the
+    backtracking engine's schedule, their oracle of it.  The
     cells (g1, g2) off the unit row and column are numbered column-major,
     and an instance (g1, g2, g3), g3 a generator,
     f(g1, g2) f(g1 g2, g3) = g1(f(g2, g3)) f(g1, g2 g3), is listed at the
@@ -1135,7 +916,7 @@ def _kernel_bases(mats: "np.ndarray", p: int, q: int, moduli) -> tuple["np.ndarr
     return np.concatenate(kernel, axis=1) // (q // moduli), np.concatenate(orders, axis=1)
 
 
-def _linear_slice_classes(h: FiniteGroup, g: FiniteGroup, alphas):
+def _linear_slice_classes(h: FiniteGroup, g: FiniteGroup, alphas, acts):
     """`_gauge_slice_classes` for any G and the actions `alphas`, by linear
     algebra over Z/p^a (the path of the pairs too large to enumerate).
 
@@ -1158,7 +939,6 @@ def _linear_slice_classes(h: FiniteGroup, g: FiniteGroup, alphas):
     """
     n, m = h.order, g.order
     basis, degrees, coords, _, primes = _abelian_coordinates(h)
-    acts = _aut_perms(h)[np.array(alphas, dtype=np.intp)]
     count = len(alphas)
     if not primes:   # H = 1: each slice is the unit cocycle alone, and B^2 = 1
         for alpha, act in zip(alphas, acts):
@@ -1197,7 +977,7 @@ def _linear_slice_classes(h: FiniteGroup, g: FiniteGroup, alphas):
         start = end
 
 
-def _enumerated_slice_classes(h: FiniteGroup, g: FiniteGroup, alphas):
+def _enumerated_slice_classes(h: FiniteGroup, g: FiniteGroup, alphas, acts):
     """`_gauge_slice_classes` for any G and the actions `alphas`, by checking
     every value of the free cells.
 
@@ -1211,7 +991,7 @@ def _enumerated_slice_classes(h: FiniteGroup, g: FiniteGroup, alphas):
     product of its halves' residuals, the unit where the second half's are
     the first's inverses: one comparison checks all |H|^k.  The
     assignments are numbered with the first free cell most significant, so
-    each slice comes in the engine's order with no sort (two members first
+    each slice comes in the stream's order with no sort (two members first
     differ on a free cell), and a member's position is read off the number
     its free cells spell in base |H|: each member times the coboundary of
     every map of T0 (B0 on the free cells, `_free_coboundaries`) is found by
@@ -1223,7 +1003,6 @@ def _enumerated_slice_classes(h: FiniteGroup, g: FiniteGroup, alphas):
     """
     n, m = h.order, g.order
     hm = _byte_tables(h)[0]
-    acts = _aut_perms(h)[np.array(alphas, dtype=np.intp)]
     free, levels, (quad, g1) = _slice_plan(g)
     count, k = len(alphas), len(free)
     # an assignment is the product of one assignment of each half of the
@@ -1276,7 +1055,7 @@ def _free_coboundaries(h: FiniteGroup, g: FiniteGroup, acts, free) -> "np.ndarra
 
 def _tagged_slices(h: FiniteGroup, g: FiniteGroup, alphas, acts, rows, action_of, least):
     """The `_gauge_slice_classes` items of a batch of actions, from their
-    slice members `rows`, each action's in the engine's order, the member's
+    slice members `rows`, each action's in the stream's order, the member's
     action `action_of` and `least`, the position of its class's first
     member.  Numbering the first members in order gives the tags, in order
     of first appearance; the classes are the cosets of B0 in the slice, so
@@ -1305,7 +1084,7 @@ def _slice_batch(h: FiniteGroup, g: FiniteGroup, alphas, acts, cocycle, order, f
     slice members first differ on a free cell, each derived cell being a
     function of earlier cells, so one sort of every member by its action's
     number (two bytes, big-endian) then its `free` cells puts each slice in
-    the engine's order.  B0, the coboundaries of the maps of T0
+    the stream's order.  B0, the coboundaries of the maps of T0
     (`_free_coboundaries`), lies in the slice, and a class is a coset f B0:
     each member times every distinct element of its action's B0 is looked
     up among the sorted members, and the least position found is its
@@ -1392,10 +1171,12 @@ def _by_first_appearance(labels: "np.ndarray") -> "np.ndarray":
     return np.argsort(np.argsort(first))[inverse]
 
 
-def _cocycle_blocks(h: FiniteGroup, g: FiniteGroup, batch, w):
+def _cocycle_blocks(h: FiniteGroup, g: FiniteGroup, batch, w, carry=None):
     """Yield `(alpha, block, tags, orbit)` per action of `batch`, the
     `_gauge_slice_classes` items of some actions: Z^2 of each, in the
-    engine's order.
+    stream's order, or with `carry` = (hm, embed, f0), H's uint8 table, the
+    labels in H of h's elements and one uint8 row per action, each block
+    carried into H as f0 Z^2.
 
     Z^2 is the direct product of the gauge slice and delta(W), W the maps t
     with t(1) = 1 that are the unit on the generators, one per row of `w`: a
@@ -1405,12 +1186,11 @@ def _cocycle_blocks(h: FiniteGroup, g: FiniteGroup, batch, w):
     its own delta(W) (delta(W) taken under every action at once), and each
     row, in its member's class since delta(W) lies in B^2, carries its tag.
     The rows are sorted by action, then by the cocycle read column-major, the
-    engine's cell schedule: every derived cell is a function of earlier
-    cells, so two systems first differ on a FREE cell, whose domain the
-    engine tries in ascending order.  Each lookup is copied into the sort
+    stream's order.  Each lookup is copied into the sort
     keys as it is made and the blocks are read back off the sorted keys, so
     the batch never holds its rows beside its keys; delta(W) is built about
-    `_CHUNK` cells at a time.
+    `_CHUNK` cells at a time.  A carry multiplies the lookups by f0 before
+    the sort.
     """
     if not batch:
         return
@@ -1443,6 +1223,9 @@ def _cocycle_blocks(h: FiniteGroup, g: FiniteGroup, batch, w):
         for count, delta in zip(counts, delta_w):
             cells[start:start + count] = _mul(hm, columns[start:start + count], delta)
             start += count
+    if carry is not None:
+        hm_h, embed, f0 = carry
+        cells[...] = _mul(hm_h, np.repeat(f0.reshape(-1, 1, m, m).transpose(0, 1, 3, 2), counts, axis=0), embed[cells])
     order = np.argsort(keys.view(f"V{2 + m * m}").ravel())
     block = keys.take(order, axis=0)[:, 2:].reshape(-1, m, m).transpose(0, 2, 1).reshape(-1, m * m)
     row_tags = np.concatenate(tags)[order // d]
@@ -1462,7 +1245,7 @@ def _column_order(blocks: "np.ndarray", m: int) -> "np.ndarray":
     return np.argsort(columns.reshape(b, k, width).view(f"V{width}").reshape(b, k), axis=1)
 
 
-# The block paths build about this many systems at once (`_algebraic_systems`
+# The block paths build about this many systems at once (`_central_blocks`
 # multiplies slices by delta(W), `_lifted_systems` shifts blocks), so their
 # memory follows one batch, never the stream
 _BATCH = 4096
@@ -1472,75 +1255,235 @@ _BATCH = 4096
 _CHUNK = 1 << 16
 
 
-def _algebraic_systems(h: FiniteGroup, g: FiniteGroup):
-    """Yield `(alpha, block, tags, orbit)` for abelian H, one Z^2 block per action.
+def _center_group(h: FiniteGroup):
+    """`(z, embed, index)`: Z(H) as a group, cached on h.
 
-    The gauge slice gives each action's slice, tagged by class, and |B^2|
-    (`_gauge_slice_classes`); `_cocycle_blocks` multiplies the slices of a
-    batch of actions, about `_BATCH` systems, by delta(W) and sorts each
-    block into the engine's order, so the blocks are the engine's.
-    `tags[i]` numbers row i's eq1 class within the action, and each class
-    holds `orbit` rows.  W, the maps that are the unit on the generators, is
-    the same for every action: its rows take every value off the generators
-    (`_all_shifts`).
+    Element k of z is the k-th least central element of H, `embed[k]`
+    (uint8, `subgroup_as_group`), and `index` (intp, |H|) maps each central
+    element back to its label in z, -1 off the centre.
+    """
+    cached = h._cache.get("center_group")
+    if cached is None:
+        sub = center(h)
+        embed = np.array(sub.elements, dtype=np.uint8)
+        index = np.full(h.order, -1, dtype=np.intp)
+        index[embed] = np.arange(len(embed))
+        cached = h._cache["center_group"] = (subgroup_as_group(sub)[0], embed, index)
+    return cached
+
+
+def _central_actions(h: FiniteGroup, g: FiniteGroup):
+    """`(z, embed, alphas, acts, f0)`: the first lift of every outer action
+    with systems, and Z(H) as a G-module under it.
+
+    The outer actions psi: G -> Out(H) come in lexicographic order
+    (`_outer_homomorphisms`), and alpha0, the first lift of psi, takes the
+    least automorphism index in each coset psi(g) (`_lift_products`).  Inner
+    automorphisms fix Z(H) pointwise, so alpha0 on Z(H) is an action of G
+    that depends on psi alone: `acts` holds its uint8 value rows
+    (A, |G|, |Z(H)|) on z, Z(H) as a group (`_center_group`, `embed` its
+    labels in H).  Two cocycles over alpha0 differ cell by cell by a central
+    factor, and for a central z the product f0 z is a cocycle exactly when
+    z is a cocycle of the module, so the systems on alpha0 are
+    f0 Z^2(G, Z(H)) for any one of them, f0 (uint8 rows (A, |G|^2),
+    `_first_cocycles`).  A psi with no f0 has no system and is left out.
+    For abelian H, Z(H) = H, alpha0 is psi and f0 = 1: z is h, and `embed`
+    and `f0` are None.
+    """
+    psis, cosets = _outer_homomorphisms(h, g)
+    alphas = [tuple(cosets[k][0] for k in psi) for psi in psis]
+    perms = _aut_perms(h)[np.array(alphas, dtype=np.intp)]
+    if h.is_abelian:
+        return h, None, alphas, perms, None
+    z, embed, index = _center_group(h)
+    acts = index[perms[:, :, embed]].astype(np.uint8)
+    f0, held = _first_cocycles(h, g, alphas, perms, acts)
+    keep = held.nonzero()[0]
+    return z, embed, [alphas[a] for a in keep], acts[keep], f0[keep]
+
+
+def _first_cocycles(h: FiniteGroup, g: FiniteGroup, alphas, perms, acts):
+    """`(f0, held)`: a normalized cocycle over each non-abelian action alpha0
+    of `alphas` (value rows `perms`, and `acts` on Z(H)), where one exists.
+
+    Cell (g1, g2) of a cocycle over alpha0 lies in the coset of Z(H) that
+    conjugates like alpha0(g1) alpha0(g2) alpha0(g1 g2)^-1, and f~ takes its
+    first member (`_aut_arrays`).  An axiom instance (g1, g2, g3) has the
+    residual f(g1, g2) f(g1 g2, g3) (g1(f(g2, g3)) f(g1, g2 g3))^-1
+    (`_residual`), central because both sides conjugate alike, and f~ z, z
+    central, has the residual res(f~) delta(z).  So f0 = f~ z for a z with
+    delta(z) = res(f~)^-1 over Z(H) (`_central_corrections`), and `held[a]`
+    is False when there is none.  The instances whose g3 is a generator
+    (`generating_sequence`) are enough: in the product set H x G they are
+    associativity with (1, g3) on the right, and the elements on the right
+    of which associativity holds are closed under products and hold every
+    (h, 1), by the first axiom, so they are all of H x G.
     """
     n, m = h.order, g.order
+    count = len(alphas)
+    a = np.array(alphas, dtype=np.intp)
+    gm = g.table_array
+    comp = _aut_tables(h)[0].table_array
+    ftilde = _aut_arrays(h)[1][comp[a[:, :, None], a[:, None, :]], a[:, gm]].reshape(count, m * m)
+    if ftilde.min() < 0:
+        raise InternalInvariantError("a cocycle cell has no coset of Z(H)")
+    f0 = ftilde.astype(np.uint8)
+    held = np.ones(count, dtype=bool)
+    z, embed, index = _center_group(h)
+    if z.order == 1:   # every residual is central: f~ is the cocycle
+        return f0, held
+    gens = np.array(generating_sequence(g))
+    e = np.arange((m - 1) ** 2 * len(gens))
+    g1, g2, g3 = e // ((m - 1) * len(gens)) + 1, e // len(gens) % (m - 1) + 1, gens[e % len(gens)]
+    quad = np.array([g1 * m + g2, gm[g1, g2] * m + g3, g2 * m + g3, g1 * m + gm[g2, g3]])
+    wide = perms.astype(np.intp)
+    at = (np.arange(count)[:, None] * m + g1) * n
+    residual = index[_residual(h, wide, at, ftilde[:, quad])]
+    if residual.min() < 0:
+        raise InternalInvariantError("a residual is not central")
+    need = residual.any(axis=1).nonzero()[0]
+    if len(need):
+        tree = [p * m + s for (_, p, s) in _gauge_tree(g)[1]]
+        cells = np.setdiff1d(g1 * m + g2, tree)   # a solution exists iff one is the unit on the tree cells
+        corrections, held[need] = _central_corrections(z, g, acts[need], residual[need], quad, g1, cells)
+        f0[need[:, None], cells] = _byte_tables(h)[0][f0[need][:, cells], embed[corrections]]
+        if (_residual(h, wide, at, f0[:, quad].astype(np.intp)).any(axis=1) & held).any():
+            raise InternalInvariantError("a corrected cocycle fails an axiom instance")
+    return f0, held
+
+
+def _central_corrections(z: FiniteGroup, g: FiniteGroup, acts, residual, quad, g1, cells):
+    """`(corrections, held)`: per action of `acts` (uint8 rows on the
+    abelian group z), a z-valued cochain c on the `cells` with
+    delta(c) = `residual`^-1 on the instances `quad`, `g1` (`_residual`),
+    as labels (A, len(cells)), and whether one exists.
+
+    delta is linear, so each p-part of z is solved on its own over Z/q,
+    q = p^a (`_abelian_coordinates`): the residuals of every basis vector
+    (e_i on one cell) are the rows of M, and the kernel of M with one more
+    row, the residuals b themselves (`_kernel_bases`), holds (c, lambda)
+    with c M + lambda b = 0.  A solution exists exactly when some kernel
+    row has lambda a unit (the lambdas form an ideal of Z/q), and that row
+    times lambda^-1 is one.
+    """
+    m, count, k = g.order, len(acts), len(cells)
+    basis, degrees, coords, (labels, strides), primes = _abelian_coordinates(z)
+    wide = acts.astype(np.intp)
+    held = np.ones(count, dtype=bool)
+    solution = np.zeros((count, k, len(basis)), dtype=np.intp)
+    for (p, q, idx) in primes:
+        r = len(idx)
+        seeds = np.zeros((count, k, r, m * m), dtype=np.intp)
+        seeds[:, np.arange(k)[:, None], np.arange(r), cells[:, None]] = basis[idx]
+        which = np.repeat(np.arange(count), k * r)
+        values = coords[_residual(z, wide, (which[:, None] * m + g1) * z.order, seeds.reshape(-1, m * m)[:, quad])]
+        scale = q // degrees[idx]
+        mats = np.concatenate([
+            (values[..., idx] * scale).reshape(count, k * r, -1),
+            (coords[residual][..., idx] * scale).reshape(count, 1, -1),
+        ], axis=1)
+        kernel, orders = _kernel_bases(mats, p, q, np.append(np.tile(degrees[idx], k), q))
+        lam = kernel[:, :, -1]
+        unit = (orders > 1) & (lam % p != 0)
+        held &= unit.any(axis=1)
+        row = kernel[np.arange(count), unit.argmax(axis=1)]
+        inverse = _chain_ring(p, q)[2][row[:, -1] % q]
+        solution[:, :, idx] = (row[:, :-1] * inverse[:, None]).reshape(count, k, r) % degrees[idx]
+    return labels[solution @ strides], held
+
+
+def _central_blocks(h: FiniteGroup, g: FiniteGroup):
+    """Yield `(alpha0, block, tags, orbit)` per outer action with systems:
+    the block of its first lift, f0 Z^2(G, Z(H)) (`_central_actions`), in
+    the stream's order.
+
+    Z^2 of the module is its gauge slice (`_gauge_slice_classes`) times
+    delta(W) (`_cocycle_blocks`, which carries it into H, times f0, for
+    non-abelian H), built about `_BATCH` systems at a time; W, the maps that
+    are the unit on the generators, is the same for every action, its rows
+    taking every value off the generators (`_all_shifts`).  The shifts that
+    keep alpha0 are the maps into Z(H), which multiply by B^2(G, Z(H)), so
+    each eq1 class meets the block in one class f B^2(G, Z(H)) of
+    `orbit` = |B^2(G, Z(H))| rows.  `tags`
+    number the classes across the pair: those of earlier outer actions
+    first, then in order of first appearance in the slice.
+    """
+    z, embed, alphas, acts, f0 = _central_actions(h, g)
+    n, m = z.order, g.order
     gens = generating_sequence(g)
     rest = [x for x in range(1, m) if x not in gens]
     w = np.zeros((n ** len(rest), m), dtype=np.uint8)
     w[:, rest] = _all_shifts(n, len(rest) + 1)[:, 1:]
+    hm = _byte_tables(h)[0]
+    done = classes = 0
+
+    def blocks(batch):
+        nonlocal done, classes
+        carry = None if f0 is None else (hm, embed, f0[done:done + len(batch)])
+        done += len(batch)
+        for alpha, block, tags, orbit in _cocycle_blocks(z, g, batch, w, carry):
+            yield alpha, block, tags + classes, orbit
+            classes += len(block) // orbit
+
     batch, size = [], 0
-    for item in _gauge_slice_classes(h, g):
+    for item in _gauge_slice_classes(z, g, alphas, acts):
         batch.append(item)
         size += len(item[2]) * len(w)
         if size >= _BATCH:
-            yield from _cocycle_blocks(h, g, batch, w)
+            yield from blocks(batch)
             batch, size = [], 0
-    yield from _cocycle_blocks(h, g, batch, w)
+    yield from blocks(batch)
 
 
-def _lifted_systems(h: FiniteGroup, g: FiniteGroup):
-    """`_system_blocks` by the engine on one lift per outer action.
+def _tagged_blocks(h: FiniteGroup, g: FiniteGroup):
+    """Yield `(alpha, block, tags, orbit)` per action with systems, in the
+    order of `enumerate_raw_systems`: the `_system_blocks` items, each row
+    tagged by its eq1 class, numbered across the pair, and each class
+    holding `orbit` rows of every block it meets.
+
+    The first lift of each outer action gets its block from the centre
+    (`_central_blocks`), and the other lifts by shifting it
+    (`_lifted_systems`); for abelian H, Inn(H) = 1, so every action is the
+    one lift of its outer action and the first blocks are the stream.  G = 1
+    has one action and one system.
+    """
+    if g.order == 1:   # no automorphism tables
+        return iter([((0,), np.zeros((1, 1), dtype=np.uint8), np.zeros(1, dtype=np.intp), 1)])
+    bases = _central_blocks(h, g)
+    return bases if h.is_abelian else _lifted_systems(h, g, list(bases))
+
+
+def _lifted_systems(h: FiniteGroup, g: FiniteGroup, bases):
+    """`_tagged_blocks` for non-abelian H, from `bases`, the
+    `_central_blocks` items.
 
     The systems over one outer action psi: G -> Out(H) are one orbit under
     shifts (the source paper's Schreier-type theorem; Brown, Cohomology of
-    Groups, IV.6).  The first lift alpha0 of each psi in lexicographic order
-    (`_lift_products`) gets its block from the engine (`_engine`), every
-    base block first, and is yielded as it is.  Every other lift is
-    alpha = c_t alpha0, t(g) the first c in H with alpha(g) alpha0(g)^-1 =
+    Groups, IV.6).  Every lift alpha of psi other than the first, alpha0,
+    is alpha = c_t alpha0, t(g) the first c in H with alpha(g) alpha0(g)^-1 =
     c_t, and the shift by t,
 
         f(g1, g2) = t(g1) alpha0(g1)(t(g2)) f0(g1, g2) t(g1 g2)^-1
 
     (`_shift_factors`), maps the systems on alpha0 one to one onto those on
-    alpha; a psi whose alpha0 has no system has none on any lift.  The lifts
-    are walked in the stream's order and shifted in batches of blocks of one
-    size (`_shift_lifts`), base blocks riding along in their places, so a
-    small pair shifts all its lifts at once.  The library runs it for
-    non-abelian H only.  For abelian H, the tests' oracle, Inn(H) = 1: every
-    action is the one lift of its psi, the engine runs on each, and nothing
-    is shifted.
+    alpha, each into its own eq1 class, so every row keeps its tag; a psi
+    with no base has no system on any lift.  The lifts (`_lift_products`)
+    are walked in the stream's order and shifted in batches of blocks of
+    one size (`_shift_lifts`), base blocks riding along in their places, so
+    a small pair shifts all its lifts at once.
     """
-    leaf = _engine(h, g)
-    products, bases = [], []   # per psi: its lifts, and (alpha0, the engine's block)
-    for lifts in _lift_products(h, g):
-        alpha0 = next(lifts)
-        bases.append((alpha0, leaf(alpha0)))
-        products.append(itertools.chain([alpha0], lifts))
+    products = _lift_products(h, [alpha0 for (alpha0, _, _, _) in bases])
     tagged = heapq.merge(*(zip(lifts, itertools.repeat(p)) for p, lifts in enumerate(products)))
 
     def emit(pending, lifts):
         shifted = _shift_lifts(h, g, lifts, bases) if lifts else iter(())
         for alpha, p in pending:
-            yield (alpha, bases[p][1]) if alpha == bases[p][0] else next(shifted)
+            yield bases[p] if alpha == bases[p][0] else next(shifted)
 
     pending, lifts, size = [], [], 0   # every pending lift in order, and those to shift
     for alpha, p in tagged:
-        alpha0, block0 = bases[p]
-        k = len(block0)
-        if not k:
-            continue
-        if alpha != alpha0:
+        k = len(bases[p][1])
+        if alpha != bases[p][0]:
             if lifts and (k != size or len(lifts) * k >= _BATCH):
                 yield from emit(pending, lifts)
                 pending, lifts = [], []
@@ -1551,21 +1494,22 @@ def _lifted_systems(h: FiniteGroup, g: FiniteGroup):
 
 
 def _shift_lifts(h: FiniteGroup, g: FiniteGroup, pending, bases):
-    """`(alpha, block)` per pending `(alpha, p)`, in order: the block of
-    `bases[p]` = (alpha0, block0) shifted from alpha0 onto alpha
-    (`_lifted_systems`) and sorted into the engine's order.  Every block0
-    has the same number of rows.
+    """`(alpha, block, tags, orbit)` per pending `(alpha, p)`, in order: the
+    block of `bases[p]` shifted from its alpha0 onto alpha
+    (`_lifted_systems`) and sorted into the stream's order, its tags with
+    it.  Every base block has the same number of rows.
 
     The shift factors of every lift take one `_shift_factors`, then both
     products over every row one gather each.
     """
     m = g.order
     perms, shift = _aut_arrays(h)
-    alphas, tags = zip(*pending)
-    used = {p: j for j, p in enumerate(dict.fromkeys(tags))}
-    which = np.array([used[p] for p in tags], dtype=np.intp)
+    alphas, owners = zip(*pending)
+    used = {p: j for j, p in enumerate(dict.fromkeys(owners))}
+    which = np.array([used[p] for p in owners], dtype=np.intp)
     alpha0 = np.array([bases[p][0] for p in used], dtype=np.intp)[which]
     block0 = np.stack([bases[p][1] for p in used])[which]
+    tags = np.stack([bases[p][2] for p in used])[which]
     t = shift[np.array(alphas, dtype=np.intp), alpha0]
     if (t < 0).any():
         raise InternalInvariantError("a lift is not an inner shift of its base")
@@ -1573,41 +1517,42 @@ def _shift_lifts(h: FiniteGroup, g: FiniteGroup, pending, bases):
     hm = _byte_tables(h)[0]
     shifted = _mul(hm, _mul(hm, left[:, None], block0), right[:, None])
     if block0.shape[1] > 1:
-        shifted = shifted[np.arange(len(shifted))[:, None], _column_order(shifted, m)]
-    return zip(alphas, shifted)
+        every = np.arange(len(shifted))[:, None]
+        order = _column_order(shifted, m)
+        shifted, tags = shifted[every, order], tags[every, order]
+    return zip(alphas, shifted, tags, [bases[p][3] for p in owners])
 
 
 def iter_orbit_representatives(h: FiniteGroup, g: FiniteGroup, *, cap: int = DEFAULT_PAIR_CAP):
     """Yield one raw system `(alpha, f_bytes)` per stabilizing-equivalence orbit.
 
-    For abelian H the action is a homomorphism G -> Aut(H), a shift keeps it,
-    and an orbit is a cohomology class f B^2.  Only the gauge slice is
-    enumerated: the cocycles that are the unit on every tree cell (p, s) of a
-    BFS spanning tree of G (`_gauge_tree`).  Every orbit meets it, since
-    setting t(s) = 1 on the generators and t(p s) = t(p) p(t(s)) f(p, s) down
-    the tree moves f into it, and meets it in the T0-orbit of any member
-    (`_gauge_shifts`, |H|^#generators maps instead of |H|^(|G|-1)).  The
-    least slice member of each T0-orbit, the first member of its tag, is
-    yielded, orbits ascending (`_gauge_slice_classes`: in closed form for
-    cyclic G, by linear algebra for any other G), so the yield count is the
-    class count.  For non-abelian H, and for G = 1, where each orbit is one
-    system, every system is yielded, from the block stream `_system_blocks`
-    (the engine's block per outer action, shifted onto each of its lifts;
-    correct, just without reduction).  Orbit members share their product's
-    isomorphism type, which is what bulk consumers rely on.
+    Every orbit meets the first lift alpha0 of its outer action, in a class
+    f0 z B^2(G, Z(H)) of the module Z(H) (`_central_actions`; for abelian H,
+    Z(H) = H, f0 = 1 and the orbit is a class f B^2).  Only the module's
+    gauge slice is enumerated: the cocycles that are the unit on every tree
+    cell (p, s) of a BFS spanning tree of G (`_gauge_tree`).  Every class
+    meets it, since setting t(s) = 1 on the generators and
+    t(p s) = t(p) p(t(s)) z(p, s) down the tree moves z into it, and meets
+    it in the T0-orbit of any member (`_gauge_shifts`, |Z(H)|^#generators
+    maps instead of |Z(H)|^(|G|-1)).  f0 times the least slice member of
+    each T0-orbit, the first member of its tag, is yielded, orbits
+    ascending (`_gauge_slice_classes`: in closed form for cyclic G, by
+    linear algebra for any other G), so the yield count is the class count.
+    G = 1 has one system.  Orbit members share their product's isomorphism
+    type, which is what bulk consumers rely on.
     """
-    if h.is_abelian and g.order > 1:
-        _check_pair(h, g, cap)
-        for alpha, _, members, tags, _ in _gauge_slice_classes(h, g):
-            classes = 0
-            for i, tag in enumerate(tags.tolist()):
-                if tag == classes:   # the tags number the classes in order of first appearance
-                    classes += 1
-                    yield alpha, members[i].tobytes()
+    _check_pair(h, g, cap)
+    if g.order == 1:
+        yield (0,), bytes(1)
         return
-    for alpha, rows in _system_blocks(h, g, cap):
-        for row in rows:
-            yield alpha, row.tobytes()
+    z, embed, alphas, acts, f0 = _central_actions(h, g)
+    hm = _byte_tables(h)[0]
+    for a, (alpha, _, members, tags, _) in enumerate(_gauge_slice_classes(z, g, alphas, acts)):
+        classes = 0
+        for i, tag in enumerate(tags.tolist()):
+            if tag == classes:   # the tags number the classes in order of first appearance
+                classes += 1
+                yield alpha, (members[i] if f0 is None else hm[f0[a], embed[members[i]]]).tobytes()
 
 
 # pairwise equivalence ---------------------------------------------------------
@@ -1902,15 +1847,13 @@ def _reports(h: FiniteGroup, g: FiniteGroup, relations, cap: int) -> dict[str, C
     eq1 -> eq2 -> iso is built in order, each relation labelling its classes
     in order of their least member:
 
-    - eq1, abelian H with |G| > 1: the classes are the cosets f B^2, and
-      `_algebraic_systems` builds each action's block as those cosets, with
-      each row tagged by its class.  The tags are carried through the key
-      block's sort and read off; every class must hold exactly |B^2| systems
-      of one action (InternalInvariantError otherwise).
-    - eq1, any other pair: each system not yet marked opens a class and
-      marks its whole shift orbit, computed over all maps t in one gather
-      (`coboundary_orbit_keys`) and found in the key block by one
-      `np.searchsorted` (`_lookup`).
+    - eq1: each eq1 class meets the block of the first lift of its outer
+      action in one coset f0 z B^2(G, Z(H)), and each other lift's block in
+      that coset's shift, so `_tagged_blocks` tags every row by its class.
+      The tags are carried through the key block's sort and read off; every
+      class must hold exactly |B^2(G, Z(H))| systems of each block it meets,
+      and each block's classes must be numbered consecutively
+      (InternalInvariantError otherwise).
     - eq2: relabellings map eq1 classes onto eq1 classes, and an eq2 witness
       is a relabelling followed by a shift, so each eq1 class not yet joined
       joins the eq1 classes of the |Aut(H)|·|Aut(G)| relabellings of its
@@ -1925,34 +1868,23 @@ def _reports(h: FiniteGroup, g: FiniteGroup, relations, cap: int) -> dict[str, C
     """
     n, m = h.order, g.order
     width = m * n
-    if h.is_abelian and m > 1:
-        _check_pair(h, g, cap)
-        alphas, blocks, tags, orbits = zip(*_algebraic_systems(h, g))
-        systems, order = _key_block(h, g, alphas, blocks)
-        counts = [len(block) // orbit for block, orbit in zip(blocks, orbits)]
-        starts = np.cumsum([0] + counts[:-1])
-        ids = np.concatenate([t + start for t, start in zip(tags, starts)])[order]
-        count = sum(counts)
-        if not (
-            np.array_equal(np.bincount(ids, minlength=count), np.repeat(orbits, counts))
-            and np.array_equal(np.repeat(np.arange(len(alphas)), counts)[ids], systems._alpha_of)
-        ):
-            raise InternalInvariantError("an eq1 class does not hold |B^2| systems of one action")
-        eq1_of = _by_first_appearance(ids)
-        keys = systems._keys
-        sorted_keys = _key_view(keys)
-    else:
-        systems = _system_block(h, g, cap)
-        keys = systems._keys
-        sorted_keys = _key_view(keys)
-        t = _all_shifts(n, m)
-        eq1_of = np.full(len(keys), -1, dtype=np.intp)
-        count = 0
-        for i in range(len(keys)):
-            if eq1_of[i] < 0:
-                actions, cocycles = coboundary_orbit_keys(h, g, keys[i, :width], keys[i, width:].tobytes(), t)
-                _mark(eq1_of, _lookup(sorted_keys, np.concatenate([actions, cocycles], axis=1)), count)
-                count += 1
+    _check_pair(h, g, cap)
+    alphas, blocks, tags, orbits = zip(*_tagged_blocks(h, g))
+    systems, order = _key_block(h, g, alphas, blocks)
+    ids = np.concatenate(tags)
+    count = int(ids.max()) + 1
+    block_of = np.repeat(np.arange(len(blocks)), [len(block) for block in blocks])
+    met, held = np.unique(block_of * count + ids, return_counts=True)
+    block, label = np.divmod(met, count)
+    if not (
+        np.array_equal(held, np.array(orbits)[block])
+        and (np.diff(label)[block[1:] == block[:-1]] == 1).all()
+        and np.bincount(label, minlength=count).all()
+    ):
+        raise InternalInvariantError("an eq1 class does not hold |B^2(G, Z(H))| systems of each block it meets")
+    eq1_of = _by_first_appearance(ids[order])
+    keys = systems._keys
+    sorted_keys = _key_view(keys)
     eq1 = _classes(eq1_of, count)
 
     eta, eta_inv, gamma_inv = _relabellings(h, g)

@@ -2,6 +2,7 @@ import heapq
 import importlib
 import itertools
 import random
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -10,11 +11,13 @@ import pytest
 
 from crossedprod.errors import CapExceededError, InternalInvariantError
 from crossedprod.groups import (
+    FiniteGroup,
     Subgroup,
     _completion_triples,
     alternating_group,
     are_isomorphic,
     automorphism_group,
+    automorphism_index,
     backtrack,
     cyclic_group,
     dihedral_group,
@@ -30,15 +33,15 @@ from crossedprod.groups import (
 from crossedprod.classify import (
     DEFAULT_PAIR_CAP,
     _abelian_coordinates,
-    _algebraic_systems,
     _all_shifts,
     _aut_arrays,
     _aut_perms,
     _aut_tables,
     _byte_tables,
     _CHUNK,
-    _engine,
-    _engine_schedule,
+    _center_group,
+    _central_actions,
+    _central_blocks,
     _enumerated_slice_classes,
     _MAX_AUTS,
     _gauge_shifts,
@@ -401,24 +404,21 @@ def _key_rows(sys):
 
 
 def test_internal_invariant_orbit_leaving_the_systems_raises(monkeypatch):
-    # the kernels whose rows are looked up in the key block: relabellings
-    # (eq2) and shifts (eq1 on non-abelian H); eq1 on abelian H reads tags
+    # the kernel whose rows are looked up in the key block: the relabellings
+    # of eq2, on abelian and non-abelian H; eq1 reads tags
     # (test_internal_invariant_eq1_tags_*)
     classify_mod = importlib.import_module("crossedprod.classify")
 
     # a key past the last system's, and one before the first (not a system)
-    for rows in (_key_rows(_stray_system(C2, C2)), (np.zeros((1, 4), np.uint8), np.zeros((1, 4), np.uint8))):
-        monkeypatch.setattr(classify_mod, "_relabel_rows", lambda *args: rows)
-        with pytest.raises(InternalInvariantError, match="left the systems"):
-            classify(C2, C2, "eq2")
-        monkeypatch.undo()
-    for rows in (
-        (np.full((1, 12), 5, np.uint8), np.full((1, 4), 5, np.uint8)),
-        (np.zeros((1, 12), np.uint8), np.zeros((1, 4), np.uint8)),
+    for h, g, rows in (
+        (C2, C2, _key_rows(_stray_system(C2, C2))),
+        (C2, C2, (np.zeros((1, 4), np.uint8), np.zeros((1, 4), np.uint8))),
+        (S3, C2, (np.full((1, 12), 5, np.uint8), np.full((1, 4), 5, np.uint8))),
+        (S3, C2, (np.zeros((1, 12), np.uint8), np.zeros((1, 4), np.uint8))),
     ):
-        monkeypatch.setattr(classify_mod, "coboundary_orbit_keys", lambda *args: rows)
+        monkeypatch.setattr(classify_mod, "_relabel_rows", lambda *args, rows=rows: rows)
         with pytest.raises(InternalInvariantError, match="left the systems"):
-            classify(S3, C2, "eq1")
+            classify(h, g, "eq2")
         monkeypatch.undo()
 
 
@@ -433,33 +433,33 @@ def test_internal_invariant_orbit_meeting_another_class_raises(monkeypatch):
     monkeypatch.undo()
 
     first = enumerate_crossed_systems(D8, C2)[0]
-    orbit_keys = classify_mod.coboundary_orbit_keys
+    relabel_rows = classify_mod._relabel_rows
 
-    def kernel(h, g, act_rows, f_flat, t_rows=None):
-        # every orbit also names the first system
-        actions, cocycles = orbit_keys(h, g, act_rows, f_flat, t_rows)
+    def kernel(*args):
+        # every relabelling also names the first system
+        actions, cocycles = relabel_rows(*args)
         first_action, first_cocycle = _key_rows(first)
         return np.concatenate([actions, first_action]), np.concatenate([cocycles, first_cocycle])
 
-    assert classify(D8, C2, "eq1").class_count() > 1
-    monkeypatch.setattr(classify_mod, "coboundary_orbit_keys", kernel)
+    assert classify(D8, C2, "eq2").class_count() > 1
+    monkeypatch.setattr(classify_mod, "_relabel_rows", kernel)
     with pytest.raises(InternalInvariantError, match="met another class"):
-        classify(D8, C2, "eq1")
+        classify(D8, C2, "eq2")
 
 
 def test_internal_invariant_eq1_tags_need_b2_sized_classes(monkeypatch):
-    # eq1 on abelian H reads the classes off the tags of the Z^2 blocks, and
-    # every class must hold |B^2| systems, |B^2| counted from T0 by the slice
+    # eq1 reads the classes off the tags of the Z^2 blocks, and every class
+    # must hold |B^2| systems of each block, |B^2| counted from T0 by the slice
     classify_mod = importlib.import_module("crossedprod.classify")
     cocycle_blocks = classify_mod._cocycle_blocks
     slices = classify_mod._gauge_slice_classes
 
-    def two_row_delta_w(h, g, batch, w):
+    def two_row_delta_w(h, g, batch, w, carry):
         # every map of W twice gives delta(W) every row twice
-        return cocycle_blocks(h, g, batch, np.repeat(w, 2, axis=0))
+        return cocycle_blocks(h, g, batch, np.repeat(w, 2, axis=0), carry)
 
-    def doubled_orbit(h, g):
-        for (*rest, orbit) in slices(h, g):
+    def doubled_orbit(*args):
+        for (*rest, orbit) in slices(*args):
             yield (*rest, 2 * orbit)
 
     # G = C2 is generated by its one non-unit element, so W and delta(W) are
@@ -480,7 +480,8 @@ def test_internal_invariant_eq1_tags_of_one_action(monkeypatch):
     # the first class of the k-th action's block gets its tags moved by
     # moves[k]: into another class of the action, past every class, or, on
     # (C4, C4), whose first two actions have 4 and 2 classes of 16 systems,
-    # swapped between them, which keeps every count but mixes two actions
+    # swapped between them, which keeps every count but splits the second
+    # action's classes into labels that are not consecutive
     classify_mod = importlib.import_module("crossedprod.classify")
     cocycle_blocks = classify_mod._cocycle_blocks
     for h, g, moves in ((C2, K4, [1]), (C3, C2, [4]), (C4, C4, [4, -4])):
@@ -848,10 +849,249 @@ def _records(blocks):
     return [(alpha, row.tobytes()) for (alpha, block) in blocks for row in block]
 
 
+def _first_lifts(h, g):
+    """The first lift of every psi: G -> Out(H), in lexicographic order."""
+    psis, cosets = _outer_homomorphisms(h, g)
+    return [tuple(cosets[k][0] for k in psi) for psi in psis]
+
+
 def _outer_actions(h, g):
     """Every action tuple with a non-empty domain on each cocycle cell, in
     lexicographic order: the lifts of each psi: G -> Out(H), merged."""
-    return heapq.merge(*_lift_products(h, g))
+    return heapq.merge(*_lift_products(h, _first_lifts(h, g)))
+
+
+def _homs(h, g):
+    """`(alphas, acts)` of `_gauge_slice_classes` for abelian H: the
+    homomorphisms G -> Aut(H) and their uint8 value rows."""
+    alphas = _outer_homomorphisms(h, g)[0]
+    return alphas, _aut_perms(h)[np.array(alphas, dtype=np.intp)]
+
+
+# The backtracking engine, the library's block stream before every block
+# was built from the centre (`_central_blocks`), kept as the reference of
+# the stream, of the gauge slices and of the slice plan.
+
+
+def _engine(h: FiniteGroup, g: FiniteGroup):
+    """`leaf(alpha)`: the engine's block of one action tuple, uint8 rows of
+    shape (k, |G|^2) in the stream's order, k = 0 when no system has it.
+
+    The domain of cell (g1, g2) is the ascending tuple of c in H conjugating
+    like a(g1) a(g2) a(g1 g2)^-1, one lookup in the cached Inn(H) table.
+
+    Cocycle cells are filled column-major; for most cells some axiom instance
+    pins the value, which is then computed directly instead of searched.  For
+    abelian H (where the weak action is forced to be multiplicative) only
+    instances whose third argument is a generator of G are scheduled: the rest
+    follow by induction on the word length of the third argument.  A cell that
+    no instance pins is FREE and tries its domain in ascending order.  The
+    schedule depends on G alone (and on whether H is abelian), so it is built
+    once per G and cached on g (`_engine_schedule`); per action only its
+    binding to the action's rows and cell domains runs.
+
+    The library once ran it on the first lift of each outer action.
+    """
+    n, m = h.order, g.order
+    auts = automorphism_group(h)
+    hm = h.table
+    hinv = h.inverse_table
+    gm = g.table
+    fvals = [0] * (m * m)
+
+    flat, derive_info, rest_info = _engine_schedule(g, h.is_abelian)
+    K = len(flat)
+    cells = [divmod(i, m) for i in flat]
+
+    # a cell's domain is the coset of Z(H) conjugating like a1 a2 a12^-1 (all
+    # of H when H is abelian); a full domain needs no membership test (None),
+    # which lets derived cells chain
+    aut, _, _, conj_of = _aut_tables(h)
+    comp, aut_inv = aut.table, aut.inverse_table
+    domset_of = [None if len(d) == n else frozenset(d) for d in conj_of]
+
+    CHAIN, DERIVE, FREE = 0, 1, 2
+
+    def alpha_leaf(alpha) -> bytearray:
+        rows = bytearray()
+        act = [auts[a].map for a in alpha]
+        inner = [comp[comp[alpha[g1]][alpha[g2]]][aut_inv[alpha[gm[g1][g2]]]] for (g1, g2) in cells]
+        domains = [conj_of[a] for a in inner]
+        domsets = [domset_of[a] for a in inner]
+        act_inv: list[tuple[int, ...] | None] = [None] * m
+
+        def derive_op(k: int):
+            mode, iA, iB, iC, iD, g1 = derive_info[k]
+            if mode == 2 and act_inv[g1] is None:
+                inv_row = [0] * n
+                for src, dst in enumerate(act[g1]):
+                    inv_row[dst] = src
+                act_inv[g1] = tuple(inv_row)
+            return (flat[k], mode, iA, iB, iC, iD, act[g1], act_inv[g1])
+
+        def bind(insts):
+            return [(iA, iB, iC, iD, act[g1]) for (iA, iB, iC, iD, g1) in insts]
+
+        # compile the cell schedule: maximal runs of always-succeeding derived
+        # cells collapse into single chain steps with no choice point
+        steps: list[tuple] = []
+        k = 0
+        while k < K:
+            derivable = derive_info[k] is not None
+            if derivable and not rest_info[k] and domsets[k] is None:
+                ops = []
+                while (
+                    k < K
+                    and derive_info[k] is not None
+                    and not rest_info[k]
+                    and domsets[k] is None
+                ):
+                    ops.append(derive_op(k))
+                    k += 1
+                steps.append((CHAIN, ops))
+            elif derivable:
+                steps.append((DERIVE, flat[k], derive_op(k), bind(rest_info[k]), domsets[k]))
+                k += 1
+            else:
+                steps.append((FREE, flat[k], domains[k], len(domains[k]), bind(rest_info[k])))
+                k += 1
+        nsteps = len(steps)
+        fv = fvals
+        ptr = [0] * (nsteps + 1)
+        k = 0
+        while k >= 0:
+            if k == nsteps:
+                rows.extend(fv)
+                k -= 1
+                continue
+            step = steps[k]
+            kind = step[0]
+            if kind == CHAIN:
+                if ptr[k] == 0:
+                    ptr[k] = 1
+                    for (i, mode, iA, iB, iC, iD, a1, a1inv) in step[1]:
+                        if mode == 0:
+                            fv[i] = hm[hm[a1[fv[iC]]][fv[iD]]][hinv[fv[iB]]]
+                        elif mode == 1:
+                            fv[i] = hm[hinv[fv[iA]]][hm[a1[fv[iC]]][fv[iD]]]
+                        elif mode == 2:
+                            fv[i] = a1inv[hm[hm[fv[iA]][fv[iB]]][hinv[fv[iD]]]]
+                        else:
+                            fv[i] = hm[hinv[a1[fv[iC]]]][hm[fv[iA]][fv[iB]]]
+                    k += 1
+                    if k < nsteps:
+                        ptr[k] = 0
+                    continue
+                ptr[k] = 0
+                k -= 1
+                continue
+            if kind == DERIVE:
+                _, i, der, rests, dset = step
+                if ptr[k] == 0:
+                    ptr[k] = 1
+                    (_, mode, iA, iB, iC, iD, a1, a1inv) = der
+                    if mode == 0:
+                        val = hm[hm[a1[fv[iC]]][fv[iD]]][hinv[fv[iB]]]
+                    elif mode == 1:
+                        val = hm[hinv[fv[iA]]][hm[a1[fv[iC]]][fv[iD]]]
+                    elif mode == 2:
+                        val = a1inv[hm[hm[fv[iA]][fv[iB]]][hinv[fv[iD]]]]
+                    else:
+                        val = hm[hinv[a1[fv[iC]]]][hm[fv[iA]][fv[iB]]]
+                    if dset is None or val in dset:
+                        fv[i] = val
+                        good = True
+                        for (jA, jB, jC, jD, b1) in rests:
+                            if hm[fv[jA]][fv[jB]] != hm[b1[fv[jC]]][fv[jD]]:
+                                good = False
+                                break
+                        if good:
+                            k += 1
+                            if k < nsteps:
+                                ptr[k] = 0
+                            continue
+                ptr[k] = 0
+                fv[i] = 0
+                k -= 1
+                continue
+            _, i, dom, nd, checks = step
+            p = ptr[k]
+            advanced = False
+            while p < nd:
+                fv[i] = dom[p]
+                p += 1
+                good = True
+                for (jA, jB, jC, jD, b1) in checks:
+                    if hm[fv[jA]][fv[jB]] != hm[b1[fv[jC]]][fv[jD]]:
+                        good = False
+                        break
+                if good:
+                    ptr[k] = p
+                    k += 1
+                    if k < nsteps:
+                        ptr[k] = 0
+                    advanced = True
+                    break
+            if not advanced:
+                ptr[k] = 0
+                fv[i] = 0
+                k -= 1
+        return rows
+
+    return lambda alpha: np.frombuffer(alpha_leaf(alpha), dtype=np.uint8).reshape(-1, m * m)
+
+
+def _engine_schedule(g: FiniteGroup, abelian_h: bool):
+    """`(flat, derive_info, rest_info)`: the engine's cell schedule on G, cached on g.
+
+    The cells (g1, g2) off the unit row and column are numbered column-major
+    (g2 outer), cell k at flat position `flat[k]` = g1 |G| + g2.  An axiom
+    instance (g1, g2, g3), none of them the unit, is
+
+        f(g1, g2) f(g1 g2, g3) = g1(f(g2, g3)) f(g1, g2 g3)
+
+    written `(iA, iB, iC, iD, g1)` with the flat positions of its four cells,
+    and is listed at the highest-numbered cell it involves (a cell in the
+    unit row or column holds the unit), in (g1, g2, g3) order.  For abelian
+    H only the instances whose g3 is in `generating_sequence(g)` are listed.
+    Of the instances listed at cell k, the first that holds cell k exactly
+    once derives it: `derive_info[k]` is `(mode, iA, iB, iC, iD, g1)`, mode
+    0-3 naming which of the four is cell k, or None if no instance derives
+    it.  `rest_info[k]` lists the other instances, in order.
+    """
+    key = ("schedule", abelian_h)
+    schedule = g._cache.get(key)
+    if schedule is None:
+        m = g.order
+        third = generating_sequence(g) if abelian_h else list(range(1, m))
+        gm = g.table
+        number = [-1] * (m * m)   # cell number by flat position, -1 off the cells
+        flat = []
+        for g2 in range(1, m):
+            for g1 in range(1, m):
+                number[g1 * m + g2] = len(flat)
+                flat.append(g1 * m + g2)
+        listed = [[] for _ in flat]
+        for g1 in range(1, m):
+            row1, base1 = gm[g1], g1 * m
+            for g2 in range(1, m):
+                iA, b12, base2, row2 = base1 + g2, row1[g2] * m, g2 * m, gm[g2]
+                for g3 in third:
+                    iB, iC, iD = b12 + g3, base2 + g3, base1 + row2[g3]
+                    listed[max(number[iA], number[iB], number[iC], number[iD])].append((iA, iB, iC, iD, g1))
+        derive_info, rest_info = [], []
+        for target, insts in zip(flat, listed):
+            for k, inst in enumerate(insts):
+                if inst[:4].count(target) == 1:
+                    derive_info.append((inst.index(target), *inst))
+                    rest_info.append(insts[:k] + insts[k + 1:])
+                    break
+            else:
+                derive_info.append(None)
+                rest_info.append(insts)
+        schedule = (flat, derive_info, rest_info)
+        g._cache[key] = schedule
+    return schedule
 
 
 def _pinned_engine(h, g, pinned=()):
@@ -862,16 +1102,16 @@ def _pinned_engine(h, g, pinned=()):
     cell is the unit, so a branch dies as soon as a pinned cell is the unit
     no longer.  The schedule is patched only while the engine binds it.
     """
-    classify_mod = importlib.import_module("crossedprod.classify")
-    schedule = classify_mod._engine_schedule
+    global _engine_schedule
+    schedule = _engine_schedule
     flat, derive_info, rest_info = schedule(g, h.is_abelian)
     cells = {g1 * g.order + g2 for (g1, g2) in pinned}
     rest_info = [rest + [(i, 0, 0, 0, 0)] if i in cells else rest for i, rest in zip(flat, rest_info)]
-    classify_mod._engine_schedule = lambda *args: (flat, derive_info, rest_info)
+    _engine_schedule = lambda *args: (flat, derive_info, rest_info)
     try:
         return _engine(h, g)
     finally:
-        classify_mod._engine_schedule = schedule
+        _engine_schedule = schedule
 
 
 def _search_systems(h, g, pinned=()):
@@ -895,10 +1135,18 @@ def _raw_systems(h, g, pinned=()):
 
 
 def _full_eq1_orbit(h, g, alpha, f_bytes):
-    """The whole eq1 orbit of one system: every shift t with t(1) = 1."""
+    """The whole eq1 orbit of one system: every shift t with t(1) = 1, each
+    shifted action named by its automorphism indices."""
     act_rows = [automorphism_group(h)[a].map for a in alpha]
-    _, cocycles = coboundary_orbit_keys(h, g, act_rows, f_bytes)
-    return {(alpha, row.tobytes()) for row in cocycles}
+    actions, cocycles = coboundary_orbit_keys(h, g, act_rows, f_bytes)
+    if h.is_abelian:   # a shift keeps the action
+        return {(alpha, row.tobytes()) for row in cocycles}
+    index = automorphism_index(h)
+    named = {
+        row.tobytes(): tuple(index[tuple(x)] for x in row.reshape(g.order, h.order).tolist())
+        for row in np.unique(actions, axis=0)
+    }
+    return {(named[act.tobytes()], row.tobytes()) for act, row in zip(actions, cocycles)}
 
 
 def _full_z2_orbit_index(h, g):
@@ -921,11 +1169,25 @@ def _tree_cells(g):
 
 
 def test_slice_representatives_hit_each_eq1_orbit_once():
-    for (h, g) in SLICE_PAIRS:
+    # non-abelian H too: each orbit meets its first lift in classes of the
+    # centre (S3: Z = 1; D8, Q8 and D16: Z = C2)
+    for (h, g) in SLICE_PAIRS + [(S3, C3), (D8, C2), (Q8, C4), (dihedral_group(16), K4)]:
         orbit_of, count = _full_z2_orbit_index(h, g)
         reps = list(iter_orbit_representatives(h, g))
         hit = sorted(orbit_of[rep] for rep in reps)
         assert hit == list(range(count)), (h.name, g.name)
+
+
+def test_slice_representatives_one_class_over_c7():
+    # Hom(C7, Out(H)) is trivial and H^2(C7, Z(H)) = 0 for these H, so the
+    # 46,656, 262,144 and 262,144 systems are one eq1 orbit
+    c7 = cyclic_group(7)
+    for h in (S3, D8, Q8):
+        reps = list(iter_orbit_representatives(h, c7))
+        assert len(reps) == 1
+        (alpha, fb), = reps
+        validate_crossed_system(h, c7, WeakAction(c7, h, tuple(automorphism_group(h)[a] for a in alpha)),
+                                cocycle(c7, h, [list(fb[i * 7:(i + 1) * 7]) for i in range(7)]))
 
 
 def test_slice_representatives_are_unit_on_tree_cells():
@@ -1058,10 +1320,10 @@ def _class_count(slices):
 
 
 def _closed_slices(h, g, monkeypatch):
-    """`_gauge_slice_classes` with the engine unreachable."""
+    """`_gauge_slice_classes` with the kernel solve unreachable."""
     with monkeypatch.context() as mp:
-        mp.setattr(importlib.import_module("crossedprod.classify"), "_engine", _no_engine)
-        return list(_gauge_slice_classes(h, g))
+        mp.setattr(importlib.import_module("crossedprod.classify"), "_kernel_bases", _no_engine)
+        return list(_gauge_slice_classes(h, g, *_homs(h, g)))
 
 
 @pytest.mark.parametrize("h", CYCLIC_SLICE_H, ids=lambda x: x.name)
@@ -1093,8 +1355,8 @@ def test_cyclic_slice_oracle_relabelled_cyclic_g(monkeypatch):
     for h in (C2, C3, C4, K4, cyclic_group(7)):
         _assert_same_slices(_closed_slices(h, logs, monkeypatch), list(_engine_slice_classes(h, logs)))
         want = list(_engine_slice_classes(h, fallback))
-        _assert_same_slices(list(_gauge_slice_classes(h, fallback)), want)
-        assert _class_count(want) == _class_count(_gauge_slice_classes(h, c6))
+        _assert_same_slices(list(_gauge_slice_classes(h, fallback, *_homs(h, fallback))), want)
+        assert _class_count(want) == _class_count(_gauge_slice_classes(h, c6, *_homs(h, c6)))
 
 
 # (yields, sha256 prefix) of iter_orbit_representatives over every (C_n, C_m)
@@ -1169,19 +1431,11 @@ def test_engine_without_pinned_cells_emits_the_recorded_stream(hs, gs, count, di
 
 # the lifts of each outer action against the engine over every action ------
 
-# Abelian H has one lift per outer action, so its lifted stream is the engine
-# over every action; the library solves every abelian pair by linear algebra
-# (`_algebraic_systems`), and the bound of 128 maps t only caps what the
-# engine oracle costs the abelian pairs here.  Non-abelian
-# pairs with few lifts per outer action once ran that engine instead of
-# shifting, measured on 2 CPUs, best of 7 interleaved runs of each whole
-# stream, when every lift, the first too, was shifted and sorted: with 1-6
-# lifts the engine was faster ((S3, C1), (D10, C1), (D8, C2), (Q8, C2),
-# (S3, C2), (D12, C2), (S3xC2, C2): lift/engine time 1.1-4), except
-# (Q8xC2, C2), 4 lifts, where lifting was 1.24x faster; with 8-18 lifts
-# lifting was faster ((D16, C2), (D10, C2), (D14, C2), (D18, C2):
-# 1.14-1.44x; (D8, C3), (Q8, C3), (S3, C3): 2.5-3.3x), and with 64 lifts
-# about 12x.  The first lift's block now comes straight from the engine.
+# Abelian H has one lift per outer action, so its stream is the first
+# blocks (`_central_blocks`) and nothing is shifted; the bound of 128 maps t
+# only caps what the engine oracle costs the abelian pairs here.  For
+# non-abelian H the first lift of each outer action gets its block from the
+# centre, f0 Z^2(G, Z(H)), and every other lift is shifted from it.
 LIFT_PAIRS = [
     (h, g)
     for h in (C2, C3, C4, K4, S3, D8, Q8)
@@ -1197,37 +1451,12 @@ def _no_shift(*args):
 
 @pytest.mark.parametrize("h,g", LIFT_PAIRS, ids=lambda x: x.name)
 def test_lift_oracle_lifted_blocks_equal_the_engine_stream(h, g, monkeypatch):
-    classify_mod = importlib.import_module("crossedprod.classify")
     # for abelian H every action is its outer action's one lift: none is shifted
     if h.is_abelian:
-        monkeypatch.setattr(classify_mod, "_shift_lifts", _no_shift)
-    engine = _records(_search_systems(h, g))
-    with monkeypatch.context() as mp:
-        if h.is_abelian:   # the block stream solves abelian H with no engine
-            mp.setattr(classify_mod, "_engine", _no_engine)
-        assert _records(_system_blocks(h, g, DEFAULT_PAIR_CAP)) == engine
-
-    # the lifts run the engine once per outer action psi, for abelian H once
-    # per action
-    leaves = []
-    make_engine = classify_mod._engine
-
-    def counting_engine(*args):
-        leaf = make_engine(*args)
-
-        def counted(alpha):
-            leaves.append(alpha)
-            return leaf(alpha)
-
-        return counted
-
-    monkeypatch.setattr(classify_mod, "_engine", counting_engine)
-    lifted = list(_lifted_systems(h, g))
-    assert _records(lifted) == engine
-    assert len(leaves) == len(_lift_products(h, g))
-    if h.is_abelian:
-        assert leaves == list(_outer_actions(h, g))
-    for (_, block) in lifted:
+        monkeypatch.setattr(importlib.import_module("crossedprod.classify"), "_shift_lifts", _no_shift)
+    blocks = list(_system_blocks(h, g, DEFAULT_PAIR_CAP))
+    assert _records(blocks) == _records(_search_systems(h, g))
+    for (_, block) in blocks:
         assert block.dtype == np.uint8 and block.flags.c_contiguous and len(block) > 0
 
 
@@ -1240,7 +1469,7 @@ def test_lift_oracle_counts_per_outer_action(h, g):
     lifts_of = {}
     for alpha in _outer_actions(h, g):
         lifts_of.setdefault(tuple(outer[a] for a in alpha), []).append(alpha)
-    assert len(lifts_of) == len(_lift_products(h, g))
+    assert len(lifts_of) == len(_first_lifts(h, g))
     for psi, lifts in lifts_of.items():
         assert len(lifts) == len(inner_automorphisms(h)) ** (g.order - 1)
         assert len({per_action[alpha] for alpha in lifts}) == 1, psi
@@ -1256,11 +1485,111 @@ def test_lift_oracle_s3_c8_counts_six_to_the_seventh():
 
 def test_internal_invariant_lift_outside_its_base_coset_raises(monkeypatch):
     classify_mod = importlib.import_module("crossedprod.classify")
+    bases = list(_central_blocks(S3, C3))
     perms, shift = _aut_arrays(S3)
     # no automorphism is an inner shift of another
     monkeypatch.setattr(classify_mod, "_aut_arrays", lambda h: (perms, np.full_like(shift, -1)))
     with pytest.raises(InternalInvariantError, match="not an inner shift"):
-        list(_lifted_systems(S3, C3))
+        list(_lifted_systems(S3, C3, bases))
+    # nor is any cell's coset read off the shift table
+    with pytest.raises(InternalInvariantError, match="no coset of Z"):
+        list(_system_blocks(make_group("symmetric:3"), C3, DEFAULT_PAIR_CAP))
+
+
+# the first lift's block from the centre against the engine ------------------
+
+D16 = dihedral_group(16)
+Q8xC2 = make_group("product(quaternion:8,cyclic:2)")
+# every non-abelian pair of the lift oracle with |G| > 1, and D16, which
+# has outer actions with no system: 1 of 4 over C2, 9 of 16 over C2xC2
+CENTRAL_PAIRS = [(h, g) for (h, g) in LIFT_PAIRS if not h.is_abelian and g.order > 1] + [(D16, C2), (D16, K4)]
+
+
+@pytest.mark.parametrize("h,g", CENTRAL_PAIRS, ids=lambda x: x.name)
+def test_central_oracle_first_blocks_tags_and_orbits_equal_the_engine(h, g):
+    # the block of each psi's first lift is the engine's, psi without a
+    # system left out, and its tags split it as the marking loop splits the
+    # whole stream into eq1 orbits, numbered by first appearance after the
+    # earlier psi's classes, each class holding `orbit` rows of the block
+    leaf = _engine(h, g)
+    engine = [(alpha, leaf(alpha)) for alpha in _first_lifts(h, g)]
+    bases = list(_central_blocks(h, g))
+    assert [alpha for (alpha, _, _, _) in bases] == [alpha for (alpha, block) in engine if len(block)]
+    keys = _system_block(h, g, DEFAULT_PAIR_CAP)._keys
+    orbits = _eq1_by_orbits(h, g)
+    class_of = {keys[i].tobytes(): c for c, members in enumerate(orbits) for i in members}
+    perms = _aut_perms(h)
+    offset = 0
+    for (alpha, block, tags, orbit), (_, want) in zip(bases, [e for e in engine if len(e[1])]):
+        assert block.dtype == np.uint8 and block.flags.c_contiguous and np.array_equal(block, want)
+        action = perms[list(alpha)].ravel()
+        loop = [class_of[np.concatenate([action, row]).tobytes()] for row in block]
+        first = list(dict.fromkeys(loop))
+        assert tags.tolist() == [offset + first.index(c) for c in loop]
+        assert set(Counter(loop).values()) == {orbit}
+        offset += len(first)
+    assert offset == len(orbits)
+    if h is D16:
+        assert len(engine) - len(bases) == {2: 1, 4: 9}[g.order]
+
+
+def _cocycle_holds(h, g, act, rows):
+    """Whether each row-major cocycle of `rows` (k, |G|^2) satisfies every
+    axiom instance (g1, g2, g3) under the action rows `act` (|G|, |H|)."""
+    hm, gm, m = h.table_array, g.table_array, g.order
+    f = np.asarray(rows, dtype=np.intp).reshape(-1, m, m)
+    g1, g2, g3 = np.indices((m, m, m)).reshape(3, -1)
+    left = hm[f[:, g1, g2], f[:, gm[g1, g2], g3]]
+    right = hm[act[g1, f[:, g2, g3]], f[:, g1, gm[g2, g3]]]
+    return (left == right).all(axis=1)
+
+
+@pytest.mark.parametrize("h,g", CENTRAL_PAIRS + [(Q8xC2, C2)], ids=lambda x: x.name)
+def test_central_oracle_f0_solve_equals_brute_force(h, g):
+    # every correction of each first lift's cells by the centre, checked on
+    # every axiom instance: the library finds an f0 exactly when one exists,
+    # and its f0 is one of them
+    m = g.order
+    embed = _center_group(h)[1]
+    inner = inner_automorphisms(h)
+    perms = [a.map for a in automorphism_group(h)]
+    found = dict(zip(*(_central_actions(h, g)[i] for i in (2, 4))))
+    cells = [g1 * m + g2 for g1 in range(1, m) for g2 in range(1, m)]
+    corrections = np.array(list(itertools.product(embed.tolist(), repeat=len(cells))), dtype=np.intp)
+    corrected = 0
+    for alpha in _first_lifts(h, g):
+        act = np.array([perms[a] for a in alpha], dtype=np.intp)
+        # cell (g1, g2): the first c in H conjugating like alpha(g1) alpha(g2) alpha(g1 g2)^-1
+        first = np.zeros(m * m, dtype=np.intp)
+        for i in cells:
+            g1, g2 = divmod(i, m)
+            a12 = np.argsort(act[g.mul(g1, g2)])
+            first[i] = inner[tuple(act[g1][act[g2][a12]].tolist())][0]
+        candidates = np.repeat(first[None], len(corrections), axis=0)
+        candidates[:, cells] = h.table_array[first[cells], corrections]
+        holds = _cocycle_holds(h, g, act, candidates)
+        assert holds.any() == (alpha in found), alpha
+        if alpha in found:
+            assert found[alpha].tobytes() in {row.tobytes() for row in candidates[holds].astype(np.uint8)}
+            corrected += not holds[0]   # corrections[0] is the unit everywhere
+    if h is Q8xC2:
+        assert corrected > 0
+
+
+def test_internal_invariant_central_correction_must_solve(monkeypatch):
+    # an outer action of (D16, C2) has no system; a correction claimed for it
+    # must still make every axiom instance hold
+    classify_mod = importlib.import_module("crossedprod.classify")
+    corrections = classify_mod._central_corrections
+
+    def claimed(*args):
+        values, held = corrections(*args)
+        assert not held.all()
+        return values, np.ones_like(held)
+
+    monkeypatch.setattr(classify_mod, "_central_corrections", claimed)
+    with pytest.raises(InternalInvariantError, match="fails an axiom instance"):
+        list(_system_blocks(dihedral_group(16), C2, DEFAULT_PAIR_CAP))
 
 
 # criterion 6's catalog: every abelian-H pair with |H||G| <= 32 and at most
@@ -1278,14 +1607,17 @@ ALGEBRAIC_PAIRS = [
 @pytest.mark.parametrize("h,g", ALGEBRAIC_PAIRS, ids=lambda x: x.name)
 def test_algebraic_blocks_equal_the_engine_stream(h, g):
     engine = list(_search_systems(h, g))
-    built = list(_algebraic_systems(h, g))
+    built = list(_central_blocks(h, g))
     assert _records([(alpha, block) for (alpha, block, _, _) in built]) == _records(engine)
 
     per_action = Counter(alpha for (alpha, _) in _records(engine))
-    blocks = list(_gauge_slice_classes(h, g))
+    blocks = list(_gauge_slice_classes(h, g, *_homs(h, g)))
     assert [alpha for (alpha, _, _, _, _) in blocks] == list(per_action)
     hm, inverse = _byte_tables(h)
+    offset = 0
     for (alpha, act_rows, members, slice_tags, orbit), (_, block, tags, orbit_b) in zip(blocks, built):
+        # the tags number the classes across the pair, earlier actions first
+        tags, offset = tags - offset, offset + len(block) // orbit_b
         b2 = _b2_by_definition(h, g, act_rows)
         assert len(b2) == orbit == orbit_b
         # the first member of each tag is its class's representative
@@ -1313,7 +1645,7 @@ def test_slice_oracle_z2_is_the_slice_times_delta_w(h, g):
     w[:, rest] = _all_shifts(n, len(rest) + 1)[:, 1:]
     per_action = Counter(alpha for (alpha, _) in _records(_search_systems(h, g)))
     hm = _byte_tables(h)[0]
-    slices = list(_gauge_slice_classes(h, g))
+    slices = list(_gauge_slice_classes(h, g, *_homs(h, g)))
     assert [alpha for (alpha, _, _, _, _) in slices] == list(per_action)
     for alpha, act_rows, members, _, _ in slices:
         _, delta_w = coboundary_orbit_keys(h, g, act_rows, unit, t_rows=w)
@@ -1386,19 +1718,17 @@ LINEAR_SLICE_PAIRS = [
 ] + [(K4, C2_3), (C3, make_group("product(cyclic:3,cyclic:3)"))]
 
 
-def _linear_slices(h, g, monkeypatch):
-    """`_linear_slice_classes` (on any G, cyclic too) with the engine unreachable."""
-    with monkeypatch.context() as mp:
-        mp.setattr(importlib.import_module("crossedprod.classify"), "_engine", _no_engine)
-        return list(_linear_slice_classes(h, g, _outer_homomorphisms(h, g)[0]))
+def _linear_slices(h, g):
+    """`_linear_slice_classes` on any G, cyclic too."""
+    return list(_linear_slice_classes(h, g, *_homs(h, g)))
 
 
 @pytest.mark.parametrize("h,g", LINEAR_SLICE_PAIRS, ids=lambda x: x.name)
-def test_linear_slice_oracle_equals_the_pinned_engine(h, g, monkeypatch):
-    _assert_same_slices(_linear_slices(h, g, monkeypatch), list(_engine_slice_classes(h, g)))
+def test_linear_slice_oracle_equals_the_pinned_engine(h, g):
+    _assert_same_slices(_linear_slices(h, g), list(_engine_slice_classes(h, g)))
 
 
-def test_linear_slice_oracle_relabelled_abelian_h(monkeypatch):
+def test_linear_slice_oracle_relabelled_abelian_h():
     # H's element order is not the order of any coordinates: the slice is
     # sorted by the labels, whatever the basis
     for base, new_of in (
@@ -1411,7 +1741,7 @@ def test_linear_slice_oracle_relabelled_abelian_h(monkeypatch):
         assert [h.element_orders[e] for e in basis] == degrees.tolist()
         for g in (K4, S3, C4):
             if h.order * g.order <= 32:
-                _assert_same_slices(_linear_slices(h, g, monkeypatch), list(_engine_slice_classes(h, g)))
+                _assert_same_slices(_linear_slices(h, g), list(_engine_slice_classes(h, g)))
 
 
 @pytest.mark.parametrize("spec,count", [
@@ -1684,21 +2014,20 @@ def _closure_slice_classes(h, g):
 
 
 @pytest.mark.parametrize("g", [g for g in _CATALOG if g.order > 1], ids=lambda x: x.name)
-def test_linear_slice_oracle_per_action_closure_on_every_catalog_g(g, monkeypatch):
+def test_linear_slice_oracle_per_action_closure_on_every_catalog_g(g):
     # every abelian H with |H||G| <= 32, and C2 and C3 on every G: the
     # slices built in arrays equal the per-action closures, members, tags
     # and |B^2| alike
     for h in [x for x in _CATALOG if x.is_abelian and (x.order * g.order <= 32 or x.order <= 3)]:
-        _assert_same_slices(_linear_slices(h, g, monkeypatch), list(_closure_slice_classes(h, g)))
+        _assert_same_slices(_linear_slices(h, g), list(_closure_slice_classes(h, g)))
 
 
 def _enumerated_slices(h, g, monkeypatch):
     """`_enumerated_slice_classes` with the engine and the kernel solve unreachable."""
     with monkeypatch.context() as mp:
         mod = importlib.import_module("crossedprod.classify")
-        mp.setattr(mod, "_engine", _no_engine)
         mp.setattr(mod, "_kernel_bases", _no_engine)
-        return list(_enumerated_slice_classes(h, g, _outer_homomorphisms(h, g)[0]))
+        return list(_enumerated_slice_classes(h, g, *_homs(h, g)))
 
 
 def _check_cells(h, g):
@@ -1720,7 +2049,7 @@ def test_slice_enumeration_oracle_equals_the_linear_slice_on_every_catalog_g(g, 
     ]
     for h in [x for x in _CATALOG if x.is_abelian] + relabelled:
         if _check_cells(h, g) <= 4 * _CHUNK:
-            _assert_same_slices(_enumerated_slices(h, g, monkeypatch), _linear_slices(h, g, monkeypatch))
+            _assert_same_slices(_enumerated_slices(h, g, monkeypatch), _linear_slices(h, g))
 
 
 def test_gauge_slice_enumerates_exactly_where_the_residuals_fit_a_chunk(monkeypatch):
@@ -1735,7 +2064,7 @@ def test_gauge_slice_enumerates_exactly_where_the_residuals_fit_a_chunk(monkeypa
         with monkeypatch.context() as mp:
             mp.setattr(mod, unreachable, _no_engine)
             for h, g in pairs:
-                assert list(_gauge_slice_classes(h, g))
+                assert list(_gauge_slice_classes(h, g, *_homs(h, g)))
 
 
 def test_internal_invariant_slice_enumeration_needs_b0_in_the_slice(monkeypatch):
@@ -1751,7 +2080,7 @@ def test_internal_invariant_slice_enumeration_needs_b0_in_the_slice(monkeypatch)
 
     monkeypatch.setattr(mod, "_gauge_shifts", off_t0)
     with pytest.raises(InternalInvariantError, match="left the gauge slice"):
-        list(_enumerated_slice_classes(C2, D8, _outer_homomorphisms(C2, D8)[0]))
+        list(_enumerated_slice_classes(C2, D8, *_homs(C2, D8)))
 
 
 def _eq1_by_orbits(h, g):
@@ -1784,7 +2113,7 @@ def _eq1_by_orbits(h, g):
 
 @pytest.mark.parametrize("h,g", [
     (h, g) for h in _CATALOG for g in _CATALOG if h.is_abelian and h.order * g.order <= 32
-], ids=lambda x: x.name)
+] + [(h, g) for (h, g) in LIFT_PAIRS if not h.is_abelian] + [(D16, C2), (D16, K4)], ids=lambda x: x.name)
 def test_eq1_tags_oracle_equal_the_orbit_marking(h, g):
     assert classify(h, g, "eq1").classes == _eq1_by_orbits(h, g)
 
@@ -2156,10 +2485,9 @@ def test_engine_schedule_matches_the_schedule_oracle(g):
 ], ids=lambda x: x.name)
 def test_engine_blocks_match_the_schedule_oracle(h, g, monkeypatch):
     # pinned (the gauge slice's tree cells) and unpinned passes, on the
-    # library's schedule and on the oracle's
-    classify_mod = importlib.import_module("crossedprod.classify")
+    # engine's schedule and on the oracle's
     for pinned in ((), _tree_cells(g)):
         blocks = _records(_search_systems(h, g, pinned))
         with monkeypatch.context() as patch:
-            patch.setattr(classify_mod, "_engine_schedule", _schedule_by_loops)
+            patch.setattr(sys.modules[__name__], "_engine_schedule", _schedule_by_loops)
             assert _records(_search_systems(h, g, pinned)) == blocks
